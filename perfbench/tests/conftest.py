@@ -1,0 +1,10 @@
+"""Put the benchmark modules and the durcast sources on the import path.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
