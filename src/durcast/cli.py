@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 pipeline error, 2 usage error, 3 backend
 unreachable.
 
 A YAML config file (--config) may set any long-option name (dashes or
-underscores); values from the file override the corresponding flags.
+underscores); values from the file override the corresponding flags and
+are checked and converted like them (a bad value is a usage error).
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ BACKENDS = ("mock_reference_mean", "mock_echo_prior", "mock_scripted", "http")
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay values from the YAML config file onto parsed flags."""
+    """Overlay values from the YAML config file onto parsed flags, each
+    converted and checked like the flag's own argument (a list feeds a
+    repeatable flag, null restores the default)."""
     if not getattr(args, "config", None):
         return
     try:
@@ -80,11 +83,36 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         return
     if not isinstance(doc, dict):
         parser.error(f"config file {args.config} must be a mapping")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = subparsers.choices[args.command]
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
     for key, value in doc.items():
-        attr = str(key).replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"config file sets unknown option {key!r}")
-        setattr(args, attr, value)
+        action = flags.get(str(key).replace("-", "_"))
+        if action is None:
+            command.error(f"config file sets unknown option {key!r}")
+        if value is None:
+            value = action.default
+        elif action.nargs == 0:
+            if not isinstance(value, bool):
+                command.error(f"config option {key!r} must be true or false, got {value!r}")
+        elif isinstance(action, argparse._AppendAction):
+            items = value if isinstance(value, list) else [value]
+            value = [_flag_value(command, action, key, item) for item in items]
+        else:
+            value = _flag_value(command, action, key, value)
+        setattr(args, action.dest, value)
+
+
+def _flag_value(command: argparse.ArgumentParser, action: argparse.Action, key, value):
+    """A config value converted the way argparse converts the flag's argument."""
+    convert = action.type or str
+    try:
+        result = convert(str(value))
+    except (TypeError, ValueError):
+        command.error(f"config option {key!r}: invalid {convert.__name__} value: {value!r}")
+    if action.choices is not None and result not in action.choices:
+        command.error(f"config option {key!r}: invalid choice {value!r}, not in {action.choices}")
+    return result
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:

@@ -1,9 +1,9 @@
 """Flat cosine-similarity index with clinical post-processing.
 
 Retrieval is exhaustive (no approximation): every query scores every stored
-vector. Post-processing refines an expanded candidate list into the final
-reference set by descending the stratum ladder and trimming duration
-outliers by interquartile range.
+vector, and every stored case carries a recorded duration. Post-processing
+refines an expanded candidate list into the final reference set by walking
+the stratum ladder and trimming duration outliers by interquartile range.
 
 On-disk format (little-endian):
     bytes 0..7    magic "DURCIDX1"
@@ -30,12 +30,13 @@ from .errors import (
     EmptyIndex,
     EmptyInput,
     IoError,
+    MissingDuration,
     NoCandidates,
     SpecError,
     ZeroVector,
 )
 from .schema import CaseSet, FeatureSchema, SurgicalCase, load_schema
-from .strata import describe_tier, ladder, matches_tier, tier_applicable
+from .strata import describe_tier, walk
 
 _MAGIC = b"DURCIDX1"
 
@@ -93,8 +94,9 @@ def build(
 ) -> FlatIndex:
     """Store (weighted embedding, case) pairs for exhaustive retrieval.
 
-    Rejects inconsistent dimensions and zero-norm vectors (they have no
-    cosine direction).
+    Rejects inconsistent dimensions, zero-norm vectors (they have no
+    cosine direction) and cases without a recorded duration (they cannot
+    serve as references or priors).
     """
     if not entries:
         raise EmptyInput("cannot build an index from zero entries")
@@ -109,6 +111,8 @@ def build(
             )
         if float(np.linalg.norm(v)) == 0.0:
             raise ZeroVector(f"entry for case {case.id!r} is a zero vector")
+        if case.duration_min is None:
+            raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
         rows.append(v)
         cases.append(case)
     return FlatIndex(vectors=np.stack(rows), cases=cases, schema=schema)
@@ -147,38 +151,25 @@ def postprocess(
 ) -> ReferenceSet:
     """Refine expanded candidates into at most k references.
 
-    Stages, in order: drop candidates without a recorded duration; pick the
-    most specific applicable stratum tier with >= k survivors (else the most
-    specific non-empty one); remove duration outliers outside
-    [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (skipped when <= 4 survivors, where
-    quartiles are unstable); keep the top k by similarity.
+    Stages, in order: take the first tier of the stratum walk with >= k
+    candidates (else the most specific non-empty one); remove duration
+    outliers outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (skipped when <= 4
+    survivors, where quartiles are unstable); keep the top k by similarity.
     """
     if not candidates:
         raise NoCandidates("postprocess received no candidates")
-    usable = [c for c in candidates if c.case.duration_min is not None]
-    if not usable:
-        raise NoCandidates("no candidate has a recorded duration")
     if k < 1:
         raise SpecError(f"reference count must be >= 1, got {k}")
 
-    tiers = ladder(key_attributes)
-    survivors: list[RetrievalCandidate] = []
-    chosen_level = len(tiers) - 1
-    best_nonempty: tuple[int, list[RetrievalCandidate]] | None = None
-    for level, tier in enumerate(tiers):
-        if not tier_applicable(query, tier):
-            continue
-        matched = [c for c in usable if matches_tier(query, c.case, tier)]
-        if len(matched) >= k:
-            survivors, chosen_level = matched, level
+    # The unfiltered tier holds every candidate, so some tier is non-empty.
+    first_nonempty = None
+    for level, tier, survivors in walk(query, candidates, key_attributes, lambda c: c.case):
+        if len(survivors) >= k:
             break
-        if matched and best_nonempty is None:
-            best_nonempty = (level, matched)
+        if survivors and first_nonempty is None:
+            first_nonempty = level, tier, survivors
     else:
-        if best_nonempty is not None:
-            chosen_level, survivors = best_nonempty
-        else:
-            survivors, chosen_level = usable, len(tiers) - 1
+        level, tier, survivors = first_nonempty
 
     bounds = None
     if len(survivors) > 4:
@@ -193,8 +184,8 @@ def postprocess(
     top = survivors[:k]
     return ReferenceSet(
         references=tuple((c.case, c.similarity) for c in top),
-        fallback_level=chosen_level,
-        stratum_descriptor=describe_tier(query, tiers[chosen_level]),
+        fallback_level=level,
+        stratum_descriptor=describe_tier(query, tier),
         iqr_bounds=bounds,
     )
 
@@ -202,7 +193,7 @@ def postprocess(
 def save_index(idx: FlatIndex, path: str | Path) -> None:
     """Serialize to the documented binary layout (float32 vectors)."""
     payload = {
-        "schema": yaml_schema_doc(idx.schema),
+        "schema": idx.schema.to_doc(),
         "cases": [
             {"id": c.id, "values": c.values, "duration_min": c.duration_min}
             for c in idx.cases
@@ -217,17 +208,14 @@ def save_index(idx: FlatIndex, path: str | Path) -> None:
         raise IoError(f"cannot write index to {path}: {exc}") from exc
 
 
-def load_index(path: str | Path) -> FlatIndex:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read index from {path}: {exc}") from exc
+def load_index(raw: bytes) -> FlatIndex:
+    """Decode the bytes of an index file written by save_index."""
     if len(raw) < 24 or raw[:8] != _MAGIC:
-        raise ArtifactError(f"{path} is not an index file (bad magic)")
+        raise ArtifactError("not an index file (bad magic)")
     dim, count, blob_len = struct.unpack("<IIQ", raw[8:24])
     vec_bytes = count * dim * 4
     if len(raw) != 24 + vec_bytes + blob_len:
-        raise ArtifactError(f"{path} is truncated or padded")
+        raise ArtifactError("index file is truncated or padded")
     vectors = (
         np.frombuffer(raw[24 : 24 + vec_bytes], dtype="<f4")
         .astype(np.float64)
@@ -236,28 +224,18 @@ def load_index(path: str | Path) -> FlatIndex:
     try:
         payload = json.loads(raw[24 + vec_bytes :].decode("utf-8"))
         schema = load_schema(json.dumps(payload["schema"]))
+        # float() rejects a missing duration: every indexed case has one.
         cases = [
             SurgicalCase(
-                id=item["id"], values=item["values"], duration_min=item["duration_min"]
+                id=item["id"], values=item["values"], duration_min=float(item["duration_min"])
             )
             for item in payload["cases"]
         ]
-    except (ValueError, KeyError) as exc:
-        raise ArtifactError(f"{path} has a corrupt case payload: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"index file has a corrupt case payload: {exc}") from exc
     if len(cases) != count:
-        raise ArtifactError(f"{path}: header count {count} != payload count {len(cases)}")
+        raise ArtifactError(f"index header count {count} != payload count {len(cases)}")
     return FlatIndex(vectors=vectors, cases=cases, schema=schema)
-
-
-def yaml_schema_doc(schema: FeatureSchema) -> dict:
-    """Schema as a plain mapping (the YAML document structure)."""
-    return {
-        "features": [{"name": f.name, "kind": f.kind} for f in schema.features],
-        "ordinal_orders": {k: list(v) for k, v in schema.ordinal_orders.items()},
-        "key_attributes": list(schema.key_attributes),
-        "duration_column": schema.duration_column,
-        "id_column": schema.id_column,
-    }
 
 
 def index_case_set(idx: FlatIndex) -> CaseSet:

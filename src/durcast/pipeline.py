@@ -2,20 +2,20 @@
 case under any inference mode, persist and reload the fitted artifacts.
 
 Fitting: encode the training corpus, derive PCA importance weights (or
-uniform ones), build the flat index over weighted embeddings, and prepare
-the stratum prior cache. Prediction: embed the query, retrieve and refine
-references, compute the prior, build the prompt, run the multi-round
-ensemble, aggregate.
+uniform ones) and build the flat index over weighted embeddings. A
+pipeline, fitted or reloaded, derives its stratum priors from the indexed
+cases on first use of each stratum. Prediction: embed the query, retrieve
+and refine references, look up the prior, build the prompt, run the
+multi-round ensemble, aggregate.
 
-Artifact directory layout (see save_artifacts):
+Artifact directory layout (see save_artifacts); the artifacts hold only
+what prediction reads:
     schema.yaml      feature schema
     encoder.json     fitted per-feature statistics + embedder spec
-    pca.npz          eigendecomposition (absent when PCA weighting is off)
     weights.npz      per-dimension weights
     index.bin        flat index with the training cases
-    priors.json      precomputed stratum priors for observed key tuples
     importance.csv   per-feature weight mass, descending
-    manifest.json    config echo + sha256 of every file (fingerprint)
+    manifest.json    fit config + sha256 of every other file (fingerprint)
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,10 @@ DEFAULT_K = 8
 DEFAULT_EXPANSION = 10
 DEFAULT_ROUNDS = 5
 DEFAULT_W_PRIOR = 0.9
+
+# Every file save_artifacts writes besides manifest.json, which lists each
+# one with its sha256.
+ARTIFACT_FILES = ("schema.yaml", "encoder.json", "weights.npz", "index.bin", "importance.csv")
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,12 @@ class Pipeline:
         encoder: FittedEncoder,
         weights: pca_mod.WeightVector,
         flat_index: FlatIndex,
-        priors: PriorIndex,
-        pca_model: pca_mod.PCAModel | None,
         fit_config: FitConfig,
     ):
         self.encoder = encoder
         self.weights = weights
         self.index = flat_index
-        self.priors = priors
-        self.pca_model = pca_model
+        self.priors = PriorIndex(self.train_cases(), fit_config.min_cohort)
         self.fit_config = fit_config
         self.schema = encoder.schema
 
@@ -109,8 +110,8 @@ class Pipeline:
     def fit(cls, train: CaseSet, config: FitConfig | None = None) -> "Pipeline":
         """Fit every stage from the training set.
 
-        Only cases with a recorded duration enter the index and the prior
-        cache; the encoder and PCA see the full training set.
+        Only cases with a recorded duration enter the index, and so the
+        priors; the encoder and PCA see the full training set.
         """
         config = config or FitConfig()
         if not train.cases:
@@ -119,7 +120,6 @@ class Pipeline:
         encoder = encoding.fit(train, embedder)
         matrix = encoder.encode_matrix(train)
 
-        pca_model = None
         if config.pca_weighting:
             pca_model = pca_mod.fit_pca(matrix)
             k = config.pca_top_m or pca_mod.k_for_cumulative_variance(
@@ -130,21 +130,14 @@ class Pipeline:
         else:
             weights = pca_mod.uniform_weights(encoder.dim)
 
-        with_duration = [
-            (i, c) for i, c in enumerate(train.cases) if c.duration_min is not None
-        ]
-        if not with_duration:
-            raise EmptyTrainingSet("no training case has a recorded duration")
         entries = [
-            (pca_mod.apply_weights(matrix[i], weights), case)
-            for i, case in with_duration
+            (pca_mod.apply_weights(row, weights), case)
+            for row, case in zip(matrix, train.cases)
+            if case.duration_min is not None
         ]
-        flat_index = index_mod.build(entries, train.schema)
-        prior_train = CaseSet(
-            cases=[case for _, case in with_duration], schema=train.schema
-        )
-        priors = PriorIndex(prior_train, config.min_cohort)
-        return cls(encoder, weights, flat_index, priors, pca_model, config)
+        if not entries:
+            raise EmptyTrainingSet("no training case has a recorded duration")
+        return cls(encoder, weights, index_mod.build(entries, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:
         return pca_mod.apply_weights(self.encoder.encode(case).vector, self.weights)
@@ -164,13 +157,7 @@ class Pipeline:
         if postprocess:
             refs = index_mod.postprocess(candidates, case, k, self.schema.key_attributes)
         else:
-            top = [c for c in candidates if c.case.duration_min is not None][:k]
-            refs = ReferenceSet(
-                references=tuple((c.case, c.similarity) for c in top),
-                fallback_level=len(ladder(self.schema.key_attributes)) - 1,
-                stratum_descriptor=GLOBAL_STRATUM,
-                iqr_bounds=None,
-            )
+            refs = self._unstratified((c.case, c.similarity) for c in candidates[:k])
         return refs, candidates
 
     def random_references(self, case: SurgicalCase, k: int, seed: int) -> ReferenceSet:
@@ -178,8 +165,12 @@ class Pipeline:
         is reported as 0 since none was computed."""
         pool = self.index.cases
         picks = random.Random(seed).sample(pool, min(k, len(pool)))
+        return self._unstratified((c, 0.0) for c in picks)
+
+    def _unstratified(self, references) -> ReferenceSet:
+        """References picked without the stratum walk: the unfiltered tier."""
         return ReferenceSet(
-            references=tuple((c, 0.0) for c in picks),
+            references=tuple(references),
             fallback_level=len(ladder(self.schema.key_attributes)) - 1,
             stratum_descriptor=GLOBAL_STRATUM,
             iqr_bounds=None,
@@ -292,17 +283,6 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
         indent=2,
     ).encode("utf-8")
 
-    if pipeline.pca_model is not None:
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            mean_vector=pipeline.pca_model.mean_vector,
-            components=pipeline.pca_model.components,
-            explained_variance=pipeline.pca_model.explained_variance,
-            explained_variance_ratio=pipeline.pca_model.explained_variance_ratio,
-        )
-        files["pca.npz"] = buf.getvalue()
-
     buf = io.BytesIO()
     np.savez(buf, weights=pipeline.weights.weights, k_used=pipeline.weights.k_used)
     files["weights.npz"] = buf.getvalue()
@@ -310,22 +290,6 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     index_path = out / "index.bin"
     index_mod.save_index(pipeline.index, index_path)
     files["index.bin"] = index_path.read_bytes()
-
-    prior_entries = []
-    seen = set()
-    train = pipeline.train_cases()
-    for case in train.cases:
-        key = pipeline.priors.key_for(case)
-        if key in seen:
-            continue
-        seen.add(key)
-        p = pipeline.priors.for_query(case)
-        prior_entries.append({"key": [list(pair) for pair in key], "prior": asdict(p)})
-    files["priors.json"] = json.dumps(
-        {"min_cohort": pipeline.priors.min_cohort, "entries": prior_entries},
-        sort_keys=True,
-        indent=2,
-    ).encode("utf-8")
 
     report = pipeline.importance_report()
     report_buf = io.StringIO()
@@ -336,16 +300,7 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     files["importance.csv"] = report_buf.getvalue().encode("utf-8")
 
     digests = {name: _sha256(blob) for name, blob in files.items()}
-    config_doc = {
-        "fit_config": {
-            "pca_weighting": pipeline.fit_config.pca_weighting,
-            "variance_fraction": pipeline.fit_config.variance_fraction,
-            "pca_top_m": pipeline.fit_config.pca_top_m,
-            "min_cohort": pipeline.fit_config.min_cohort,
-            "embedder": pipeline.fit_config.embedder,
-        },
-        "files": digests,
-    }
+    config_doc = {"fit_config": asdict(pipeline.fit_config), "files": digests}
     fingerprint = _sha256(json.dumps(config_doc, sort_keys=True).encode("utf-8"))
     manifest = dict(config_doc, fingerprint=fingerprint)
     files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
@@ -359,7 +314,9 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
 
 def load_artifacts(artifact_dir: str | Path) -> Pipeline:
     """Reload a persisted pipeline, verifying every file against the
-    manifest fingerprint. Any mismatch is a hard ArtifactError."""
+    manifest fingerprint and decoding the very bytes it verified. A
+    mismatch, or a manifest not in the form save_artifacts writes, is a
+    hard ArtifactError."""
     root = Path(artifact_dir)
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -367,70 +324,42 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
         raise IoError(f"cannot read manifest under {root}: {exc}") from exc
     except ValueError as exc:
         raise ArtifactError(f"manifest under {root} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"manifest under {root} is not a JSON object")
 
-    recorded = dict(manifest)
-    claimed_fingerprint = recorded.pop("fingerprint", None)
-    actual_fingerprint = _sha256(json.dumps(recorded, sort_keys=True).encode("utf-8"))
-    if claimed_fingerprint != actual_fingerprint:
+    recorded = {k: v for k, v in manifest.items() if k != "fingerprint"}
+    if manifest.get("fingerprint") != _sha256(json.dumps(recorded, sort_keys=True).encode()):
         raise ArtifactError(f"manifest fingerprint mismatch under {root}")
-    for name, digest in manifest["files"].items():
+    digests, fit_doc = manifest.get("files"), manifest.get("fit_config")
+    if not isinstance(digests, dict) or set(digests) != set(ARTIFACT_FILES):
+        raise ArtifactError(
+            f"manifest under {root} must list exactly {', '.join(ARTIFACT_FILES)}"
+        )
+    if not isinstance(fit_doc, dict) or set(fit_doc) != {f.name for f in fields(FitConfig)}:
+        raise ArtifactError(f"manifest under {root} lacks a complete fit_config")
+    blobs = {}
+    for name in ARTIFACT_FILES:
         try:
-            blob = (root / name).read_bytes()
+            blobs[name] = (root / name).read_bytes()
         except OSError as exc:
             raise ArtifactError(f"artifact {name} missing under {root}: {exc}") from exc
-        if _sha256(blob) != digest:
+        if _sha256(blobs[name]) != digests[name]:
             raise ArtifactError(f"artifact {name} does not match its fingerprint")
 
-    fit_cfg_doc = manifest["fit_config"]
-    fit_config = FitConfig(
-        pca_weighting=fit_cfg_doc["pca_weighting"],
-        variance_fraction=fit_cfg_doc["variance_fraction"],
-        pca_top_m=fit_cfg_doc["pca_top_m"],
-        min_cohort=fit_cfg_doc["min_cohort"],
-        embedder=fit_cfg_doc["embedder"],
-    )
-    schema = load_schema((root / "schema.yaml").read_text(encoding="utf-8"))
-    enc_doc = json.loads((root / "encoder.json").read_text(encoding="utf-8"))
-    encoder = FittedEncoder(
-        schema=schema,
-        text_embedder=make_embedder(enc_doc["embedder"]),
-        numeric_stats={k: tuple(v) for k, v in enc_doc["numeric_stats"].items()},
-        ordinal_missing=enc_doc["ordinal_missing"],
-        cat_vocabs={k: tuple(v) for k, v in enc_doc["cat_vocabs"].items()},
-        bool_missing=enc_doc["bool_missing"],
-    )
-
-    pca_model = None
-    if (root / "pca.npz").exists():
-        with np.load(root / "pca.npz") as arrays:
-            pca_model = pca_mod.PCAModel(
-                mean_vector=arrays["mean_vector"],
-                components=arrays["components"],
-                explained_variance=arrays["explained_variance"],
-                explained_variance_ratio=arrays["explained_variance_ratio"],
-            )
-    with np.load(root / "weights.npz") as arrays:
-        weights = pca_mod.WeightVector(
-            weights=arrays["weights"], k_used=int(arrays["k_used"])
+    try:
+        schema = load_schema(blobs["schema.yaml"].decode("utf-8"))
+        enc_doc = json.loads(blobs["encoder.json"])
+        encoder = FittedEncoder(
+            schema=schema,
+            text_embedder=make_embedder(enc_doc["embedder"]),
+            numeric_stats={k: tuple(v) for k, v in enc_doc["numeric_stats"].items()},
+            ordinal_missing=enc_doc["ordinal_missing"],
+            cat_vocabs={k: tuple(v) for k, v in enc_doc["cat_vocabs"].items()},
+            bool_missing=enc_doc["bool_missing"],
         )
-
-    flat_index = index_mod.load_index(root / "index.bin")
-    priors_doc = json.loads((root / "priors.json").read_text(encoding="utf-8"))
-    priors = PriorIndex(index_mod.index_case_set(flat_index), priors_doc["min_cohort"])
-    for entry in priors_doc["entries"]:
-        key = tuple((a, v) for a, v in entry["key"])
-        doc = entry["prior"]
-        priors.warm(
-            key,
-            StatisticalPrior(
-                median_min=doc["median_min"],
-                mean_min=doc["mean_min"],
-                range_min=tuple(doc["range_min"]),
-                iqr_min=tuple(doc["iqr_min"]),
-                variance_min2=doc["variance_min2"],
-                cohort_size=doc["cohort_size"],
-                stratum_descriptor=doc["stratum_descriptor"],
-                fallback_level=doc["fallback_level"],
-            ),
-        )
-    return Pipeline(encoder, weights, flat_index, priors, pca_model, fit_config)
+        with np.load(io.BytesIO(blobs["weights.npz"])) as arrays:
+            weights = pca_mod.WeightVector(arrays["weights"], k_used=int(arrays["k_used"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
+    flat_index = index_mod.load_index(blobs["index.bin"])
+    return Pipeline(encoder, weights, flat_index, FitConfig(**fit_doc))

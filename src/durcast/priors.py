@@ -1,10 +1,12 @@
 """Stratum-level duration statistics used as prompt context and Bayesian prior.
 
-The prior for a query is computed over the most specific stratum of the
-training set (same ladder as retrieval post-processing) that contains at
-least min_cohort cases; the global training set always qualifies as the
-final fallback. The prior mean for Bayesian aggregation is the stratum
+The prior for a query is computed over the first stratum of the shared
+ladder walk (strata.walk, the same walk as retrieval post-processing) that
+contains at least min_cohort cases; the unfiltered tier always qualifies as
+the final fallback. The prior mean for Bayesian aggregation is the stratum
 median, which is robust to the long right tail of surgical durations.
+Priors are a pure function of the training cases and min_cohort, so they
+are computed on first use per stratum and never persisted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, SpecError
 from .schema import CaseSet, SurgicalCase
-from .strata import GLOBAL_STRATUM, describe_tier, ladder, matches_tier, tier_applicable
+from .strata import describe_tier, walk
 
 DEFAULT_MIN_COHORT = 5
 
@@ -64,16 +66,12 @@ def compute_prior(
     if not with_duration:
         raise EmptyTrainingSet("prior needs at least one training duration")
 
-    tiers = ladder(train.schema.key_attributes)
-    for level, tier in enumerate(tiers):
-        if not tier_applicable(query, tier):
-            continue
-        cohort = [c for c in with_duration if matches_tier(query, c, tier)]
-        if not tier or len(cohort) >= min_cohort:
-            durations = np.array([c.duration_min for c in cohort])
-            return _stats_over(durations, describe_tier(query, tier), level)
-    durations = np.array([c.duration_min for c in with_duration])
-    return _stats_over(durations, GLOBAL_STRATUM, len(tiers) - 1)
+    # With no tier of min_cohort cases the loop ends on the unfiltered tier.
+    for level, tier, cohort in walk(query, with_duration, train.schema.key_attributes):
+        if len(cohort) >= min_cohort:
+            break
+    durations = np.array([c.duration_min for c in cohort])
+    return _stats_over(durations, describe_tier(query, tier), level)
 
 
 def prior_strength(
@@ -99,9 +97,10 @@ def prior_strength(
 class PriorIndex:
     """Cache of priors keyed by the query's key-attribute values.
 
-    Computing a prior scans the training set; evaluation issues the same
-    stratum lookups repeatedly, so results are memoized. Lookups agree
-    exactly with compute_prior on the same training set.
+    Computing a prior scans the training set once, on the first lookup of
+    its key; evaluation issues the same stratum lookups repeatedly, so
+    results are memoized. Lookups agree exactly with compute_prior on the
+    same training set.
     """
 
     def __init__(self, train: CaseSet, min_cohort: int = DEFAULT_MIN_COHORT):
@@ -121,7 +120,3 @@ class PriorIndex:
             hit = compute_prior(query, self._train, self.min_cohort)
             self._cache[key] = hit
         return hit
-
-    def warm(self, key: tuple, prior: StatisticalPrior) -> None:
-        """Preload a cache entry (used when reloading persisted artifacts)."""
-        self._cache[key] = prior

@@ -87,15 +87,18 @@ class FeatureSchema:
     def by_kind(self, kind: str) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.kind == kind)
 
-    def to_yaml(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The schema as a plain mapping: the YAML document structure."""
+        return {
             "features": [{"name": f.name, "kind": f.kind} for f in self.features],
             "ordinal_orders": {k: list(v) for k, v in self.ordinal_orders.items()},
             "key_attributes": list(self.key_attributes),
             "duration_column": self.duration_column,
             "id_column": self.id_column,
         }
-        return yaml.safe_dump(doc, sort_keys=False)
+
+    def to_yaml(self) -> str:
+        return yaml.safe_dump(self.to_doc(), sort_keys=False)
 
 
 @dataclass(frozen=True)

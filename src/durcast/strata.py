@@ -1,8 +1,8 @@
 """Shared clinical stratum ladder.
 
-Both retrieval post-processing and statistical priors descend the same
-ladder of attribute-match tiers, from most to least specific. For key
-attributes (a, b, c) the ladder is:
+Retrieval post-processing and statistical priors both choose their stratum
+with the one walk below: it descends a ladder of attribute-match tiers,
+from most to least specific. For key attributes (a, b, c) the ladder is:
 
     0: a + b + c
     1: a + b
@@ -13,13 +13,14 @@ attributes (a, b, c) the ladder is:
 In general: all keys, then the first key combined with each subset of the
 remaining keys in descending size (declared order breaks ties), then the
 first key alone, then unfiltered. A tier is applicable to a query only when
-the query has every tier attribute present.
+the query has every tier attribute present, so the unfiltered tier is
+applicable to every query and holds every case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
-
 from .schema import SurgicalCase
 
 GLOBAL_STRATUM = "GLOBAL"
@@ -50,6 +51,22 @@ def matches_tier(q: SurgicalCase, candidate: SurgicalCase, tier: tuple[str, ...]
         if cv is None or str(cv) != str(q.values[attr]):
             return False
     return True
+
+
+def walk(
+    query: SurgicalCase,
+    items: Sequence,
+    key_attributes: tuple[str, ...],
+    case_of: Callable[..., SurgicalCase] = lambda item: item,
+) -> Iterator[tuple[int, tuple[str, ...], list]]:
+    """Yield (level, tier, members) for each tier applicable to the query,
+    most specific first. members are the items whose case matches the
+    query on every tier attribute, in input order. The last tier yielded
+    is always the unfiltered one, with every item as a member.
+    """
+    for level, tier in enumerate(ladder(key_attributes)):
+        if tier_applicable(query, tier):
+            yield level, tier, [it for it in items if matches_tier(query, case_of(it), tier)]
 
 
 def describe_tier(q: SurgicalCase, tier: tuple[str, ...]) -> str:

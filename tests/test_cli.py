@@ -228,6 +228,28 @@ class TestEvaluate:
             cli.main(self.evaluate_args(workspace, config=str(config)))
         assert exc.value.code == 2
 
+    def test_config_file_values_convert_like_flags(self, workspace, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text('rounds: "5"\n', encoding="utf-8")
+        jsonl_path = tmp_path / "cases.jsonl"
+        rc = cli.main(self.evaluate_args(workspace, jsonl=str(jsonl_path), config=str(config)))
+        assert rc == 0
+        docs = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
+        assert docs and all(len(d["rounds"]) == 5 for d in docs)
+
+    @pytest.mark.parametrize(
+        "line", ["rounds: five", "mode: bogus", "no-postprocess: maybe", "k: [1, 2]"]
+    )
+    def test_config_file_bad_value_is_usage_error(self, workspace, tmp_path, capsys, line):
+        config = tmp_path / "run.yaml"
+        config.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.evaluate_args(workspace, config=str(config)))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: durcast evaluate" in err
+        assert line.split(":")[0] in err
+
     def test_config_file_must_be_mapping(self, workspace, tmp_path):
         config = tmp_path / "run.yaml"
         config.write_text("- a\n- b\n", encoding="utf-8")

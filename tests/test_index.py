@@ -1,6 +1,8 @@
 """Flat cosine index: exact retrieval, clinical post-processing, binary
 round trip."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from durcast.errors import (
     DimensionMismatch,
     EmptyIndex,
     EmptyInput,
+    MissingDuration,
     NoCandidates,
     SpecError,
     ZeroVector,
@@ -69,6 +72,11 @@ class TestBuild:
     def test_rejects_zero_vector(self):
         with pytest.raises(ZeroVector):
             build([(np.zeros(3), mk_case("a", 60.0))], small_schema())
+
+    def test_rejects_case_without_duration(self):
+        entries = [(np.ones(3), mk_case("a", 60.0)), (np.ones(3), mk_case("b", None))]
+        with pytest.raises(MissingDuration, match="'b'"):
+            build(entries, small_schema())
 
 
 class TestRetrieve:
@@ -196,19 +204,6 @@ class TestPostprocess:
         assert refs.iqr_bounds is None
         assert len(refs.references) == 4
 
-    def test_drops_candidates_without_duration(self):
-        cases = [
-            mk_case("a", None, department="thyroid_breast", surgery="thyroidectomy"),
-            mk_case("b", 120.0, department="thyroid_breast", surgery="thyroidectomy"),
-        ]
-        refs = postprocess(candidates_from(cases), self._query(), 1, self.KEYS)
-        assert [c.id for c, _ in refs.references] == ["b"]
-
-    def test_all_without_duration_raises(self):
-        cases = [mk_case("a", None), mk_case("b", None)]
-        with pytest.raises(NoCandidates):
-            postprocess(candidates_from(cases), self._query(), 1, self.KEYS)
-
     def test_empty_candidates_raise(self):
         with pytest.raises(NoCandidates):
             postprocess([], self._query(), 1, self.KEYS)
@@ -235,7 +230,7 @@ class TestSerialization:
         idx = simple_index(vectors, durations=[60.0 + i for i in range(8)])
         path = tmp_path / "index.bin"
         save_index(idx, path)
-        back = load_index(path)
+        back = load_index(path.read_bytes())
         assert back.dim == idx.dim
         assert len(back) == len(idx)
         # vectors are float32-quantized on save
@@ -250,10 +245,10 @@ class TestSerialization:
         idx = simple_index(rng.normal(size=(12, 4)))
         path = tmp_path / "index.bin"
         save_index(idx, path)
-        back = load_index(path)
+        back = load_index(path.read_bytes())
         query = rng.normal(size=4)
         a = [c.case.id for c in retrieve(back, query, 5)]
-        b = [c.case.id for c in retrieve(load_index(path), query, 5)]
+        b = [c.case.id for c in retrieve(load_index(path.read_bytes()), query, 5)]
         assert a == b
 
     def test_bad_magic(self, tmp_path):
@@ -263,7 +258,7 @@ class TestSerialization:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ArtifactError, match="magic"):
-            load_index(path)
+            load_index(path.read_bytes())
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "index.bin"
@@ -271,14 +266,23 @@ class TestSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
         with pytest.raises(ArtifactError, match="truncated"):
-            load_index(path)
+            load_index(path.read_bytes())
 
     def test_padded_file(self, tmp_path):
         path = tmp_path / "index.bin"
         save_index(simple_index([[1.0, 0.0]]), path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ArtifactError):
-            load_index(path)
+            load_index(path.read_bytes())
+
+    def test_case_without_duration_rejected(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(simple_index([[1.0, 0.0]]), path)
+        raw = path.read_bytes()
+        blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": null')
+        raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
+        with pytest.raises(ArtifactError, match="corrupt"):
+            load_index(raw)
 
     def test_index_case_set(self):
         idx = simple_index([[1.0, 0.0], [0.0, 1.0]])

@@ -1,11 +1,15 @@
 """Pipeline fitting, per-mode prediction, and artifact persistence."""
 
+import hashlib
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import THYROID_DURATIONS, mk_case, tiny_corpus
+from conftest import LEVELS, THYROID_DURATIONS, mk_case, small_schema, tiny_corpus
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
@@ -23,16 +27,15 @@ from durcast.pipeline import (
     make_embedder,
     save_artifacts,
 )
+from durcast.priors import compute_prior
 from durcast.schema import CaseSet
 from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 
 ARTIFACT_FILES = (
     "schema.yaml",
     "encoder.json",
-    "pca.npz",
     "weights.npz",
     "index.bin",
-    "priors.json",
     "importance.csv",
     "manifest.json",
 )
@@ -68,13 +71,11 @@ class TestFit:
         assert mean == pytest.approx(sum(ages) / len(ages))
 
     def test_pca_weights_by_default(self, pipe):
-        assert pipe.pca_model is not None
         assert pipe.weights.k_used >= 1
         assert not np.allclose(pipe.weights.weights, 1.0)
 
     def test_uniform_when_pca_disabled(self, train):
         flat = Pipeline.fit(train, FitConfig(pca_weighting=False))
-        assert flat.pca_model is None
         assert np.array_equal(flat.weights.weights, np.ones(flat.encoder.dim))
 
     def test_pca_top_m_overrides_variance_rule(self, train):
@@ -241,8 +242,7 @@ def saved(pipe, tmp_path_factory):
 
 class TestArtifacts:
     def test_layout(self, saved):
-        for name in ARTIFACT_FILES:
-            assert (saved / name).exists(), name
+        assert sorted(p.name for p in saved.iterdir()) == sorted(ARTIFACT_FILES)
         manifest = json.loads((saved / "manifest.json").read_text())
         assert set(manifest["files"]) == set(ARTIFACT_FILES) - {"manifest.json"}
         assert manifest["fit_config"]["pca_weighting"] is True
@@ -253,11 +253,10 @@ class TestArtifacts:
         assert np.array_equal(loaded.embed_query(q), pipe.embed_query(q))
         assert loaded.weights.k_used == pipe.weights.k_used
 
-    def test_round_trip_priors_exact(self, pipe, saved):
+    def test_round_trip_priors_exact(self, train, pipe, saved):
         loaded = load_artifacts(saved)
-        assert loaded.priors.for_query(thyroid_query()) == pipe.priors.for_query(
-            thyroid_query()
-        )
+        for q in [thyroid_query(), *train.cases]:
+            assert loaded.priors.for_query(q) == pipe.priors.for_query(q)
 
     def test_round_trip_predictions(self, pipe, saved):
         loaded = load_artifacts(saved)
@@ -280,7 +279,6 @@ class TestArtifacts:
         save_artifacts(flat, tmp_path)
         assert not (tmp_path / "pca.npz").exists()
         loaded = load_artifacts(tmp_path)
-        assert loaded.pca_model is None
         assert np.array_equal(loaded.weights.weights, flat.weights.weights)
 
     def test_tampered_file_rejected(self, pipe, tmp_path):
@@ -300,10 +298,112 @@ class TestArtifacts:
 
     def test_missing_file_rejected(self, pipe, tmp_path):
         save_artifacts(pipe, tmp_path)
-        (tmp_path / "priors.json").unlink()
+        (tmp_path / "importance.csv").unlink()
         with pytest.raises(ArtifactError):
+            load_artifacts(tmp_path)
+
+    def test_manifest_must_be_an_object(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (("files",), "must list exactly"),
+            (("fit_config",), "fit_config"),
+            (("fit_config", "min_cohort"), "fit_config"),
+        ],
+    )
+    def test_manifest_must_be_complete(self, pipe, tmp_path, drop, message):
+        save_artifacts(pipe, tmp_path)
+        *path, key = drop
+        rewrite_manifest(tmp_path, lambda m: dig(m, path).pop(key))
+        with pytest.raises(ArtifactError, match=message):
+            load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("unlisted", [True, False])
+    def test_manifest_must_list_exactly_the_loaded_files(self, pipe, tmp_path, unlisted):
+        save_artifacts(pipe, tmp_path)
+        if unlisted:
+            change = lambda m: m["files"].pop("importance.csv")
+        else:
+            (tmp_path / "priors.json").write_text("{}")
+            change = lambda m: m["files"].update(
+                {"priors.json": hashlib.sha256(b"{}").hexdigest()}
+            )
+        rewrite_manifest(tmp_path, change)
+        with pytest.raises(ArtifactError, match="must list exactly"):
+            load_artifacts(tmp_path)
+
+    def test_undecodable_file_is_artifact_error(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        (tmp_path / "encoder.json").write_text("[]")
+        digest = hashlib.sha256(b"[]").hexdigest()
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"encoder.json": digest}))
+        with pytest.raises(ArtifactError, match="do not decode"):
             load_artifacts(tmp_path)
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             load_artifacts(tmp_path)
+
+
+def dig(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def rewrite_manifest(root, change):
+    """Apply change() to the manifest and re-sign it, so that only the
+    change itself can make it invalid."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    del manifest["fingerprint"]
+    change(manifest)
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+# Training strata draw key values from "a"/"b"; queries may also use the
+# unseen "z". Any key value, training or query, may be missing. A row is
+# (department, surgery_name, surgery_level, duration, age).
+def _rows(values, duration):
+    key = st.one_of(st.none(), st.sampled_from(values))
+    level = st.one_of(st.none(), st.sampled_from(LEVELS[:2]))
+    return st.tuples(key, key, level, duration, st.integers(20, 80))
+
+
+def _mk(case_id, row):
+    dept, surgery, level, dur, age = row
+    return mk_case(case_id, dur, age=float(age), department=dept, surgery=surgery, level=level)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(
+        _rows(("a", "b"), st.one_of(st.none(), st.integers(20, 400).map(float))),
+        min_size=3,
+        max_size=14,
+    ).filter(lambda rows: any(r[3] is not None for r in rows)),
+    queries=st.lists(_rows(("a", "b", "z"), st.none()), min_size=1, max_size=6),
+    min_cohort=st.integers(1, 4),
+)
+def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
+    """Priors are recomputed from the indexed cases, not persisted: the
+    fitted pipeline and its save/load round trip agree on every query."""
+    train = CaseSet(cases=[_mk(f"t{i}", r) for i, r in enumerate(rows)], schema=small_schema())
+    config = FitConfig(
+        min_cohort=min_cohort, embedder={"type": "hashing", "dim": 16, "ngram": 3}
+    )
+    fitted = Pipeline.fit(train, config)
+    with tempfile.TemporaryDirectory() as out:
+        save_artifacts(fitted, out)
+        loaded = load_artifacts(out)
+    for i, row in enumerate(queries):
+        q = _mk(f"q{i}", row)
+        want = compute_prior(q, train, min_cohort)
+        assert fitted.priors.for_query(q) == want
+        assert loaded.priors.for_query(q) == want

@@ -139,13 +139,3 @@ class TestPriorIndex:
             ("surgery_name", "thyroidectomy"),
             ("surgery_level", "II"),
         )
-
-    def test_warm_preloads(self):
-        corpus = tiny_corpus()
-        cache = PriorIndex(corpus, min_cohort=5)
-        fake = compute_prior(thyroid_query(), corpus)
-        key = cache.key_for(mk_case("x", department="nowhere", surgery="none", level="I"))
-        cache.warm(key, fake)
-        assert cache.for_query(
-            mk_case("x", department="nowhere", surgery="none", level="I")
-        ) is fake

@@ -8,6 +8,7 @@ from durcast.strata import (
     ladder,
     matches_tier,
     tier_applicable,
+    walk,
 )
 
 
@@ -60,3 +61,25 @@ def test_describe_tier():
     q = SurgicalCase(id="q", values={"a": "x", "b": "y"})
     assert describe_tier(q, ("a", "b")) == "a=x + b=y"
     assert describe_tier(q, ()) == GLOBAL_STRATUM
+
+
+def test_walk_yields_applicable_tiers_ending_unfiltered():
+    query = SurgicalCase(id="q", values={"department": "d1", "surgery_name": None})
+    cases = [
+        mk_case("a", department="d1", surgery="s1"),
+        mk_case("b", department="d2", surgery="s1"),
+        mk_case("c", department="d1", surgery="s2"),
+    ]
+    steps = list(walk(query, cases, ("department", "surgery_name")))
+    # tier 0 needs surgery_name, which the query lacks
+    assert [(level, tier, [c.id for c in members]) for level, tier, members in steps] == [
+        (1, ("department",), ["a", "c"]),
+        (2, (), ["a", "b", "c"]),
+    ]
+
+
+def test_walk_reads_cases_through_case_of():
+    query = mk_case("q", department="d1")
+    items = [("x", mk_case("a", department="d1")), ("y", mk_case("b", department="d2"))]
+    steps = walk(query, items, ("department",), lambda item: item[1])
+    assert [[tag for tag, _ in members] for _, _, members in steps] == [["x"], ["x", "y"]]
