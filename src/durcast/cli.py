@@ -39,7 +39,6 @@ from .evaluate import (
     write_metrics_csv,
 )
 from .llm import (
-    DEFAULT_CONCURRENCY,
     HttpChatBackend,
     MockEchoPrior,
     MockReferenceMean,
@@ -67,6 +66,8 @@ from .schema import (
 from .synthetic import SyntheticSpec, default_schema, generate_synthetic
 
 BACKENDS = ("mock_reference_mean", "mock_echo_prior", "mock_scripted", "http")
+BOOLEAN_VALUES = {"true": True, "on": True, "1": True, "yes": True,
+                  "false": False, "off": False, "0": False, "no": False}
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -116,45 +117,38 @@ def _flag_value(command: argparse.ArgumentParser, action: argparse.Action, key, 
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
+    """Backend flags default to None: an unset flag leaves the backend's
+    own default in place."""
     p.add_argument("--backend", choices=BACKENDS, default="mock_reference_mean")
-    p.add_argument("--endpoint", default="http://localhost:8000/v1/chat/completions")
-    p.add_argument("--model", default="unspecified")
-    p.add_argument("--api-key-env", default="DURCAST_API_KEY")
-    p.add_argument("--timeout-s", type=float, default=60.0)
-    p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
-    p.add_argument("--noise-sd", type=float, default=0.0,
+    p.add_argument("--endpoint", default=None)
+    p.add_argument("--model", default=None)
+    p.add_argument("--api-key-env", default=None)
+    p.add_argument("--timeout-s", type=float, default=None)
+    p.add_argument("--max-retries", type=int, default=None)
+    p.add_argument("--concurrency", type=int, default=None)
+    p.add_argument("--noise-sd", type=float, default=None,
                    help="gaussian noise of mock_reference_mean")
-    p.add_argument("--mock-seed", type=int, default=0)
+    p.add_argument("--mock-seed", type=int, default=None)
     p.add_argument("--script", action="append", default=None,
                    help="completion text for mock_scripted (repeatable)")
 
 
 def _make_backend(args: argparse.Namespace):
-    if args.backend == "http":
-        backend = HttpChatBackend(
-            endpoint=args.endpoint,
-            model_name=args.model,
-            api_key_env=args.api_key_env,
-            timeout_s=args.timeout_s,
-            max_retries=args.max_retries,
-        )
-    elif args.backend == "mock_echo_prior":
-        backend = MockEchoPrior(timeout_s=args.timeout_s, max_retries=args.max_retries)
-    elif args.backend == "mock_scripted":
-        outputs = tuple(args.script) if args.script else ("PREDICTION: 100 minutes",)
-        backend = MockScripted(
-            outputs=outputs, timeout_s=args.timeout_s, max_retries=args.max_retries
-        )
-    else:
-        backend = MockReferenceMean(
-            noise_sd=args.noise_sd,
-            seed=args.mock_seed,
-            timeout_s=args.timeout_s,
-            max_retries=args.max_retries,
-        )
-    backend.concurrency_limit = max(1, args.concurrency)
-    return backend
+    cls, given = {
+        "http": (HttpChatBackend, {
+            "endpoint": args.endpoint,
+            "model_name": args.model,
+            "api_key_env": args.api_key_env,
+            "timeout_s": args.timeout_s,
+        }),
+        "mock_echo_prior": (MockEchoPrior, {}),
+        "mock_scripted": (MockScripted, {"outputs": tuple(args.script) if args.script else None}),
+        "mock_reference_mean": (
+            MockReferenceMean, {"noise_sd": args.noise_sd, "seed": args.mock_seed}
+        ),
+    }[args.backend]
+    given.update(max_retries=args.max_retries, concurrency_limit=args.concurrency)
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -168,11 +162,29 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior-mode", choices=("fixed", "calibrated"), default="fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-postprocess", action="store_true")
-    p.add_argument("--no-pca", action="store_true")
-    p.add_argument("--pca-top-m", type=int, default=None)
-    p.add_argument("--variance-fraction", type=float, default=0.95)
-    p.add_argument("--min-cohort", type=int, default=5)
     p.add_argument("--template", default=None, help="prompt template file")
+
+
+# The fit flags' dests. They default to None, so an unset flag leaves
+# FitConfig's default in place.
+FIT_FLAGS = ("no_pca", "pca_top_m", "variance_fraction", "min_cohort")
+
+
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-pca", action="store_true", default=None)
+    p.add_argument("--pca-top-m", type=int, default=None)
+    p.add_argument("--variance-fraction", type=float, default=None)
+    p.add_argument("--min-cohort", type=int, default=None)
+
+
+def _fit_config(args: argparse.Namespace, **fixed) -> FitConfig:
+    given = {
+        "pca_weighting": None if args.no_pca is None else not args.no_pca,
+        "pca_top_m": args.pca_top_m,
+        "variance_fraction": args.variance_fraction,
+        "min_cohort": args.min_cohort,
+    }
+    return FitConfig(**{k: v for k, v in given.items() if v is not None}, **fixed)
 
 
 def _resolve_k(args: argparse.Namespace) -> int:
@@ -185,7 +197,8 @@ def _resolve_k(args: argparse.Namespace) -> int:
     return DEFAULT_K if args.k is None else args.k
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace, pipe: Pipeline | None) -> ExperimentConfig:
+    """The run's settings; a loaded pipeline's fit is the run's fit."""
     return ExperimentConfig(
         backend=_make_backend(args),
         mode=args.mode,
@@ -196,11 +209,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         strategy=args.strategy,
         seed=args.seed,
         postprocess=not args.no_postprocess,
-        pca_weighting=not args.no_pca,
-        pca_top_m=args.pca_top_m,
-        variance_fraction=args.variance_fraction,
-        min_cohort=args.min_cohort,
         prior_mode=args.prior_mode,
+        fit=pipe.fit_config if pipe else _fit_config(args),
     )
 
 
@@ -235,14 +245,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     schema = load_schema_file(args.schema)
     train = ingest_csv(args.train, schema)
-    config = FitConfig(
-        pca_weighting=not args.no_pca,
-        variance_fraction=args.variance_fraction,
-        pca_top_m=args.pca_top_m,
-        min_cohort=args.min_cohort,
-        embedder={"type": "hashing", "dim": args.embedder_dim, "ngram": 3},
-    )
-    pipe = Pipeline.fit(train, config)
+    fixed = {}
+    if args.embedder_dim is not None:
+        fixed["embedder"] = {"type": "hashing", "dim": args.embedder_dim, "ngram": 3}
+    pipe = Pipeline.fit(train, _fit_config(args, **fixed))
     save_artifacts(pipe, args.out)
     print(f"artifacts written under {args.out}")
     print(f"importance report: {Path(args.out) / 'importance.csv'}")
@@ -308,21 +314,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipe = load_artifacts(args.artifacts)
     query = _query_from_args(args, pipe)
     template = load_template(args.template) if args.template else None
-    pred = pipe.predict_case(
-        query,
-        _make_backend(args),
-        mode=args.mode,
-        template=template,
-        k=_resolve_k(args),
-        expansion_factor=args.expansion,
-        rounds=args.rounds,
-        w_prior=args.w_prior,
-        strategy=args.strategy,
-        prior_mode=args.prior_mode,
-        postprocess=not args.no_postprocess,
-        base_seed=args.seed,
-        strict=True,
-    )
+    pred = pipe.predict_case(query, _experiment_config(args, pipe), template, strict=True)
     if args.json:
         from .evaluate import prediction_json
 
@@ -334,7 +326,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pipe, train, test = _load_sets(args)
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(args, pipe)
     template = load_template(args.template) if args.template else None
     report = run_experiment(
         cfg, train, test, pipeline=pipe, jsonl_path=args.jsonl, template=template
@@ -361,19 +353,22 @@ def _parse_axis_values(axis: str, raw: str) -> list:
         return [float(p) for p in parts]
     if axis == "strategy":
         return parts
-    return [p.lower() in ("true", "on", "1", "yes") for p in parts]
+    unknown = [p for p in parts if p.lower() not in BOOLEAN_VALUES]
+    if unknown:
+        raise ValueError(f"expected on/off values, got {unknown[0]!r}")
+    return [BOOLEAN_VALUES[p.lower()] for p in parts]
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     pipe, train, test = _load_sets(args)
-    base = _experiment_config(args)
+    base = _experiment_config(args, pipe)
     try:
         values = _parse_axis_values(args.axis, args.values)
     except ValueError as exc:
         raise ParseError(f"cannot parse --values for axis {args.axis}: {exc}") from exc
     template = load_template(args.template) if args.template else None
     rows = run_ablation_grid(
-        base, args.axis, values, train, test, csv_path=args.out, template=template
+        base, args.axis, values, train, test, csv_path=args.out, template=template, pipeline=pipe
     )
     for value, report in rows:
         print(
@@ -402,12 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-pca", action="store_true")
-    p.add_argument("--pca-top-m", type=int, default=None)
-    p.add_argument("--variance-fraction", type=float, default=0.95)
-    p.add_argument("--min-cohort", type=int, default=5)
-    p.add_argument("--embedder-dim", type=int, default=256)
+    p.add_argument("--embedder-dim", type=int, default=None)
     p.add_argument("--config", default=None)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("predict", help="predict one case and print the audit view")
@@ -433,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-median-baseline", action="store_true")
     p.add_argument("--config", default=None)
     _add_experiment_flags(p)
+    _add_fit_flags(p)
     _add_backend_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -446,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="grid CSV path")
     p.add_argument("--config", default=None)
     _add_experiment_flags(p)
+    _add_fit_flags(p)
     _add_backend_flags(p)
     p.set_defaults(func=cmd_ablate)
     return parser
@@ -458,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("evaluate", "ablate") and not args.artifacts:
         if not args.train or not args.schema:
             parser.error(f"{args.command} needs either --artifacts or --train and --schema")
+    if getattr(args, "artifacts", None) and any(
+        getattr(args, dest, None) is not None for dest in FIT_FLAGS
+    ):
+        parser.error("fit flags cannot be combined with --artifacts, which fix the fit")
     try:
         return args.func(args)
     except BackendUnreachable as exc:

@@ -27,22 +27,12 @@ from .errors import (
     AllRoundsFailed,
     BadAxisValue,
     IoError,
-    ModeArgumentMismatch,
     NonPositiveTruth,
     SpecError,
     TooFewSamples,
 )
-from .llm import LlmBackend
-from .pipeline import (
-    DEFAULT_EXPANSION,
-    DEFAULT_K,
-    DEFAULT_ROUNDS,
-    DEFAULT_W_PRIOR,
-    CasePrediction,
-    FitConfig,
-    Pipeline,
-)
-from .prompting import MODES, PromptTemplate
+from .pipeline import CasePrediction, ExperimentConfig, Pipeline
+from .prompting import PromptTemplate
 from .schema import CaseSet
 
 ABLATION_AXES = (
@@ -66,48 +56,6 @@ class MetricsReport:
     m: int
     per_case: tuple[tuple[str, float, float], ...]
     failed: int = 0
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One protocol run. k must be 0 in zero_shot mode and >= 1 otherwise."""
-
-    backend: LlmBackend
-    mode: str = "rag"
-    k: int = DEFAULT_K
-    rounds: int = DEFAULT_ROUNDS
-    expansion_factor: int = DEFAULT_EXPANSION
-    w_prior: float = DEFAULT_W_PRIOR
-    strategy: str = "bayesian"
-    seed: int = 0
-    postprocess: bool = True
-    pca_weighting: bool = True
-    pca_top_m: int | None = None
-    variance_fraction: float = 0.95
-    min_cohort: int = 5
-    prior_mode: str = "fixed"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ModeArgumentMismatch(f"unknown mode {self.mode!r}")
-        if self.mode == "zero_shot" and self.k != 0:
-            raise ModeArgumentMismatch(
-                f"zero_shot uses no references; k must be 0, got {self.k}"
-            )
-        if self.mode != "zero_shot" and self.k < 1:
-            raise SpecError(f"mode {self.mode!r} needs k >= 1, got {self.k}")
-        if self.rounds < 1:
-            raise SpecError(f"rounds must be >= 1, got {self.rounds}")
-        if self.strategy not in STRATEGIES:
-            raise SpecError(f"unknown strategy {self.strategy!r}")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            pca_weighting=self.pca_weighting,
-            variance_fraction=self.variance_fraction,
-            pca_top_m=self.pca_top_m,
-            min_cohort=self.min_cohort,
-        )
 
 
 def compute_metrics(
@@ -207,24 +155,11 @@ def run_experiment(
     """
     if len(test.cases) < 2:
         raise TooFewSamples(f"test set has {len(test.cases)} cases, need >= 2")
-    pipe = pipeline or Pipeline.fit(train, cfg.fit_config())
+    pipe = pipeline or Pipeline.fit(train, cfg.fit)
 
     def one(case):
         try:
-            return pipe.predict_case(
-                case,
-                cfg.backend,
-                mode=cfg.mode,
-                template=template,
-                k=cfg.k,
-                expansion_factor=cfg.expansion_factor,
-                rounds=cfg.rounds,
-                w_prior=cfg.w_prior,
-                strategy=cfg.strategy,
-                prior_mode=cfg.prior_mode,
-                postprocess=cfg.postprocess,
-                base_seed=cfg.seed,
-            )
+            return pipe.predict_case(case, cfg, template)
         except AllRoundsFailed:
             return None
 
@@ -267,19 +202,15 @@ def global_median_baseline(train: CaseSet, test: CaseSet) -> MetricsReport:
     return compute_metrics(pairs, [c.id for c in test.cases if c.duration_min is not None])
 
 
+# Integer axes and the ExperimentConfig field each one sets.
+_COUNT_AXES = {"k": "k", "rounds": "rounds", "expansion": "expansion_factor"}
+
+
 def _cell_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "k":
+    if axis in _COUNT_AXES:
         if not isinstance(value, int) or value < 1:
-            raise BadAxisValue(f"k values must be integers >= 1, got {value!r}")
-        return replace(base, k=value)
-    if axis == "rounds":
-        if not isinstance(value, int) or value < 1:
-            raise BadAxisValue(f"rounds values must be integers >= 1, got {value!r}")
-        return replace(base, rounds=value)
-    if axis == "expansion":
-        if not isinstance(value, int) or value < 1:
-            raise BadAxisValue(f"expansion values must be integers >= 1, got {value!r}")
-        return replace(base, expansion_factor=value)
+            raise BadAxisValue(f"{axis} values must be integers >= 1, got {value!r}")
+        return replace(base, **{_COUNT_AXES[axis]: value})
     if axis == "strategy":
         if value not in STRATEGIES:
             raise BadAxisValue(f"unknown strategy {value!r}")
@@ -288,19 +219,15 @@ def _cell_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         if not isinstance(value, (int, float)) or value < 0:
             raise BadAxisValue(f"w_prior values must be numbers >= 0, got {value!r}")
         return replace(base, w_prior=float(value))
+    if axis not in ABLATION_AXES:
+        raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
+    if not isinstance(value, bool):
+        raise BadAxisValue(f"{axis} values must be booleans, got {value!r}")
     if axis == "pca_on_off":
-        if not isinstance(value, bool):
-            raise BadAxisValue(f"pca_on_off values must be booleans, got {value!r}")
-        return replace(base, pca_weighting=value)
+        return replace(base, fit=replace(base.fit, pca_weighting=value))
     if axis == "prior_on_off":
-        if not isinstance(value, bool):
-            raise BadAxisValue(f"prior_on_off values must be booleans, got {value!r}")
         return base if value else replace(base, w_prior=0.0)
-    if axis == "postprocess_on_off":
-        if not isinstance(value, bool):
-            raise BadAxisValue(f"postprocess_on_off values must be booleans, got {value!r}")
-        return replace(base, postprocess=value)
-    raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
+    return replace(base, postprocess=value)
 
 
 def run_ablation_grid(
@@ -311,24 +238,28 @@ def run_ablation_grid(
     test: CaseSet,
     csv_path: str | Path | None = None,
     template: PromptTemplate | None = None,
+    pipeline: Pipeline | None = None,
 ) -> list[tuple[object, MetricsReport]]:
     """One experiment per axis value, all sharing the base seed.
 
-    Pipelines are refit only when a cell changes fitting (the PCA toggle);
-    other cells share one fitted pipeline so the grid isolates the axis.
+    Each cell runs on a pipeline fitted under its cfg.fit: the supplied
+    pipeline when its fit_config matches, else one fitted from train once
+    and shared by every cell with that fit (only the PCA toggle changes it),
+    so the grid isolates the axis.
     """
     if axis not in ABLATION_AXES:
         raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
     if not values:
         raise BadAxisValue(f"axis {axis!r} needs at least one value")
     configs = [(v, _cell_config(base, axis, v)) for v in values]
-    pipelines: dict[tuple, Pipeline] = {}
+    pipelines = [pipeline] if pipeline is not None else []
     rows = []
     for value, cfg in configs:
-        fit_key = (cfg.pca_weighting, cfg.pca_top_m, cfg.variance_fraction, cfg.min_cohort)
-        if fit_key not in pipelines:
-            pipelines[fit_key] = Pipeline.fit(train, cfg.fit_config())
-        report = run_experiment(cfg, train, test, pipeline=pipelines[fit_key], template=template)
+        pipe = next((p for p in pipelines if p.fit_config == cfg.fit), None)
+        if pipe is None:
+            pipe = Pipeline.fit(train, cfg.fit)
+            pipelines.append(pipe)
+        report = run_experiment(cfg, train, test, pipeline=pipe, template=template)
         rows.append((value, report))
     if csv_path is not None:
         write_grid_csv(axis, rows, csv_path)

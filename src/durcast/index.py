@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     EmptyIndex,
     EmptyInput,
-    IoError,
     MissingDuration,
     NoCandidates,
     SpecError,
@@ -190,8 +188,9 @@ def postprocess(
     )
 
 
-def save_index(idx: FlatIndex, path: str | Path) -> None:
-    """Serialize to the documented binary layout (float32 vectors)."""
+def save_index(idx: FlatIndex) -> bytes:
+    """The index file's bytes in the documented binary layout (float32
+    vectors); load_index decodes them."""
     payload = {
         "schema": idx.schema.to_doc(),
         "cases": [
@@ -202,10 +201,7 @@ def save_index(idx: FlatIndex, path: str | Path) -> None:
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     vectors = idx.vectors.astype("<f4").tobytes()
     header = _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(blob))
-    try:
-        Path(path).write_bytes(header + vectors + blob)
-    except OSError as exc:
-        raise IoError(f"cannot write index to {path}: {exc}") from exc
+    return header + vectors + blob
 
 
 def load_index(raw: bytes) -> FlatIndex:

@@ -17,7 +17,8 @@ import hashlib
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import requests
@@ -70,12 +71,13 @@ def parse_duration(raw: str, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
     return float(min(max(_extract_number(raw), 1.0), max_minutes))
 
 
+@dataclass(kw_only=True)
 class LlmBackend:
-    """Interface plus the shared knobs every backend carries."""
+    """Interface plus the knobs every backend carries: extra attempts per
+    round (max_retries) and the number of cases evaluated at once
+    (concurrency_limit)."""
 
-    kind: str
-    model_name: str = "unspecified"
-    timeout_s: float = 60.0
+    kind: ClassVar[str]
     max_retries: int = 2
     concurrency_limit: int = DEFAULT_CONCURRENCY
 
@@ -93,9 +95,7 @@ class HttpChatBackend(LlmBackend):
     model_name: str = "unspecified"
     api_key_env: str = "DURCAST_API_KEY"
     timeout_s: float = 60.0
-    max_retries: int = 2
-    concurrency_limit: int = DEFAULT_CONCURRENCY
-    kind: str = field(init=False, default="http_chat")
+    kind = "http_chat"
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         headers = {}
@@ -129,11 +129,7 @@ class HttpChatBackend(LlmBackend):
 class MockEchoPrior(LlmBackend):
     """Answers with the prompt's stratum median; refuses when there is none."""
 
-    timeout_s: float = 60.0
-    max_retries: int = 2
-    concurrency_limit: int = DEFAULT_CONCURRENCY
-    model_name: str = "mock-echo-prior"
-    kind: str = field(init=False, default="mock_echo_prior")
+    kind = "mock_echo_prior"
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         median = prompt.metadata.prior_median
@@ -160,11 +156,7 @@ class MockReferenceMean(LlmBackend):
     noise_sd: float = 0.0
     seed: int = 0
     fallback_min: float = 90.0
-    timeout_s: float = 60.0
-    max_retries: int = 2
-    concurrency_limit: int = DEFAULT_CONCURRENCY
-    model_name: str = "mock-reference-mean"
-    kind: str = field(init=False, default="mock_reference_mean")
+    kind = "mock_reference_mean"
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         durations = prompt.metadata.reference_durations
@@ -182,11 +174,7 @@ class MockScripted(LlmBackend):
     """Cycles through a fixed list of completions (thread-safe)."""
 
     outputs: tuple[str, ...] = ("PREDICTION: 100 minutes",)
-    timeout_s: float = 60.0
-    max_retries: int = 2
-    concurrency_limit: int = DEFAULT_CONCURRENCY
-    model_name: str = "mock-scripted"
-    kind: str = field(init=False, default="mock_scripted")
+    kind = "mock_scripted"
 
     def __post_init__(self):
         self._cursor = 0

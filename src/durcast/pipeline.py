@@ -8,6 +8,9 @@ cases on first use of each stratum. Prediction: embed the query, retrieve
 and refine references, look up the prior, build the prompt, run the
 multi-round ensemble, aggregate.
 
+ExperimentConfig holds every setting of one prediction protocol; its fit
+field is the FitConfig a pipeline is fitted under.
+
 Artifact directory layout (see save_artifacts); the artifacts hold only
 what prediction reads:
     schema.yaml      feature schema
@@ -31,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, index as index_mod, pca as pca_mod
-from .aggregate import AggregateEstimate, aggregate
+from .aggregate import STRATEGIES, AggregateEstimate, aggregate
 from .encoding import FittedEncoder
 from .errors import ArtifactError, EmptyTrainingSet, IoError, ModeArgumentMismatch, SpecError
 from .index import FlatIndex, ReferenceSet, RetrievalCandidate
 from .llm import LlmBackend, PredictionEnsemble, predict_ensemble, stable_seed
 from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
-from .prompting import Prompt, PromptTemplate, build_prompt, load_template
+from .prompting import MODES, PromptTemplate, build_prompt, load_template
 from .schema import CaseSet, SurgicalCase, load_schema
 from .strata import GLOBAL_STRATUM, ladder
 from .text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
@@ -54,6 +57,9 @@ ARTIFACT_FILES = ("schema.yaml", "encoder.json", "weights.npz", "index.bin", "im
 
 @dataclass(frozen=True)
 class FitConfig:
+    """How a pipeline is fitted. pca_top_m pins the number of principal
+    components; when None, the fewest reaching variance_fraction are kept."""
+
     pca_weighting: bool = True
     variance_fraction: float = 0.95
     pca_top_m: int | None = None
@@ -61,6 +67,56 @@ class FitConfig:
     embedder: dict = field(
         default_factory=lambda: {"type": "hashing", "dim": 256, "ngram": 3}
     )
+
+    def __post_init__(self):
+        if not isinstance(self.pca_weighting, bool):
+            raise SpecError(f"pca_weighting must be true or false, got {self.pca_weighting!r}")
+        fraction = self.variance_fraction
+        number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+        if not (number and 0.0 < fraction <= 1.0):
+            raise SpecError(f"variance_fraction must be a number in (0, 1], got {fraction!r}")
+        if self.pca_top_m is not None and not _is_count(self.pca_top_m):
+            raise SpecError(f"pca_top_m must be an integer >= 1, got {self.pca_top_m!r}")
+        if not _is_count(self.min_cohort):
+            raise SpecError(f"min_cohort must be an integer >= 1, got {self.min_cohort!r}")
+        if not isinstance(self.embedder, dict):
+            raise SpecError(f"embedder must be a mapping, got {self.embedder!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every setting of one prediction protocol. k must be 0 in zero_shot
+    mode and >= 1 otherwise."""
+
+    backend: LlmBackend
+    mode: str = "rag"
+    k: int = DEFAULT_K
+    rounds: int = DEFAULT_ROUNDS
+    expansion_factor: int = DEFAULT_EXPANSION
+    w_prior: float = DEFAULT_W_PRIOR
+    strategy: str = "bayesian"
+    seed: int = 0
+    postprocess: bool = True
+    prior_mode: str = "fixed"
+    fit: FitConfig = field(default_factory=FitConfig)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ModeArgumentMismatch(f"unknown mode {self.mode!r}")
+        if self.mode == "zero_shot" and self.k != 0:
+            raise ModeArgumentMismatch(
+                f"zero_shot uses no references; k must be 0, got {self.k}"
+            )
+        if self.mode != "zero_shot" and self.k < 1:
+            raise SpecError(f"mode {self.mode!r} needs k >= 1, got {self.k}")
+        if self.rounds < 1:
+            raise SpecError(f"rounds must be >= 1, got {self.rounds}")
+        if self.strategy not in STRATEGIES:
+            raise SpecError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +178,9 @@ class Pipeline:
 
         if config.pca_weighting:
             pca_model = pca_mod.fit_pca(matrix)
-            k = config.pca_top_m or pca_mod.k_for_cumulative_variance(
-                pca_model, config.variance_fraction
-            )
+            k = config.pca_top_m
+            if k is None:
+                k = pca_mod.k_for_cumulative_variance(pca_model, config.variance_fraction)
             k = max(1, min(k, pca_model.dim))
             weights = pca_mod.derive_weights(pca_model, k)
         else:
@@ -179,62 +235,41 @@ class Pipeline:
     def predict_case(
         self,
         query: SurgicalCase,
-        backend: LlmBackend,
-        mode: str = "rag",
+        cfg: ExperimentConfig,
         template: PromptTemplate | None = None,
-        k: int = DEFAULT_K,
-        expansion_factor: int = DEFAULT_EXPANSION,
-        rounds: int = DEFAULT_ROUNDS,
-        w_prior: float = DEFAULT_W_PRIOR,
-        strategy: str = "bayesian",
-        prior_mode: str = "fixed",
-        postprocess: bool = True,
-        base_seed: int = 0,
         strict: bool = False,
     ) -> CasePrediction:
-        """One query end to end under the given inference mode.
+        """One query end to end under cfg's protocol; cfg.fit is not read,
+        since the pipeline is already fitted.
 
         zero_shot and random_few_shot aggregate with a simple average: the
         stratum prior is part of the retrieval-augmented protocol, so those
         baselines do not see it.
         """
-        if mode != "zero_shot" and k < 1:
-            raise SpecError(f"mode {mode!r} needs k >= 1, got {k}")
         template = template or load_template()
         refs: ReferenceSet | None = None
         prior: StatisticalPrior | None = None
-        if mode == "rag":
-            refs, _ = self.retrieve_references(query, k, expansion_factor, postprocess)
+        if cfg.mode == "rag":
+            refs, _ = self.retrieve_references(query, cfg.k, cfg.expansion_factor, cfg.postprocess)
             prior = self.priors.for_query(query)
-        elif mode == "random_few_shot":
+        elif cfg.mode == "random_few_shot":
             refs = self.random_references(
-                query, k, stable_seed(base_seed, "random-refs", query.id)
+                query, cfg.k, stable_seed(cfg.seed, "random-refs", query.id)
             )
-        elif mode != "zero_shot":
-            raise ModeArgumentMismatch(f"unknown mode {mode!r}")
 
-        prompt = build_prompt(query, refs, prior, mode, template)
-        ensemble = predict_ensemble(
-            prompt,
-            backend,
-            rounds,
-            seed=stable_seed(base_seed, "ensemble", query.id),
-            strict=strict,
-        )
-        if mode == "rag" and strategy == "bayesian":
-            estimate = aggregate(
-                ensemble,
-                "bayesian",
-                prior,
-                prior_strength(prior, w_prior, prior_mode),
-            )
-        elif mode == "rag":
-            estimate = aggregate(ensemble, strategy)
+        prompt = build_prompt(query, refs, prior, cfg.mode, template)
+        seed = stable_seed(cfg.seed, "ensemble", query.id)
+        ensemble = predict_ensemble(prompt, cfg.backend, cfg.rounds, seed=seed, strict=strict)
+        if cfg.mode == "rag" and cfg.strategy == "bayesian":
+            weight = prior_strength(prior, cfg.w_prior, cfg.prior_mode)
+            estimate = aggregate(ensemble, "bayesian", prior, weight)
+        elif cfg.mode == "rag":
+            estimate = aggregate(ensemble, cfg.strategy)
         else:
             estimate = aggregate(ensemble, "simple_average")
         return CasePrediction(
             query_id=query.id,
-            mode=mode,
+            mode=cfg.mode,
             truth_min=query.duration_min,
             references=refs,
             prior=prior,
@@ -287,9 +322,7 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     np.savez(buf, weights=pipeline.weights.weights, k_used=pipeline.weights.k_used)
     files["weights.npz"] = buf.getvalue()
 
-    index_path = out / "index.bin"
-    index_mod.save_index(pipeline.index, index_path)
-    files["index.bin"] = index_path.read_bytes()
+    files["index.bin"] = index_mod.save_index(pipeline.index)
 
     report = pipeline.importance_report()
     report_buf = io.StringIO()
@@ -361,5 +394,9 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
             weights = pca_mod.WeightVector(arrays["weights"], k_used=int(arrays["k_used"]))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
+    try:
+        fit_config = FitConfig(**fit_doc)
+    except SpecError as exc:
+        raise ArtifactError(f"manifest under {root} has a bad fit_config: {exc}") from exc
     flat_index = index_mod.load_index(blobs["index.bin"])
-    return Pipeline(encoder, weights, flat_index, FitConfig(**fit_doc))
+    return Pipeline(encoder, weights, flat_index, fit_config)

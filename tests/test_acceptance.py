@@ -341,14 +341,11 @@ def test_criterion_8_ablation_orderings(capsys):
         backend = MockReferenceMean(noise_sd=50.0, seed=seed)
         base = ExperimentConfig(backend, mode="rag", k=8, rounds=5,
                                 expansion_factor=25, seed=seed)
-        pipe_pca = Pipeline.fit(train, base.fit_config())
-        pipe_uni = Pipeline.fit(
-            train, replace(base, pca_weighting=False).fit_config()
-        )
+        uniform = replace(base, fit=replace(base.fit, pca_weighting=False))
+        pipe_pca = Pipeline.fit(train, base.fit)
+        pipe_uni = Pipeline.fit(train, uniform.fit)
         mae_pca = run_experiment(base, train, test, pipeline=pipe_pca).mae_min
-        mae_uni = run_experiment(
-            replace(base, pca_weighting=False), train, test, pipeline=pipe_uni
-        ).mae_min
+        mae_uni = run_experiment(uniform, train, test, pipeline=pipe_uni).mae_min
         mae_n1 = run_experiment(
             replace(base, rounds=1), train, test, pipeline=pipe_pca
         ).mae_min

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from durcast import cli
+from durcast.pipeline import Pipeline, load_artifacts
 
 QUERY_FLAGS = [
     "--set", "department=thyroid_breast",
@@ -77,6 +78,28 @@ class TestBuild:
             cli.main(["build", "--schema", "s.yaml", "--out", "o"])
         assert exc.value.code == 2
 
+    def build_args(self, workspace, out, *extra):
+        data = workspace / "data"
+        return ["build", "--train", str(data / "train.csv"),
+                "--schema", str(data / "schema.yaml"), "--out", str(out), *extra]
+
+    @pytest.mark.parametrize("flag", [["--min-cohort", "0"], ["--pca-top-m", "0"],
+                                      ["--variance-fraction", "1.5"]])
+    def test_bad_fit_flag_writes_nothing(self, workspace, tmp_path, capsys, flag):
+        out = tmp_path / "art"
+        assert cli.main(self.build_args(workspace, out, *flag)) == 1
+        assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_sets_fit(self, workspace, tmp_path):
+        config = tmp_path / "build.yaml"
+        config.write_text("no-pca: true\nmin-cohort: 6\n", encoding="utf-8")
+        out = tmp_path / "art"
+        assert cli.main(self.build_args(workspace, out, "--config", str(config))) == 0
+        fit = json.loads((out / "manifest.json").read_text())["fit_config"]
+        assert (fit["pca_weighting"], fit["min_cohort"]) == (False, 6)
+        assert fit["variance_fraction"] == 0.95
+
 
 class TestPredict:
     def test_audit_output(self, workspace, capsys):
@@ -104,6 +127,12 @@ class TestPredict:
         assert doc["mode"] == "rag"
         assert isinstance(doc["y_hat"], float)
         assert len(doc["rounds"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--no-pca"], ["--min-cohort", "99"]])
+    def test_fit_flags_not_accepted(self, workspace, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--artifacts", str(workspace / "artifacts"), *flag])
+        assert exc.value.code == 2
 
     def test_scripted_backend(self, workspace, capsys):
         rc = cli.main([
@@ -192,6 +221,13 @@ class TestEvaluate:
         rc = cli.main(self.evaluate_args(workspace, mode="zero_shot", k="8"))
         assert rc == 1
         assert "zero_shot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--no-pca"], ["--min-cohort", "400"]])
+    def test_fit_flags_refused_with_artifacts(self, workspace, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.evaluate_args(workspace) + flag)
+        assert exc.value.code == 2
+        assert "--artifacts" in capsys.readouterr().err
 
     def test_needs_source_of_training_data(self, workspace):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +324,28 @@ class TestAblate:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("prior_on_off=True:")
         assert out[1].startswith("prior_on_off=False:")
+
+    def test_boolean_axis_rejects_unknown_value(self, workspace, capsys):
+        rc = cli.main(self.ablate_args(workspace, "pca_on_off", "on,offf"))
+        assert rc == 1
+        assert "'offf'" in capsys.readouterr().err
+
+    def test_artifacts_pipeline_is_reused(self, workspace, monkeypatch, capsys):
+        fitted = []
+        real_fit = Pipeline.fit.__func__
+
+        def spy(cls, train, config=None):
+            fitted.append(real_fit(cls, train, config))
+            return fitted[-1]
+
+        monkeypatch.setattr(Pipeline, "fit", classmethod(spy))
+        assert cli.main(self.ablate_args(workspace, "k", "2,3")) == 0
+        assert fitted == []
+        assert cli.main(self.ablate_args(workspace, "pca_on_off", "on,off")) == 0
+        loaded = load_artifacts(workspace / "artifacts")
+        assert [p.fit_config.pca_weighting for p in fitted] == [False]
+        assert fitted[0].fit_config.embedder == loaded.fit_config.embedder
+        assert fitted[0].encoder.dim == loaded.encoder.dim
 
     def test_unknown_axis(self, workspace, capsys):
         rc = cli.main(self.ablate_args(workspace, "knn", "1,2"))

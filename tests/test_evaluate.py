@@ -28,7 +28,7 @@ from durcast.evaluate import (
     write_metrics_csv,
 )
 from durcast.llm import LlmBackend, MockReferenceMean
-from durcast.pipeline import Pipeline
+from durcast.pipeline import FitConfig, Pipeline
 from durcast.schema import CaseSet
 
 
@@ -103,11 +103,9 @@ class TestExperimentConfig:
         assert cfg.strategy == "bayesian"
 
     def test_fit_config_projection(self):
-        cfg = ExperimentConfig(self.backend(), pca_weighting=False, min_cohort=9)
-        fc = cfg.fit_config()
-        assert fc.pca_weighting is False
-        assert fc.min_cohort == 9
-        assert fc.variance_fraction == 0.95
+        assert ExperimentConfig(self.backend()).fit == FitConfig()
+        fit = FitConfig(pca_weighting=False, min_cohort=9)
+        assert ExperimentConfig(self.backend(), fit=fit).fit is fit
 
     def test_unknown_mode(self):
         with pytest.raises(ModeArgumentMismatch):
@@ -156,8 +154,8 @@ class TestPredictionJson:
     def test_rag_document(self, fitted):
         query = mk_case("q-rag", 131.0, department="thyroid_breast",
                         surgery="thyroidectomy", note="neck ultrasound reviewed")
-        pred = fitted.predict_case(query, MockReferenceMean(), mode="rag", k=4,
-                                   rounds=2, base_seed=3)
+        cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=4, rounds=2, seed=3)
+        pred = fitted.predict_case(query, cfg)
         doc = prediction_json(pred)
         assert doc["id"] == "q-rag"
         assert doc["mode"] == "rag"
@@ -175,8 +173,8 @@ class TestPredictionJson:
 
     def test_zero_shot_document(self, fitted):
         query = mk_case("q-zero", None)
-        pred = fitted.predict_case(query, MockReferenceMean(), mode="zero_shot",
-                                   k=0, rounds=1, base_seed=3)
+        cfg = ExperimentConfig(MockReferenceMean(), mode="zero_shot", k=0, rounds=1, seed=3)
+        pred = fitted.predict_case(query, cfg)
         doc = prediction_json(pred)
         assert doc["y"] is None
         assert "references" not in doc
@@ -291,7 +289,7 @@ class TestAblation:
         assert _cell_config(base, "expansion", 4).expansion_factor == 4
         assert _cell_config(base, "strategy", "median").strategy == "median"
         assert _cell_config(base, "w_prior", 2).w_prior == 2.0
-        assert _cell_config(base, "pca_on_off", False).pca_weighting is False
+        assert _cell_config(base, "pca_on_off", False).fit.pca_weighting is False
         assert _cell_config(base, "postprocess_on_off", False).postprocess is False
 
     def test_prior_off_means_zero_weight(self):
@@ -349,6 +347,20 @@ class TestAblation:
         run_ablation_grid(self.base(), "pca_on_off", [True, False],
                           corpus_module, test_set)
         assert len(fits) == 2
+
+    def test_supplied_pipeline_reused_when_fit_matches(self, corpus_module, fitted,
+                                                      test_set, monkeypatch):
+        fits = []
+        orig = Pipeline.fit.__func__
+
+        def counting(cls, train, config=None):
+            fits.append(orig(cls, train, config))
+            return fits[-1]
+
+        monkeypatch.setattr(Pipeline, "fit", classmethod(counting))
+        run_ablation_grid(self.base(), "pca_on_off", [True, False, True],
+                          corpus_module, test_set, pipeline=fitted)
+        assert [p.fit_config for p in fits] == [FitConfig(pca_weighting=False)]
 
 
 class TestCsvHelpers:

@@ -224,13 +224,11 @@ class TestPostprocess:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         rng = np.random.default_rng(9)
         vectors = rng.normal(size=(8, 5))
         idx = simple_index(vectors, durations=[60.0 + i for i in range(8)])
-        path = tmp_path / "index.bin"
-        save_index(idx, path)
-        back = load_index(path.read_bytes())
+        back = load_index(save_index(idx))
         assert back.dim == idx.dim
         assert len(back) == len(idx)
         # vectors are float32-quantized on save
@@ -240,45 +238,34 @@ class TestSerialization:
         assert back.cases[0].values == idx.cases[0].values
         assert back.schema == idx.schema
 
-    def test_retrieval_survives_round_trip(self, tmp_path):
+    def test_retrieval_survives_round_trip(self):
         rng = np.random.default_rng(10)
         idx = simple_index(rng.normal(size=(12, 4)))
-        path = tmp_path / "index.bin"
-        save_index(idx, path)
-        back = load_index(path.read_bytes())
+        raw = save_index(idx)
+        back = load_index(raw)
         query = rng.normal(size=4)
         a = [c.case.id for c in retrieve(back, query, 5)]
-        b = [c.case.id for c in retrieve(load_index(path.read_bytes()), query, 5)]
+        b = [c.case.id for c in retrieve(load_index(raw), query, 5)]
         assert a == b
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "index.bin"
-        save_index(simple_index([[1.0, 0.0]]), path)
-        raw = bytearray(path.read_bytes())
+    def test_bad_magic(self):
+        raw = bytearray(save_index(simple_index([[1.0, 0.0]])))
         raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
         with pytest.raises(ArtifactError, match="magic"):
-            load_index(path.read_bytes())
+            load_index(bytes(raw))
 
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "index.bin"
-        save_index(simple_index([[1.0, 0.0]]), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-1])
+    def test_truncated_file(self):
+        raw = save_index(simple_index([[1.0, 0.0]]))
         with pytest.raises(ArtifactError, match="truncated"):
-            load_index(path.read_bytes())
+            load_index(raw[:-1])
 
-    def test_padded_file(self, tmp_path):
-        path = tmp_path / "index.bin"
-        save_index(simple_index([[1.0, 0.0]]), path)
-        path.write_bytes(path.read_bytes() + b"x")
+    def test_padded_file(self):
+        raw = save_index(simple_index([[1.0, 0.0]]))
         with pytest.raises(ArtifactError):
-            load_index(path.read_bytes())
+            load_index(raw + b"x")
 
-    def test_case_without_duration_rejected(self, tmp_path):
-        path = tmp_path / "index.bin"
-        save_index(simple_index([[1.0, 0.0]]), path)
-        raw = path.read_bytes()
+    def test_case_without_duration_rejected(self):
+        raw = save_index(simple_index([[1.0, 0.0]]))
         blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": null')
         raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
         with pytest.raises(ArtifactError, match="corrupt"):

@@ -220,6 +220,21 @@ class TestPredictEnsemble:
         assert ens.values() == [130.0]
 
 
+class TestBackendKnobs:
+    @pytest.mark.parametrize(
+        "cls", [HttpChatBackend, MockEchoPrior, MockReferenceMean, MockScripted]
+    )
+    def test_shared_knobs_set_at_construction(self, cls):
+        backend = cls(max_retries=0, concurrency_limit=3)
+        assert (backend.max_retries, backend.concurrency_limit) == (0, 3)
+        assert (cls().max_retries, cls().concurrency_limit) == (2, 10)
+
+    def test_only_http_has_a_timeout(self):
+        assert HttpChatBackend(timeout_s=2.0).timeout_s == 2.0
+        for backend in (MockEchoPrior(), MockReferenceMean(), MockScripted()):
+            assert not hasattr(backend, "timeout_s")
+
+
 class TestHttpChatBackend:
     def _payload(self, text):
         return {"choices": [{"message": {"content": text}}]}

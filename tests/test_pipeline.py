@@ -3,6 +3,8 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,11 @@ from durcast.errors import (
     BackendUnreachable,
     EmptyTrainingSet,
     IoError,
-    ModeArgumentMismatch,
     SpecError,
 )
 from durcast.llm import LlmBackend, MockEchoPrior, MockReferenceMean
 from durcast.pipeline import (
+    ExperimentConfig,
     FitConfig,
     Pipeline,
     load_artifacts,
@@ -82,6 +84,10 @@ class TestFit:
         pinned = Pipeline.fit(train, FitConfig(pca_top_m=2))
         assert pinned.weights.k_used == 2
 
+    def test_pca_top_m_above_dim_is_clamped(self, train):
+        pinned = Pipeline.fit(train, FitConfig(pca_top_m=10_000))
+        assert pinned.weights.k_used == pinned.encoder.dim
+
     def test_empty_training_set(self, train):
         with pytest.raises(EmptyTrainingSet):
             Pipeline.fit(CaseSet(cases=(), schema=train.schema))
@@ -105,6 +111,38 @@ class TestFit:
         assert {name for name, _ in report} == set(pipe.schema.feature_names)
         scores = [s for _, s in report]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pca_weighting", "yes"),
+            ("pca_weighting", 1),
+            ("variance_fraction", "0.95"),
+            ("variance_fraction", True),
+            ("variance_fraction", 0.0),
+            ("variance_fraction", 1.5),
+            ("variance_fraction", float("nan")),
+            ("pca_top_m", 0),
+            ("pca_top_m", 2.0),
+            ("pca_top_m", True),
+            ("min_cohort", 0),
+            ("min_cohort", "5"),
+            ("min_cohort", 5.0),
+            ("min_cohort", None),
+            ("embedder", "hashing"),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            FitConfig(**{field: value})
+
+    def test_accepts_what_save_artifacts_writes(self):
+        for config in (FitConfig(), FitConfig(pca_weighting=False, variance_fraction=1,
+                                              pca_top_m=3, min_cohort=1)):
+            doc = json.loads(json.dumps(asdict(config)))
+            assert FitConfig(**doc) == config
 
 
 class TestRetrieveReferences:
@@ -144,7 +182,6 @@ class TestRetrieveReferences:
 
 class AlwaysDown(LlmBackend):
     kind = "down"
-    max_retries = 1
 
     def complete(self, prompt, temperature, round_index):
         raise BackendTransportError("nothing listening")
@@ -152,8 +189,8 @@ class AlwaysDown(LlmBackend):
 
 class TestPredictCase:
     def test_rag_bayesian(self, pipe):
-        pred = pipe.predict_case(thyroid_query(), MockEchoPrior(), mode="rag",
-                                 k=4, rounds=3, base_seed=1)
+        cfg = ExperimentConfig(MockEchoPrior(), mode="rag", k=4, rounds=3, seed=1)
+        pred = pipe.predict_case(thyroid_query(), cfg)
         # prior median is the thyroid tier-0 median; the echo backend repeats
         # it, so shrinkage is a fixed point
         assert pred.prior.median_min == 130.0
@@ -165,52 +202,45 @@ class TestPredictCase:
         assert len(pred.references.references) == 4
 
     def test_rag_baseline_strategy_skips_prior(self, pipe):
-        pred = pipe.predict_case(thyroid_query(), MockEchoPrior(), mode="rag",
-                                 k=4, rounds=3, strategy="median", base_seed=1)
+        cfg = ExperimentConfig(MockEchoPrior(), mode="rag", k=4, rounds=3,
+                               strategy="median", seed=1)
+        pred = pipe.predict_case(thyroid_query(), cfg)
         assert pred.estimate.strategy == "median"
         assert pred.estimate.prior_weight == 0.0
         assert pred.prior is not None  # still audited even when unused
 
     def test_calibrated_prior_mode(self, pipe):
-        pred = pipe.predict_case(thyroid_query(), MockEchoPrior(), mode="rag",
-                                 k=4, rounds=1, prior_mode="calibrated",
-                                 w_prior=0.9, base_seed=1)
+        cfg = ExperimentConfig(MockEchoPrior(), mode="rag", k=4, rounds=1,
+                               prior_mode="calibrated", w_prior=0.9, seed=1)
+        pred = pipe.predict_case(thyroid_query(), cfg)
         var = float(np.var(THYROID_DURATIONS))
         want = 0.9 * (8 / 30) * (1.0 / (1.0 + var / 130.0**2))
         assert pred.estimate.prior_weight == pytest.approx(want)
 
     def test_random_few_shot(self, pipe):
-        pred = pipe.predict_case(thyroid_query(), MockReferenceMean(), k=4,
-                                 mode="random_few_shot", rounds=2, base_seed=7)
+        cfg = ExperimentConfig(MockReferenceMean(), k=4, mode="random_few_shot",
+                               rounds=2, seed=7)
+        pred = pipe.predict_case(thyroid_query(), cfg)
         assert pred.prior is None
         assert pred.estimate.strategy == "simple_average"
         assert all(sim == 0.0 for _, sim in pred.references.references)
-        again = pipe.predict_case(thyroid_query(), MockReferenceMean(), k=4,
-                                  mode="random_few_shot", rounds=2, base_seed=7)
+        again = pipe.predict_case(thyroid_query(), cfg)
         assert [c.id for c, _ in again.references.references] == [
             c.id for c, _ in pred.references.references
         ]
 
     def test_zero_shot(self, pipe):
-        pred = pipe.predict_case(thyroid_query(), MockReferenceMean(),
-                                 mode="zero_shot", k=0, rounds=2, base_seed=7)
+        cfg = ExperimentConfig(MockReferenceMean(), mode="zero_shot", k=0, rounds=2, seed=7)
+        pred = pipe.predict_case(thyroid_query(), cfg)
         assert pred.references is None
         assert pred.prior is None
         assert pred.estimate.strategy == "simple_average"
         assert pred.estimate.y_hat_min == 90.0
 
-    def test_reference_modes_need_k(self, pipe):
-        with pytest.raises(SpecError):
-            pipe.predict_case(thyroid_query(), MockEchoPrior(), mode="rag", k=0)
-
-    def test_unknown_mode(self, pipe):
-        with pytest.raises(ModeArgumentMismatch):
-            pipe.predict_case(thyroid_query(), MockEchoPrior(), mode="few_shot", k=4)
-
     def test_strict_backend_failure_propagates(self, pipe):
         with pytest.raises(BackendUnreachable):
-            pipe.predict_case(thyroid_query(), AlwaysDown(), mode="rag", k=4,
-                              rounds=2, strict=True)
+            cfg = ExperimentConfig(AlwaysDown(max_retries=1), mode="rag", k=4, rounds=2)
+            pipe.predict_case(thyroid_query(), cfg, strict=True)
 
 
 class TestMakeEmbedder:
@@ -260,18 +290,16 @@ class TestArtifacts:
 
     def test_round_trip_predictions(self, pipe, saved):
         loaded = load_artifacts(saved)
-        kw = dict(mode="rag", k=4, rounds=2, base_seed=3)
-        orig = pipe.predict_case(thyroid_query(), MockReferenceMean(), **kw)
-        redux = loaded.predict_case(thyroid_query(), MockReferenceMean(), **kw)
+        cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=4, rounds=2, seed=3)
+        orig = pipe.predict_case(thyroid_query(), cfg)
+        redux = loaded.predict_case(thyroid_query(), cfg)
         assert [c.id for c, _ in redux.references.references] == [
             c.id for c, _ in orig.references.references
         ]
         assert redux.estimate.y_hat_min == pytest.approx(
             orig.estimate.y_hat_min, rel=1e-6
         )
-        again = load_artifacts(saved).predict_case(
-            thyroid_query(), MockReferenceMean(), **kw
-        )
+        again = load_artifacts(saved).predict_case(thyroid_query(), cfg)
         assert again.estimate.y_hat_min == redux.estimate.y_hat_min
 
     def test_no_pca_file_for_uniform_pipeline(self, train, tmp_path):
@@ -344,6 +372,27 @@ class TestArtifacts:
         rewrite_manifest(tmp_path, lambda m: m["files"].update({"encoder.json": digest}))
         with pytest.raises(ArtifactError, match="do not decode"):
             load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [("min_cohort", "5"), ("pca_top_m", 0),
+                                              ("pca_weighting", None)])
+    def test_bad_fit_config_value_is_artifact_error(self, pipe, tmp_path, field, value):
+        save_artifacts(pipe, tmp_path)
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"].update({field: value}))
+        with pytest.raises(ArtifactError, match=field):
+            load_artifacts(tmp_path)
+
+    def test_each_file_written_once(self, pipe, tmp_path, monkeypatch):
+        written = []
+        real_write = Path.write_bytes
+
+        def spy(path, data):
+            written.append(path.name)
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", spy)
+        save_artifacts(pipe, tmp_path)
+        assert sorted(written) == sorted(ARTIFACT_FILES)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACT_FILES)
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
