@@ -26,13 +26,14 @@ from .aggregate import STRATEGIES
 from .errors import (
     AllRoundsFailed,
     BadAxisValue,
+    DurcastError,
     IoError,
     NonPositiveTruth,
     SpecError,
     TooFewSamples,
 )
 from .pipeline import CasePrediction, ExperimentConfig, Pipeline
-from .prompting import PromptTemplate
+from .prompting import PromptTemplate, load_template
 from .schema import CaseSet
 
 ABLATION_AXES = (
@@ -150,18 +151,23 @@ def run_experiment(
 
     Fits the pipeline from train unless one is supplied. Test cases run
     concurrently up to the backend's concurrency limit; outputs are reduced
-    and written in test order. Cases whose every round fails are excluded
-    from the metrics and counted in the report's failed field.
+    and written in test order. A case that raises a DurcastError is excluded
+    from the metrics, counted in the report's failed field, and logged as
+    {"id", "error"}: "all_rounds_failed" when every round failed, else the
+    error's class name.
     """
     if len(test.cases) < 2:
         raise TooFewSamples(f"test set has {len(test.cases)} cases, need >= 2")
     pipe = pipeline or Pipeline.fit(train, cfg.fit)
+    template = template or load_template()
 
-    def one(case):
+    def one(case) -> CasePrediction | str:
         try:
             return pipe.predict_case(case, cfg, template)
         except AllRoundsFailed:
-            return None
+            return "all_rounds_failed"
+        except DurcastError as exc:
+            return type(exc).__name__
 
     workers = max(1, cfg.backend.concurrency_limit)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -172,9 +178,9 @@ def run_experiment(
     ids = []
     failed = 0
     for case, pred in zip(test.cases, results):
-        if pred is None:
+        if isinstance(pred, str):
             failed += 1
-            lines.append({"id": case.id, "error": "all_rounds_failed"})
+            lines.append({"id": case.id, "error": pred})
             continue
         lines.append(prediction_json(pred))
         if case.duration_min is not None:

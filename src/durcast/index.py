@@ -1,9 +1,15 @@
 """Flat cosine-similarity index with clinical post-processing.
 
-Retrieval is exhaustive (no approximation): every query scores every stored
-vector, and every stored case carries a recorded duration. Post-processing
-refines an expanded candidate list into the final reference set by walking
-the stratum ladder and trimming duration outliers by interquartile range.
+Retrieval is exhaustive and exact (no approximation): every query scores
+every stored vector, and every stored case carries a recorded duration. It
+runs in two phases. One matrix product scores all unit vectors at once and
+picks a window: the top m plus every row within a proven rounding margin of
+the m-th score. Only the window is re-scored with row-wise dot products and
+sorted, so ids and similarities equal a linear-scan sort bit for bit.
+
+Post-processing refines an expanded candidate list into the final reference
+set by walking the stratum ladder and trimming duration outliers by
+interquartile range.
 
 On-disk format (little-endian):
     bytes 0..7    magic "DURCIDX1"
@@ -37,6 +43,7 @@ from .schema import CaseSet, FeatureSchema, SurgicalCase, load_schema
 from .strata import describe_tier, walk
 
 _MAGIC = b"DURCIDX1"
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -130,14 +137,32 @@ def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandida
     if qn == 0.0:
         raise ZeroVector("query is a zero vector")
     qv = q / qn
-    # Row-wise dots, not one matrix product: gemv kernels can round a SIMD
-    # block row and a remainder row differently, so duplicate directions at
-    # different positions would lose their exact tie and the id tie-break.
-    sims = np.array([row @ qv for row in idx._unit])
-    order = sorted(range(len(idx)), key=lambda i: (-sims[i], idx.cases[i].id))
+    unit = idx._unit
+    n = len(idx)
+    if m >= n:
+        window = range(n)
+    else:
+        # Phase 1 picks a window with one matrix product; phase 2 re-scores
+        # it with row-wise dots, the scores every caller sees. The two
+        # disagree in the last bits: gemv kernels round a SIMD block row and
+        # a remainder row differently, so duplicate directions at different
+        # positions would lose their exact tie under the product alone.
+        # Bound: any float64 dot of two length-D vectors of norm <= 1 (up to
+        # rounding) lies within gamma = (D + 2) * eps of the true dot,
+        # whatever its summation order, blocking or thread split (the
+        # classical bound is D * eps / 2; the slack covers the norms). So a
+        # product score and a row dot differ by at most delta = 2 * gamma.
+        # The m rows with product score >= edge (the m-th largest) have row
+        # dots >= edge - delta, so the m-th largest row dot is too, and every
+        # row of the true top m has product score >= edge - 2 * delta.
+        approx = unit @ qv
+        edge = np.partition(approx, n - m)[n - m]
+        margin = 4.0 * (idx.dim + 2) * _EPS
+        window = np.flatnonzero(approx >= edge - margin).tolist()
+    scored = [(i, float(unit[i] @ qv)) for i in window]
+    scored.sort(key=lambda p: (-p[1], idx.cases[p[0]].id))
     return [
-        RetrievalCandidate(case=idx.cases[i], similarity=float(sims[i]))
-        for i in order[:m]
+        RetrievalCandidate(case=idx.cases[i], similarity=sim) for i, sim in scored[:m]
     ]
 
 

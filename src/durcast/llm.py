@@ -171,20 +171,23 @@ class MockReferenceMean(LlmBackend):
 
 @dataclass
 class MockScripted(LlmBackend):
-    """Cycles through a fixed list of completions (thread-safe)."""
+    """Cycles through a fixed list of completions, one cursor per query id
+    (thread-safe): each query's calls get outputs[0], outputs[1], ... in
+    order, however concurrent queries interleave."""
 
     outputs: tuple[str, ...] = ("PREDICTION: 100 minutes",)
     kind = "mock_scripted"
 
     def __post_init__(self):
-        self._cursor = 0
+        self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
+        key = prompt.metadata.query_id
         with self._lock:
-            out = self.outputs[self._cursor % len(self.outputs)]
-            self._cursor += 1
-        return out
+            cursor = self._cursors.get(key, 0)
+            self._cursors[key] = cursor + 1
+        return self.outputs[cursor % len(self.outputs)]
 
 
 @dataclass(frozen=True)

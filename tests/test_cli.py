@@ -217,6 +217,21 @@ class TestEvaluate:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
+    def test_scripted_reruns_byte_identical_when_concurrent(self, workspace, tmp_path):
+        runs = []
+        for tag in ("one", "two"):
+            jsonl_path = tmp_path / f"{tag}.jsonl"
+            rc = cli.main(self.evaluate_args(
+                workspace, rounds="3", jsonl=str(jsonl_path), backend="mock_scripted",
+                concurrency="10",
+            ) + ["--script", "PREDICTION: 77", "--script", "about 90"])
+            assert rc == 0
+            runs.append(jsonl_path.read_bytes())
+        assert runs[0] == runs[1]
+        for line in runs[0].decode("utf-8").splitlines():
+            rounds = [r["raw_text"] for r in json.loads(line)["rounds"]]
+            assert rounds == ["PREDICTION: 77", "about 90", "PREDICTION: 77"]
+
     def test_zero_shot_with_k_is_mode_mismatch(self, workspace, capsys):
         rc = cli.main(self.evaluate_args(workspace, mode="zero_shot", k="8"))
         assert rc == 1

@@ -11,6 +11,7 @@ from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
     NonPositiveTruth,
+    PromptTooLong,
     SpecError,
     TooFewSamples,
 )
@@ -198,6 +199,21 @@ class OneBadBackend(LlmBackend):
         return "PREDICTION: 120 minutes"
 
 
+class RaisingBackend(LlmBackend):
+    """Raises a DurcastError other than AllRoundsFailed for one query id."""
+
+    kind = "raising"
+    concurrency_limit = 4
+
+    def __init__(self, bad_id):
+        self.bad_id = bad_id
+
+    def complete(self, prompt, temperature, round_index):
+        if prompt.metadata.query_id == self.bad_id:
+            raise PromptTooLong("context window exceeded")
+        return "PREDICTION: 120 minutes"
+
+
 class TestRunExperiment:
     def test_rag_over_test_set(self, corpus_module, fitted, test_set, tmp_path):
         cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=4, rounds=2, seed=5)
@@ -237,6 +253,19 @@ class TestRunExperiment:
         assert bad_id not in [pc[0] for pc in report.per_case]
         docs = [json.loads(l) for l in out.read_text().splitlines()]
         assert docs[1] == {"id": bad_id, "error": "all_rounds_failed"}
+
+    def test_case_error_recorded_not_raised(self, corpus_module, fitted, test_set,
+                                            tmp_path):
+        bad_id = test_set.cases[2].id
+        cfg = ExperimentConfig(RaisingBackend(bad_id), mode="rag", k=4, rounds=2)
+        out = tmp_path / "cases.jsonl"
+        report = run_experiment(cfg, corpus_module, test_set,
+                                pipeline=fitted, jsonl_path=out)
+        assert (report.failed, report.m) == (1, 3)
+        assert bad_id not in [pc[0] for pc in report.per_case]
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert docs[2] == {"id": bad_id, "error": "PromptTooLong"}
+        assert [d["id"] for d in docs] == [c.id for c in test_set.cases]
 
     def test_fits_pipeline_when_not_supplied(self, corpus_module, test_set):
         cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=3, rounds=1)

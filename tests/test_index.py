@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_case, small_schema
 from durcast.errors import (
@@ -127,6 +129,59 @@ class TestRetrieve:
         idx = FlatIndex(np.zeros((0, 2)), [], small_schema())
         with pytest.raises(EmptyIndex):
             retrieve(idx, np.ones(2), 1)
+
+
+def linear_scan(idx, query, m):
+    """Reference retrieval: one row dot per stored case, then a full sort."""
+    qv = query / float(np.linalg.norm(query))
+    sims = [float(row @ qv) for row in idx._unit]
+    order = sorted(range(len(idx)), key=lambda i: (-sims[i], idx.cases[i].id))
+    return [(idx.cases[i].id, sims[i]) for i in order[:m]]
+
+
+def tie_heavy_index(rng, dim, n):
+    """Random rows, half of them overwritten at scattered positions by
+    rescaled copies of three anchor directions (exact ties) or by anchors
+    nudged by one part in 1e14 (near-ties)."""
+    anchors = rng.normal(size=(3, dim))
+    vectors = rng.normal(size=(n, dim))
+    positions = rng.choice(n, size=n // 2, replace=False)
+    for j, pos in enumerate(positions):
+        row = anchors[j % 3] * (0.25, 0.5, 2.0, 4.0)[j % 4]
+        if j % 5 == 4:
+            row = row.copy()
+            row[j % dim] *= 1.0 + 1e-14
+        vectors[pos] = row
+    ids = [f"c{i:04d}" for i in rng.permutation(n)]
+    return simple_index(list(vectors), ids=ids), anchors
+
+
+class TestRetrieveEqualsLinearScan:
+    @pytest.mark.parametrize("dim", [3, 64, 549])
+    def test_exact_ids_and_floats(self, dim):
+        rng = np.random.default_rng(dim)
+        n = 240
+        idx, anchors = tie_heavy_index(rng, dim, n)
+        queries = [anchors[0], anchors[1] + 1e-9 * rng.normal(size=dim), rng.normal(size=dim)]
+        for query in queries:
+            for m in (1, 2, 7, n // 8, n // 6, n - 1, n, n + 1):
+                got = [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
+                assert got == linear_scan(idx, query, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([3, 64, 549]),
+        n=st.integers(2, 160),
+        m=st.integers(1, 170),
+        anchor_query=st.booleans(),
+    )
+    def test_property(self, seed, dim, n, m, anchor_query):
+        rng = np.random.default_rng(seed)
+        idx, anchors = tie_heavy_index(rng, dim, n)
+        query = anchors[0] if anchor_query else rng.normal(size=dim)
+        got = [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
+        assert got == linear_scan(idx, query, m)
 
 
 def candidates_from(cases, sims=None):

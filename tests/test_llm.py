@@ -150,6 +150,13 @@ class TestMockBackends:
         outs = [backend.complete(zero_prompt(), 0.0, 1) for _ in range(4)]
         assert outs == ["PREDICTION: 10", "PREDICTION: 20"] * 2
 
+    def test_scripted_cycles_per_query(self):
+        backend = MockScripted(outputs=("PREDICTION: 10", "PREDICTION: 20"))
+        a, b = zero_prompt("q-a"), zero_prompt("q-b")
+        outs = [backend.complete(p, 0.0, 1) for p in (a, b, b, a, a)]
+        assert outs == ["PREDICTION: 10", "PREDICTION: 10", "PREDICTION: 20",
+                        "PREDICTION: 20", "PREDICTION: 10"]
+
 
 class FlakyBackend(LlmBackend):
     """Raises transport errors for the first `failures` calls, then succeeds."""
