@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -149,21 +150,32 @@ def run_experiment(
 ) -> MetricsReport:
     """Evaluate one protocol over the test set.
 
-    Fits the pipeline from train unless one is supplied. Test cases run
-    concurrently up to the backend's concurrency limit; outputs are reduced
-    and written in test order. A case that raises a DurcastError is excluded
-    from the metrics, counted in the report's failed field, and logged as
-    {"id", "error"}: "all_rounds_failed" when every round failed, else the
-    error's class name.
+    Fits the pipeline from train unless one is supplied. In rag mode, every
+    test case is embedded and retrieved once per call, in one batch, before
+    the fan-out. Test cases then run concurrently up to the backend's
+    concurrency limit; outputs are reduced and written in test order. A case
+    that raises a DurcastError is excluded from the metrics, counted in the
+    report's failed field, and logged as {"id", "error"}:
+    "all_rounds_failed" when every round failed, else the error's class
+    name. With fewer than two cases scored, the log is still written and
+    TooFewSamples names the failures.
     """
     if len(test.cases) < 2:
         raise TooFewSamples(f"test set has {len(test.cases)} cases, need >= 2")
     pipe = pipeline or Pipeline.fit(train, cfg.fit)
     template = template or load_template()
+    retrieved = [None] * len(test.cases)
+    if cfg.mode == "rag":
+        retrieved = pipe.retrieve_references_batch(
+            test.cases, cfg.k, cfg.expansion_factor, cfg.postprocess
+        )
 
-    def one(case) -> CasePrediction | str:
+    def one(case, found) -> CasePrediction | str:
         try:
-            return pipe.predict_case(case, cfg, template)
+            if isinstance(found, DurcastError):
+                raise found
+            refs = found[0] if found else None
+            return pipe.predict_case(case, cfg, template, references=refs)
         except AllRoundsFailed:
             return "all_rounds_failed"
         except DurcastError as exc:
@@ -171,7 +183,7 @@ def run_experiment(
 
     workers = max(1, cfg.backend.concurrency_limit)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, test.cases))
+        results = list(pool.map(one, test.cases, retrieved))
 
     lines = []
     pairs = []
@@ -193,6 +205,12 @@ def run_experiment(
                     fh.write(json.dumps(line, sort_keys=True) + "\n")
         except OSError as exc:
             raise IoError(f"cannot write per-case log {jsonl_path}: {exc}") from exc
+    if len(pairs) < 2 and failed:
+        causes = Counter(line["error"] for line in lines if "error" in line)
+        raise TooFewSamples(
+            f"{len(lines) - failed} of {len(lines)} cases answered; failed: "
+            + ", ".join(f"{label} {count}" for label, count in causes.most_common())
+        )
     return compute_metrics(pairs, ids, failed=failed)
 
 
@@ -250,8 +268,9 @@ def run_ablation_grid(
 
     Each cell runs on a pipeline fitted under its cfg.fit: the supplied
     pipeline when its fit_config matches, else one fitted from train once
-    and shared by every cell with that fit (only the PCA toggle changes it),
-    so the grid isolates the axis.
+    and shared by every cell with that fit (only the PCA toggle changes it).
+    Each cell gets its own copy of the backend, so a stateful backend
+    starts every cell afresh and the grid isolates the axis.
     """
     if axis not in ABLATION_AXES:
         raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
@@ -261,6 +280,7 @@ def run_ablation_grid(
     pipelines = [pipeline] if pipeline is not None else []
     rows = []
     for value, cfg in configs:
+        cfg = replace(cfg, backend=replace(cfg.backend))
         pipe = next((p for p in pipelines if p.fit_config == cfg.fit), None)
         if pipe is None:
             pipe = Pipeline.fit(train, cfg.fit)

@@ -2,10 +2,11 @@
 
 Retrieval is exhaustive and exact (no approximation): every query scores
 every stored vector, and every stored case carries a recorded duration. It
-runs in two phases. One matrix product scores all unit vectors at once and
-picks a window: the top m plus every row within a proven rounding margin of
-the m-th score. Only the window is re-scored with row-wise dot products and
-sorted, so ids and similarities equal a linear-scan sort bit for bit.
+runs in two phases. One matrix product per block of queries scores all unit
+vectors at once and picks each query's window: the top m plus every row
+within a proven rounding margin of the m-th score. Only the window is
+re-scored with row-wise dot products and sorted, so ids and similarities
+equal a linear-scan sort bit for bit. retrieve is retrieve_batch of one.
 
 Post-processing refines an expanded candidate list into the final reference
 set by walking the stratum ladder and trimming duration outliers by
@@ -44,6 +45,9 @@ from .strata import describe_tier, walk
 
 _MAGIC = b"DURCIDX1"
 _EPS = float(np.finfo(np.float64).eps)
+# Most product scores retrieve_batch holds at once (16 MB of float64): a
+# block of queries has at most this many rows times the index size entries.
+_BLOCK_SCORES = 1 << 21
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,27 +130,32 @@ def build(
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
     """Top-m entries by cosine similarity, descending; ties broken by
     ascending case id. Equals a linear-scan sort exactly."""
+    return retrieve_batch(idx, [query], m)[0]
+
+
+def retrieve_batch(
+    idx: FlatIndex, queries: list[np.ndarray], m: int
+) -> list[list[RetrievalCandidate]]:
+    """retrieve for each query, in input order, with one matrix product per
+    block of queries instead of one per query."""
     if len(idx) == 0:
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
         raise SpecError(f"candidate count must be >= 1, got {m}")
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (idx.dim,):
-        raise DimensionMismatch(f"query dim {q.shape} does not match index ({idx.dim},)")
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        raise ZeroVector("query is a zero vector")
-    qv = q / qn
+    # Each query is normalised on its own: a row-wise norm of the stacked
+    # queries rounds differently and would move the similarities.
+    qvs = [_unit_query(idx, q) for q in queries]
     unit = idx._unit
     n = len(idx)
     if m >= n:
-        window = range(n)
+        windows = [range(n)] * len(qvs)
     else:
-        # Phase 1 picks a window with one matrix product; phase 2 re-scores
-        # it with row-wise dots, the scores every caller sees. The two
-        # disagree in the last bits: gemv kernels round a SIMD block row and
-        # a remainder row differently, so duplicate directions at different
-        # positions would lose their exact tie under the product alone.
+        # Phase 1 picks a window per query from a product over a block of
+        # queries; phase 2 re-scores it with row-wise dots, the scores every
+        # caller sees. The two disagree in the last bits: matrix kernels
+        # round a SIMD block row and a remainder row differently, so
+        # duplicate directions at different positions would lose their
+        # exact tie under the product alone.
         # Bound: any float64 dot of two length-D vectors of norm <= 1 (up to
         # rounding) lies within gamma = (D + 2) * eps of the true dot,
         # whatever its summation order, blocking or thread split (the
@@ -155,15 +164,32 @@ def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandida
         # The m rows with product score >= edge (the m-th largest) have row
         # dots >= edge - delta, so the m-th largest row dot is too, and every
         # row of the true top m has product score >= edge - 2 * delta.
-        approx = unit @ qv
-        edge = np.partition(approx, n - m)[n - m]
         margin = 4.0 * (idx.dim + 2) * _EPS
-        window = np.flatnonzero(approx >= edge - margin).tolist()
-    scored = [(i, float(unit[i] @ qv)) for i in window]
-    scored.sort(key=lambda p: (-p[1], idx.cases[p[0]].id))
-    return [
-        RetrievalCandidate(case=idx.cases[i], similarity=sim) for i, sim in scored[:m]
-    ]
+        block = max(1, _BLOCK_SCORES // n)
+        windows = []
+        for start in range(0, len(qvs), block):
+            approx = np.stack(qvs[start : start + block]) @ unit.T
+            edge = np.partition(approx, n - m, axis=1)[:, n - m]
+            keep = approx >= (edge - margin)[:, None]
+            windows.extend(np.flatnonzero(row).tolist() for row in keep)
+    found = []
+    for qv, window in zip(qvs, windows):
+        scored = [(i, float(unit[i] @ qv)) for i in window]
+        scored.sort(key=lambda p: (-p[1], idx.cases[p[0]].id))
+        found.append(
+            [RetrievalCandidate(case=idx.cases[i], similarity=sim) for i, sim in scored[:m]]
+        )
+    return found
+
+
+def _unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape != (idx.dim,):
+        raise DimensionMismatch(f"query dim {q.shape} does not match index ({idx.dim},)")
+    qn = float(np.linalg.norm(q))
+    if qn == 0.0:
+        raise ZeroVector("query is a zero vector")
+    return q / qn
 
 
 def postprocess(

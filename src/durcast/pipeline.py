@@ -28,6 +28,7 @@ import hashlib
 import io
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -36,7 +37,14 @@ import numpy as np
 from . import encoding, index as index_mod, pca as pca_mod
 from .aggregate import STRATEGIES, AggregateEstimate, aggregate
 from .encoding import FittedEncoder
-from .errors import ArtifactError, EmptyTrainingSet, IoError, ModeArgumentMismatch, SpecError
+from .errors import (
+    ArtifactError,
+    DurcastError,
+    EmptyTrainingSet,
+    IoError,
+    ModeArgumentMismatch,
+    SpecError,
+)
 from .index import FlatIndex, ReferenceSet, RetrievalCandidate
 from .llm import LlmBackend, PredictionEnsemble, predict_ensemble, stable_seed
 from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
@@ -207,14 +215,51 @@ class Pipeline:
     ) -> tuple[ReferenceSet, list[RetrievalCandidate]]:
         """Expanded retrieval then clinical refinement (or a plain top-k
         cut when postprocessing is disabled)."""
+        found = self.retrieve_references_batch([case], k, expansion_factor, postprocess)[0]
+        if isinstance(found, DurcastError):
+            raise found
+        return found
+
+    def retrieve_references_batch(
+        self,
+        cases: Sequence[SurgicalCase],
+        k: int = DEFAULT_K,
+        expansion_factor: int = DEFAULT_EXPANSION,
+        postprocess: bool = True,
+    ) -> list[tuple[ReferenceSet, list[RetrievalCandidate]] | DurcastError]:
+        """retrieve_references for each case, in order, with one
+        index.retrieve_batch call for all of them. A case whose embedding or
+        retrieval raises a DurcastError gets that error in its place, so
+        one bad case leaves the others answered."""
         if expansion_factor < 1:
             raise SpecError(f"expansion factor must be >= 1, got {expansion_factor}")
-        candidates = index_mod.retrieve(self.index, self.embed_query(case), expansion_factor * k)
-        if postprocess:
-            refs = index_mod.postprocess(candidates, case, k, self.schema.key_attributes)
-        else:
-            refs = self._unstratified((c.case, c.similarity) for c in candidates[:k])
-        return refs, candidates
+        m = expansion_factor * k
+        out: list = [None] * len(cases)
+        vectors: dict[int, np.ndarray] = {}
+        for i, case in enumerate(cases):
+            try:
+                vectors[i] = self.embed_query(case)
+            except DurcastError as exc:
+                out[i] = exc
+        try:
+            batch = index_mod.retrieve_batch(self.index, list(vectors.values()), m)
+            found = dict(zip(vectors, batch))
+        except DurcastError:
+            # Some query cannot be retrieved: retrieve each on its own, so
+            # only the cases that raise fail.
+            found = {}
+            for i, vec in vectors.items():
+                try:
+                    found[i] = index_mod.retrieve(self.index, vec, m)
+                except DurcastError as exc:
+                    out[i] = exc
+        for i, candidates in found.items():
+            if postprocess:
+                refs = index_mod.postprocess(candidates, cases[i], k, self.schema.key_attributes)
+            else:
+                refs = self._unstratified((c.case, c.similarity) for c in candidates[:k])
+            out[i] = (refs, candidates)
+        return out
 
     def random_references(self, case: SurgicalCase, k: int, seed: int) -> ReferenceSet:
         """k training cases drawn uniformly without replacement; similarity
@@ -238,9 +283,12 @@ class Pipeline:
         cfg: ExperimentConfig,
         template: PromptTemplate | None = None,
         strict: bool = False,
+        references: ReferenceSet | None = None,
     ) -> CasePrediction:
         """One query end to end under cfg's protocol; cfg.fit is not read,
-        since the pipeline is already fitted.
+        since the pipeline is already fitted. In rag mode, references, when
+        given, are the query's retrieve_references result under cfg and
+        stand in for retrieving them here.
 
         zero_shot and random_few_shot aggregate with a simple average: the
         stratum prior is part of the retrieval-augmented protocol, so those
@@ -250,7 +298,11 @@ class Pipeline:
         refs: ReferenceSet | None = None
         prior: StatisticalPrior | None = None
         if cfg.mode == "rag":
-            refs, _ = self.retrieve_references(query, cfg.k, cfg.expansion_factor, cfg.postprocess)
+            refs = references
+            if refs is None:
+                refs, _ = self.retrieve_references(
+                    query, cfg.k, cfg.expansion_factor, cfg.postprocess
+                )
             prior = self.priors.for_query(query)
         elif cfg.mode == "random_few_shot":
             refs = self.random_references(

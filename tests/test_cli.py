@@ -232,6 +232,18 @@ class TestEvaluate:
             rounds = [r["raw_text"] for r in json.loads(line)["rounds"]]
             assert rounds == ["PREDICTION: 77", "about 90", "PREDICTION: 77"]
 
+    def test_all_failed_names_the_cause(self, workspace, tmp_path, capsys):
+        jsonl_path = tmp_path / "cases.jsonl"
+        rc = cli.main(self.evaluate_args(
+            workspace, jsonl=str(jsonl_path), backend="mock_scripted",
+        ) + ["--script", "no idea"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "0 of 12 cases answered; failed: all_rounds_failed 12" in err
+        docs = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
+        assert len(docs) == 12
+        assert all(doc["error"] == "all_rounds_failed" for doc in docs)
+
     def test_zero_shot_with_k_is_mode_mismatch(self, workspace, capsys):
         rc = cli.main(self.evaluate_args(workspace, mode="zero_shot", k="8"))
         assert rc == 1

@@ -3,10 +3,13 @@
 import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import mk_case
+from durcast import index as index_mod
 from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
@@ -14,6 +17,7 @@ from durcast.errors import (
     PromptTooLong,
     SpecError,
     TooFewSamples,
+    ZeroVector,
 )
 from durcast.evaluate import (
     ABLATION_AXES,
@@ -28,9 +32,11 @@ from durcast.evaluate import (
     write_grid_csv,
     write_metrics_csv,
 )
-from durcast.llm import LlmBackend, MockReferenceMean
+from durcast.llm import LlmBackend, MockReferenceMean, MockScripted
 from durcast.pipeline import FitConfig, Pipeline
+from durcast.prompting import load_template
 from durcast.schema import CaseSet
+from durcast.synthetic import SyntheticSpec, generate_synthetic
 
 
 def loop_metrics(pairs):
@@ -267,6 +273,15 @@ class TestRunExperiment:
         assert docs[2] == {"id": bad_id, "error": "PromptTooLong"}
         assert [d["id"] for d in docs] == [c.id for c in test_set.cases]
 
+    def test_all_failed_names_the_cause(self, corpus_module, fitted, test_set, tmp_path):
+        cfg = ExperimentConfig(MockScripted(outputs=("no idea",)), mode="rag", k=4, rounds=1)
+        out = tmp_path / "cases.jsonl"
+        with pytest.raises(TooFewSamples) as exc:
+            run_experiment(cfg, corpus_module, test_set, pipeline=fitted, jsonl_path=out)
+        assert str(exc.value) == "0 of 4 cases answered; failed: all_rounds_failed 4"
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert docs == [{"id": c.id, "error": "all_rounds_failed"} for c in test_set.cases]
+
     def test_fits_pipeline_when_not_supplied(self, corpus_module, test_set):
         cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=3, rounds=1)
         report = run_experiment(cfg, corpus_module, test_set)
@@ -277,6 +292,88 @@ class TestRunExperiment:
         cfg = ExperimentConfig(MockReferenceMean())
         with pytest.raises(TooFewSamples):
             run_experiment(cfg, corpus_module, only, pipeline=fitted)
+
+
+@pytest.fixture(scope="module")
+def synthetic_split():
+    """A 700-case training set, its fitted pipeline and a 200-case test set."""
+    corpus = generate_synthetic(SyntheticSpec(n_cases=900), seed=3)
+    train = CaseSet(cases=corpus.cases[:700], schema=corpus.schema)
+    test = CaseSet(cases=corpus.cases[700:], schema=corpus.schema)
+    return train, Pipeline.fit(train), test
+
+
+def loop_run(pipe, cfg, test):
+    """Reference evaluate: predict_case per case, each retrieving its own
+    references, then the same JSONL lines and metrics."""
+    template = load_template()
+    lines, pairs, ids = [], [], []
+    for case in test.cases:
+        pred = pipe.predict_case(case, cfg, template)
+        lines.append(json.dumps(prediction_json(pred), sort_keys=True) + "\n")
+        pairs.append((case.duration_min, pred.estimate.y_hat_min))
+        ids.append(case.id)
+    return "".join(lines).encode("utf-8"), compute_metrics(pairs, ids)
+
+
+class TestBatchedRetrieval:
+    def cfg(self, **kw):
+        backend = MockReferenceMean(noise_sd=10.0, seed=1, concurrency_limit=4)
+        return ExperimentConfig(backend, mode="rag", k=8, rounds=3, seed=2, **kw)
+
+    @pytest.mark.parametrize(
+        ("postprocess", "block_queries"), [(True, None), (False, None), (True, 3)]
+    )
+    def test_run_experiment_equals_per_case_loop(self, synthetic_split, tmp_path,
+                                                  monkeypatch, postprocess, block_queries):
+        train, pipe, test = synthetic_split
+        if block_queries is not None:
+            monkeypatch.setattr(index_mod, "_BLOCK_SCORES", block_queries * len(pipe.index))
+        cfg = self.cfg(postprocess=postprocess)
+        out = tmp_path / "cases.jsonl"
+        report = run_experiment(cfg, train, test, pipeline=pipe, jsonl_path=out)
+        lines, expected = loop_run(pipe, cfg, test)
+        assert out.read_bytes() == lines
+        assert report == expected
+
+    def test_schema_mismatch_isolated(self, synthetic_split, tmp_path):
+        train, pipe, test = synthetic_split
+        cases = list(test.cases[:10])
+        bad = replace(cases[4], values={**cases[4].values, "asa_grade": "ZZZ"})
+        cfg = self.cfg()
+        clean_path, mixed_path = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
+        clean = run_experiment(cfg, train, CaseSet(cases[:4] + cases[5:], test.schema),
+                               pipeline=pipe, jsonl_path=clean_path)
+        mixed = run_experiment(cfg, train, CaseSet(cases[:4] + [bad] + cases[5:], test.schema),
+                               pipeline=pipe, jsonl_path=mixed_path)
+        assert (mixed.m, mixed.failed) == (9, 1)
+        lines = mixed_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[4]) == {"id": bad.id, "error": "SchemaMismatch"}
+        assert lines[:4] + lines[5:] == clean_path.read_text(encoding="utf-8").splitlines()
+        assert mixed.per_case == clean.per_case
+
+    def test_unretrievable_query_isolated(self, synthetic_split, tmp_path, monkeypatch):
+        train, pipe, test = synthetic_split
+        cases = CaseSet(test.cases[:6], test.schema)
+        bad_id = cases.cases[2].id
+        embed = pipe.embed_query
+
+        def zero_for_bad(case):
+            vec = embed(case)
+            return np.zeros_like(vec) if case.id == bad_id else vec
+
+        cfg = self.cfg()
+        clean_path, mixed_path = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
+        run_experiment(cfg, train, cases, pipeline=pipe, jsonl_path=clean_path)
+        monkeypatch.setattr(pipe, "embed_query", zero_for_bad)
+        report = run_experiment(cfg, train, cases, pipeline=pipe, jsonl_path=mixed_path)
+        assert (report.m, report.failed) == (5, 1)
+        lines = mixed_path.read_text(encoding="utf-8").splitlines()
+        clean = clean_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[2]) == {"id": bad_id, "error": "ZeroVector"}
+        assert lines[:2] + lines[3:] == clean[:2] + clean[3:]
+        with pytest.raises(ZeroVector):
+            pipe.retrieve_references(cases.cases[2], k=8)
 
 
 class TestGlobalMedianBaseline:
@@ -376,6 +473,12 @@ class TestAblation:
         run_ablation_grid(self.base(), "pca_on_off", [True, False],
                           corpus_module, test_set)
         assert len(fits) == 2
+
+    def test_cells_do_not_share_backend_state(self, corpus_module, test_set):
+        backend = MockScripted(outputs=("PREDICTION: 77", "PREDICTION: 90"))
+        base = ExperimentConfig(backend, mode="rag", k=3, rounds=1)
+        rows = run_ablation_grid(base, "k", [4, 4], corpus_module, test_set)
+        assert rows[0][1] == rows[1][1]
 
     def test_supplied_pipeline_reused_when_fit_matches(self, corpus_module, fitted,
                                                       test_set, monkeypatch):

@@ -2,6 +2,7 @@
 round trip."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_case, small_schema
+from durcast import index as index_mod
 from durcast.errors import (
     ArtifactError,
     DimensionMismatch,
@@ -28,6 +30,7 @@ from durcast.index import (
     load_index,
     postprocess,
     retrieve,
+    retrieve_batch,
     save_index,
 )
 from durcast.schema import FeatureSchema, SurgicalCase
@@ -174,14 +177,78 @@ class TestRetrieveEqualsLinearScan:
         dim=st.sampled_from([3, 64, 549]),
         n=st.integers(2, 160),
         m=st.integers(1, 170),
-        anchor_query=st.booleans(),
+        anchor_queries=st.lists(st.booleans(), max_size=6),
+        block=st.integers(1, 4),
     )
-    def test_property(self, seed, dim, n, m, anchor_query):
+    def test_property(self, seed, dim, n, m, anchor_queries, block):
         rng = np.random.default_rng(seed)
         idx, anchors = tie_heavy_index(rng, dim, n)
-        query = anchors[0] if anchor_query else rng.normal(size=dim)
-        got = [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
-        assert got == linear_scan(idx, query, m)
+        queries = [
+            anchors[j % 3] if anchor else rng.normal(size=dim)
+            for j, anchor in enumerate(anchor_queries)
+        ]
+        with mock.patch.object(index_mod, "_BLOCK_SCORES", block * n):
+            batch = retrieve_batch(idx, queries, m)
+        assert len(batch) == len(queries)
+        for query, found in zip(queries, batch):
+            expected = linear_scan(idx, query, m)
+            assert [(c.case.id, c.similarity) for c in found] == expected
+            assert [(c.case.id, c.similarity) for c in retrieve(idx, query, m)] == expected
+
+
+class TestRetrieveBatch:
+    @pytest.mark.parametrize("dim", [3, 64, 549])
+    def test_equals_retrieve_and_linear_scan(self, dim):
+        rng = np.random.default_rng(dim + 1)
+        n = 240
+        idx, anchors = tie_heavy_index(rng, dim, n)
+        queries = [
+            anchors[0],
+            rng.normal(size=dim),
+            anchors[1] + 1e-9 * rng.normal(size=dim),
+            4.0 * anchors[2],
+            rng.normal(size=dim),
+        ]
+        for m in (1, n - 1, n, n + 1):
+            batch = retrieve_batch(idx, queries, m)
+            assert len(batch) == len(queries)
+            for query, found in zip(queries, batch):
+                got = [(c.case.id, c.similarity) for c in found]
+                assert got == linear_scan(idx, query, m)
+                assert got == [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
+
+    def test_output_order_follows_input_order(self):
+        rng = np.random.default_rng(7)
+        idx, anchors = tie_heavy_index(rng, 64, 120)
+        queries = [anchors[0], rng.normal(size=64), anchors[2], rng.normal(size=64)]
+        forward = retrieve_batch(idx, queries, 9)
+        backward = retrieve_batch(idx, queries[::-1], 9)
+        assert backward == forward[::-1]
+
+    def test_empty_query_list(self):
+        idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
+        assert retrieve_batch(idx, [], 1) == []
+
+    def test_queries_span_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 150
+        idx, anchors = tie_heavy_index(rng, 549, n)
+        queries = [anchors[j % 3] if j % 2 else rng.normal(size=549) for j in range(7)]
+        monkeypatch.setattr(index_mod, "_BLOCK_SCORES", 2 * n)  # two queries a block
+        for m in (1, 13, n - 1):
+            batch = retrieve_batch(idx, queries, m)
+            assert len(batch) == len(queries)
+            for query, found in zip(queries, batch):
+                assert [(c.case.id, c.similarity) for c in found] == linear_scan(idx, query, m)
+
+    def test_one_bad_query_rejects_the_batch(self):
+        idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ZeroVector):
+            retrieve_batch(idx, [np.ones(2), np.zeros(2)], 1)
+        with pytest.raises(DimensionMismatch):
+            retrieve_batch(idx, [np.ones(2), np.ones(3)], 1)
+        with pytest.raises(SpecError):
+            retrieve_batch(idx, [np.ones(2)], 0)
 
 
 def candidates_from(cases, sims=None):
