@@ -23,7 +23,6 @@ from .index import (
     ReferenceSet,
     RetrievalCandidate,
     build,
-    cosine_similarity,
     postprocess,
     retrieve,
 )

@@ -63,6 +63,11 @@ class ZeroVector(DurcastError):
     """Cosine similarity is undefined for a zero-norm vector."""
 
 
+class NonFiniteVector(DurcastError):
+    """A vector holds nan or inf, or its norm overflows: it has no cosine
+    direction."""
+
+
 class EmptyIndex(DurcastError):
     """Query against an index with no entries."""
 

@@ -5,12 +5,17 @@ every stored vector, and every stored case carries a recorded duration. It
 runs in two phases. One matrix product per block of queries scores all unit
 vectors at once and picks each query's window: the top m plus every row
 within a proven rounding margin of the m-th score. Only the window is
-re-scored with row-wise dot products and sorted, so ids and similarities
-equal a linear-scan sort bit for bit. retrieve is retrieve_batch of one.
+re-scored, with one row-wise dot product per row, and sorted by
+(similarity descending, id ascending) through the case table's id ranks, so
+ids and similarities equal a linear-scan sort bit for bit. A query's
+candidates are arrays, (rows, similarities), as in FAISS; retrieve, a
+retrieve_batch of one, turns them into RetrievalCandidate objects.
 
-Post-processing refines an expanded candidate list into the final reference
-set by walking the stratum ladder and trimming duration outliers by
-interquartile range.
+Post-processing refines a query's candidate rows into the final reference
+set by walking the stratum ladder over the index's CaseTable and trimming
+duration outliers by interquartile range; only the final references become
+(SurgicalCase, similarity) pairs. postprocess does the same for a list of
+RetrievalCandidate objects.
 
 On-disk format (little-endian):
     bytes 0..7    magic "DURCIDX1"
@@ -37,29 +42,19 @@ from .errors import (
     EmptyInput,
     MissingDuration,
     NoCandidates,
+    NonFiniteVector,
+    SchemaError,
     SpecError,
     ZeroVector,
 )
 from .schema import CaseSet, FeatureSchema, SurgicalCase, load_schema
-from .strata import describe_tier, walk
+from .strata import CaseTable, describe_tier
 
 _MAGIC = b"DURCIDX1"
 _EPS = float(np.finfo(np.float64).eps)
 # Most product scores retrieve_batch holds at once (16 MB of float64): a
 # block of queries has at most this many rows times the index size entries.
 _BLOCK_SCORES = 1 << 21
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dims differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    return float(a @ b / (na * nb))
 
 
 @dataclass(frozen=True)
@@ -84,12 +79,15 @@ class ReferenceSet:
 
 
 class FlatIndex:
-    """Immutable exhaustive index over weighted embeddings."""
+    """Immutable exhaustive index over weighted embeddings, with the
+    indexed cases' CaseTable (built once here, for fitted and loaded
+    indexes alike)."""
 
     def __init__(self, vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema):
         self.vectors = vectors
         self.cases = cases
         self.schema = schema
+        self.table = CaseTable(cases, schema.key_attributes)
         self.dim = int(vectors.shape[1])
         norms = np.linalg.norm(vectors, axis=1)
         self._unit = vectors / np.where(norms > 0.0, norms, 1.0)[:, None]
@@ -103,9 +101,9 @@ def build(
 ) -> FlatIndex:
     """Store (weighted embedding, case) pairs for exhaustive retrieval.
 
-    Rejects inconsistent dimensions, zero-norm vectors (they have no
-    cosine direction) and cases without a recorded duration (they cannot
-    serve as references or priors).
+    Rejects inconsistent dimensions, cases without a recorded duration
+    (they cannot serve as references or priors), and vectors that are zero
+    or hold a non-finite value (they have no cosine direction).
     """
     if not entries:
         raise EmptyInput("cannot build an index from zero entries")
@@ -118,37 +116,54 @@ def build(
             raise DimensionMismatch(
                 f"entry for case {case.id!r} has dim {v.shape}, expected ({dim},)"
             )
-        if float(np.linalg.norm(v)) == 0.0:
-            raise ZeroVector(f"entry for case {case.id!r} is a zero vector")
         if case.duration_min is None:
             raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
         rows.append(v)
         cases.append(case)
-    return FlatIndex(vectors=np.stack(rows), cases=cases, schema=schema)
+    vectors = np.stack(rows)
+    norms = np.linalg.norm(vectors, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        case_id = cases[bad[0]].id
+        if norms[bad[0]] == 0.0:
+            raise ZeroVector(f"entry for case {case_id!r} is a zero vector")
+        raise NonFiniteVector(f"entry for case {case_id!r} has no finite norm")
+    return FlatIndex(vectors=vectors, cases=cases, schema=schema)
 
 
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
     """Top-m entries by cosine similarity, descending; ties broken by
     ascending case id. Equals a linear-scan sort exactly."""
-    return retrieve_batch(idx, [query], m)[0]
+    return as_candidates(idx, *retrieve_batch(idx, [query], m)[0])
+
+
+def as_candidates(
+    idx: FlatIndex, rows: np.ndarray, sims: np.ndarray
+) -> list[RetrievalCandidate]:
+    """A retrieve_batch answer as RetrievalCandidate objects, in order."""
+    return [
+        RetrievalCandidate(case=idx.cases[i], similarity=s)
+        for i, s in zip(rows.tolist(), sims.tolist())
+    ]
 
 
 def retrieve_batch(
     idx: FlatIndex, queries: list[np.ndarray], m: int
-) -> list[list[RetrievalCandidate]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """retrieve for each query, in input order, with one matrix product per
-    block of queries instead of one per query."""
+    block of queries instead of one per query. A query's answer is two
+    arrays: its top-m row indices into the index and their similarities."""
     if len(idx) == 0:
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
         raise SpecError(f"candidate count must be >= 1, got {m}")
     # Each query is normalised on its own: a row-wise norm of the stacked
     # queries rounds differently and would move the similarities.
-    qvs = [_unit_query(idx, q) for q in queries]
+    qvs = [unit_query(idx, q) for q in queries]
     unit = idx._unit
     n = len(idx)
     if m >= n:
-        windows = [range(n)] * len(qvs)
+        windows = [np.arange(n)] * len(qvs)
     else:
         # Phase 1 picks a window per query from a product over a block of
         # queries; phase 2 re-scores it with row-wise dots, the scores every
@@ -171,25 +186,81 @@ def retrieve_batch(
             approx = np.stack(qvs[start : start + block]) @ unit.T
             edge = np.partition(approx, n - m, axis=1)[:, n - m]
             keep = approx >= (edge - margin)[:, None]
-            windows.extend(np.flatnonzero(row).tolist() for row in keep)
+            windows.extend(np.flatnonzero(row) for row in keep)
     found = []
     for qv, window in zip(qvs, windows):
-        scored = [(i, float(unit[i] @ qv)) for i in window]
-        scored.sort(key=lambda p: (-p[1], idx.cases[p[0]].id))
-        found.append(
-            [RetrievalCandidate(case=idx.cases[i], similarity=sim) for i, sim in scored[:m]]
-        )
+        # vecdot takes one dot product per row, the same one a 1-D
+        # unit[i] @ qv takes, so the similarities keep their bits; a
+        # matrix-vector product unit[window] @ qv rounds differently.
+        sims = np.vecdot(unit[window], qv)
+        order = np.lexsort((idx.table.id_rank[window], -sims))[:m]
+        found.append((window[order], sims[order]))
     return found
 
 
-def _unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
+def unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
+    """The query scaled to unit norm; raises unless it has the index's
+    dimension and a finite, non-zero norm."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (idx.dim,):
         raise DimensionMismatch(f"query dim {q.shape} does not match index ({idx.dim},)")
     qn = float(np.linalg.norm(q))
+    if not np.isfinite(qn):
+        raise NonFiniteVector("query has no finite norm")
     if qn == 0.0:
         raise ZeroVector("query is a zero vector")
     return q / qn
+
+
+def postprocess_rows(
+    table: CaseTable,
+    rows: np.ndarray,
+    sims: np.ndarray,
+    query: SurgicalCase,
+    k: int,
+) -> ReferenceSet:
+    """Refine candidate rows of the table, in descending similarity order
+    with their similarities, into at most k references.
+
+    Stages, in order: take the first tier of the stratum walk with >= k
+    candidates (else the most specific non-empty one); remove duration
+    outliers outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (skipped when <= 4
+    survivors, where quartiles are unstable); keep the top k by similarity.
+    """
+    if len(rows) == 0:
+        raise NoCandidates("postprocess received no candidates")
+    if k < 1:
+        raise SpecError(f"reference count must be >= 1, got {k}")
+
+    # The unfiltered tier holds every candidate, so some tier is non-empty.
+    first_nonempty = None
+    for level, tier, mask in table.walk(query, rows):
+        size = int(np.count_nonzero(mask))
+        if size >= k:
+            break
+        if size and first_nonempty is None:
+            first_nonempty = level, tier, mask
+    else:
+        level, tier, mask = first_nonempty
+    rows, sims = rows[mask], sims[mask]
+
+    bounds = None
+    if len(rows) > 4:
+        durations = table.durations[rows]
+        q1, q3 = np.percentile(durations, [25.0, 75.0])
+        iqr = q3 - q1
+        bounds = (float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr))
+        inside = (bounds[0] <= durations) & (durations <= bounds[1])
+        rows, sims = rows[inside], sims[inside]
+
+    return ReferenceSet(
+        references=tuple(
+            (table.cases[i], s) for i, s in zip(rows[:k].tolist(), sims[:k].tolist())
+        ),
+        fallback_level=level,
+        stratum_descriptor=describe_tier(query, tier),
+        iqr_bounds=bounds,
+    )
 
 
 def postprocess(
@@ -198,45 +269,11 @@ def postprocess(
     k: int,
     key_attributes: tuple[str, ...],
 ) -> ReferenceSet:
-    """Refine expanded candidates into at most k references.
-
-    Stages, in order: take the first tier of the stratum walk with >= k
-    candidates (else the most specific non-empty one); remove duration
-    outliers outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (skipped when <= 4
-    survivors, where quartiles are unstable); keep the top k by similarity.
-    """
-    if not candidates:
-        raise NoCandidates("postprocess received no candidates")
-    if k < 1:
-        raise SpecError(f"reference count must be >= 1, got {k}")
-
-    # The unfiltered tier holds every candidate, so some tier is non-empty.
-    first_nonempty = None
-    for level, tier, survivors in walk(query, candidates, key_attributes, lambda c: c.case):
-        if len(survivors) >= k:
-            break
-        if survivors and first_nonempty is None:
-            first_nonempty = level, tier, survivors
-    else:
-        level, tier, survivors = first_nonempty
-
-    bounds = None
-    if len(survivors) > 4:
-        durations = np.array([c.case.duration_min for c in survivors])
-        q1, q3 = np.percentile(durations, [25.0, 75.0])
-        iqr = q3 - q1
-        bounds = (float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr))
-        survivors = [
-            c for c in survivors if bounds[0] <= c.case.duration_min <= bounds[1]
-        ]
-
-    top = survivors[:k]
-    return ReferenceSet(
-        references=tuple((c.case, c.similarity) for c in top),
-        fallback_level=level,
-        stratum_descriptor=describe_tier(query, tier),
-        iqr_bounds=bounds,
-    )
+    """postprocess_rows over a candidate list, in descending similarity
+    order, with key_attributes as the ladder's keys."""
+    table = CaseTable([c.case for c in candidates], key_attributes)
+    sims = np.array([c.similarity for c in candidates], dtype=np.float64)
+    return postprocess_rows(table, np.arange(len(candidates)), sims, query, k)
 
 
 def save_index(idx: FlatIndex) -> bytes:
@@ -278,7 +315,7 @@ def load_index(raw: bytes) -> FlatIndex:
             )
             for item in payload["cases"]
         ]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, SchemaError) as exc:
         raise ArtifactError(f"index file has a corrupt case payload: {exc}") from exc
     if len(cases) != count:
         raise ArtifactError(f"index header count {count} != payload count {len(cases)}")

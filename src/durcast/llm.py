@@ -35,8 +35,14 @@ from .prompting import Prompt
 DEFAULT_MAX_MINUTES = 810.0
 DEFAULT_CONCURRENCY = 10
 
-_SENTINEL = re.compile(r"PREDICTION\s*:\s*(\d+(?:\.\d+)?)", re.IGNORECASE)
-_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+# A quantity: an optional minus sign, a number (commas before groups of
+# three digits separate thousands), an optional range end after "-" or an
+# en dash, and an optional hours unit. A standalone quantity does not start
+# inside a number, and a hyphen after a word (as in "ASA-3") is no sign.
+_NUM = r"\d+(?:,\d{3}(?!\d))*(?:\.\d+)?"
+_REST = rf"({_NUM})(?:\s*[-\u2013]\s*({_NUM}))?(\s*h(?:ours?|rs?)?\b)?"
+_SENTINEL = re.compile(r"PREDICTION\s*:\s*(-?)\s*" + _REST, re.IGNORECASE)
+_NUMBER = re.compile(r"(?:(?<![\w.,])(-)\s*|(?<![\d.,]))" + _REST, re.IGNORECASE)
 
 
 def stable_seed(*parts) -> int:
@@ -56,18 +62,34 @@ def schedule_temperatures(n: int, seed: int) -> list[float]:
 
 
 def _extract_number(raw: str) -> float:
-    sentinel_hits = _SENTINEL.findall(raw)
-    if sentinel_hits:
-        return float(sentinel_hits[-1])
-    number_hits = _NUMBER.findall(raw)
-    if number_hits:
-        return float(number_hits[-1])
-    raise UnparseableOutput(f"no number found in completion: {raw!r}")
+    hits = _SENTINEL.findall(raw) or _NUMBER.findall(raw)
+    if not hits:
+        raise UnparseableOutput(f"no number found in completion: {raw!r}")
+    sign, low, high, hours = hits[-1]
+    if sign:
+        raise UnparseableOutput(f"negative duration in completion: {raw!r}")
+    minutes = float(low.replace(",", ""))
+    if high:
+        minutes = (minutes + float(high.replace(",", ""))) / 2.0
+    return minutes * 60.0 if hours else minutes
 
 
 def parse_duration(raw: str, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
-    """Minutes from a completion: the value after the last PREDICTION:
-    sentinel, else the last standalone number; clamped to [1, max_minutes]."""
+    """Minutes from a completion, clamped to [1, max_minutes].
+
+    The quantity read is the one after the last PREDICTION: sentinel that
+    is followed by one, else the last quantity in the text. Rules:
+    - commas between groups of three digits separate thousands
+      ("1,200" is 1200);
+    - a number followed by h, hr, hrs, hour or hours is in hours
+      ("2 hours" is 120, "1.5 h" is 90); any other number is in minutes;
+    - two numbers joined by "-" or an en dash are a range, read as its
+      midpoint ("90-120 minutes" is 105); "90 to 100" is no range, so the
+      last number, 100, is read;
+    - a minus sign before the number ("PREDICTION: -5") makes the reply
+      unparseable, as does text with no number: UnparseableOutput, so the
+      round is retried.
+    """
     return float(min(max(_extract_number(raw), 1.0), max_minutes))
 
 

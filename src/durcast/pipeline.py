@@ -166,7 +166,7 @@ class Pipeline:
         self.encoder = encoder
         self.weights = weights
         self.index = flat_index
-        self.priors = PriorIndex(self.train_cases(), fit_config.min_cohort)
+        self.priors = PriorIndex(flat_index.table, fit_config.min_cohort)
         self.fit_config = fit_config
         self.schema = encoder.schema
 
@@ -214,11 +214,13 @@ class Pipeline:
         postprocess: bool = True,
     ) -> tuple[ReferenceSet, list[RetrievalCandidate]]:
         """Expanded retrieval then clinical refinement (or a plain top-k
-        cut when postprocessing is disabled)."""
+        cut when postprocessing is disabled), with the expanded candidates
+        the references were picked from."""
         found = self.retrieve_references_batch([case], k, expansion_factor, postprocess)[0]
         if isinstance(found, DurcastError):
             raise found
-        return found
+        refs, (rows, sims) = found
+        return refs, index_mod.as_candidates(self.index, rows, sims)
 
     def retrieve_references_batch(
         self,
@@ -226,11 +228,13 @@ class Pipeline:
         k: int = DEFAULT_K,
         expansion_factor: int = DEFAULT_EXPANSION,
         postprocess: bool = True,
-    ) -> list[tuple[ReferenceSet, list[RetrievalCandidate]] | DurcastError]:
+    ) -> list[tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]] | DurcastError]:
         """retrieve_references for each case, in order, with one
-        index.retrieve_batch call for all of them. A case whose embedding or
-        retrieval raises a DurcastError gets that error in its place, so
-        one bad case leaves the others answered."""
+        index.retrieve_batch call for all of them; each answer holds the
+        candidates as (index rows, similarities) arrays. A case whose query
+        vector cannot be computed or retrieved (wrong dimension, non-finite
+        or zero norm) gets that DurcastError in its place, so one bad case
+        leaves the others answered."""
         if expansion_factor < 1:
             raise SpecError(f"expansion factor must be >= 1, got {expansion_factor}")
         m = expansion_factor * k
@@ -238,27 +242,22 @@ class Pipeline:
         vectors: dict[int, np.ndarray] = {}
         for i, case in enumerate(cases):
             try:
-                vectors[i] = self.embed_query(case)
+                vec = self.embed_query(case)
+                # the checks retrieve_batch makes, so the batch cannot fail
+                index_mod.unit_query(self.index, vec)
             except DurcastError as exc:
                 out[i] = exc
-        try:
-            batch = index_mod.retrieve_batch(self.index, list(vectors.values()), m)
-            found = dict(zip(vectors, batch))
-        except DurcastError:
-            # Some query cannot be retrieved: retrieve each on its own, so
-            # only the cases that raise fail.
-            found = {}
-            for i, vec in vectors.items():
-                try:
-                    found[i] = index_mod.retrieve(self.index, vec, m)
-                except DurcastError as exc:
-                    out[i] = exc
-        for i, candidates in found.items():
-            if postprocess:
-                refs = index_mod.postprocess(candidates, cases[i], k, self.schema.key_attributes)
             else:
-                refs = self._unstratified((c.case, c.similarity) for c in candidates[:k])
-            out[i] = (refs, candidates)
+                vectors[i] = vec
+        batch = index_mod.retrieve_batch(self.index, list(vectors.values()), m)
+        for i, (rows, sims) in zip(vectors, batch):
+            if postprocess:
+                refs = index_mod.postprocess_rows(self.index.table, rows, sims, cases[i], k)
+            else:
+                refs = self._unstratified(
+                    (self.index.cases[r], s) for r, s in zip(rows[:k].tolist(), sims[:k].tolist())
+                )
+            out[i] = (refs, (rows, sims))
         return out
 
     def random_references(self, case: SurgicalCase, k: int, seed: int) -> ReferenceSet:

@@ -1,12 +1,13 @@
 """Stratum-level duration statistics used as prompt context and Bayesian prior.
 
 The prior for a query is computed over the first stratum of the shared
-ladder walk (strata.walk, the same walk as retrieval post-processing) that
-contains at least min_cohort cases; the unfiltered tier always qualifies as
-the final fallback. The prior mean for Bayesian aggregation is the stratum
-median, which is robust to the long right tail of surgical durations.
-Priors are a pure function of the training cases and min_cohort, so they
-are computed on first use per stratum and never persisted.
+ladder walk (CaseTable.walk, the same walk as retrieval post-processing)
+that contains at least min_cohort cases; the unfiltered tier always
+qualifies as the final fallback. The prior mean for Bayesian aggregation is
+the stratum median, which is robust to the long right tail of surgical
+durations. Priors are a pure function of the training cases and
+min_cohort, so they are computed on first use per stratum and never
+persisted.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, SpecError
 from .schema import CaseSet, SurgicalCase
-from .strata import describe_tier, walk
+from .strata import CaseTable, describe_tier
 
 DEFAULT_MIN_COHORT = 5
 
@@ -32,10 +33,6 @@ class StatisticalPrior:
     cohort_size: int
     stratum_descriptor: str
     fallback_level: int
-
-    @property
-    def mu_prior(self) -> float:
-        return self.median_min
 
 
 def _stats_over(durations: np.ndarray, descriptor: str, level: int) -> StatisticalPrior:
@@ -52,26 +49,29 @@ def _stats_over(durations: np.ndarray, descriptor: str, level: int) -> Statistic
     )
 
 
+def stratum_prior(table: CaseTable, query: SurgicalCase, min_cohort: int) -> StatisticalPrior:
+    """Statistics of the table's most specific stratum holding >= min_cohort
+    cases, over its durations in table order.
+
+    Quartiles use linear interpolation; variance is the population variance.
+    """
+    # With no tier of min_cohort cases the loop ends on the unfiltered tier.
+    for level, tier, mask in table.walk(query, np.arange(len(table))):
+        if np.count_nonzero(mask) >= min_cohort:
+            break
+    return _stats_over(table.durations[mask], describe_tier(query, tier), level)
+
+
 def compute_prior(
     query: SurgicalCase, train: CaseSet, min_cohort: int = DEFAULT_MIN_COHORT
 ) -> StatisticalPrior:
-    """Statistics of the most specific stratum holding >= min_cohort cases.
-
-    Quartiles use linear interpolation; variance is the population variance.
-    Training cases without a recorded duration are ignored.
-    """
+    """stratum_prior over the training cases that have a recorded duration."""
     if min_cohort < 1:
         raise SpecError(f"min_cohort must be >= 1, got {min_cohort}")
     with_duration = [c for c in train.cases if c.duration_min is not None]
     if not with_duration:
         raise EmptyTrainingSet("prior needs at least one training duration")
-
-    # With no tier of min_cohort cases the loop ends on the unfiltered tier.
-    for level, tier, cohort in walk(query, with_duration, train.schema.key_attributes):
-        if len(cohort) >= min_cohort:
-            break
-    durations = np.array([c.duration_min for c in cohort])
-    return _stats_over(durations, describe_tier(query, tier), level)
+    return stratum_prior(CaseTable(with_duration, train.schema.key_attributes), query, min_cohort)
 
 
 def prior_strength(
@@ -95,28 +95,27 @@ def prior_strength(
 
 
 class PriorIndex:
-    """Cache of priors keyed by the query's key-attribute values.
+    """Cache of priors over a case table, keyed by the query's key-attribute
+    values.
 
-    Computing a prior scans the training set once, on the first lookup of
-    its key; evaluation issues the same stratum lookups repeatedly, so
-    results are memoized. Lookups agree exactly with compute_prior on the
-    same training set.
+    A prior's stratum is found by one walk over the whole table, on the
+    first lookup of its key; evaluation issues the same stratum lookups
+    repeatedly, so results are memoized. Every table case must have a
+    recorded duration (an index's table does).
     """
 
-    def __init__(self, train: CaseSet, min_cohort: int = DEFAULT_MIN_COHORT):
+    def __init__(self, table: CaseTable, min_cohort: int = DEFAULT_MIN_COHORT):
         self.min_cohort = min_cohort
-        self._train = train
+        self._table = table
         self._cache: dict[tuple, StatisticalPrior] = {}
 
     def key_for(self, query: SurgicalCase) -> tuple:
-        return tuple(
-            (attr, query.values.get(attr)) for attr in self._train.schema.key_attributes
-        )
+        return tuple((attr, query.values.get(attr)) for attr in self._table.key_attributes)
 
     def for_query(self, query: SurgicalCase) -> StatisticalPrior:
         key = self.key_for(query)
         hit = self._cache.get(key)
         if hit is None:
-            hit = compute_prior(query, self._train, self.min_cohort)
+            hit = stratum_prior(self._table, query, self.min_cohort)
             self._cache[key] = hit
         return hit

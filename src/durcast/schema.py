@@ -26,6 +26,7 @@ dropped.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,12 +102,12 @@ class FeatureSchema:
         return yaml.safe_dump(self.to_doc(), sort_keys=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgicalCase:
     """One record: feature values plus the observed duration in minutes.
 
-    Query cases may omit the duration. Missing feature values are stored
-    as None under their key.
+    Query cases may omit the duration; a recorded one is positive and
+    finite. Missing feature values are stored as None under their key.
     """
 
     id: str
@@ -114,8 +115,8 @@ class SurgicalCase:
     duration_min: float | None = None
 
     def __post_init__(self):
-        if self.duration_min is not None and not self.duration_min > 0:
-            raise SchemaError(f"case {self.id!r}: duration must be positive")
+        if self.duration_min is not None and not 0 < self.duration_min < math.inf:
+            raise SchemaError(f"case {self.id!r}: duration must be positive and finite")
 
 
 @dataclass
@@ -189,9 +190,12 @@ def _parse_cell(raw: str, kind: str, row: int, name: str) -> Value:
         return None
     if kind == "numerical":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise RowError(row, f"feature {name!r}: not a number: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise RowError(row, f"feature {name!r}: not a finite number: {raw!r}")
+        return value
     return raw
 
 
@@ -199,9 +203,10 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     """Read a dataset CSV into a CaseSet.
 
     Each data row becomes one SurgicalCase. Numerical cells are parsed to
-    float; all other kinds stay raw strings. Blank cells become None. An
-    unparseable numeric or duration raises RowError with the 1-based data
-    row index.
+    float; all other kinds stay raw strings. Blank cells become None. A
+    numeric cell or duration that is unparseable or not finite (nan, inf),
+    or a duration that is not positive, raises RowError with the 1-based
+    data row index.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -228,8 +233,6 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                         duration = float(raw_dur)
                     except ValueError as exc:
                         raise RowError(i, f"duration not a number: {raw_dur!r}") from exc
-                    if not duration > 0:
-                        raise RowError(i, f"duration must be positive, got {duration}")
                 case_id = rec.get(schema.id_column) or f"row-{i:06d}"
                 try:
                     cases.append(SurgicalCase(id=case_id, values=values, duration_min=duration))

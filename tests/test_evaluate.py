@@ -16,6 +16,7 @@ from durcast.errors import (
     NonPositiveTruth,
     PromptTooLong,
     SpecError,
+    NonFiniteVector,
     TooFewSamples,
     ZeroVector,
 )
@@ -374,6 +375,21 @@ class TestBatchedRetrieval:
         assert lines[:2] + lines[3:] == clean[:2] + clean[3:]
         with pytest.raises(ZeroVector):
             pipe.retrieve_references(cases.cases[2], k=8)
+
+
+    @pytest.mark.parametrize("age", [math.inf, math.nan])
+    def test_non_finite_query_isolated(self, synthetic_split, tmp_path, age):
+        train, pipe, test = synthetic_split
+        cases = list(test.cases[:6])
+        cases[3] = replace(cases[3], values={**cases[3].values, "age": age})
+        out = tmp_path / "cases.jsonl"
+        report = run_experiment(self.cfg(), train, CaseSet(cases, test.schema),
+                                pipeline=pipe, jsonl_path=out)
+        assert (report.m, report.failed) == (5, 1)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[3]) == {"id": cases[3].id, "error": "NonFiniteVector"}
+        with pytest.raises(NonFiniteVector):
+            pipe.retrieve_references(cases[3], k=8)
 
 
 class TestGlobalMedianBaseline:

@@ -1,5 +1,6 @@
 """Flat cosine index: exact retrieval, clinical post-processing, binary
-round trip."""
+round trip. The linear scan, object post-processing and object prior below
+are the reference implementations the table path must equal."""
 
 import struct
 from unittest import mock
@@ -18,22 +19,26 @@ from durcast.errors import (
     EmptyInput,
     MissingDuration,
     NoCandidates,
+    NonFiniteVector,
     SpecError,
     ZeroVector,
 )
 from durcast.index import (
     FlatIndex,
+    ReferenceSet,
     RetrievalCandidate,
     build,
-    cosine_similarity,
     index_case_set,
     load_index,
     postprocess,
+    postprocess_rows,
     retrieve,
     retrieve_batch,
     save_index,
 )
-from durcast.schema import FeatureSchema, SurgicalCase
+from durcast.priors import PriorIndex, StatisticalPrior, compute_prior
+from durcast.schema import CaseSet, FeatureSchema, SurgicalCase
+from durcast.strata import describe_tier, ladder
 
 
 def simple_index(vectors, ids=None, durations=None):
@@ -44,21 +49,6 @@ def simple_index(vectors, ids=None, durations=None):
         for v, i, d in zip(vectors, ids, durations)
     ]
     return build(entries, small_schema())
-
-
-class TestCosine:
-    def test_known_values(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-        assert cosine_similarity([1.0, 1.0], [2.0, 2.0]) == pytest.approx(1.0)
-        assert cosine_similarity([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_rejects_zero_vectors(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 class TestBuild:
@@ -77,6 +67,15 @@ class TestBuild:
     def test_rejects_zero_vector(self):
         with pytest.raises(ZeroVector):
             build([(np.zeros(3), mk_case("a", 60.0))], small_schema())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        entries = [
+            (np.ones(3), mk_case("a", 60.0)),
+            (np.array([1.0, bad, 0.0]), mk_case("b", 60.0)),
+        ]
+        with pytest.raises(NonFiniteVector, match="'b'"):
+            build(entries, small_schema())
 
     def test_rejects_case_without_duration(self):
         entries = [(np.ones(3), mk_case("a", 60.0)), (np.ones(3), mk_case("b", None))]
@@ -128,18 +127,34 @@ class TestRetrieve:
         with pytest.raises(DimensionMismatch):
             retrieve(idx, np.ones(3), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_query(self, bad):
+        idx = simple_index([[1.0, 0.0]])
+        with pytest.raises(NonFiniteVector):
+            retrieve(idx, np.array([1.0, bad]), 1)
+
     def test_rejects_empty_index(self):
         idx = FlatIndex(np.zeros((0, 2)), [], small_schema())
         with pytest.raises(EmptyIndex):
             retrieve(idx, np.ones(2), 1)
 
 
-def linear_scan(idx, query, m):
+def scan_candidates(idx, query, m):
     """Reference retrieval: one row dot per stored case, then a full sort."""
     qv = query / float(np.linalg.norm(query))
     sims = [float(row @ qv) for row in idx._unit]
     order = sorted(range(len(idx)), key=lambda i: (-sims[i], idx.cases[i].id))
-    return [(idx.cases[i].id, sims[i]) for i in order[:m]]
+    return [RetrievalCandidate(case=idx.cases[i], similarity=sims[i]) for i in order[:m]]
+
+
+def linear_scan(idx, query, m):
+    return [(c.case.id, c.similarity) for c in scan_candidates(idx, query, m)]
+
+
+def as_pairs(idx, found):
+    """A retrieve_batch answer as (id, similarity) pairs."""
+    rows, sims = found
+    return [(idx.cases[i].id, s) for i, s in zip(rows.tolist(), sims.tolist())]
 
 
 def tie_heavy_index(rng, dim, n):
@@ -192,7 +207,7 @@ class TestRetrieveEqualsLinearScan:
         assert len(batch) == len(queries)
         for query, found in zip(queries, batch):
             expected = linear_scan(idx, query, m)
-            assert [(c.case.id, c.similarity) for c in found] == expected
+            assert as_pairs(idx, found) == expected
             assert [(c.case.id, c.similarity) for c in retrieve(idx, query, m)] == expected
 
 
@@ -213,7 +228,7 @@ class TestRetrieveBatch:
             batch = retrieve_batch(idx, queries, m)
             assert len(batch) == len(queries)
             for query, found in zip(queries, batch):
-                got = [(c.case.id, c.similarity) for c in found]
+                got = as_pairs(idx, found)
                 assert got == linear_scan(idx, query, m)
                 assert got == [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
 
@@ -221,8 +236,8 @@ class TestRetrieveBatch:
         rng = np.random.default_rng(7)
         idx, anchors = tie_heavy_index(rng, 64, 120)
         queries = [anchors[0], rng.normal(size=64), anchors[2], rng.normal(size=64)]
-        forward = retrieve_batch(idx, queries, 9)
-        backward = retrieve_batch(idx, queries[::-1], 9)
+        forward = [as_pairs(idx, f) for f in retrieve_batch(idx, queries, 9)]
+        backward = [as_pairs(idx, f) for f in retrieve_batch(idx, queries[::-1], 9)]
         assert backward == forward[::-1]
 
     def test_empty_query_list(self):
@@ -239,7 +254,7 @@ class TestRetrieveBatch:
             batch = retrieve_batch(idx, queries, m)
             assert len(batch) == len(queries)
             for query, found in zip(queries, batch):
-                assert [(c.case.id, c.similarity) for c in found] == linear_scan(idx, query, m)
+                assert as_pairs(idx, found) == linear_scan(idx, query, m)
 
     def test_one_bad_query_rejects_the_batch(self):
         idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
@@ -247,6 +262,8 @@ class TestRetrieveBatch:
             retrieve_batch(idx, [np.ones(2), np.zeros(2)], 1)
         with pytest.raises(DimensionMismatch):
             retrieve_batch(idx, [np.ones(2), np.ones(3)], 1)
+        with pytest.raises(NonFiniteVector):
+            retrieve_batch(idx, [np.ones(2), np.array([np.nan, 1.0])], 1)
         with pytest.raises(SpecError):
             retrieve_batch(idx, [np.ones(2)], 0)
 
@@ -345,6 +362,151 @@ class TestPostprocess:
         assert [s for _, s in refs.references] == sims[:3]
 
 
+def oracle_walk(query, items, key_attributes, case_of=lambda item: item):
+    """The stratum walk over objects: per-case string compares."""
+    for level, tier in enumerate(ladder(key_attributes)):
+        if all(query.values.get(attr) is not None for attr in tier):
+            yield level, tier, [
+                it
+                for it in items
+                if all(
+                    case_of(it).values.get(attr) is not None
+                    and str(case_of(it).values[attr]) == str(query.values[attr])
+                    for attr in tier
+                )
+            ]
+
+
+def oracle_postprocess(candidates, query, k, key_attributes):
+    """Post-processing over RetrievalCandidate objects, stage by stage."""
+    first_nonempty = None
+    for level, tier, survivors in oracle_walk(
+        query, candidates, key_attributes, lambda c: c.case
+    ):
+        if len(survivors) >= k:
+            break
+        if survivors and first_nonempty is None:
+            first_nonempty = level, tier, survivors
+    else:
+        level, tier, survivors = first_nonempty
+    bounds = None
+    if len(survivors) > 4:
+        durations = np.array([c.case.duration_min for c in survivors])
+        q1, q3 = np.percentile(durations, [25.0, 75.0])
+        iqr = q3 - q1
+        bounds = (float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr))
+        survivors = [c for c in survivors if bounds[0] <= c.case.duration_min <= bounds[1]]
+    return ReferenceSet(
+        references=tuple((c.case, c.similarity) for c in survivors[:k]),
+        fallback_level=level,
+        stratum_descriptor=describe_tier(query, tier),
+        iqr_bounds=bounds,
+    )
+
+
+def oracle_prior(query, cases, key_attributes, min_cohort):
+    """The stratum prior over objects, in case order."""
+    for level, tier, cohort in oracle_walk(query, cases, key_attributes):
+        if len(cohort) >= min_cohort:
+            break
+    d = np.array([c.duration_min for c in cohort])
+    q1, q3 = np.percentile(d, [25.0, 75.0])
+    return StatisticalPrior(
+        median_min=float(np.median(d)),
+        mean_min=float(d.mean()),
+        range_min=(float(d.min()), float(d.max())),
+        iqr_min=(float(q1), float(q3)),
+        variance_min2=float(d.var()),
+        cohort_size=len(d),
+        stratum_descriptor=describe_tier(query, tier),
+        fallback_level=level,
+    )
+
+
+# Key values: None (missing), ints, floats and strings equal as strings
+# ("1" and 1), and a query-only value no case has.
+_KEY_VALUES = st.sampled_from([None, 1, "1", 2, "2", 1.0, "x", "y"])
+_QUERY_VALUES = st.one_of(_KEY_VALUES, st.just("unseen"), st.just(7))
+
+
+class TestTablePathEqualsObjectOracle:
+    KEYS = small_schema().key_attributes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([3, 64]),
+        keys=st.lists(st.tuples(*[_KEY_VALUES] * 3), min_size=2, max_size=70),
+        id_pool=st.integers(1, 80),
+        durations=st.lists(st.sampled_from([30.0, 45.0, 60.0, 61.5, 90.0, 400.0]), min_size=1),
+        queries=st.lists(st.tuples(*[_QUERY_VALUES] * 3), min_size=1, max_size=5),
+        k=st.integers(1, 12),
+        expansion=st.integers(1, 10),
+        min_cohort=st.integers(1, 8),
+    )
+    def test_references_and_priors(
+        self, seed, dim, keys, id_pool, durations, queries, k, expansion, min_cohort
+    ):
+        rng = np.random.default_rng(seed)
+        n = len(keys)
+        # duplicate ids (from a small pool), duplicate durations, and rows
+        # that repeat or nudge (by 1e-14) one direction: exact and near ties
+        anchor = rng.normal(size=dim)
+        vectors = rng.normal(size=(n, dim))
+        for i in range(0, n, 3):
+            vectors[i] = anchor * (0.5, 2.0)[i % 2]
+            if i % 9 == 6:
+                vectors[i][i % dim] *= 1.0 + 1e-14
+        cases = [
+            SurgicalCase(
+                id=f"c{int(rng.integers(id_pool))}",
+                values=dict(zip(self.KEYS, key_values)),
+                duration_min=durations[i % len(durations)],
+            )
+            for i, key_values in enumerate(keys)
+        ]
+        idx = build(list(zip(vectors, cases)), small_schema())
+        query_vectors = [anchor if j % 2 else rng.normal(size=dim) for j in range(len(queries))]
+        query_cases = [
+            SurgicalCase(id=f"q{j}", values=dict(zip(self.KEYS, values)))
+            for j, values in enumerate(queries)
+        ]
+        m = k * expansion  # k >= m and m >= n both occur
+        priors = PriorIndex(idx.table, min_cohort)
+        train = CaseSet(cases=cases, schema=small_schema())
+        for q, vec, (rows, sims) in zip(
+            query_cases, query_vectors, retrieve_batch(idx, query_vectors, m)
+        ):
+            candidates = scan_candidates(idx, vec, m)
+            assert as_pairs(idx, (rows, sims)) == [(c.case.id, c.similarity) for c in candidates]
+            got = postprocess_rows(idx.table, rows, sims, q, k)
+            want = oracle_postprocess(candidates, q, k, self.KEYS)
+            assert [(c.id, s) for c, s in got.references] == [
+                (c.id, s) for c, s in want.references
+            ]
+            assert got == want
+            assert postprocess(candidates, q, k, self.KEYS) == want
+            want_prior = oracle_prior(q, cases, self.KEYS, min_cohort)
+            assert priors.for_query(q) == want_prior
+            assert compute_prior(q, train, min_cohort) == want_prior
+
+
+class TestVecdot:
+    @pytest.mark.parametrize("dim", [3, 17, 64, 256, 549, 1000])
+    def test_equals_row_dots(self, dim):
+        """Phase 2 re-scores a window with np.vecdot; it must round like the
+        per-row dot unit[i] @ qv of the linear scan."""
+        rng = np.random.default_rng(dim)
+        unit = rng.normal(size=(300, dim))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        for _ in range(40):
+            qv = rng.normal(size=dim)
+            qv /= np.linalg.norm(qv)
+            window = np.sort(rng.choice(300, size=int(rng.integers(1, 120)), replace=False))
+            want = [float(unit[i] @ qv) for i in window]
+            assert np.vecdot(unit[window], qv).tolist() == want
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(9)
@@ -389,6 +551,14 @@ class TestSerialization:
     def test_case_without_duration_rejected(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
         blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": null')
+        raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
+        with pytest.raises(ArtifactError, match="corrupt"):
+            load_index(raw)
+
+    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0"])
+    def test_non_finite_or_negative_duration_rejected(self, bad):
+        raw = save_index(simple_index([[1.0, 0.0]]))
+        blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": ' + bad)
         raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
         with pytest.raises(ArtifactError, match="corrupt"):
             load_index(raw)

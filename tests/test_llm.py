@@ -65,6 +65,26 @@ class TestParseDuration:
     def test_clamps_to_floor(self):
         assert parse_duration("PREDICTION: 0 minutes") == 1.0
 
+    def test_thousands_separator(self):
+        assert parse_duration("PREDICTION: 1,200 minutes", max_minutes=2000.0) == 1200.0
+        assert parse_duration("about 1,200 minutes", max_minutes=2000.0) == 1200.0
+
+    def test_hours(self):
+        assert parse_duration("PREDICTION: 2 hours") == 120.0
+        assert parse_duration("1.5 h") == 90.0
+        assert parse_duration("PREDICTION: 3 hrs") == 180.0
+        assert parse_duration("PREDICTION: 2 hospital days") == 2.0
+
+    def test_negative_is_unparseable(self):
+        with pytest.raises(UnparseableOutput, match="negative"):
+            parse_duration("PREDICTION: -5")
+        # a hyphen after a word is no sign
+        assert parse_duration("ASA-3, about 95 minutes") == 95.0
+
+    def test_range_reads_midpoint(self):
+        assert parse_duration("PREDICTION: 90-120 minutes") == 105.0
+        assert parse_duration("PREDICTION: 1\u20132 hours") == 90.0
+
     def test_rejects_numberless_text(self):
         with pytest.raises(UnparseableOutput):
             parse_duration("I cannot answer that.")

@@ -8,6 +8,11 @@ from durcast import priors as priors_mod
 from durcast.errors import EmptyTrainingSet, SpecError
 from durcast.priors import PriorIndex, compute_prior, prior_strength
 from durcast.schema import CaseSet
+from durcast.strata import CaseTable
+
+
+def table_of(corpus):
+    return CaseTable(corpus.cases, corpus.schema.key_attributes)
 
 
 def thyroid_query():
@@ -79,10 +84,6 @@ class TestComputePrior:
         with pytest.raises(SpecError):
             compute_prior(thyroid_query(), tiny_corpus(), min_cohort=0)
 
-    def test_mu_prior_is_median(self):
-        prior = compute_prior(thyroid_query(), tiny_corpus())
-        assert prior.mu_prior == prior.median_min == 130.0
-
 
 class TestPriorStrength:
     def test_fixed(self):
@@ -111,29 +112,29 @@ class TestPriorStrength:
 class TestPriorIndex:
     def test_agrees_with_compute_prior(self):
         corpus = tiny_corpus()
-        cache = PriorIndex(corpus, min_cohort=5)
+        cache = PriorIndex(table_of(corpus), min_cohort=5)
         assert cache.for_query(thyroid_query()) == compute_prior(
             thyroid_query(), corpus, min_cohort=5
         )
 
     def test_memoizes_by_key_values(self, monkeypatch):
         corpus = tiny_corpus()
-        cache = PriorIndex(corpus, min_cohort=5)
+        cache = PriorIndex(table_of(corpus), min_cohort=5)
         calls = []
-        real = priors_mod.compute_prior
+        real = priors_mod.stratum_prior
 
-        def counting(query, train, min_cohort):
+        def counting(table, query, min_cohort):
             calls.append(query.id)
-            return real(query, train, min_cohort)
+            return real(table, query, min_cohort)
 
-        monkeypatch.setattr(priors_mod, "compute_prior", counting)
+        monkeypatch.setattr(priors_mod, "stratum_prior", counting)
         cache.for_query(thyroid_query())
         cache.for_query(mk_case("other-id", department="thyroid_breast",
                                 surgery="thyroidectomy", level="II"))
         assert calls == ["q"]  # second query shares the key tuple
 
     def test_key_for(self):
-        cache = PriorIndex(tiny_corpus())
+        cache = PriorIndex(table_of(tiny_corpus()))
         assert cache.key_for(thyroid_query()) == (
             ("department", "thyroid_breast"),
             ("surgery_name", "thyroidectomy"),

@@ -122,6 +122,9 @@ class TestCases:
             SurgicalCase(id="x", values={}, duration_min=0.0)
         with pytest.raises(SchemaError):
             SurgicalCase(id="x", values={}, duration_min=-5.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(SchemaError, match="finite"):
+                SurgicalCase(id="x", values={}, duration_min=bad)
         assert SurgicalCase(id="x", values={}, duration_min=None).duration_min is None
 
     def test_validate_rejects_foreign_values(self):
@@ -209,6 +212,27 @@ class TestIngestCsv:
             encoding="utf-8",
         )
         with pytest.raises(RowError, match="positive"):
+            ingest_csv(path, self._schema())
+
+    @pytest.mark.parametrize(
+        ("age", "duration", "match"),
+        [
+            ("nan", "60", "age"),
+            ("inf", "60", "age"),
+            ("-Infinity", "60", "age"),
+            ("40", "inf", "duration"),
+            ("40", "nan", "duration"),
+        ],
+    )
+    def test_non_finite_values(self, tmp_path, age, duration, match):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "case_id,age,surgery_level,department,emergency,note,duration_min\n"
+            "p1,40,I,urology,false,ok,60\n"
+            f"p2,{age},I,urology,false,ok,{duration}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RowError, match=f"row 2.*{match}.*finite"):
             ingest_csv(path, self._schema())
 
     def test_missing_feature_column(self, tmp_path):

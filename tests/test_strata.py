@@ -1,15 +1,20 @@
-"""Stratum ladder construction and tier matching."""
+"""Stratum ladder construction, the case table and its tier walk."""
+
+import numpy as np
 
 from conftest import mk_case
 from durcast.schema import SurgicalCase
-from durcast.strata import (
-    GLOBAL_STRATUM,
-    describe_tier,
-    ladder,
-    matches_tier,
-    tier_applicable,
-    walk,
-)
+from durcast.strata import MISSING, GLOBAL_STRATUM, CaseTable, describe_tier, ladder
+
+
+def walk_ids(query, cases, keys, rows=None):
+    """(level, tier, member ids) for each tier the table walk yields."""
+    table = CaseTable(cases, keys)
+    rows = np.arange(len(cases)) if rows is None else np.asarray(rows)
+    return [
+        (level, tier, [cases[i].id for i in rows[mask]])
+        for level, tier, mask in table.walk(query, rows)
+    ]
 
 
 def test_ladder_three_keys():
@@ -36,25 +41,53 @@ def test_ladder_no_keys():
 
 def test_applicability_requires_present_values():
     q = SurgicalCase(id="q", values={"a": "x", "b": None})
-    assert tier_applicable(q, ("a",))
-    assert not tier_applicable(q, ("a", "b"))
-    assert tier_applicable(q, ())
+    cases = [SurgicalCase(id="c", values={"a": "x", "b": "y"}, duration_min=60.0)]
+    assert [tier for _, tier, _ in walk_ids(q, cases, ("a", "b"))] == [("a",), ()]
 
 
 def test_matching_is_string_equality():
     q = mk_case("q", department="uro", surgery="turp")
     same = mk_case("c1", 60.0, department="uro", surgery="turp")
     other = mk_case("c2", 60.0, department="uro", surgery="nephrectomy")
-    tier = ("department", "surgery_name")
-    assert matches_tier(q, same, tier)
-    assert not matches_tier(q, other, tier)
-    assert matches_tier(q, other, ("department",))
+    steps = walk_ids(q, [same, other], ("department", "surgery_name"))
+    assert [ids for _, _, ids in steps] == [["c1"], ["c1", "c2"], ["c1", "c2"]]
+    # values equal as strings match whatever their type; unequal ones do not
+    cases = [
+        SurgicalCase(id=i, values={"a": v}, duration_min=60.0)
+        for i, v in (("int", 3), ("str", "3"), ("float", 3.0), ("bool", True))
+    ]
+    for value, members in ((3, ["int", "str"]), ("3.0", ["float"]), ("True", ["bool"])):
+        query = SurgicalCase(id="q", values={"a": value})
+        assert walk_ids(query, cases, ("a",))[0][2] == members
 
 
 def test_matching_rejects_missing_candidate_value():
     q = SurgicalCase(id="q", values={"a": "x"})
     candidate = SurgicalCase(id="c", values={"a": None}, duration_min=60.0)
-    assert not matches_tier(q, candidate, ("a",))
+    absent = SurgicalCase(id="d", values={}, duration_min=60.0)
+    assert walk_ids(q, [candidate, absent], ("a",))[0][2] == []
+
+
+def test_unseen_query_value_matches_nothing():
+    cases = [SurgicalCase(id="c", values={"a": None}, duration_min=60.0)]
+    q = SurgicalCase(id="q", values={"a": "never seen"})
+    assert walk_ids(q, cases, ("a",)) == [(0, ("a",), []), (1, (), ["c"])]
+
+
+def test_table_columns():
+    cases = [
+        SurgicalCase(id="b", values={"a": "x"}, duration_min=60.0),
+        SurgicalCase(id="a", values={"a": None}, duration_min=75.5),
+        SurgicalCase(id="b", values={"a": "y"}, duration_min=90.0),
+        SurgicalCase(id="a0", values={"a": "x"}, duration_min=30.0),
+    ]
+    table = CaseTable(cases, ("a",))
+    assert table.durations.tolist() == [60.0, 75.5, 90.0, 30.0]
+    # stable: the two "b" ids keep their list order
+    assert table.id_rank.tolist() == [2, 0, 3, 1]
+    assert table.codes[:, 0].tolist() == [0, MISSING, 1, 0]
+    assert table.codes.dtype == np.int32
+    assert len(CaseTable([], ("a",))) == 0
 
 
 def test_describe_tier():
@@ -70,16 +103,13 @@ def test_walk_yields_applicable_tiers_ending_unfiltered():
         mk_case("b", department="d2", surgery="s1"),
         mk_case("c", department="d1", surgery="s2"),
     ]
-    steps = list(walk(query, cases, ("department", "surgery_name")))
     # tier 0 needs surgery_name, which the query lacks
-    assert [(level, tier, [c.id for c in members]) for level, tier, members in steps] == [
+    assert walk_ids(query, cases, ("department", "surgery_name")) == [
         (1, ("department",), ["a", "c"]),
         (2, (), ["a", "b", "c"]),
     ]
-
-
-def test_walk_reads_cases_through_case_of():
-    query = mk_case("q", department="d1")
-    items = [("x", mk_case("a", department="d1")), ("y", mk_case("b", department="d2"))]
-    steps = walk(query, items, ("department",), lambda item: item[1])
-    assert [[tag for tag, _ in members] for _, _, members in steps] == [["x"], ["x", "y"]]
+    # over a subset of rows, in the given order
+    assert walk_ids(query, cases, ("department", "surgery_name"), rows=[2, 1]) == [
+        (1, ("department",), ["c"]),
+        (2, (), ["c", "b"]),
+    ]
