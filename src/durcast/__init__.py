@@ -50,6 +50,6 @@ from .priors import PriorIndex, StatisticalPrior, compute_prior, prior_strength
 from .prompting import Prompt, PromptTemplate, build_prompt, load_template, render_reference
 from .schema import CaseSet, FeatureSchema, SurgicalCase, ingest_csv, load_schema, split
 from .synthetic import SyntheticSpec, default_schema, generate_synthetic
-from .text_embedding import HashingTextEmbedder, RemoteTextEmbedder, embed_text
+from .text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 
 __version__ = "0.1.0"

@@ -14,12 +14,16 @@ Encoding rules:
   boolean      case-insensitive true/false, yes/no, 1/0 to {1, 0}; missing
                imputes the training mean of the encoded value
   text         fixed-dim unit-norm embedding; missing embeds "UNKNOWN"
+
+Fitted and loaded encoders share one per-feature plan (offset, stats, value
+-> slot and level -> rank dicts). One fill routine writes each feature into
+a zeroed row of the output, vector or preallocated N x D matrix; each
+block's columns are then scaled by its alpha once.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,111 +97,120 @@ class FittedEncoder:
     dim: int = field(init=False)
     _alphas: dict[str, float] = field(init=False)
     _text_cache: dict[str, np.ndarray] = field(init=False, repr=False)
-    _cache_lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
         spans: list[tuple[str, int, int]] = []
         segments: dict[str, tuple[int, int]] = {}
+        plan = {}
         offset = 0
         for category in CATEGORY_ORDER:
             start = offset
             for f in self.schema.features:
                 if _KIND_TO_CATEGORY[f.kind] != category:
                     continue
-                width = self._feature_width(f.name, f.kind)
+                rule, width = self._rule(f.name, f.kind)
                 spans.append((f.name, offset, width))
+                plan[f.name] = (f.name, f.kind, offset, rule)
                 offset += width
             segments[category] = (start, offset - start)
         self.segment_map = segments
         self.feature_spans = spans
-        self._span_by_name = {name: (off, width) for name, off, width in spans}
         self.dim = offset
         self._alphas = {
             c: (1.0 / math.sqrt(length) if length > 0 else 0.0)
             for c, (_, length) in segments.items()
         }
         self._text_cache = {}
-        self._cache_lock = threading.Lock()
+        # _fill walks the plan in schema order, so errors surface in that order
+        self._plan = [plan[name] for name in self.schema.feature_names]
+        self._names = frozenset(plan)
 
-    def _feature_width(self, name: str, kind: str) -> int:
+    def _rule(self, name: str, kind: str) -> tuple[object, int]:
+        """What the feature's fill rule reads, and the feature's width."""
+        if kind == "numerical":
+            return self.numeric_stats[name], 1
+        if kind == "ordinal":
+            return (self.ordinal_missing[name], _ordinal_ranks(self.schema, name)), 1
         if kind == "categorical":
-            return len(self.cat_vocabs[name]) + 1
-        if kind == "text":
-            return self.text_embedder.dim
-        return 1
+            slots = {value: slot for slot, value in enumerate(self.cat_vocabs[name])}
+            return (slots, len(slots)), len(slots) + 1
+        if kind == "boolean":
+            return self.bool_missing[name], 1
+        return self.text_embedder.dim, self.text_embedder.dim
 
     def alpha(self, category: str) -> float:
         return self._alphas[category]
 
     def _embed_cached(self, text: str) -> np.ndarray:
-        with self._cache_lock:
-            hit = self._text_cache.get(text)
-        if hit is not None:
-            return hit
-        vec = self.text_embedder.embed(text)
-        with self._cache_lock:
-            self._text_cache[text] = vec
+        # get and setdefault are each atomic: threads racing on one text may
+        # both embed it, but every caller gets the one vector stored first
+        vec = self._text_cache.get(text)
+        if vec is None:
+            vec = self._text_cache.setdefault(text, self.text_embedder.embed(text))
         return vec
 
-    def _encode_feature(self, case: SurgicalCase, name: str, kind: str) -> np.ndarray:
-        value = case.values.get(name)
-        if kind == "numerical":
-            mean, std = self.numeric_stats[name]
-            x = mean if value is None else _as_float(value, name)
-            return np.array([(x - mean) / std])
-        if kind == "ordinal":
-            if value is None:
-                return np.array([self.ordinal_missing[name]])
-            return np.array([_ordinal_rank(self.schema, name, str(value))])
-        if kind == "categorical":
-            vocab = self.cat_vocabs[name]
-            hot = np.zeros(len(vocab) + 1)
-            if value is None:
-                hot[-1] = 1.0
-            else:
-                try:
-                    hot[vocab.index(str(value))] = 1.0
-                except ValueError:
-                    hot[-1] = 1.0
-            return hot
-        if kind == "boolean":
-            if value is None:
-                return np.array([self.bool_missing[name]])
-            return np.array([_parse_bool(str(value), name)])
-        return self._embed_cached(MISSING_TOKEN if value is None else str(value))
-
-    def encode(self, case: SurgicalCase) -> NormalizedEmbedding:
-        """Encode one case; pure given (case, fitted state)."""
-        unknown = set(case.values) - set(self.schema.feature_names)
+    def _fill(self, case: SurgicalCase, row: np.ndarray) -> None:
+        """Write the case's unscaled encoding into a zeroed row."""
+        unknown = case.values.keys() - self._names
         if unknown:
             raise SchemaMismatch(
                 f"case {case.id!r} has features outside the schema: {sorted(unknown)}"
             )
-        vector = np.zeros(self.dim, dtype=np.float64)
-        for f in self.schema.features:
-            offset, width = self._span_by_name[f.name]
-            vector[offset : offset + width] = self._encode_feature(case, f.name, f.kind)
+        for name, kind, offset, rule in self._plan:
+            value = case.values.get(name)
+            if kind == "numerical":
+                mean, std = rule
+                x = mean if value is None else _as_float(value, name)
+                row[offset] = (x - mean) / std
+            elif kind == "ordinal":
+                missing, ranks = rule
+                row[offset] = missing if value is None else _ordinal_rank(ranks, name, str(value))
+            elif kind == "categorical":
+                slots, unknown_slot = rule
+                slot = unknown_slot if value is None else slots.get(str(value), unknown_slot)
+                row[offset + slot] = 1.0
+            elif kind == "boolean":
+                row[offset] = rule if value is None else _parse_bool(str(value), name)
+            else:
+                text = MISSING_TOKEN if value is None else str(value)
+                row[offset : offset + rule] = self._embed_cached(text)
+
+    def _scale(self, block: np.ndarray) -> None:
+        """Scale each category's columns of a row or matrix by its alpha."""
         for category, (start, length) in self.segment_map.items():
             if length:
-                vector[start : start + length] *= self._alphas[category]
+                block[..., start : start + length] *= self._alphas[category]
+
+    def encode(self, case: SurgicalCase) -> NormalizedEmbedding:
+        """Encode one case; pure given (case, fitted state)."""
+        vector = np.zeros(self.dim, dtype=np.float64)
+        self._fill(case, vector)
+        self._scale(vector)
         return NormalizedEmbedding(vector=vector, segment_map=dict(self.segment_map))
 
     def encode_matrix(self, cs: CaseSet) -> np.ndarray:
         """Encode every case into one N x D matrix (rows follow input order)."""
-        return np.stack([self.encode(c).vector for c in cs.cases])
+        matrix = np.zeros((len(cs.cases), self.dim), dtype=np.float64)
+        for case, row in zip(cs.cases, matrix):
+            self._fill(case, row)
+        self._scale(matrix)
+        return matrix
 
 
-def _ordinal_rank(schema: FeatureSchema, name: str, token: str) -> float:
+def _ordinal_ranks(schema: FeatureSchema, name: str) -> dict[str, float]:
+    """Each declared level's rank / (levels - 1); a lone level ranks 0."""
     order = schema.ordinal_orders[name]
+    top = max(len(order) - 1, 1)
+    return {level: rank / top for rank, level in enumerate(order)}
+
+
+def _ordinal_rank(ranks: dict[str, float], name: str, token: str) -> float:
     try:
-        rank = order.index(token)
-    except ValueError:
+        return ranks[token]
+    except KeyError:
         raise SchemaMismatch(
-            f"feature {name!r}: level {token!r} not in declared order {list(order)}"
+            f"feature {name!r}: level {token!r} not in declared order {list(ranks)}"
         ) from None
-    if len(order) == 1:
-        return 0.0
-    return rank / (len(order) - 1)
 
 
 def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
@@ -227,7 +240,8 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
                 mean, std = 0.0, 1.0
             numeric_stats[f.name] = (mean, 1.0 if std < 1e-12 else std)
         elif f.kind == "ordinal":
-            encoded = [_ordinal_rank(schema, f.name, str(v)) for v in present]
+            ranks = _ordinal_ranks(schema, f.name)
+            encoded = [_ordinal_rank(ranks, f.name, str(v)) for v in present]
             ordinal_missing[f.name] = float(np.mean(encoded)) if encoded else 0.5
         elif f.kind == "categorical":
             cat_vocabs[f.name] = tuple(sorted({str(v) for v in present}))

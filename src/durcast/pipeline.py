@@ -87,8 +87,7 @@ class FitConfig:
             raise SpecError(f"pca_top_m must be an integer >= 1, got {self.pca_top_m!r}")
         if not _is_count(self.min_cohort):
             raise SpecError(f"min_cohort must be an integer >= 1, got {self.min_cohort!r}")
-        if not isinstance(self.embedder, dict):
-            raise SpecError(f"embedder must be a mapping, got {self.embedder!r}")
+        _check_embedder_spec(self.embedder)
 
 
 def _is_count(value) -> bool:
@@ -140,19 +139,28 @@ class CasePrediction:
     estimate: AggregateEstimate
 
 
+def _check_embedder_spec(spec) -> None:
+    """Raise SpecError unless make_embedder accepts spec."""
+    kind = spec.get("type", "hashing") if isinstance(spec, dict) else None
+    if kind not in ("hashing", "remote"):
+        raise SpecError(f"embedder must be a mapping of type hashing or remote, got {spec!r}")
+    for key in ("dim", "ngram") if kind == "hashing" else ("dim",):
+        if key in spec and not _is_count(spec[key]):
+            raise SpecError(f"embedder {key} must be an integer >= 1, got {spec[key]!r}")
+    if kind == "remote" and not isinstance(spec.get("url"), str):
+        raise SpecError(f"remote embedder url must be a string, got {spec.get('url')!r}")
+
+
 def make_embedder(spec: dict) -> TextEmbedder:
+    _check_embedder_spec(spec)
     kind = spec.get("type", "hashing")
     if kind == "hashing":
-        return HashingTextEmbedder(
-            dim=int(spec.get("dim", 256)), ngram=int(spec.get("ngram", 3))
-        )
-    if kind == "remote":
-        return RemoteTextEmbedder(
-            url=spec["url"],
-            dim=int(spec.get("dim", 768)),
-            timeout_s=float(spec.get("timeout_s", 30.0)),
-        )
-    raise SpecError(f"unknown embedder type {kind!r}")
+        return HashingTextEmbedder(dim=spec.get("dim", 256), ngram=spec.get("ngram", 3))
+    return RemoteTextEmbedder(
+        url=spec["url"],
+        dim=spec.get("dim", 768),
+        timeout_s=float(spec.get("timeout_s", 30.0)),
+    )
 
 
 class Pipeline:
@@ -194,10 +202,9 @@ class Pipeline:
         else:
             weights = pca_mod.uniform_weights(encoder.dim)
 
+        weighted = matrix * weights.weights
         entries = [
-            (pca_mod.apply_weights(row, weights), case)
-            for row, case in zip(matrix, train.cases)
-            if case.duration_min is not None
+            (row, case) for row, case in zip(weighted, train.cases) if case.duration_min is not None
         ]
         if not entries:
             raise EmptyTrainingSet("no training case has a recorded duration")
@@ -443,7 +450,7 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
         )
         with np.load(io.BytesIO(blobs["weights.npz"])) as arrays:
             weights = pca_mod.WeightVector(arrays["weights"], k_used=int(arrays["k_used"]))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, SpecError) as exc:
         raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
     try:
         fit_config = FitConfig(**fit_doc)

@@ -180,7 +180,7 @@ def load_schema(config_text: str) -> FeatureSchema:
 def load_schema_file(path: str | Path) -> FeatureSchema:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read schema file {path}: {exc}") from exc
     return load_schema(text)
 
@@ -203,15 +203,19 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     """Read a dataset CSV into a CaseSet.
 
     Each data row becomes one SurgicalCase. Numerical cells are parsed to
-    float; all other kinds stay raw strings. Blank cells become None. A
-    numeric cell or duration that is unparseable or not finite (nan, inf),
-    or a duration that is not positive, raises RowError with the 1-based
-    data row index.
+    float; all other kinds stay raw strings. Blank cells become None. A row
+    with more or fewer cells than the header, or a numeric cell or duration
+    that is unparseable, not finite or (duration) not positive, raises
+    RowError with the 1-based data row index. A repeated header column is a
+    SchemaError; a file that is not UTF-8 is an IoError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            repeated = sorted({n for n in header if header.count(n) > 1})
+            if repeated:
+                raise SchemaError(f"CSV header repeats columns: {repeated}")
             missing = [n for n in schema.feature_names if n not in header]
             if missing:
                 raise SchemaError(f"CSV header missing schema features: {missing}")
@@ -220,11 +224,14 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                     f"CSV header missing duration column {schema.duration_column!r}"
                 )
             cases = []
-            for i, rec in enumerate(reader, start=1):
+            for i, cells in enumerate((row for row in reader if row), start=1):
+                if len(cells) != len(header):
+                    raise RowError(i, f"has {len(cells)} cells, the header has {len(header)}")
+                rec = dict(zip(header, cells))
                 values: dict[str, Value] = {}
                 for f in schema.features:
-                    values[f.name] = _parse_cell(rec[f.name] or "", f.kind, i, f.name)
-                raw_dur = (rec[schema.duration_column] or "").strip()
+                    values[f.name] = _parse_cell(rec[f.name], f.kind, i, f.name)
+                raw_dur = rec[schema.duration_column].strip()
                 duration: float | None
                 if raw_dur == "":
                     duration = None
@@ -238,7 +245,7 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                     cases.append(SurgicalCase(id=case_id, values=values, duration_min=duration))
                 except SchemaError as exc:
                     raise RowError(i, str(exc)) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return CaseSet(cases=cases, schema=schema)
 

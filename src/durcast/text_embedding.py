@@ -38,7 +38,10 @@ class HashingTextEmbedder(TextEmbedder):
     """Character 3-gram hashing into a signed bucket vector, L2-normalized.
 
     Buckets and signs come from a keyed blake2b digest, so vectors are
-    stable across processes and platforms.
+    stable across processes and platforms. Each distinct gram is hashed
+    once and its (bucket, sign) memoised on the instance, one entry per
+    distinct gram ever embedded. Sums of +-1.0 are exact integers, so
+    np.bincount gives the same vector as adding the signs one by one.
     """
 
     dim: int = 256
@@ -46,16 +49,20 @@ class HashingTextEmbedder(TextEmbedder):
 
     def __post_init__(self):
         self.identifier = f"hashing-{self.ngram}gram-{self.dim}"
+        self._grams: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         padded = _BOUNDARY_START + text.lower() + _BOUNDARY_END
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for i in range(max(len(padded) - self.ngram + 1, 0)):
-            gram = padded[i : i + self.ngram].encode("utf-8")
-            digest = hashlib.blake2b(gram, digest_size=8).digest()
+        grams = [padded[i : i + self.ngram] for i in range(len(padded) - self.ngram + 1)]
+        memo = self._grams
+        for gram in set(grams).difference(memo):
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
             bucket = int.from_bytes(digest[:4], "little") % self.dim
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[bucket] += sign
+            memo[gram] = bucket, 1.0 if digest[4] & 1 else -1.0
+        buckets, signs = zip(*map(memo.__getitem__, grams)) if grams else ((), ())
+        vec = np.bincount(
+            np.array(buckets, dtype=np.intp), weights=np.array(signs), minlength=self.dim
+        )
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
@@ -112,8 +119,3 @@ class RemoteTextEmbedder(TextEmbedder):
         out = np.stack(rows)
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         return out / np.where(norms > 0.0, norms, 1.0)
-
-
-def embed_text(s: str, embedder: TextEmbedder) -> np.ndarray:
-    """Embed one string; output is unit-norm (or zero for empty content)."""
-    return embedder.embed(s)

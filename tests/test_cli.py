@@ -91,6 +91,15 @@ class TestBuild:
         assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_bad_embedder_dim_writes_nothing(self, workspace, tmp_path, capsys, dim):
+        out = tmp_path / "art"
+        assert cli.main(self.build_args(workspace, out, "--embedder-dim", dim)) == 1
+        err = capsys.readouterr().err
+        assert f"error: embedder dim must be an integer >= 1, got {dim}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_config_file_sets_fit(self, workspace, tmp_path):
         config = tmp_path / "build.yaml"
         config.write_text("no-pca: true\nmin-cohort: 6\n", encoding="utf-8")

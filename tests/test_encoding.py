@@ -1,15 +1,22 @@
 """Heterogeneous encoding: block layout, per-kind rules, missing-value
-imputation, and the per-category scale factors."""
+imputation, and the per-category scale factors; the in-place encoder and
+the memoised embedder against per-feature and per-gram oracles, and golden
+pins of their output bits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_case, small_schema, tiny_corpus
-from durcast import encoding
+from durcast import encoding, index
 from durcast.errors import EmptyTrainingSet, SchemaMismatch
+from durcast.pipeline import FitConfig, Pipeline
 from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
+from durcast.synthetic import SyntheticSpec, generate_synthetic
 from durcast.text_embedding import HashingTextEmbedder
 
 EMBEDDER = HashingTextEmbedder(dim=16)
@@ -236,3 +243,235 @@ class TestEncodeApi:
         enc = encoding.fit(tiny_corpus(), EMBEDDER)
         emb = enc.encode(tiny_corpus().cases[0])
         assert emb.dim == enc.dim
+
+
+# Oracles: the encoder as one small array per feature, stacked row by row,
+# and the embedder adding one hashed sign per n-gram. The encoder and the
+# embedder must give these bits exactly.
+
+ORACLE_BOOL = {"true": 1.0, "yes": 1.0, "1": 1.0, "false": 0.0, "no": 0.0, "0": 0.0}
+
+
+def oracle_embed(text: str, dim: int, ngram: int) -> np.ndarray:
+    padded = "\x02" + text.lower() + "\x03"
+    vec = np.zeros(dim, dtype=np.float64)
+    for i in range(max(len(padded) - ngram + 1, 0)):
+        digest = hashlib.blake2b(padded[i : i + ngram].encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest[:4], "little") % dim] += 1.0 if digest[4] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def oracle_feature(enc, case, name: str, kind: str) -> np.ndarray:
+    value = case.values.get(name)
+    if kind == "numerical":
+        mean, std = enc.numeric_stats[name]
+        if value is None:
+            x = mean
+        else:
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                raise SchemaMismatch(f"feature {name!r}: not numeric: {value!r}") from None
+        return np.array([(x - mean) / std])
+    if kind == "ordinal":
+        if value is None:
+            return np.array([enc.ordinal_missing[name]])
+        order = enc.schema.ordinal_orders[name]
+        try:
+            rank = order.index(str(value))
+        except ValueError:
+            raise SchemaMismatch(
+                f"feature {name!r}: level {str(value)!r} not in declared order {list(order)}"
+            ) from None
+        return np.array([0.0 if len(order) == 1 else rank / (len(order) - 1)])
+    if kind == "categorical":
+        vocab = enc.cat_vocabs[name]
+        hot = np.zeros(len(vocab) + 1)
+        if value is None or str(value) not in vocab:
+            hot[-1] = 1.0
+        else:
+            hot[vocab.index(str(value))] = 1.0
+        return hot
+    if kind == "boolean":
+        if value is None:
+            return np.array([enc.bool_missing[name]])
+        token = str(value)
+        try:
+            return np.array([ORACLE_BOOL[token.strip().lower()]])
+        except KeyError:
+            raise SchemaMismatch(f"feature {name!r}: not a boolean token: {token!r}") from None
+    text = "UNKNOWN" if value is None else str(value)
+    return oracle_embed(text, enc.text_embedder.dim, enc.text_embedder.ngram)
+
+
+def oracle_encode(enc, case) -> np.ndarray:
+    unknown = set(case.values) - set(enc.schema.feature_names)
+    if unknown:
+        raise SchemaMismatch(
+            f"case {case.id!r} has features outside the schema: {sorted(unknown)}"
+        )
+    spans = {name: (offset, width) for name, offset, width in enc.feature_spans}
+    vector = np.zeros(enc.dim, dtype=np.float64)
+    for f in enc.schema.features:
+        offset, width = spans[f.name]
+        vector[offset : offset + width] = oracle_feature(enc, case, f.name, f.kind)
+    for category, (start, length) in enc.segment_map.items():
+        if length:
+            vector[start : start + length] *= enc.alpha(category)
+    return vector
+
+
+def outcome(fn, *args):
+    """The array fn returns, or the SchemaMismatch message it raises."""
+    try:
+        return fn(*args)
+    except SchemaMismatch as exc:
+        return str(exc)
+
+
+def assert_same(got, want) -> None:
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+# Declared out of block order, so an error surfacing in block order rather
+# than schema order would show.
+MIXED_SCHEMA = FeatureSchema(
+    features=(
+        Feature("note", "text"),
+        Feature("flag", "boolean"),
+        Feature("x", "numerical"),
+        Feature("grade", "ordinal"),
+        Feature("lone", "ordinal"),
+        Feature("dept", "categorical"),
+        Feature("y", "numerical"),
+    ),
+    ordinal_orders={"grade": ("I", "II", "III"), "lone": ("only",)},
+)
+ABSENT = object()
+BOOL_TOKENS = ("true", "TRUE", "Yes", " yes ", "1", "false", "False", "NO", "no", "0",
+               True, False, 1, 0)
+TEXTS = st.one_of(
+    st.sampled_from(["", "a", "ab", "UNKNOWN", "Fasting OVERNIGHT", "naïve café", "ÜBER ☃"]),
+    st.text(alphabet="aAbB zZéÉ☃-", max_size=12),
+)
+
+
+def values_of(valid: bool):
+    def kind_values(kind, name):
+        common = [st.just(None), st.just(ABSENT)]
+        if kind == "numerical":
+            good = [st.floats(-1e6, 1e6, allow_nan=False), st.integers(-50, 50),
+                    st.sampled_from(["2.5", " 7 "])]
+            bad = [st.sampled_from(["tall", "", [1]])]
+        elif kind == "ordinal":
+            levels = MIXED_SCHEMA.ordinal_orders[name]
+            good, bad = [st.sampled_from(levels)], [st.sampled_from(["V", "i", 2])]
+        elif kind == "categorical":
+            # ints and their strings share a slot; unseen values are always valid
+            good, bad = [st.sampled_from(["uro", "gyn", "ent", "1", 1, 2, "Uro"])], []
+        elif kind == "boolean":
+            good, bad = [st.sampled_from(BOOL_TOKENS)], [st.sampled_from(["maybe", "2", ""])]
+        else:
+            good, bad = [TEXTS], []
+        return st.one_of(*common, *good, *(bad if not valid else []))
+
+    return st.fixed_dictionaries(
+        {f.name: kind_values(f.kind, f.name) for f in MIXED_SCHEMA.features}
+        | ({} if valid else {"bogus": st.sampled_from([ABSENT] * 9 + [1.0])})
+    ).map(lambda row: {k: v for k, v in row.items() if v is not ABSENT})
+
+
+def as_cases(rows, prefix):
+    return [SurgicalCase(id=f"{prefix}{i}", values=row, duration_min=60.0)
+            for i, row in enumerate(rows)]
+
+
+class TestEncoderEqualsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        train=st.lists(values_of(valid=True), min_size=1, max_size=6),
+        queries=st.lists(values_of(valid=False), min_size=1, max_size=6),
+        dim=st.sampled_from([1, 7, 16]),
+        ngram=st.integers(1, 4),
+    )
+    def test_encode_and_matrix_rows_equal_oracle(self, train, queries, dim, ngram):
+        enc = encoding.fit(
+            CaseSet(cases=as_cases(train, "t"), schema=MIXED_SCHEMA),
+            HashingTextEmbedder(dim=dim, ngram=ngram),
+        )
+        cases = as_cases(queries, "q")
+        wants = [outcome(oracle_encode, enc, case) for case in cases]
+        for case, want in zip(cases, wants):
+            assert_same(outcome(lambda c: enc.encode(c).vector, case), want)
+        matrix = outcome(enc.encode_matrix, CaseSet(cases=cases, schema=MIXED_SCHEMA))
+        errors = [w for w in wants if isinstance(w, str)]
+        if errors:
+            assert matrix == errors[0]
+        else:
+            assert matrix.shape == (len(cases), enc.dim)
+            for row, want in zip(matrix, wants):
+                assert_same(row, want)
+
+    def test_fitted_training_matrix_equals_oracle(self):
+        corpus = generate_synthetic(SyntheticSpec(n_cases=120), seed=2)
+        enc = encoding.fit(corpus, HashingTextEmbedder(dim=32))
+        want = np.stack([oracle_encode(enc, c) for c in corpus.cases])
+        assert_same(enc.encode_matrix(corpus), want)
+
+
+class TestEmbedderEqualsOracle:
+    SHARED = {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=TEXTS, dim=st.sampled_from([1, 2, 16, 256]), ngram=st.integers(1, 5))
+    def test_embed_equals_oracle(self, text, dim, ngram):
+        want = oracle_embed(text, dim, ngram)
+        fresh = HashingTextEmbedder(dim=dim, ngram=ngram)
+        warm = self.SHARED.setdefault((dim, ngram), HashingTextEmbedder(dim=dim, ngram=ngram))
+        for got in (fresh.embed(text), fresh.embed(text), warm.embed(text)):
+            assert_same(got, want)
+
+    def test_memo_leaves_equality_repr_and_spec_alone(self):
+        used, unused = HashingTextEmbedder(dim=16), HashingTextEmbedder(dim=16)
+        used.embed("laparoscopic")
+        assert used == unused
+        assert repr(used) == repr(unused) == "HashingTextEmbedder(dim=16, ngram=3)"
+
+
+# sha256 pins recorded before the encoder and embedder wrote in place; each
+# embedder pin hashes the little-endian float64 vectors of GOLDEN_TEXTS.
+GOLDEN_TEXTS = ("", "a", "UNKNOWN", "Laparoscopic Cholecystectomy", "naïve ÜBER café ☃",
+                "fasting overnight, fasting overnight")
+GOLDEN_EMBEDDINGS = {
+    (256, 3): "5298bc20be2cb09c50e815329e2b04ddaf849ec27f4958a6192d1402f8b770d3",
+    (16, 3): "ca3efc3e6b6a93fc1e8a1866a69859633a6a1f6c2f0dec9bb3fcacd2ccb14417",
+    (7, 1): "dabd9ac113a47daca107ca94bbafe960a7d3436318b44bb6e6ba17a4643bfb17",
+    (64, 5): "63e5b0701970b12bb3264bba839c77270f39463818e85b99fb9b82c1de68f9f6",
+}
+# index.bin of a 300-case seed-5 synthetic fit with uniform weights: the
+# encoder alone decides its vector bytes (PCA weights would add an
+# eigensolver whose last bits vary between LAPACK builds).
+GOLDEN_INDEX_BIN = "c01c2c4ece08e0dac81238d55b47bdcc398d99a130ebdeb6a8f55ec191d7577e"
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("dim,ngram", sorted(GOLDEN_EMBEDDINGS))
+    def test_embedding_bits(self, dim, ngram):
+        emb = HashingTextEmbedder(dim=dim, ngram=ngram)
+        digest = hashlib.sha256()
+        for text in GOLDEN_TEXTS:
+            digest.update(emb.embed(text).astype("<f8").tobytes())
+        assert digest.hexdigest() == GOLDEN_EMBEDDINGS[(dim, ngram)]
+
+    def test_index_bin_bits(self):
+        corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)
+        pipe = Pipeline.fit(corpus, FitConfig(pca_weighting=False))
+        assert hashlib.sha256(index.save_index(pipe.index)).hexdigest() == GOLDEN_INDEX_BIN

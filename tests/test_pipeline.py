@@ -262,6 +262,34 @@ class TestMakeEmbedder:
         with pytest.raises(SpecError):
             make_embedder({"type": "tfidf"})
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"type": "hashing", "dim": 0, "ngram": 3}, "dim"),
+            ({"type": "hashing", "dim": -3, "ngram": 3}, "dim"),
+            ({"type": "hashing", "dim": 2.0}, "dim"),
+            ({"type": "hashing", "dim": "256"}, "dim"),
+            ({"type": "hashing", "dim": True}, "dim"),
+            ({"type": "hashing", "dim": 64, "ngram": 0}, "ngram"),
+            ({"type": "hashing", "ngram": None}, "ngram"),
+            ({"type": "remote", "url": "http://x/v1", "dim": 0}, "dim"),
+            ({"type": "remote", "dim": 32}, "url"),
+            ({"type": "remote", "url": 7, "dim": 32}, "url"),
+            ({"type": None}, "hashing or remote"),
+            ({"type": "tfidf"}, "hashing or remote"),
+            (["hashing"], "mapping"),
+        ],
+    )
+    def test_bad_spec_is_spec_error(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            make_embedder(spec)
+        with pytest.raises(SpecError, match=message):
+            FitConfig(embedder=spec)
+
+    def test_remote_ngram_is_not_read(self):
+        spec = {"type": "remote", "url": "http://x/v1", "dim": 32, "ngram": 0}
+        assert FitConfig(embedder=spec).embedder == spec
+
 
 @pytest.fixture(scope="module")
 def saved(pipe, tmp_path_factory):
@@ -379,6 +407,23 @@ class TestArtifacts:
         save_artifacts(pipe, tmp_path)
         rewrite_manifest(tmp_path, lambda m: m["fit_config"].update({field: value}))
         with pytest.raises(ArtifactError, match=field):
+            load_artifacts(tmp_path)
+
+    def test_resigned_embedder_dim_zero_is_artifact_error(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"]["embedder"].update(dim=0))
+        with pytest.raises(ArtifactError, match="embedder dim"):
+            load_artifacts(tmp_path)
+
+    def test_resigned_encoder_embedder_dim_zero_is_artifact_error(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        doc = json.loads((tmp_path / "encoder.json").read_text())
+        doc["embedder"]["dim"] = 0
+        blob = json.dumps(doc).encode("utf-8")
+        (tmp_path / "encoder.json").write_bytes(blob)
+        digest = hashlib.sha256(blob).hexdigest()
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"encoder.json": digest}))
+        with pytest.raises(ArtifactError, match="embedder dim"):
             load_artifacts(tmp_path)
 
     def test_each_file_written_once(self, pipe, tmp_path, monkeypatch):

@@ -255,6 +255,56 @@ class TestIngestCsv:
         with pytest.raises(IoError):
             ingest_csv(tmp_path / "absent.csv", self._schema())
 
+    HEADER = "case_id,age,surgery_level,department,emergency,note,duration_min\n"
+
+    @pytest.mark.parametrize(
+        "row, cells",
+        [
+            # truncated before the duration cell: no longer a case without a duration
+            ("p2,40,I,urology,false,ok", 6),
+            ("p2,40,I", 3),
+            ("p2", 1),
+            ("p2,40,I,urology,false,ok,60,extra", 8),
+            ("p2,40,I,urology,false,ok,60,,", 9),
+        ],
+    )
+    def test_ragged_row_reports_row(self, tmp_path, row, cells):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + "p1,40,I,urology,false,ok,60\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RowError, match=f"row 2: has {cells} cells, the header has 7") as err:
+            ingest_csv(path, self._schema())
+        assert err.value.row == 2
+
+    def test_blank_lines_are_skipped_not_counted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + "\np1,40,I,urology,false,ok,60\n\np2,40,I\n",
+                        encoding="utf-8")
+        with pytest.raises(RowError, match="row 2"):
+            ingest_csv(path, self._schema())
+
+    def test_repeated_header_column(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "case_id,age,surgery_level,department,emergency,note,duration_min,age\n"
+            "p1,40,I,urology,false,ok,60,41\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=r"repeats columns: \['age'\]"):
+            ingest_csv(path, self._schema())
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((self.HEADER + "p1,40,I,urology,false,caf\xe9,60\n").encode("latin-1"))
+        with pytest.raises(IoError, match="latin1.csv.*utf-8"):
+            ingest_csv(path, self._schema())
+
+    def test_schema_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "schema.yaml"
+        path.write_bytes(GOOD_YAML.replace("age", "\xe2ge").encode("latin-1"))
+        with pytest.raises(IoError, match="schema.yaml.*utf-8"):
+            load_schema_file(path)
+
     def test_write_read_roundtrip(self, tmp_path):
         original = tiny_corpus()
         original.cases.append(mk_case("q-none", None, age=47.25))
