@@ -11,6 +11,10 @@ ids and similarities equal a linear-scan sort bit for bit. A query's
 candidates are arrays, (rows, similarities), as in FAISS; retrieve, a
 retrieve_batch of one, turns them into RetrievalCandidate objects.
 
+A FlatIndex holds its vectors at the precision it is given (STORED_DTYPE,
+float32, once fitted or loaded), the float64 unit rows retrieval reads, and
+the cases' CaseTable; its constructor checks each row, built or loaded.
+
 Post-processing refines a query's candidate rows into the final reference
 set by walking the stratum ladder over the index's CaseTable and trimming
 duration outliers by interquartile range; only the final references become
@@ -24,7 +28,7 @@ On-disk format (little-endian):
     bytes 16..23  uint64 JSON payload length in bytes
     then          count * dim float32 vectors, row-major
     then          UTF-8 JSON payload: {"schema": ..., "cases": [...]}
-Vectors are quantized to float32 on save.
+Vectors are stored as STORED_DTYPE, which Pipeline.fit rounds to.
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ from .errors import (
     SpecError,
     ZeroVector,
 )
-from .schema import CaseSet, FeatureSchema, SurgicalCase, load_schema
+from .schema import FeatureSchema, SurgicalCase, load_schema
 from .strata import CaseTable, describe_tier
 
 _MAGIC = b"DURCIDX1"
+# The precision index.bin stores vectors in.
+STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
 # Most product scores retrieve_batch holds at once (16 MB of float64): a
 # block of queries has at most this many rows times the index size entries.
@@ -79,56 +85,45 @@ class ReferenceSet:
 
 
 class FlatIndex:
-    """Immutable exhaustive index over weighted embeddings, with the
-    indexed cases' CaseTable (built once here, for fitted and loaded
-    indexes alike)."""
+    """Immutable exhaustive index over weighted embeddings. A zero or
+    non-finite row has no cosine direction: ZeroVector, NonFiniteVector."""
 
     def __init__(self, vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema):
+        # Upcast, row norm, divide: how index.bin has always been read.
+        unit = vectors.astype(np.float64)
+        norms = np.linalg.norm(unit, axis=1)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+        if bad.size:
+            case_id = cases[bad[0]].id
+            if norms[bad[0]] == 0.0:
+                raise ZeroVector(f"entry for case {case_id!r} is a zero vector")
+            raise NonFiniteVector(f"entry for case {case_id!r} has no finite norm")
+        unit /= norms[:, None]
+        self._unit = unit
         self.vectors = vectors
         self.cases = cases
         self.schema = schema
         self.table = CaseTable(cases, schema.key_attributes)
         self.dim = int(vectors.shape[1])
-        norms = np.linalg.norm(vectors, axis=1)
-        self._unit = vectors / np.where(norms > 0.0, norms, 1.0)[:, None]
 
     def __len__(self) -> int:
         return len(self.cases)
 
 
 def build(
-    entries: list[tuple[np.ndarray, SurgicalCase]], schema: FeatureSchema
+    vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema
 ) -> FlatIndex:
-    """Store (weighted embedding, case) pairs for exhaustive retrieval.
-
-    Rejects inconsistent dimensions, cases without a recorded duration
-    (they cannot serve as references or priors), and vectors that are zero
-    or hold a non-finite value (they have no cosine direction).
-    """
-    if not entries:
+    """An index whose row i, kept at its precision, embeds cases[i].
+    Rejects a matrix without one row per case, and cases without a recorded
+    duration (they cannot serve as references or priors)."""
+    if not cases:
         raise EmptyInput("cannot build an index from zero entries")
-    dim = int(np.asarray(entries[0][0]).shape[0])
-    rows = []
-    cases = []
-    for vec, case in entries:
-        v = np.asarray(vec, dtype=np.float64)
-        if v.shape != (dim,):
-            raise DimensionMismatch(
-                f"entry for case {case.id!r} has dim {v.shape}, expected ({dim},)"
-            )
+    if vectors.ndim != 2 or len(vectors) != len(cases):
+        raise DimensionMismatch(f"need one row per case ({len(cases)}), got {vectors.shape}")
+    for case in cases:
         if case.duration_min is None:
             raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
-        rows.append(v)
-        cases.append(case)
-    vectors = np.stack(rows)
-    norms = np.linalg.norm(vectors, axis=1)
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
-    if bad.size:
-        case_id = cases[bad[0]].id
-        if norms[bad[0]] == 0.0:
-            raise ZeroVector(f"entry for case {case_id!r} is a zero vector")
-        raise NonFiniteVector(f"entry for case {case_id!r} has no finite norm")
-    return FlatIndex(vectors=vectors, cases=cases, schema=schema)
+    return FlatIndex(vectors, list(cases), schema)
 
 
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
@@ -277,7 +272,7 @@ def postprocess(
 
 
 def save_index(idx: FlatIndex) -> bytes:
-    """The index file's bytes in the documented binary layout (float32
+    """The index file's bytes in the documented binary layout (STORED_DTYPE
     vectors); load_index decodes them."""
     payload = {
         "schema": idx.schema.to_doc(),
@@ -287,7 +282,7 @@ def save_index(idx: FlatIndex) -> bytes:
         ],
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    vectors = idx.vectors.astype("<f4").tobytes()
+    vectors = idx.vectors.astype(STORED_DTYPE, copy=False).tobytes()
     header = _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(blob))
     return header + vectors + blob
 
@@ -300,11 +295,7 @@ def load_index(raw: bytes) -> FlatIndex:
     vec_bytes = count * dim * 4
     if len(raw) != 24 + vec_bytes + blob_len:
         raise ArtifactError("index file is truncated or padded")
-    vectors = (
-        np.frombuffer(raw[24 : 24 + vec_bytes], dtype="<f4")
-        .astype(np.float64)
-        .reshape(count, dim)
-    )
+    vectors = np.frombuffer(raw[24 : 24 + vec_bytes], dtype=STORED_DTYPE).reshape(count, dim)
     try:
         payload = json.loads(raw[24 + vec_bytes :].decode("utf-8"))
         schema = load_schema(json.dumps(payload["schema"]))
@@ -319,9 +310,7 @@ def load_index(raw: bytes) -> FlatIndex:
         raise ArtifactError(f"index file has a corrupt case payload: {exc}") from exc
     if len(cases) != count:
         raise ArtifactError(f"index header count {count} != payload count {len(cases)}")
-    return FlatIndex(vectors=vectors, cases=cases, schema=schema)
-
-
-def index_case_set(idx: FlatIndex) -> CaseSet:
-    """Reconstruct the training CaseSet stored alongside the vectors."""
-    return CaseSet(cases=list(idx.cases), schema=idx.schema)
+    try:
+        return FlatIndex(vectors, cases, schema)
+    except (ZeroVector, NonFiniteVector) as exc:
+        raise ArtifactError(f"index file holds an unusable vector: {exc}") from exc

@@ -2,11 +2,12 @@
 case under any inference mode, persist and reload the fitted artifacts.
 
 Fitting: encode the training corpus, derive PCA importance weights (or
-uniform ones) and build the flat index over weighted embeddings. A
-pipeline, fitted or reloaded, derives its stratum priors from the indexed
-cases on first use of each stratum. Prediction: embed the query, retrieve
-and refine references, look up the prior, build the prompt, run the
-multi-round ensemble, aggregate.
+uniform ones) and build the flat index over weighted embeddings rounded to
+index.STORED_DTYPE, as index.bin stores them, so a fitted pipeline is
+bitwise its reload. A pipeline, fitted or reloaded, derives its stratum
+priors from the indexed cases on first use of each stratum. Prediction:
+embed the query, retrieve and refine references, look up the prior, build
+the prompt, run the multi-round ensemble, aggregate.
 
 ExperimentConfig holds every setting of one prediction protocol; its fit
 field is the FitConfig a pipeline is fitted under.
@@ -149,6 +150,10 @@ def _check_embedder_spec(spec) -> None:
             raise SpecError(f"embedder {key} must be an integer >= 1, got {spec[key]!r}")
     if kind == "remote" and not isinstance(spec.get("url"), str):
         raise SpecError(f"remote embedder url must be a string, got {spec.get('url')!r}")
+    timeout = spec.get("timeout_s", 30.0) if kind == "remote" else 30.0
+    number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+    if not (number and 0.0 < timeout < np.inf):
+        raise SpecError(f"embedder timeout_s must be a positive number, got {timeout!r}")
 
 
 def make_embedder(spec: dict) -> TextEmbedder:
@@ -161,6 +166,16 @@ def make_embedder(spec: dict) -> TextEmbedder:
         dim=spec.get("dim", 768),
         timeout_s=float(spec.get("timeout_s", 30.0)),
     )
+
+
+def _embedder_spec(embedder: TextEmbedder) -> dict:
+    """The spec of embedder that save_artifacts writes to encoder.json;
+    make_embedder builds an equal embedder from it."""
+    if isinstance(embedder, HashingTextEmbedder):
+        return {"type": "hashing", "dim": embedder.dim, "ngram": embedder.ngram}
+    if isinstance(embedder, RemoteTextEmbedder):
+        return {"type": "remote", "dim": embedder.dim, "url": embedder.url}
+    raise SpecError(f"cannot persist embedder {type(embedder).__name__}")
 
 
 class Pipeline:
@@ -202,13 +217,13 @@ class Pipeline:
         else:
             weights = pca_mod.uniform_weights(encoder.dim)
 
-        weighted = matrix * weights.weights
-        entries = [
-            (row, case) for row, case in zip(weighted, train.cases) if case.duration_min is not None
-        ]
-        if not entries:
+        keep = [case.duration_min is not None for case in train.cases]
+        if not any(keep):
             raise EmptyTrainingSet("no training case has a recorded duration")
-        return cls(encoder, weights, index_mod.build(entries, train.schema), config)
+        matrix *= weights.weights
+        vectors = matrix.astype(index_mod.STORED_DTYPE)[keep]
+        cases = [case for case, kept in zip(train.cases, keep) if kept]
+        return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:
         return pca_mod.apply_weights(self.encoder.encode(case).vector, self.weights)
@@ -339,7 +354,7 @@ class Pipeline:
         return pca_mod.feature_importance_report(self.weights, self.encoder.feature_spans)
 
     def train_cases(self) -> CaseSet:
-        return index_mod.index_case_set(self.index)
+        return CaseSet(cases=list(self.index.cases), schema=self.index.schema)
 
 
 def _sha256(data: bytes) -> str:
@@ -357,16 +372,9 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     files: dict[str, bytes] = {}
     files["schema.yaml"] = pipeline.schema.to_yaml().encode("utf-8")
 
-    embedder = pipeline.encoder.text_embedder
-    if isinstance(embedder, HashingTextEmbedder):
-        embedder_spec = {"type": "hashing", "dim": embedder.dim, "ngram": embedder.ngram}
-    elif isinstance(embedder, RemoteTextEmbedder):
-        embedder_spec = {"type": "remote", "dim": embedder.dim, "url": embedder.url}
-    else:
-        raise SpecError(f"cannot persist embedder {type(embedder).__name__}")
     files["encoder.json"] = json.dumps(
         {
-            "embedder": embedder_spec,
+            "embedder": _embedder_spec(pipeline.encoder.text_embedder),
             "numeric_stats": pipeline.encoder.numeric_stats,
             "ordinal_missing": pipeline.encoder.ordinal_missing,
             "cat_vocabs": {k: list(v) for k, v in pipeline.encoder.cat_vocabs.items()},
@@ -456,5 +464,7 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
         fit_config = FitConfig(**fit_doc)
     except SpecError as exc:
         raise ArtifactError(f"manifest under {root} has a bad fit_config: {exc}") from exc
+    if _embedder_spec(make_embedder(fit_config.embedder)) != _embedder_spec(encoder.text_embedder):
+        raise ArtifactError(f"manifest under {root} records another embedder than encoder.json")
     flat_index = index_mod.load_index(blobs["index.bin"])
     return Pipeline(encoder, weights, flat_index, fit_config)

@@ -126,7 +126,7 @@ def test_criterion_2_retrieval_equals_brute_force(capsys):
         vectors.append(anchor * 0.25)
         perm = rng.permutation(len(vectors))
         cases = [mk_case(f"c-{perm[i]:04d}", 60.0) for i in range(len(vectors))]
-        idx = build(list(zip(vectors, cases)), schema)
+        idx = build(np.array(vectors), cases, schema)
         query = rng.normal(size=dim)
         m = int(rng.integers(1, len(vectors) + 3))
 

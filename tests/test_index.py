@@ -28,7 +28,6 @@ from durcast.index import (
     ReferenceSet,
     RetrievalCandidate,
     build,
-    index_case_set,
     load_index,
     postprocess,
     postprocess_rows,
@@ -44,43 +43,36 @@ from durcast.strata import describe_tier, ladder
 def simple_index(vectors, ids=None, durations=None):
     ids = ids or [f"c{i}" for i in range(len(vectors))]
     durations = durations or [60.0] * len(vectors)
-    entries = [
-        (np.asarray(v, dtype=float), mk_case(i, d))
-        for v, i, d in zip(vectors, ids, durations)
-    ]
-    return build(entries, small_schema())
+    cases = [mk_case(i, d) for i, d in zip(ids, durations)]
+    return build(np.asarray(vectors, dtype=float), cases, small_schema())
 
 
 class TestBuild:
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
-            build([], small_schema())
+            build(np.zeros((0, 3)), [], small_schema())
 
     def test_rejects_mixed_dims(self):
-        entries = [
-            (np.ones(3), mk_case("a", 60.0)),
-            (np.ones(4), mk_case("b", 60.0)),
-        ]
+        cases = [mk_case("a", 60.0), mk_case("b", 60.0)]
         with pytest.raises(DimensionMismatch):
-            build(entries, small_schema())
+            build(np.ones((1, 3)), cases, small_schema())
+        with pytest.raises(DimensionMismatch):
+            build(np.ones(3), cases[:1], small_schema())
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ZeroVector):
-            build([(np.zeros(3), mk_case("a", 60.0))], small_schema())
+            build(np.zeros((1, 3)), [mk_case("a", 60.0)], small_schema())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_vector(self, bad):
-        entries = [
-            (np.ones(3), mk_case("a", 60.0)),
-            (np.array([1.0, bad, 0.0]), mk_case("b", 60.0)),
-        ]
+        vectors = np.array([[1.0, 1.0, 1.0], [1.0, bad, 0.0]])
         with pytest.raises(NonFiniteVector, match="'b'"):
-            build(entries, small_schema())
+            build(vectors, [mk_case("a", 60.0), mk_case("b", 60.0)], small_schema())
 
     def test_rejects_case_without_duration(self):
-        entries = [(np.ones(3), mk_case("a", 60.0)), (np.ones(3), mk_case("b", None))]
+        cases = [mk_case("a", 60.0), mk_case("b", None)]
         with pytest.raises(MissingDuration, match="'b'"):
-            build(entries, small_schema())
+            build(np.ones((2, 3)), cases, small_schema())
 
 
 class TestRetrieve:
@@ -465,7 +457,7 @@ class TestTablePathEqualsObjectOracle:
             )
             for i, key_values in enumerate(keys)
         ]
-        idx = build(list(zip(vectors, cases)), small_schema())
+        idx = build(vectors, cases, small_schema())
         query_vectors = [anchor if j % 2 else rng.normal(size=dim) for j in range(len(queries))]
         query_cases = [
             SurgicalCase(id=f"q{j}", values=dict(zip(self.KEYS, values)))
@@ -555,6 +547,26 @@ class TestSerialization:
         with pytest.raises(ArtifactError, match="corrupt"):
             load_index(raw)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [((np.nan, 1.0), "has no finite norm"), ((np.inf, 1.0), "has no finite norm"),
+         ((0.0, 0.0), "is a zero vector")],
+    )
+    def test_unusable_stored_vector_rejected(self, row, message):
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        raw = raw[:32] + struct.pack("<2f", *row) + raw[40:]
+        with pytest.raises(ArtifactError, match=f"'c1' {message}"):
+            load_index(raw)
+
+    def test_fitted_precision_is_kept_and_saved(self):
+        vectors = np.random.default_rng(11).normal(size=(6, 4)).astype(index_mod.STORED_DTYPE)
+        idx = build(vectors, [mk_case(f"c{i}", 60.0) for i in range(6)], small_schema())
+        assert idx.vectors.dtype == np.float32
+        back = load_index(save_index(idx))
+        assert back.vectors.dtype == np.float32
+        assert back.vectors.tobytes() == idx.vectors.tobytes()
+        assert back._unit.tobytes() == idx._unit.tobytes()
+
     @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0"])
     def test_non_finite_or_negative_duration_rejected(self, bad):
         raw = save_index(simple_index([[1.0, 0.0]]))
@@ -562,9 +574,3 @@ class TestSerialization:
         raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
         with pytest.raises(ArtifactError, match="corrupt"):
             load_index(raw)
-
-    def test_index_case_set(self):
-        idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
-        cs = index_case_set(idx)
-        assert [c.id for c in cs.cases] == ["c0", "c1"]
-        assert cs.schema == idx.schema

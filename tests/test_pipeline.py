@@ -20,6 +20,7 @@ from durcast.errors import (
     IoError,
     SpecError,
 )
+from durcast.evaluate import run_experiment
 from durcast.llm import LlmBackend, MockEchoPrior, MockReferenceMean
 from durcast.pipeline import (
     ExperimentConfig,
@@ -278,6 +279,13 @@ class TestMakeEmbedder:
             ({"type": None}, "hashing or remote"),
             ({"type": "tfidf"}, "hashing or remote"),
             (["hashing"], "mapping"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": "soon"}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": 0}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": -1.5}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": float("nan")}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": float("inf")}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": True}, "timeout_s"),
+            ({"type": "remote", "url": "http://x/v1", "timeout_s": None}, "timeout_s"),
         ],
     )
     def test_bad_spec_is_spec_error(self, spec, message):
@@ -285,6 +293,11 @@ class TestMakeEmbedder:
             make_embedder(spec)
         with pytest.raises(SpecError, match=message):
             FitConfig(embedder=spec)
+
+    @pytest.mark.parametrize("timeout", [5, 2.5])
+    def test_remote_timeout(self, timeout):
+        spec = {"type": "remote", "url": "http://x/v1", "timeout_s": timeout}
+        assert make_embedder(spec).timeout_s == timeout
 
     def test_remote_ngram_is_not_read(self):
         spec = {"type": "remote", "url": "http://x/v1", "dim": 32, "ngram": 0}
@@ -426,6 +439,36 @@ class TestArtifacts:
         with pytest.raises(ArtifactError, match="embedder dim"):
             load_artifacts(tmp_path)
 
+    def test_manifest_embedder_must_match_encoder(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        other = {"type": "hashing", "dim": 64, "ngram": 2}
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder=other))
+        with pytest.raises(ArtifactError, match="another embedder than encoder.json"):
+            load_artifacts(tmp_path)
+
+    def test_manifest_embedder_is_compared_resolved(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder={"type": "hashing"}))
+        assert load_artifacts(tmp_path).fit_config.embedder == {"type": "hashing"}
+
+    def test_unusable_index_row_is_artifact_error(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        blob = bytearray((tmp_path / "index.bin").read_bytes())
+        blob[24:28] = np.array([np.nan], dtype="<f4").tobytes()
+        (tmp_path / "index.bin").write_bytes(bytes(blob))
+        digest = hashlib.sha256(blob).hexdigest()
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"index.bin": digest}))
+        with pytest.raises(ArtifactError, match="no finite norm"):
+            load_artifacts(tmp_path)
+
+    def test_train_cases(self, train, pipe, saved):
+        for p in (pipe, load_artifacts(saved)):
+            cases = p.train_cases()
+            assert [c.id for c in cases.cases] == [
+                c.id for c in train.cases if c.duration_min is not None
+            ]
+            assert cases.schema == train.schema
+
     def test_each_file_written_once(self, pipe, tmp_path, monkeypatch):
         written = []
         real_write = Path.write_bytes
@@ -501,3 +544,48 @@ def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
         want = compute_prior(q, train, min_cohort)
         assert fitted.priors.for_query(q) == want
         assert loaded.priors.for_query(q) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(
+        _rows(("a", "b"), st.one_of(st.none(), st.integers(20, 400).map(float))),
+        min_size=3,
+        max_size=14,
+    ).filter(lambda rows: any(r[3] is not None for r in rows)),
+    queries=st.lists(_rows(("a", "b", "z"), st.integers(20, 400).map(float)), min_size=2,
+                     max_size=6),
+    id_pool=st.integers(1, 14),
+    pca=st.booleans(),
+)
+def test_reloaded_index_equals_fitted(tmp_path_factory, rows, queries, id_pool, pca):
+    """Fit rounds the index rows to the precision index.bin stores, so a
+    fitted pipeline and its reload hold the same bits and retrieve the same
+    references with the same similarities; run_experiment writes the same
+    JSONL bytes with either."""
+    cases = [_mk(f"t{i % id_pool}", r) for i, r in enumerate(rows)]
+    train = CaseSet(cases=cases, schema=small_schema())
+    config = FitConfig(pca_weighting=pca, embedder={"type": "hashing", "dim": 16, "ngram": 3})
+    fitted = Pipeline.fit(train, config)
+    out = tmp_path_factory.mktemp("reload")
+    save_artifacts(fitted, out / "art")
+    loaded = load_artifacts(out / "art")
+    assert fitted.index.vectors.dtype == loaded.index.vectors.dtype == np.float32
+    assert fitted.index.vectors.tobytes() == loaded.index.vectors.tobytes()
+    assert fitted.index._unit.tobytes() == loaded.index._unit.tobytes()
+
+    test = CaseSet(cases=[_mk(f"q{i}", r) for i, r in enumerate(queries)], schema=small_schema())
+    for q in test.cases:
+        (a_refs, a_found), (b_refs, b_found) = (
+            p.retrieve_references(q, k=3, expansion_factor=2) for p in (fitted, loaded)
+        )
+        assert [(c.case.id, c.similarity) for c in a_found] == [
+            (c.case.id, c.similarity) for c in b_found
+        ]
+        assert [(c.id, s) for c, s in a_refs.references] == [
+            (c.id, s) for c, s in b_refs.references
+        ]
+    cfg = ExperimentConfig(MockReferenceMean(noise_sd=5.0), mode="rag", k=3, rounds=2, fit=config)
+    for name, p in (("fitted", fitted), ("loaded", loaded)):
+        run_experiment(cfg, train, test, pipeline=p, jsonl_path=out / f"{name}.jsonl")
+    assert (out / "fitted.jsonl").read_bytes() == (out / "loaded.jsonl").read_bytes()
