@@ -151,14 +151,16 @@ def run_experiment(
     """Evaluate one protocol over the test set.
 
     Fits the pipeline from train unless one is supplied. In rag mode, every
-    test case is embedded and retrieved once per call, in one batch, before
-    the fan-out. Test cases then run concurrently up to the backend's
-    concurrency limit; outputs are reduced and written in test order. A case
-    that raises a DurcastError is excluded from the metrics, counted in the
-    report's failed field, and logged as {"id", "error"}:
+    test case is embedded, retrieved and refined once per call, in one
+    batch, before the fan-out. Test cases then run concurrently up to the
+    backend's concurrency limit, or one after another on the calling thread
+    when that limit is 1; outputs are reduced and written in test order. A
+    case that raises a DurcastError is excluded from the metrics, counted in
+    the report's failed field, and logged as {"id", "error"}:
     "all_rounds_failed" when every round failed, else the error's class
-    name. With fewer than two cases scored, the log is still written and
-    TooFewSamples names the failures.
+    name. Log documents are built only when jsonl_path is given. With fewer
+    than two cases scored, the log is still written and TooFewSamples names
+    the failures.
     """
     if len(test.cases) < 2:
         raise TooFewSamples(f"test set has {len(test.cases)} cases, need >= 2")
@@ -181,34 +183,38 @@ def run_experiment(
         except DurcastError as exc:
             return type(exc).__name__
 
-    workers = max(1, cfg.backend.concurrency_limit)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, test.cases, retrieved))
+    if cfg.backend.concurrency_limit <= 1:
+        # a one-worker pool only adds a hand-off per case
+        results = list(map(one, test.cases, retrieved))
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.backend.concurrency_limit) as pool:
+            results = list(pool.map(one, test.cases, retrieved))
 
-    lines = []
     pairs = []
     ids = []
-    failed = 0
+    causes = Counter()
     for case, pred in zip(test.cases, results):
         if isinstance(pred, str):
-            failed += 1
-            lines.append({"id": case.id, "error": pred})
-            continue
-        lines.append(prediction_json(pred))
-        if case.duration_min is not None:
+            causes[pred] += 1
+        elif case.duration_min is not None:
             pairs.append((case.duration_min, pred.estimate.y_hat_min))
             ids.append(case.id)
+    failed = sum(causes.values())
     if jsonl_path is not None:
         try:
             with open(jsonl_path, "w", encoding="utf-8", newline="\n") as fh:
-                for line in lines:
+                for case, pred in zip(test.cases, results):
+                    line = (
+                        {"id": case.id, "error": pred}
+                        if isinstance(pred, str)
+                        else prediction_json(pred)
+                    )
                     fh.write(json.dumps(line, sort_keys=True) + "\n")
         except OSError as exc:
             raise IoError(f"cannot write per-case log {jsonl_path}: {exc}") from exc
     if len(pairs) < 2 and failed:
-        causes = Counter(line["error"] for line in lines if "error" in line)
         raise TooFewSamples(
-            f"{len(lines) - failed} of {len(lines)} cases answered; failed: "
+            f"{len(results) - failed} of {len(results)} cases answered; failed: "
             + ", ".join(f"{label} {count}" for label, count in causes.most_common())
         )
     return compute_metrics(pairs, ids, failed=failed)

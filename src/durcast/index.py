@@ -7,19 +7,23 @@ vectors at once and picks each query's window: the top m plus every row
 within a proven rounding margin of the m-th score. Only the window is
 re-scored, with one row-wise dot product per row, and sorted by
 (similarity descending, id ascending) through the case table's id ranks, so
-ids and similarities equal a linear-scan sort bit for bit. A query's
-candidates are arrays, (rows, similarities), as in FAISS; retrieve, a
-retrieve_batch of one, turns them into RetrievalCandidate objects.
+ids and similarities equal a linear-scan sort bit for bit. Every query keeps
+min(m, n) candidates, so a batch's candidates are two Q x min(m, n) arrays,
+(rows, similarities), as in FAISS (retrieve_units, for queries already
+scaled to unit norm by unit_query); retrieve_batch answers each query's
+line, and retrieve, a retrieve_batch of one, turns it into
+RetrievalCandidate objects.
 
 A FlatIndex holds its vectors at the precision it is given (STORED_DTYPE,
 float32, once fitted or loaded), the float64 unit rows retrieval reads, and
 the cases' CaseTable; its constructor checks each row, built or loaded.
 
-Post-processing refines a query's candidate rows into the final reference
-set by walking the stratum ladder over the index's CaseTable and trimming
-duration outliers by interquartile range; only the final references become
-(SurgicalCase, similarity) pairs. postprocess does the same for a list of
-RetrievalCandidate objects.
+Post-processing refines a whole batch of queries' candidate rows at once
+into their final reference sets: one stratum-ladder walk over the index's
+CaseTable for the batch, then one sort of the chosen tiers' durations for
+the interquartile-range trim; only the final references become
+(SurgicalCase, similarity) pairs. postprocess is the same refinement, a
+batch of one, over a list of RetrievalCandidate objects.
 
 On-disk format (little-endian):
     bytes 0..7    magic "DURCIDX1"
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +57,7 @@ from .errors import (
     ZeroVector,
 )
 from .schema import FeatureSchema, SurgicalCase, load_schema
-from .strata import CaseTable, describe_tier
+from .strata import CaseTable, describe_tier, ladder, quartiles
 
 _MAGIC = b"DURCIDX1"
 # The precision index.bin stores vectors in.
@@ -148,17 +153,26 @@ def retrieve_batch(
     """retrieve for each query, in input order, with one matrix product per
     block of queries instead of one per query. A query's answer is two
     arrays: its top-m row indices into the index and their similarities."""
+    # Each query is normalised on its own: a row-wise norm of the stacked
+    # queries rounds differently and would move the similarities.
+    rows, sims = retrieve_units(idx, [unit_query(idx, q) for q in queries], m)
+    return list(zip(rows, sims))
+
+
+def retrieve_units(
+    idx: FlatIndex, units: list[np.ndarray], m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """retrieve_batch for queries already scaled by unit_query: two
+    len(units) x min(m, n) arrays, the row indices and their similarities,
+    line j for units[j]."""
     if len(idx) == 0:
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
         raise SpecError(f"candidate count must be >= 1, got {m}")
-    # Each query is normalised on its own: a row-wise norm of the stacked
-    # queries rounds differently and would move the similarities.
-    qvs = [unit_query(idx, q) for q in queries]
     unit = idx._unit
     n = len(idx)
     if m >= n:
-        windows = [np.arange(n)] * len(qvs)
+        windows = [np.arange(n)] * len(units)
     else:
         # Phase 1 picks a window per query from a product over a block of
         # queries; phase 2 re-scores it with row-wise dots, the scores every
@@ -177,20 +191,23 @@ def retrieve_batch(
         margin = 4.0 * (idx.dim + 2) * _EPS
         block = max(1, _BLOCK_SCORES // n)
         windows = []
-        for start in range(0, len(qvs), block):
-            approx = np.stack(qvs[start : start + block]) @ unit.T
+        for start in range(0, len(units), block):
+            approx = np.stack(units[start : start + block]) @ unit.T
             edge = np.partition(approx, n - m, axis=1)[:, n - m]
             keep = approx >= (edge - margin)[:, None]
             windows.extend(np.flatnonzero(row) for row in keep)
-    found = []
-    for qv, window in zip(qvs, windows):
+    # The window holds the top m (or all n) rows, so every line is full.
+    rows = np.empty((len(units), min(m, n)), dtype=np.intp)
+    sims = np.empty(rows.shape, dtype=np.float64)
+    for j, (qv, window) in enumerate(zip(units, windows)):
         # vecdot takes one dot product per row, the same one a 1-D
         # unit[i] @ qv takes, so the similarities keep their bits; a
         # matrix-vector product unit[window] @ qv rounds differently.
-        sims = np.vecdot(unit[window], qv)
-        order = np.lexsort((idx.table.id_rank[window], -sims))[:m]
-        found.append((window[order], sims[order]))
-    return found
+        scores = np.vecdot(unit[window], qv)
+        order = np.lexsort((idx.table.id_rank[window], -scores))[:m]
+        rows[j] = window[order]
+        sims[j] = scores[order]
+    return rows, sims
 
 
 def unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
@@ -211,51 +228,69 @@ def postprocess_rows(
     table: CaseTable,
     rows: np.ndarray,
     sims: np.ndarray,
-    query: SurgicalCase,
+    queries: Sequence[SurgicalCase],
     k: int,
-) -> ReferenceSet:
-    """Refine candidate rows of the table, in descending similarity order
-    with their similarities, into at most k references.
+) -> list[ReferenceSet]:
+    """Refine each query's candidate rows of the table into at most k
+    references. rows and sims are Q x w arrays, line j holding queries[j]'s
+    candidates in descending similarity order with their similarities.
 
-    Stages, in order: take the first tier of the stratum walk with >= k
+    Stages, per query: take the first tier of the stratum walk with >= k
     candidates (else the most specific non-empty one); remove duration
     outliers outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] (skipped when <= 4
     survivors, where quartiles are unstable); keep the top k by similarity.
     """
-    if len(rows) == 0:
+    width = rows.shape[1]
+    if width == 0:
         raise NoCandidates("postprocess received no candidates")
     if k < 1:
         raise SpecError(f"reference count must be >= 1, got {k}")
 
-    # The unfiltered tier holds every candidate, so some tier is non-empty.
-    first_nonempty = None
-    for level, tier, mask in table.walk(query, rows):
-        size = int(np.count_nonzero(mask))
-        if size >= k:
+    # The unfiltered tier holds all w candidates of every query, so some
+    # tier reaches k exactly when w >= k; otherwise the most specific
+    # non-empty tier wins.
+    need = k if width >= k else 1
+    level = np.full(len(queries), -1)
+    chosen = np.zeros(rows.shape, dtype=bool)
+    for lvl, _, applicable, mask in table.walk(queries, rows):
+        take = (level < 0) & applicable & (np.count_nonzero(mask, axis=1) >= need)
+        level[take] = lvl
+        chosen[take] = mask[take]
+        if (level >= 0).all():
             break
-        if size and first_nonempty is None:
-            first_nonempty = level, tier, mask
-    else:
-        level, tier, mask = first_nonempty
-    rows, sims = rows[mask], sims[mask]
 
-    bounds = None
-    if len(rows) > 4:
-        durations = table.durations[rows]
-        q1, q3 = np.percentile(durations, [25.0, 75.0])
-        iqr = q3 - q1
-        bounds = (float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr))
-        inside = (bounds[0] <= durations) & (durations <= bounds[1])
-        rows, sims = rows[inside], sims[inside]
+    durations = table.durations[rows]
+    counts = np.count_nonzero(chosen, axis=1)
+    q1, q3 = quartiles(np.sort(np.where(chosen, durations, np.inf), axis=1), counts)
+    iqr = q3 - q1
+    low, high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    trimmed = counts > 4
+    inside = (low[:, None] <= durations) & (durations <= high[:, None])
+    keep = chosen & (inside | ~trimmed[:, None])
+    keep &= np.cumsum(keep, axis=1) <= k
 
-    return ReferenceSet(
-        references=tuple(
-            (table.cases[i], s) for i, s in zip(rows[:k].tolist(), sims[:k].tolist())
-        ),
-        fallback_level=level,
-        stratum_descriptor=describe_tier(query, tier),
-        iqr_bounds=bounds,
-    )
+    picked = np.nonzero(keep)
+    cases = [table.cases[i] for i in rows[picked].tolist()]
+    similarities = sims[picked].tolist()
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    tiers = ladder(table.key_attributes)
+    return [
+        ReferenceSet(
+            references=tuple(zip(cases[start:end], similarities[start:end])),
+            fallback_level=lvl,
+            stratum_descriptor=describe_tier(query, tiers[lvl]),
+            iqr_bounds=(lo, hi) if trim else None,
+        )
+        for query, start, end, lvl, trim, lo, hi in zip(
+            queries,
+            [0, *ends],
+            ends,
+            level.tolist(),
+            trimmed.tolist(),
+            low.tolist(),
+            high.tolist(),
+        )
+    ]
 
 
 def postprocess(
@@ -264,11 +299,11 @@ def postprocess(
     k: int,
     key_attributes: tuple[str, ...],
 ) -> ReferenceSet:
-    """postprocess_rows over a candidate list, in descending similarity
-    order, with key_attributes as the ladder's keys."""
+    """postprocess_rows for one query over a candidate list, in descending
+    similarity order, with key_attributes as the ladder's keys."""
     table = CaseTable([c.case for c in candidates], key_attributes)
-    sims = np.array([c.similarity for c in candidates], dtype=np.float64)
-    return postprocess_rows(table, np.arange(len(candidates)), sims, query, k)
+    sims = np.array([[c.similarity for c in candidates]], dtype=np.float64)
+    return postprocess_rows(table, np.arange(len(candidates))[None, :], sims, [query], k)[0]
 
 
 def save_index(idx: FlatIndex) -> bytes:

@@ -174,7 +174,12 @@ def _embedder_spec(embedder: TextEmbedder) -> dict:
     if isinstance(embedder, HashingTextEmbedder):
         return {"type": "hashing", "dim": embedder.dim, "ngram": embedder.ngram}
     if isinstance(embedder, RemoteTextEmbedder):
-        return {"type": "remote", "dim": embedder.dim, "url": embedder.url}
+        return {
+            "type": "remote",
+            "dim": embedder.dim,
+            "url": embedder.url,
+            "timeout_s": embedder.timeout_s,
+        }
     raise SpecError(f"cannot persist embedder {type(embedder).__name__}")
 
 
@@ -252,34 +257,36 @@ class Pipeline:
         postprocess: bool = True,
     ) -> list[tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]] | DurcastError]:
         """retrieve_references for each case, in order, with one
-        index.retrieve_batch call for all of them; each answer holds the
-        candidates as (index rows, similarities) arrays. A case whose query
-        vector cannot be computed or retrieved (wrong dimension, non-finite
-        or zero norm) gets that DurcastError in its place, so one bad case
-        leaves the others answered."""
+        index.retrieve_units call and one index.postprocess_rows call for
+        all of them; each answer holds the candidates as (index rows,
+        similarities) arrays. A case whose query vector cannot be computed
+        or retrieved (wrong dimension, non-finite or zero norm) gets that
+        DurcastError in its place, so one bad case leaves the others
+        answered."""
         if expansion_factor < 1:
             raise SpecError(f"expansion factor must be >= 1, got {expansion_factor}")
-        m = expansion_factor * k
         out: list = [None] * len(cases)
-        vectors: dict[int, np.ndarray] = {}
+        units: dict[int, np.ndarray] = {}
         for i, case in enumerate(cases):
             try:
-                vec = self.embed_query(case)
-                # the checks retrieve_batch makes, so the batch cannot fail
-                index_mod.unit_query(self.index, vec)
+                # unit_query makes the checks retrieval makes, so the batch
+                # cannot fail
+                units[i] = index_mod.unit_query(self.index, self.embed_query(case))
             except DurcastError as exc:
                 out[i] = exc
-            else:
-                vectors[i] = vec
-        batch = index_mod.retrieve_batch(self.index, list(vectors.values()), m)
-        for i, (rows, sims) in zip(vectors, batch):
-            if postprocess:
-                refs = index_mod.postprocess_rows(self.index.table, rows, sims, cases[i], k)
-            else:
-                refs = self._unstratified(
-                    (self.index.cases[r], s) for r, s in zip(rows[:k].tolist(), sims[:k].tolist())
-                )
-            out[i] = (refs, (rows, sims))
+        rows, sims = index_mod.retrieve_units(
+            self.index, list(units.values()), expansion_factor * k
+        )
+        if postprocess:
+            queries = [cases[i] for i in units]
+            refs = index_mod.postprocess_rows(self.index.table, rows, sims, queries, k)
+        else:
+            refs = [
+                self._unstratified(zip([self.index.cases[i] for i in case_rows], case_sims))
+                for case_rows, case_sims in zip(rows[:, :k].tolist(), sims[:, :k].tolist())
+            ]
+        for i, ref, case_rows, case_sims in zip(units, refs, rows, sims):
+            out[i] = (ref, (case_rows, case_sims))
         return out
 
     def random_references(self, case: SurgicalCase, k: int, seed: int) -> ReferenceSet:
@@ -330,7 +337,7 @@ class Pipeline:
                 query, cfg.k, stable_seed(cfg.seed, "random-refs", query.id)
             )
 
-        prompt = build_prompt(query, refs, prior, cfg.mode, template)
+        prompt = build_prompt(query, refs, prior, cfg.mode, template, self.schema)
         seed = stable_seed(cfg.seed, "ensemble", query.id)
         ensemble = predict_ensemble(prompt, cfg.backend, cfg.rounds, seed=seed, strict=strict)
         if cfg.mode == "rag" and cfg.strategy == "bayesian":

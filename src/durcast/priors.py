@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, SpecError
 from .schema import CaseSet, SurgicalCase
-from .strata import CaseTable, describe_tier
+from .strata import CaseTable, describe_tier, quartiles
 
 DEFAULT_MIN_COHORT = 5
 
@@ -36,12 +36,12 @@ class StatisticalPrior:
 
 
 def _stats_over(durations: np.ndarray, descriptor: str, level: int) -> StatisticalPrior:
-    q1, q3 = np.percentile(durations, [25.0, 75.0])
+    q1, q3 = quartiles(np.sort(durations)[None, :], [len(durations)])
     return StatisticalPrior(
         median_min=float(np.median(durations)),
         mean_min=float(durations.mean()),
         range_min=(float(durations.min()), float(durations.max())),
-        iqr_min=(float(q1), float(q3)),
+        iqr_min=(float(q1[0]), float(q3[0])),
         variance_min2=float(durations.var()),
         cohort_size=int(durations.shape[0]),
         stratum_descriptor=descriptor,
@@ -55,11 +55,12 @@ def stratum_prior(table: CaseTable, query: SurgicalCase, min_cohort: int) -> Sta
 
     Quartiles use linear interpolation; variance is the population variance.
     """
-    # With no tier of min_cohort cases the loop ends on the unfiltered tier.
-    for level, tier, mask in table.walk(query, np.arange(len(table))):
-        if np.count_nonzero(mask) >= min_cohort:
+    # A walk for a batch of one query over every row. With no tier of
+    # min_cohort cases the loop ends on the unfiltered tier.
+    for level, tier, applicable, mask in table.walk([query], np.arange(len(table))[None, :]):
+        if applicable[0] and np.count_nonzero(mask) >= min_cohort:
             break
-    return _stats_over(table.durations[mask], describe_tier(query, tier), level)
+    return _stats_over(table.durations[mask[0]], describe_tier(query, tier), level)
 
 
 def compute_prior(

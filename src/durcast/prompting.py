@@ -31,7 +31,7 @@ from .errors import (
 )
 from .index import ReferenceSet
 from .priors import StatisticalPrior
-from .schema import SurgicalCase
+from .schema import FeatureSchema, SurgicalCase
 
 MODES = ("zero_shot", "random_few_shot", "rag")
 
@@ -116,27 +116,37 @@ def load_template(path: str | Path | None = None) -> PromptTemplate:
     return parse_template(text)
 
 
-def _render_features(case: SurgicalCase) -> str:
+def _render_features(case: SurgicalCase, names: tuple[str, ...]) -> str:
+    """One "  name: value" line per feature, in names order: a missing value
+    shows as unknown and an integral float as an integer."""
+    values = case.values
     lines = []
-    for name, value in case.values.items():
-        shown = "unknown" if value is None else value
-        if isinstance(shown, float) and shown == int(shown):
-            shown = int(shown)
-        lines.append(f"  {name}: {shown}")
+    for name in names:
+        value = values.get(name)
+        if value is None:
+            value = "unknown"
+        elif isinstance(value, float) and value.is_integer():
+            value = int(value)
+        lines.append(f"  {name}: {value}")
     return "\n".join(lines)
 
 
 def render_reference(
-    case: SurgicalCase, similarity: float, template: PromptTemplate, index: int = 1
+    case: SurgicalCase,
+    similarity: float,
+    template: PromptTemplate,
+    feature_names: tuple[str, ...],
+    index: int = 1,
 ) -> str:
-    """One demonstration block: features, similarity (3 decimals), duration."""
+    """One demonstration block: features in feature_names order, similarity
+    (3 decimals), duration."""
     if case.duration_min is None:
         raise MissingDuration(f"reference case {case.id!r} has no recorded duration")
     return template.reference.format(
         index=index,
         similarity=f"{similarity:.3f}",
         duration=int(round(case.duration_min)),
-        features=_render_features(case),
+        features=_render_features(case, feature_names),
     )
 
 
@@ -159,9 +169,11 @@ def build_prompt(
     prior: StatisticalPrior | None,
     mode: str,
     template: PromptTemplate,
+    schema: FeatureSchema,
     max_chars: int = DEFAULT_MAX_CHARS,
 ) -> Prompt:
-    """Assemble the full prompt for one query under the given mode.
+    """Assemble the full prompt for one query under the given mode, each
+    case's features listed in schema order.
 
     zero_shot forbids references and prior; random_few_shot takes references
     only; rag requires both. Deterministic: identical inputs produce
@@ -177,17 +189,18 @@ def build_prompt(
     if mode == "rag" and (refs is None or prior is None):
         raise ModeArgumentMismatch("rag requires both references and prior")
 
+    names = schema.feature_names
     references_section = ""
     statistics_section = ""
     if refs is not None:
         blocks = [
-            render_reference(case, sim, template, index=i)
+            render_reference(case, sim, template, names, index=i)
             for i, (case, sim) in enumerate(refs.references, start=1)
         ]
         references_section = template.references_header + "\n" + "\n".join(blocks) + "\n"
     if prior is not None:
         statistics_section = _render_statistics(prior, template) + "\n"
-    query_section = template.query.format(features=_render_features(query))
+    query_section = template.query.format(features=_render_features(query, names))
 
     user_text = template.user.format(
         references_section=references_section,

@@ -22,7 +22,12 @@ missing a tier attribute matches no tier that names it.
 CaseTable holds what the walk and prediction read of a list of cases as
 arrays, with the key attributes dictionary-encoded by str(value), so a
 tier's members come from a mask compare instead of per-case string
-compares.
+compares. The walk takes a batch of queries, each with its own candidate
+rows, and compares every code of the batch at once; post-processing walks
+a whole retrieval batch, and a prior is a batch of one over every row.
+
+quartiles gives Q1 and Q3 of many sorted duration rows at once, by numpy's
+linear-interpolation rule, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,23 +97,55 @@ class CaseTable:
         return len(self.cases)
 
     def walk(
-        self, query: SurgicalCase, rows: np.ndarray
-    ) -> Iterator[tuple[int, tuple[str, ...], np.ndarray]]:
-        """Yield (level, tier, mask) for each tier applicable to the query,
-        most specific first. mask is a boolean array over rows (table row
-        indices) marking the rows whose case matches the query on every
-        tier attribute. The last tier yielded is always the unfiltered one,
-        with every row marked.
+        self, queries: Sequence[SurgicalCase], rows: np.ndarray
+    ) -> Iterator[tuple[int, tuple[str, ...], np.ndarray, np.ndarray]]:
+        """Yield (level, tier, applicable, mask) for each ladder tier, most
+        specific first, for Q queries with w candidate rows each.
+
+        rows is a Q x w array of table row indices, line j for queries[j].
+        applicable (Q booleans) marks the queries with every tier attribute
+        present. mask (Q x w booleans) marks the rows whose case matches its
+        query on every tier attribute; a line is meaningful only where its
+        query is applicable. The last tier is the unfiltered one, applicable
+        to every query with every row marked.
         """
-        query_codes = [
-            MISSING if (value := query.values.get(attr)) is None
-            else vocab.get(str(value), _UNSEEN)
-            for attr, vocab in zip(self.key_attributes, self._vocabs)
-        ]
-        equal = self.codes[rows] == np.array(query_codes, dtype=np.int32)
+        keys = self.key_attributes
+        query_codes = np.array(
+            [
+                [
+                    MISSING if (value := query.values.get(attr)) is None
+                    else vocab.get(str(value), _UNSEEN)
+                    for attr, vocab in zip(keys, self._vocabs)
+                ]
+                for query in queries
+            ],
+            dtype=np.int32,
+        ).reshape(len(queries), len(keys))
+        equal = self.codes[rows] == query_codes[:, None, :]
+        present = query_codes != MISSING
         for level, tier, cols in self._tiers:
-            if all(query_codes[c] != MISSING for c in cols):
-                yield level, tier, equal[:, cols].all(axis=1)
+            yield level, tier, present[:, cols].all(axis=1), equal[:, :, cols].all(axis=2)
+
+
+def quartiles(ordered: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q1 and Q3 of each line of ordered, whose first counts[j] (>= 1)
+    entries are sorted ascending: np.percentile(line[:count], [25, 75]) bit
+    for bit. numpy's linear rule takes the virtual index (count - 1) * q
+    with a = the value at its floor, b = the next one and t its fraction,
+    and returns a + (b - a) * t, or b - (b - a) * (1 - t) where t >= 0.5.
+    """
+    last = np.asarray(counts) - 1
+    out = []
+    for q in (0.25, 0.75):
+        virtual = last * q
+        below = np.floor(virtual)
+        t = virtual - below
+        below = below.astype(np.intp)
+        a = np.take_along_axis(ordered, below[:, None], axis=1)[:, 0]
+        b = np.take_along_axis(ordered, np.minimum(below + 1, last)[:, None], axis=1)[:, 0]
+        diff = b - a
+        out.append(np.where(t >= 0.5, b - diff * (1 - t), a + diff * t))
+    return out[0], out[1]
 
 
 def describe_tier(q: SurgicalCase, tier: tuple[str, ...]) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_case
-from durcast import index as index_mod
+from durcast import evaluate as evaluate_mod, index as index_mod
 from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
@@ -390,6 +390,69 @@ class TestBatchedRetrieval:
         assert json.loads(lines[3]) == {"id": cases[3].id, "error": "NonFiniteVector"}
         with pytest.raises(NonFiniteVector):
             pipe.retrieve_references(cases[3], k=8)
+
+
+class BrokenBackend(LlmBackend):
+    """Raises an error that is not a DurcastError: a defect, not a case
+    failure."""
+
+    kind = "broken"
+
+    def complete(self, prompt, temperature, round_index):
+        raise RuntimeError("backend defect")
+
+
+_FAN_OUT_BACKENDS = {
+    "mock_reference_mean": lambda limit: MockReferenceMean(
+        noise_sd=10.0, seed=1, concurrency_limit=limit
+    ),
+    "mock_scripted": lambda limit: MockScripted(
+        outputs=("PREDICTION: 77", "about 90", "no idea"), concurrency_limit=limit
+    ),
+}
+
+
+class TestFanOut:
+    """concurrency_limit 1 runs the cases inline on the calling thread; a
+    larger limit keeps the thread pool. Both write the same bytes."""
+
+    @pytest.mark.parametrize("backend", sorted(_FAN_OUT_BACKENDS))
+    def test_inline_equals_pool(self, synthetic_split, tmp_path, backend):
+        train, pipe, test = synthetic_split
+        cases = list(test.cases)
+        # one failed line among the answers
+        cases[7] = replace(cases[7], values={**cases[7].values, "asa_grade": "ZZZ"})
+        runs = []
+        for limit in (1, 4):
+            cfg = ExperimentConfig(
+                _FAN_OUT_BACKENDS[backend](limit), mode="rag", k=8, rounds=3, seed=2
+            )
+            out = tmp_path / f"limit{limit}.jsonl"
+            report = run_experiment(
+                cfg, train, CaseSet(cases, test.schema), pipeline=pipe, jsonl_path=out
+            )
+            runs.append((report, out.read_bytes()))
+        assert runs[0][0].failed == 1
+        assert runs[0] == runs[1]
+
+    def test_one_worker_uses_no_pool(self, synthetic_split, monkeypatch):
+        train, pipe, test = synthetic_split
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker run started a thread pool")
+
+        monkeypatch.setattr(evaluate_mod, "ThreadPoolExecutor", no_pool)
+        cfg = ExperimentConfig(_FAN_OUT_BACKENDS["mock_reference_mean"](1), k=4, rounds=1)
+        assert run_experiment(cfg, train, test, pipeline=pipe).m == len(test)
+
+    @pytest.mark.parametrize("limit", [1, 4])
+    def test_other_errors_propagate(self, synthetic_split, tmp_path, limit):
+        train, pipe, test = synthetic_split
+        cfg = ExperimentConfig(BrokenBackend(concurrency_limit=limit), k=4, rounds=1)
+        out = tmp_path / "cases.jsonl"
+        with pytest.raises(RuntimeError, match="backend defect"):
+            run_experiment(cfg, train, test, pipeline=pipe, jsonl_path=out)
+        assert not out.exists()
 
 
 class TestGlobalMedianBaseline:

@@ -326,6 +326,21 @@ class TestPostprocess:
         assert kept == [100.0, 110.0, 120.0, 130.0]
         assert refs.iqr_bounds == (80.0, 160.0)
 
+    def test_iqr_over_the_chosen_tier_only(self):
+        """The quartiles come from the chosen tier's durations, not from
+        every candidate; here the other candidates are all much shorter."""
+        tier = [
+            mk_case(f"t{i}", d, department="thyroid_breast", surgery="thyroidectomy")
+            for i, d in enumerate([100.0, 110.0, 120.0, 130.0, 140.0, 500.0])
+        ]
+        others = [mk_case(f"o{i}", 1.0 + i) for i in range(6)]
+        # candidates interleaved by similarity
+        cases = [c for pair in zip(others, tier) for c in pair]
+        refs = postprocess(candidates_from(cases), self._query(), 5, self.KEYS)
+        assert refs.fallback_level == 0
+        assert refs.iqr_bounds == (75.0, 175.0)
+        assert [c.id for c, _ in refs.references] == ["t0", "t1", "t2", "t3", "t4"]
+
     def test_iqr_skipped_for_small_cohorts(self):
         cases = [
             mk_case(f"c{i}", d, department="thyroid_breast", surgery="thyroidectomy")
@@ -466,12 +481,19 @@ class TestTablePathEqualsObjectOracle:
         m = k * expansion  # k >= m and m >= n both occur
         priors = PriorIndex(idx.table, min_cohort)
         train = CaseSet(cases=cases, schema=small_schema())
-        for q, vec, (rows, sims) in zip(
-            query_cases, query_vectors, retrieve_batch(idx, query_vectors, m)
-        ):
+        found = retrieve_batch(idx, query_vectors, m)
+        # every query of the batch refined by one call
+        refined = postprocess_rows(
+            idx.table,
+            np.stack([rows for rows, _ in found]),
+            np.stack([sims for _, sims in found]),
+            query_cases,
+            k,
+        )
+        assert len(refined) == len(query_cases)
+        for q, vec, (rows, sims), got in zip(query_cases, query_vectors, found, refined):
             candidates = scan_candidates(idx, vec, m)
             assert as_pairs(idx, (rows, sims)) == [(c.case.id, c.similarity) for c in candidates]
-            got = postprocess_rows(idx.table, rows, sims, q, k)
             want = oracle_postprocess(candidates, q, k, self.KEYS)
             assert [(c.id, s) for c, s in got.references] == [
                 (c.id, s) for c, s in want.references

@@ -3,7 +3,7 @@ multi-round ensemble driver."""
 
 import pytest
 
-from conftest import mk_case, mk_prior
+from conftest import mk_case, mk_prior, small_schema
 from durcast.errors import (
     AllRoundsFailed,
     BackendTransportError,
@@ -37,11 +37,13 @@ def rag_prompt(query_id="q-1", durations=(110.0, 120.0, 130.0), median=120.0):
         stratum_descriptor="department=thyroid_breast",
         iqr_bounds=None,
     )
-    return build_prompt(mk_case(query_id), refs, mk_prior(median=median), "rag", TPL)
+    return build_prompt(
+        mk_case(query_id), refs, mk_prior(median=median), "rag", TPL, small_schema()
+    )
 
 
 def zero_prompt(query_id="q-1"):
-    return build_prompt(mk_case(query_id), None, None, "zero_shot", TPL)
+    return build_prompt(mk_case(query_id), None, None, "zero_shot", TPL, small_schema())
 
 
 class TestParseDuration:

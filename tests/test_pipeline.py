@@ -3,7 +3,7 @@
 import hashlib
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +304,19 @@ class TestMakeEmbedder:
         assert FitConfig(embedder=spec).embedder == spec
 
 
+class RecordingBackend(LlmBackend):
+    """Keeps every prompt it is sent and answers a fixed duration."""
+
+    kind = "recording"
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, temperature, round_index):
+        self.prompts.append(prompt)
+        return "PREDICTION: 120 minutes"
+
+
 @pytest.fixture(scope="module")
 def saved(pipe, tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -445,6 +458,40 @@ class TestArtifacts:
         rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder=other))
         with pytest.raises(ArtifactError, match="another embedder than encoder.json"):
             load_artifacts(tmp_path)
+
+    def test_remote_timeout_survives_reload(self, pipe, tmp_path):
+        spec = {"type": "remote", "url": "http://127.0.0.1:9/v1", "dim": 256, "timeout_s": 5}
+        remote = Pipeline(
+            replace(pipe.encoder, text_embedder=make_embedder(spec)),
+            pipe.weights,
+            pipe.index,
+            replace(pipe.fit_config, embedder=spec),
+        )
+        save_artifacts(remote, tmp_path)
+        assert load_artifacts(tmp_path).encoder.text_embedder.timeout_s == 5.0
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"]["embedder"].update(timeout_s=9))
+        with pytest.raises(ArtifactError, match="another embedder than encoder.json"):
+            load_artifacts(tmp_path)
+
+    def test_reloaded_pipeline_builds_the_fitted_prompts(self, pipe, saved):
+        prompts = {}
+        for name, p in (("fitted", pipe), ("reloaded", load_artifacts(saved))):
+            backend = RecordingBackend()
+            for mode, k in (("rag", 4), ("random_few_shot", 4), ("zero_shot", 0)):
+                cfg = ExperimentConfig(backend, mode=mode, k=k, rounds=1)
+                p.predict_case(thyroid_query(), cfg)
+            prompts[name] = [(q.system_text, q.user_text) for q in backend.prompts]
+        assert prompts["fitted"] == prompts["reloaded"]
+        # every case block (4 + 1, 4 + 1 and 1 per mode) lists the
+        # features in schema order
+        order = small_schema().feature_names
+        names = [
+            line.split(":")[0].strip()
+            for _, user in prompts["reloaded"]
+            for line in user.splitlines()
+            if line.split(":")[0].strip() in order
+        ]
+        assert names == list(order) * 11
 
     def test_manifest_embedder_is_compared_resolved(self, pipe, tmp_path):
         save_artifacts(pipe, tmp_path)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import mk_case, mk_prior
+from conftest import mk_case, mk_prior, small_schema
 from durcast.errors import (
     MissingDuration,
     ModeArgumentMismatch,
@@ -42,6 +42,9 @@ Estimate this case:
 {statistics_section}
 {query_section}
 """
+
+
+SCHEMA = small_schema()
 
 
 def refs_of(*cases_with_sims) -> ReferenceSet:
@@ -93,7 +96,7 @@ class TestRenderReference:
     def test_formats_fields(self):
         tpl = parse_template(MINIMAL_TEMPLATE)
         case = mk_case("r1", 123.4, age=61.0, department="urology", surgery="turp")
-        text = render_reference(case, 0.87654, tpl, index=3)
+        text = render_reference(case, 0.87654, tpl, SCHEMA.feature_names, index=3)
         assert "Case 3 (sim 0.877):" in text
         assert "took 123 minutes" in text
         assert "  age: 61" in text  # integral floats print as integers
@@ -103,12 +106,12 @@ class TestRenderReference:
         tpl = parse_template(MINIMAL_TEMPLATE)
         case = mk_case("r1", 100.0)
         case.values["age"] = None
-        assert "  age: unknown" in render_reference(case, 0.5, tpl)
+        assert "  age: unknown" in render_reference(case, 0.5, tpl, SCHEMA.feature_names)
 
     def test_requires_duration(self):
         tpl = parse_template(MINIMAL_TEMPLATE)
         with pytest.raises(MissingDuration):
-            render_reference(mk_case("r1", None), 0.5, tpl)
+            render_reference(mk_case("r1", None), 0.5, tpl, SCHEMA.feature_names)
 
 
 class TestBuildPrompt:
@@ -121,7 +124,7 @@ class TestBuildPrompt:
 
     def test_rag_contains_all_parts(self):
         query = mk_case("q")
-        prompt = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL)
+        prompt = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
         assert prompt.system_text.endswith(OUTPUT_CONTRACT)
         assert "Similar cases:" in prompt.user_text
         assert "Case 1 (sim 0.900):" in prompt.user_text
@@ -132,19 +135,23 @@ class TestBuildPrompt:
         assert "\n\n\n" not in prompt.user_text
 
     def test_zero_shot_has_only_query(self):
-        prompt = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL)
+        prompt = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL, SCHEMA)
         assert "Similar cases:" not in prompt.user_text
         assert "Cohort" not in prompt.user_text
         assert "Estimate this case:" in prompt.user_text
 
     def test_random_few_shot_has_references_no_statistics(self):
-        prompt = build_prompt(mk_case("q"), self._refs(), None, "random_few_shot", self.TPL)
+        prompt = build_prompt(
+            mk_case("q"), self._refs(), None, "random_few_shot", self.TPL, SCHEMA
+        )
         assert "Similar cases:" in prompt.user_text
         assert "Cohort" not in prompt.user_text
 
     def test_metadata(self):
         query = mk_case("q-77")
-        prompt = build_prompt(query, self._refs(3), mk_prior(median=111.0), "rag", self.TPL)
+        prompt = build_prompt(
+            query, self._refs(3), mk_prior(median=111.0), "rag", self.TPL, SCHEMA
+        )
         md = prompt.metadata
         assert md.mode == "rag"
         assert md.k_used == 3
@@ -154,7 +161,7 @@ class TestBuildPrompt:
         assert md.stratum_descriptor == "department=thyroid_breast"
 
     def test_zero_shot_metadata(self):
-        md = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL).metadata
+        md = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL, SCHEMA).metadata
         assert md.k_used == 0
         assert md.reference_durations == ()
         assert md.prior_median is None
@@ -162,8 +169,8 @@ class TestBuildPrompt:
 
     def test_deterministic(self):
         query = mk_case("q")
-        a = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL)
-        b = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL)
+        a = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
+        b = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
         assert a.system_text == b.system_text
         assert a.user_text == b.user_text
 
@@ -182,13 +189,13 @@ class TestBuildPrompt:
         refs = self._refs() if with_refs else None
         prior = mk_prior() if with_prior else None
         with pytest.raises(ModeArgumentMismatch):
-            build_prompt(mk_case("q"), refs, prior, mode, self.TPL)
+            build_prompt(mk_case("q"), refs, prior, mode, self.TPL, SCHEMA)
 
     def test_unknown_mode(self):
         with pytest.raises(ModeArgumentMismatch, match="unknown mode"):
-            build_prompt(mk_case("q"), None, None, "few_shot", self.TPL)
+            build_prompt(mk_case("q"), None, None, "few_shot", self.TPL, SCHEMA)
 
     def test_oversized_prompt_rejected(self):
         with pytest.raises(PromptTooLong):
-            build_prompt(mk_case("q"), self._refs(), mk_prior(), "rag", self.TPL,
+            build_prompt(mk_case("q"), self._refs(), mk_prior(), "rag", self.TPL, SCHEMA,
                          max_chars=50)

@@ -1,10 +1,12 @@
 """Stratum ladder construction, the case table and its tier walk."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_case
 from durcast.schema import SurgicalCase
-from durcast.strata import MISSING, GLOBAL_STRATUM, CaseTable, describe_tier, ladder
+from durcast.strata import MISSING, GLOBAL_STRATUM, CaseTable, describe_tier, ladder, quartiles
 
 
 def walk_ids(query, cases, keys, rows=None):
@@ -12,8 +14,9 @@ def walk_ids(query, cases, keys, rows=None):
     table = CaseTable(cases, keys)
     rows = np.arange(len(cases)) if rows is None else np.asarray(rows)
     return [
-        (level, tier, [cases[i].id for i in rows[mask]])
-        for level, tier, mask in table.walk(query, rows)
+        (level, tier, [cases[i].id for i in rows[mask[0]]])
+        for level, tier, applicable, mask in table.walk([query], rows[None, :])
+        if applicable[0]
     ]
 
 
@@ -113,3 +116,37 @@ def test_walk_yields_applicable_tiers_ending_unfiltered():
         (1, ("department",), ["c"]),
         (2, (), ["c", "b"]),
     ]
+
+
+# Integer and fractional durations, and a few values repeated often.
+_DURATIONS = st.one_of(
+    st.integers(1, 900).map(float),
+    st.floats(1.0, 900.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([60.0, 61.5, 90.0, 437.8, 800.6]),
+)
+
+
+def quartile_lines(lines):
+    """The lines sorted into one array padded with inf, as post-processing
+    pads the rows outside its chosen tier, and quartiles of it."""
+    ordered = np.full((len(lines), max(map(len, lines))), np.inf)
+    for j, line in enumerate(lines):
+        ordered[j, : len(line)] = np.sort(line)
+    q1, q3 = quartiles(ordered, np.array([len(line) for line in lines]))
+    return list(zip(q1.tolist(), q3.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_DURATIONS, min_size=5, max_size=200), min_size=1, max_size=4))
+def test_quartiles_equal_numpy_percentile(lines):
+    want = [tuple(np.percentile(np.array(line), [25.0, 75.0]).tolist()) for line in lines]
+    assert quartile_lines(lines) == want
+
+
+def test_quartiles_take_numpy_upper_form():
+    """At t >= 0.5 numpy computes b - (b - a) * (1 - t), which here differs
+    from a + (b - a) * t in the last bit (709.9 against 709.9000000000001)."""
+    line = [100.0, 200.0, 300.0, 437.8, 800.6, 900.0]
+    assert quartile_lines([line])[0][1] == np.percentile(line, 75.0) == 709.9
+    # one and two values, as a prior over a tiny cohort
+    assert quartile_lines([[5.0], [5.0, 6.0]]) == [(5.0, 5.0), (5.25, 5.75)]
