@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -273,6 +274,8 @@ def _query_from_args(args: argparse.Namespace, pipe: Pipeline) -> SurgicalCase:
                 values[key] = float(raw)
             except ValueError:
                 raise ParseError(f"feature {key!r} expects a number, got {raw!r}") from None
+            if not math.isfinite(values[key]):
+                raise ParseError(f"feature {key!r} expects a finite number, got {raw!r}")
         else:
             values[key] = raw
     return SurgicalCase(id=args.query_id, values=values, duration_min=None)

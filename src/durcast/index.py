@@ -25,14 +25,28 @@ the interquartile-range trim; only the final references become
 (SurgicalCase, similarity) pairs. postprocess is the same refinement, a
 batch of one, over a list of RetrievalCandidate objects.
 
-On-disk format (little-endian):
-    bytes 0..7    magic "DURCIDX1"
-    bytes 8..11   uint32 vector dimension
-    bytes 12..15  uint32 entry count
-    bytes 16..23  uint64 JSON payload length in bytes
-    then          count * dim float32 vectors, row-major
-    then          UTF-8 JSON payload: {"schema": ..., "cases": [...]}
-Vectors are stored as STORED_DTYPE, which Pipeline.fit rounds to.
+On-disk format (little-endian), columnar so that loading reads arrays and
+decodes no case:
+    bytes 0..7    magic "DURCIDX2"
+    bytes 8..11   uint32 vector dimension d
+    bytes 12..15  uint32 entry count n
+    bytes 16..23  uint64 length of the JSON table head in bytes
+    then          n * d float32 vectors, row-major
+    then          n float64 durations
+    then          n + 1 uint64 offsets into the values section: 0 first,
+                  non-decreasing, the section's length last
+    then          UTF-8 JSON table head: {"ids": [n case ids],
+                  "keys": [key attributes], "vocabs": [one list of
+                  str(value) per key, in code order]}
+    then          n * len(keys) int32 key codes, row-major, -1 = missing
+    then          values section: case i's values as a UTF-8 JSON object
+                  in bytes offsets[i]..offsets[i + 1]
+The schema is not repeated: load_index takes the one schema.yaml holds.
+Loading checks every column and builds the CaseTable from them; index.cases
+is then a LazyCases sequence, which decodes a case's values span on first
+access. Vectors are stored as STORED_DTYPE, which Pipeline.fit rounds to.
+A file of the earlier DURCIDX1 layout (one JSON payload of every case) is
+refused with an ArtifactError that asks for a rebuild.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import json
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,14 +67,14 @@ from .errors import (
     MissingDuration,
     NoCandidates,
     NonFiniteVector,
-    SchemaError,
     SpecError,
     ZeroVector,
 )
-from .schema import FeatureSchema, SurgicalCase, load_schema
-from .strata import CaseTable, describe_tier, ladder, quartiles
+from .schema import FeatureSchema, SurgicalCase
+from .strata import MISSING, CaseTable, describe_tier, ladder, quartiles
 
-_MAGIC = b"DURCIDX1"
+_MAGIC = b"DURCIDX2"
+_RETIRED_MAGIC = b"DURCIDX1"
 # The precision index.bin stores vectors in.
 STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
@@ -90,37 +105,38 @@ class ReferenceSet:
 
 
 class FlatIndex:
-    """Immutable exhaustive index over weighted embeddings. A zero or
-    non-finite row has no cosine direction: ZeroVector, NonFiniteVector."""
+    """Immutable exhaustive index over weighted embeddings: row i embeds
+    table.cases[i]. A zero or non-finite row has no cosine direction:
+    ZeroVector, NonFiniteVector, naming the row's case id."""
 
-    def __init__(self, vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema):
+    def __init__(self, vectors: np.ndarray, table: CaseTable):
         # Upcast, row norm, divide: how index.bin has always been read.
         unit = vectors.astype(np.float64)
         norms = np.linalg.norm(unit, axis=1)
         bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
         if bad.size:
-            case_id = cases[bad[0]].id
+            case_id = table.ids[bad[0]]
             if norms[bad[0]] == 0.0:
                 raise ZeroVector(f"entry for case {case_id!r} is a zero vector")
             raise NonFiniteVector(f"entry for case {case_id!r} has no finite norm")
         unit /= norms[:, None]
         self._unit = unit
         self.vectors = vectors
-        self.cases = cases
-        self.schema = schema
-        self.table = CaseTable(cases, schema.key_attributes)
+        self.table = table
+        self.cases = table.cases
         self.dim = int(vectors.shape[1])
 
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self.table)
 
 
 def build(
     vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema
 ) -> FlatIndex:
-    """An index whose row i, kept at its precision, embeds cases[i].
-    Rejects a matrix without one row per case, and cases without a recorded
-    duration (they cannot serve as references or priors)."""
+    """An index whose row i, kept at its precision, embeds cases[i], with
+    the schema's key attributes as its table's keys. Rejects a matrix
+    without one row per case, and cases without a recorded duration (they
+    cannot serve as references or priors)."""
     if not cases:
         raise EmptyInput("cannot build an index from zero entries")
     if vectors.ndim != 2 or len(vectors) != len(cases):
@@ -128,7 +144,7 @@ def build(
     for case in cases:
         if case.duration_min is None:
             raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
-    return FlatIndex(vectors, list(cases), schema)
+    return FlatIndex(vectors, CaseTable.of(list(cases), schema.key_attributes))
 
 
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
@@ -301,51 +317,130 @@ def postprocess(
 ) -> ReferenceSet:
     """postprocess_rows for one query over a candidate list, in descending
     similarity order, with key_attributes as the ladder's keys."""
-    table = CaseTable([c.case for c in candidates], key_attributes)
+    table = CaseTable.of([c.case for c in candidates], key_attributes)
     sims = np.array([[c.similarity for c in candidates]], dtype=np.float64)
     return postprocess_rows(table, np.arange(len(candidates))[None, :], sims, [query], k)[0]
 
 
+class LazyCases(Sequence):
+    """A loaded index's cases, read-only and indexed by row number: case i
+    is decoded from its values span, with its id and duration from their
+    columns, on first access and cached. Threads that race on one row
+    decode equal cases."""
+
+    def __init__(self, ids: list[str], durations: np.ndarray, raw: bytes, spans: np.ndarray):
+        self._ids = ids
+        self._durations = durations
+        self._raw = raw
+        self._spans = spans  # the n + 1 span boundaries, as positions in raw
+        self._cache: list[SurgicalCase | None] = [None] * len(ids)
+        # One key object per feature name for every decoded case, as one JSON
+        # document of all cases would share them: less memory, faster lookups.
+        self._keys: dict[str, str] = {}
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, i: int) -> SurgicalCase:
+        case = self._cache[i]
+        if case is None:
+            i = range(len(self))[i]  # from the end when negative
+            case = self._cache[i] = self._decode(i)
+        return case
+
+    def _decode(self, i: int) -> SurgicalCase:
+        span = self._raw[int(self._spans[i]) : int(self._spans[i + 1])]
+        try:
+            values = json.loads(span.decode("utf-8"))
+            if not isinstance(values, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:
+            raise ArtifactError(
+                f"index file has a corrupt values span for case {self._ids[i]!r}: {exc}"
+            ) from exc
+        values = {self._keys.setdefault(key, key): value for key, value in values.items()}
+        return SurgicalCase(id=self._ids[i], values=values, duration_min=float(self._durations[i]))
+
+
 def save_index(idx: FlatIndex) -> bytes:
-    """The index file's bytes in the documented binary layout (STORED_DTYPE
-    vectors); load_index decodes them."""
-    payload = {
-        "schema": idx.schema.to_doc(),
-        "cases": [
-            {"id": c.id, "values": c.values, "duration_min": c.duration_min}
-            for c in idx.cases
-        ],
+    """The index file's bytes in the documented columnar layout
+    (STORED_DTYPE vectors); load_index decodes them."""
+    table = idx.table
+    head = {
+        "ids": table.ids,
+        "keys": list(table.key_attributes),
+        "vocabs": [list(vocab) for vocab in table.vocabs],
     }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    vectors = idx.vectors.astype(STORED_DTYPE, copy=False).tobytes()
-    header = _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(blob))
-    return header + vectors + blob
+    head_bytes = json.dumps(head).encode("utf-8")
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    spans = [encode(c.values).encode("utf-8") for c in idx.cases]
+    offsets = np.zeros(len(spans) + 1, dtype="<u8")
+    offsets[1:] = np.cumsum([len(span) for span in spans])
+    return b"".join(
+        [
+            _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(head_bytes)),
+            idx.vectors.astype(STORED_DTYPE, copy=False).tobytes(),
+            table.durations.astype("<f8", copy=False).tobytes(),
+            offsets.tobytes(),
+            head_bytes,
+            table.codes.astype("<i4", copy=False).tobytes(),
+            *spans,
+        ]
+    )
 
 
-def load_index(raw: bytes) -> FlatIndex:
-    """Decode the bytes of an index file written by save_index."""
+def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:
+    """Decode the bytes of an index file written by save_index, for the
+    schema its artifacts hold. Checks every column; decodes no case."""
+    if raw[:8] == _RETIRED_MAGIC:
+        raise ArtifactError(
+            "index file has the retired DURCIDX1 layout; rebuild the artifacts with "
+            "`durcast build`"
+        )
     if len(raw) < 24 or raw[:8] != _MAGIC:
         raise ArtifactError("not an index file (bad magic)")
-    dim, count, blob_len = struct.unpack("<IIQ", raw[8:24])
-    vec_bytes = count * dim * 4
-    if len(raw) != 24 + vec_bytes + blob_len:
+    dim, n, head_len = struct.unpack("<IIQ", raw[8:24])
+    keys = list(schema.key_attributes)
+    # section starts: durations, offsets, head, codes, values
+    at = list(accumulate([24 + 4 * n * dim, 8 * n, 8 * (n + 1), head_len, 4 * n * len(keys)]))
+    if len(raw) < at[4]:
         raise ArtifactError("index file is truncated or padded")
-    vectors = np.frombuffer(raw[24 : 24 + vec_bytes], dtype=STORED_DTYPE).reshape(count, dim)
+    vectors = np.frombuffer(raw, STORED_DTYPE, n * dim, 24).reshape(n, dim)
+    durations = np.frombuffer(raw, "<f8", n, at[0]).astype(np.float64)
+    offsets = np.frombuffer(raw, "<u8", n + 1, at[1]).astype(np.int64)
+    codes = np.frombuffer(raw, "<i4", n * len(keys), at[3]).astype(np.int32).reshape(n, len(keys))
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+        raise ArtifactError("index file has value offsets out of order")
+    if len(raw) != at[4] + int(offsets[-1]):
+        raise ArtifactError("index file is truncated or padded")
     try:
-        payload = json.loads(raw[24 + vec_bytes :].decode("utf-8"))
-        schema = load_schema(json.dumps(payload["schema"]))
-        # float() rejects a missing duration: every indexed case has one.
-        cases = [
-            SurgicalCase(
-                id=item["id"], values=item["values"], duration_min=float(item["duration_min"])
-            )
-            for item in payload["cases"]
-        ]
-    except (ValueError, KeyError, TypeError, SchemaError) as exc:
-        raise ArtifactError(f"index file has a corrupt case payload: {exc}") from exc
-    if len(cases) != count:
-        raise ArtifactError(f"index header count {count} != payload count {len(cases)}")
+        head = json.loads(raw[at[2] : at[3]].decode("utf-8"))
+        ids, vocabs = head["ids"], head["vocabs"]
+        if head["keys"] != keys:
+            raise ValueError(f"keys {head['keys']} differ from the schema's {keys}")
+        if not (isinstance(ids, list) and len(ids) == n and all(isinstance(i, str) for i in ids)):
+            raise ValueError(f"it must list {n} string case ids")
+        vocab_maps = [{value: code for code, value in enumerate(v)} for v in vocabs]
+        strings = all(isinstance(value, str) for vocab in vocab_maps for value in vocab)
+        if not strings or [list(m) for m in vocab_maps] != vocabs or len(vocabs) != len(keys):
+            raise ValueError("it needs one vocabulary of distinct strings per key")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"index file has a corrupt table head: {exc}") from exc
+    bad = np.flatnonzero(((codes < MISSING) | (codes >= [len(v) for v in vocabs])).any(axis=1))
+    if bad.size:
+        raise ArtifactError(
+            f"index file has a key code outside its vocabulary for case {ids[bad[0]]!r}"
+        )
+    # 0 < d < inf: every indexed case has a recorded duration
+    bad = np.flatnonzero(~((durations > 0.0) & (durations < np.inf)))
+    if bad.size:
+        raise ArtifactError(
+            f"index file has a corrupt case payload: case {ids[bad[0]]!r} has duration "
+            f"{float(durations[bad[0]])!r}, not positive and finite"
+        )
+    cases = LazyCases(ids, durations, raw, offsets + at[4])
+    table = CaseTable(cases, keys, ids, durations, codes, vocab_maps)
     try:
-        return FlatIndex(vectors, cases, schema)
+        return FlatIndex(vectors, table)
     except (ZeroVector, NonFiniteVector) as exc:
         raise ArtifactError(f"index file holds an unusable vector: {exc}") from exc

@@ -5,9 +5,11 @@ Fitting: encode the training corpus, derive PCA importance weights (or
 uniform ones) and build the flat index over weighted embeddings rounded to
 index.STORED_DTYPE, as index.bin stores them, so a fitted pipeline is
 bitwise its reload. A pipeline, fitted or reloaded, derives its stratum
-priors from the indexed cases on first use of each stratum. Prediction:
-embed the query, retrieve and refine references, look up the prior, build
-the prompt, run the multi-round ensemble, aggregate.
+priors from the index's case table on first use of each stratum. Loading
+reads the index's columns and decodes no case: a reloaded index decodes a
+case's values on first access, so a prediction reads only its references.
+Prediction: embed the query, retrieve and refine references, look up the
+prior, build the prompt, run the multi-round ensemble, aggregate.
 
 ExperimentConfig holds every setting of one prediction protocol; its fit
 field is the FitConfig a pipeline is fitted under.
@@ -17,7 +19,8 @@ what prediction reads:
     schema.yaml      feature schema
     encoder.json     fitted per-feature statistics + embedder spec
     weights.npz      per-dimension weights
-    index.bin        flat index with the training cases
+    index.bin        flat index: vectors and the case table's columns, each
+                     case's values decoded only when a query reads it
     importance.csv   per-feature weight mass, descending
     manifest.json    fit config + sha256 of every other file (fingerprint)
 """
@@ -243,11 +246,17 @@ class Pipeline:
         """Expanded retrieval then clinical refinement (or a plain top-k
         cut when postprocessing is disabled), with the expanded candidates
         the references were picked from."""
+        refs, (rows, sims) = self._references(case, k, expansion_factor, postprocess)
+        return refs, index_mod.as_candidates(self.index, rows, sims)
+
+    def _references(
+        self, case: SurgicalCase, k: int, expansion_factor: int, postprocess: bool
+    ) -> tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]]:
+        """retrieve_references_batch for one case, raising its error."""
         found = self.retrieve_references_batch([case], k, expansion_factor, postprocess)[0]
         if isinstance(found, DurcastError):
             raise found
-        refs, (rows, sims) = found
-        return refs, index_mod.as_candidates(self.index, rows, sims)
+        return found
 
     def retrieve_references_batch(
         self,
@@ -293,8 +302,10 @@ class Pipeline:
         """k training cases drawn uniformly without replacement; similarity
         is reported as 0 since none was computed."""
         pool = self.index.cases
-        picks = random.Random(seed).sample(pool, min(k, len(pool)))
-        return self._unstratified((c, 0.0) for c in picks)
+        # Sampling row numbers picks what sampling the cases would, and
+        # reads only the picked cases.
+        picks = random.Random(seed).sample(range(len(pool)), min(k, len(pool)))
+        return self._unstratified((pool[i], 0.0) for i in picks)
 
     def _unstratified(self, references) -> ReferenceSet:
         """References picked without the stratum walk: the unfiltered tier."""
@@ -328,9 +339,8 @@ class Pipeline:
         if cfg.mode == "rag":
             refs = references
             if refs is None:
-                refs, _ = self.retrieve_references(
-                    query, cfg.k, cfg.expansion_factor, cfg.postprocess
-                )
+                # the references alone: no case objects for the other candidates
+                refs = self._references(query, cfg.k, cfg.expansion_factor, cfg.postprocess)[0]
             prior = self.priors.for_query(query)
         elif cfg.mode == "random_few_shot":
             refs = self.random_references(
@@ -361,7 +371,9 @@ class Pipeline:
         return pca_mod.feature_importance_report(self.weights, self.encoder.feature_spans)
 
     def train_cases(self) -> CaseSet:
-        return CaseSet(cases=list(self.index.cases), schema=self.index.schema)
+        """The indexed cases, as the index holds them: a loaded index decodes
+        a case only when something reads it."""
+        return CaseSet(cases=self.index.cases, schema=self.schema)
 
 
 def _sha256(data: bytes) -> str:
@@ -473,5 +485,5 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
         raise ArtifactError(f"manifest under {root} has a bad fit_config: {exc}") from exc
     if _embedder_spec(make_embedder(fit_config.embedder)) != _embedder_spec(encoder.text_embedder):
         raise ArtifactError(f"manifest under {root} records another embedder than encoder.json")
-    flat_index = index_mod.load_index(blobs["index.bin"])
+    flat_index = index_mod.load_index(blobs["index.bin"], schema)
     return Pipeline(encoder, weights, flat_index, fit_config)

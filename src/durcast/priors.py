@@ -72,7 +72,8 @@ def compute_prior(
     with_duration = [c for c in train.cases if c.duration_min is not None]
     if not with_duration:
         raise EmptyTrainingSet("prior needs at least one training duration")
-    return stratum_prior(CaseTable(with_duration, train.schema.key_attributes), query, min_cohort)
+    table = CaseTable.of(with_duration, train.schema.key_attributes)
+    return stratum_prior(table, query, min_cohort)
 
 
 def prior_strength(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -84,9 +84,6 @@ class FeatureSchema:
             if f.name == name:
                 return f.kind
         raise SchemaError(f"unknown feature {name!r}")
-
-    def by_kind(self, kind: str) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features if f.kind == kind)
 
     def to_doc(self) -> dict:
         """The schema as a plain mapping: the YAML document structure."""
@@ -290,8 +287,3 @@ def split(
     return tuple(
         CaseSet(cases=[cs.cases[i] for i in sorted(idx)], schema=cs.schema) for idx in parts
     )
-
-
-def strip_duration(case: SurgicalCase) -> SurgicalCase:
-    """Copy of a case with the duration removed (turns it into a query)."""
-    return replace(case, duration_min=None)

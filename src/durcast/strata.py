@@ -19,12 +19,14 @@ applicable to every query and holds every case. A case matches a tier when
 its value equals the query's as a string on every tier attribute; a case
 missing a tier attribute matches no tier that names it.
 
-CaseTable holds what the walk and prediction read of a list of cases as
-arrays, with the key attributes dictionary-encoded by str(value), so a
+CaseTable holds what the walk and prediction read of a sequence of cases
+as arrays, with the key attributes dictionary-encoded by str(value), so a
 tier's members come from a mask compare instead of per-case string
-compares. The walk takes a batch of queries, each with its own candidate
-rows, and compares every code of the batch at once; post-processing walks
-a whole retrieval batch, and a prior is a batch of one over every row.
+compares; a loaded index hands it its stored columns, and only the cases
+a caller picks are ever read. The walk takes a batch of queries, each with
+its own candidate rows, and compares every code of the batch at once;
+post-processing walks a whole retrieval batch, and a prior is a batch of
+one over every row.
 
 quartiles gives Q1 and Q3 of many sorted duration rows at once, by numpy's
 linear-interpolation rule, bit for bit.
@@ -61,40 +63,61 @@ def ladder(key_attributes: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 
 class CaseTable:
-    """Columns of a list of cases, in list order.
+    """Columns of a sequence of cases, in sequence order.
 
-    durations: float64 durations. id_rank: each case id's position in a
-    stable sort by id, so equal ids keep list order. codes: int32, one
-    column per key attribute, each value's index in that attribute's
-    vocabulary of str(value), MISSING where the case lacks the value.
+    cases: the cases themselves, read only for the rows a caller picks.
+    ids: the case ids. durations: float64 durations. id_rank: each case
+    id's position in a stable sort by id, so equal ids keep sequence order.
+    codes: int32, one column per key attribute, each value's index in that
+    attribute's vocabulary of str(value) (vocabs, a dict per attribute in
+    code order), MISSING where the case lacks the value. A loaded index
+    passes its stored columns; of derives them from case objects.
     """
 
-    def __init__(self, cases: Sequence[SurgicalCase], key_attributes: tuple[str, ...]):
+    def __init__(
+        self,
+        cases: Sequence[SurgicalCase],
+        key_attributes: tuple[str, ...],
+        ids: list[str],
+        durations: np.ndarray,
+        codes: np.ndarray,
+        vocabs: list[dict[str, int]],
+    ):
         self.cases = cases
         self.key_attributes = tuple(key_attributes)
-        n = len(cases)
-        self.durations = np.array([c.duration_min for c in cases], dtype=np.float64)
-        ids = [c.id for c in cases]
+        self.ids = ids
+        self.durations = durations
+        self.codes = codes
+        self.vocabs = vocabs
+        n = len(ids)
         self.id_rank = np.empty(n, dtype=np.int64)
         self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-        self.codes = np.empty((n, len(self.key_attributes)), dtype=np.int32)
-        self._vocabs: list[dict[str, int]] = []
-        values = [c.values for c in cases]
-        for j, attr in enumerate(self.key_attributes):
-            vocab: dict[str, int] = {}
-            self.codes[:, j] = [
-                MISSING if (x := v.get(attr)) is None else vocab.setdefault(str(x), len(vocab))
-                for v in values
-            ]
-            self._vocabs.append(vocab)
         keys = self.key_attributes
         self._tiers = [
             (level, tier, [keys.index(attr) for attr in tier])
             for level, tier in enumerate(ladder(keys))
         ]
 
+    @classmethod
+    def of(cls, cases: Sequence[SurgicalCase], key_attributes: tuple[str, ...]) -> "CaseTable":
+        """The table of a sequence of case objects: vocabularies in order of
+        first appearance."""
+        keys = tuple(key_attributes)
+        codes = np.empty((len(cases), len(keys)), dtype=np.int32)
+        vocabs: list[dict[str, int]] = []
+        values = [c.values for c in cases]
+        for j, attr in enumerate(keys):
+            vocab: dict[str, int] = {}
+            codes[:, j] = [
+                MISSING if (x := v.get(attr)) is None else vocab.setdefault(str(x), len(vocab))
+                for v in values
+            ]
+            vocabs.append(vocab)
+        durations = np.array([c.duration_min for c in cases], dtype=np.float64)
+        return cls(cases, keys, [c.id for c in cases], durations, codes, vocabs)
+
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self.ids)
 
     def walk(
         self, queries: Sequence[SurgicalCase], rows: np.ndarray
@@ -115,7 +138,7 @@ class CaseTable:
                 [
                     MISSING if (value := query.values.get(attr)) is None
                     else vocab.get(str(value), _UNSEEN)
-                    for attr, vocab in zip(keys, self._vocabs)
+                    for attr, vocab in zip(keys, self.vocabs)
                 ]
                 for query in queries
             ],

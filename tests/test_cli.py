@@ -1,11 +1,16 @@
 """End-to-end command line runs, in process via cli.main."""
 
+import hashlib
 import json
+import shutil
+import struct
 
 import pytest
 
-from durcast import cli
-from durcast.pipeline import Pipeline, load_artifacts
+from durcast import cli, index as index_mod
+from durcast.llm import MockReferenceMean
+from durcast.pipeline import ExperimentConfig, Pipeline, load_artifacts
+from durcast.schema import ingest_csv
 
 QUERY_FLAGS = [
     "--set", "department=thyroid_breast",
@@ -172,6 +177,16 @@ class TestPredict:
         rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
                        "--set", "age=heaps"])
         assert rc == 1
+
+    @pytest.mark.parametrize("mode", [["--mode", "zero_shot"], ["--mode", "rag"]])
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
+    def test_set_rejects_non_finite_number(self, workspace, capsys, mode, raw):
+        rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
+                       *QUERY_FLAGS, "--set", f"age={raw}", *mode])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"feature 'age' expects a finite number, got {raw!r}" in captured.err
+        assert "estimate" not in captured.out
 
     def test_http_backend_down_exits_3(self, workspace, capsys):
         rc = cli.main([
@@ -392,3 +407,89 @@ class TestAblate:
         rc = cli.main(self.ablate_args(workspace, "k", "two,four"))
         assert rc == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+class TestDecodesOnlyWhatIsRead:
+    """A loaded index decodes a case's values span only when something
+    reads that case; decoded rows are counted by wrapping the decoder."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        rows = []
+        real = index_mod.LazyCases._decode
+
+        def counting(cases, i):
+            rows.append(i)
+            return real(cases, i)
+
+        monkeypatch.setattr(index_mod.LazyCases, "_decode", counting)
+        return rows
+
+    def test_load_and_priors_decode_nothing(self, workspace, decoded):
+        pipe = load_artifacts(workspace / "artifacts")
+        assert decoded == []
+        query = ingest_csv(workspace / "data" / "test.csv", pipe.schema).cases[0]
+        assert pipe.priors.for_query(query).cohort_size > 0
+        assert len(pipe.train_cases()) == len(pipe.index) > 0
+        assert decoded == []
+
+    def test_predict_case_decodes_at_most_k(self, workspace, decoded):
+        pipe = load_artifacts(workspace / "artifacts")
+        query = ingest_csv(workspace / "data" / "test.csv", pipe.schema).cases[0]
+        cfg = ExperimentConfig(backend=MockReferenceMean(), k=4, rounds=2)
+        pred = pipe.predict_case(query, cfg)
+        assert len(decoded) <= 4
+        assert [pipe.index.table.ids[i] for i in decoded] == [
+            c.id for c, _ in pred.references.references
+        ]
+
+    def test_cli_predict_decodes_at_most_k(self, workspace, decoded, capsys):
+        rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
+                       "--k", "4", "--rounds", "2", *QUERY_FLAGS])
+        assert rc == 0
+        assert 0 < len(decoded) <= 4
+
+    def test_corrupt_values_span_exits_1(self, workspace, tmp_path, capsys):
+        """A corrupt span loads (nothing decodes it) and fails the command
+        that reads it with an error line, not a traceback."""
+        art = tmp_path / "artifacts"
+        shutil.copytree(workspace / "artifacts", art)
+        raw = (art / "index.bin").read_bytes()
+        dim, n = struct.unpack("<II", raw[8:16])
+        # the last of the n + 1 span offsets is the values section's length
+        last = 24 + 4 * n * dim + 8 * n + 8 * n
+        start = len(raw) - struct.unpack("<Q", raw[last : last + 8])[0]
+        raw = raw[:start] + b"\xff" * (len(raw) - start)
+        (art / "index.bin").write_bytes(raw)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["files"]["index.bin"] = hashlib.sha256(raw).hexdigest()
+        del manifest["fingerprint"]
+        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        assert len(load_artifacts(art).index) == n
+        rc = cli.main(["predict", "--artifacts", str(art), "--k", "4", "--rounds", "1",
+                       *QUERY_FLAGS])
+        assert rc == 1
+        assert "corrupt values span for case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, k", [("rag", "4"), ("random_few_shot", "3"),
+                                         ("zero_shot", None)])
+    def test_evaluate_decodes_only_referenced_cases(
+        self, workspace, tmp_path, decoded, mode, k
+    ):
+        jsonl = tmp_path / "cases.jsonl"
+        rc = cli.main([
+            "evaluate", "--artifacts", str(workspace / "artifacts"),
+            "--test", str(workspace / "data" / "test.csv"), "--rounds", "2",
+            "--mode", mode, *(["--k", k] if k else []), "--jsonl", str(jsonl),
+        ])
+        assert rc == 0
+        referenced = {
+            ref["id"]
+            for line in jsonl.read_text(encoding="utf-8").splitlines()
+            for ref in json.loads(line).get("references", [])
+        }
+        ids = load_artifacts(workspace / "artifacts").index.table.ids
+        assert len(decoded) == len(set(decoded)) < len(ids)
+        assert {ids[i] for i in decoded} == referenced

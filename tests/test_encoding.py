@@ -458,8 +458,13 @@ GOLDEN_EMBEDDINGS = {
 }
 # index.bin of a 300-case seed-5 synthetic fit with uniform weights: the
 # encoder alone decides its vector bytes (PCA weights would add an
-# eigensolver whose last bits vary between LAPACK builds).
-GOLDEN_INDEX_BIN = "c01c2c4ece08e0dac81238d55b47bdcc398d99a130ebdeb6a8f55ec191d7577e"
+# eigensolver whose last bits vary between LAPACK builds). Recorded for the
+# columnar DURCIDX2 layout.
+GOLDEN_INDEX_BIN = "6d5e65d800a5c04efb0be125597a6c58d8066b028967aef8e52335511e888ff5"
+# The float32 vector section of that file, bytes 24 .. 24 + 4 * n * d. Recorded
+# from the DURCIDX1 file, which stored the same vectors at the same offset, so
+# the layout change left every vector byte in place.
+GOLDEN_INDEX_VECTORS = "6ed59d00f4b2794d7ac0a05b6d3c87e120d8ffaedc5087a00074ff3f7bcfb125"
 
 
 class TestGoldenPins:
@@ -475,3 +480,10 @@ class TestGoldenPins:
         corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)
         pipe = Pipeline.fit(corpus, FitConfig(pca_weighting=False))
         assert hashlib.sha256(index.save_index(pipe.index)).hexdigest() == GOLDEN_INDEX_BIN
+
+    def test_index_bin_vector_bits(self):
+        corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)
+        pipe = Pipeline.fit(corpus, FitConfig(pca_weighting=False))
+        n, d = pipe.index.vectors.shape
+        section = index.save_index(pipe.index)[24 : 24 + 4 * n * d]
+        assert hashlib.sha256(section).hexdigest() == GOLDEN_INDEX_VECTORS

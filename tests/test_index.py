@@ -2,7 +2,10 @@
 round trip. The linear scan, object post-processing and object prior below
 are the reference implementations the table path must equal."""
 
+import json
 import struct
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -36,8 +39,8 @@ from durcast.index import (
     save_index,
 )
 from durcast.priors import PriorIndex, StatisticalPrior, compute_prior
-from durcast.schema import CaseSet, FeatureSchema, SurgicalCase
-from durcast.strata import describe_tier, ladder
+from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
+from durcast.strata import CaseTable, describe_tier, ladder
 
 
 def simple_index(vectors, ids=None, durations=None):
@@ -126,7 +129,7 @@ class TestRetrieve:
             retrieve(idx, np.array([1.0, bad]), 1)
 
     def test_rejects_empty_index(self):
-        idx = FlatIndex(np.zeros((0, 2)), [], small_schema())
+        idx = FlatIndex(np.zeros((0, 2)), CaseTable.of([], small_schema().key_attributes))
         with pytest.raises(EmptyIndex):
             retrieve(idx, np.ones(2), 1)
 
@@ -521,12 +524,39 @@ class TestVecdot:
             assert np.vecdot(unit[window], qv).tolist() == want
 
 
+def sections(raw, n_keys):
+    """Byte offsets of index.bin's sections, as the module docstring lays
+    them out."""
+    dim, count, head_len = struct.unpack("<IIQ", raw[8:24])
+    at = {"vectors": 24}
+    at["durations"] = at["vectors"] + 4 * count * dim
+    at["offsets"] = at["durations"] + 8 * count
+    at["head"] = at["offsets"] + 8 * (count + 1)
+    at["codes"] = at["head"] + head_len
+    at["values"] = at["codes"] + 4 * count * n_keys
+    return at
+
+
+N_KEYS = len(small_schema().key_attributes)
+
+
+def with_head(raw, change):
+    """raw with change() applied to its JSON table head, the header's head
+    length kept in step."""
+    at = sections(raw, N_KEYS)
+    head = json.loads(raw[at["head"] : at["codes"]])
+    change(head)
+    blob = json.dumps(head).encode("utf-8")
+    header = raw[:16] + struct.pack("<Q", len(blob))
+    return header + raw[24 : at["head"]] + blob + raw[at["codes"] :]
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(9)
         vectors = rng.normal(size=(8, 5))
         idx = simple_index(vectors, durations=[60.0 + i for i in range(8)])
-        back = load_index(save_index(idx))
+        back = load_index(save_index(idx), small_schema())
         assert back.dim == idx.dim
         assert len(back) == len(idx)
         # vectors are float32-quantized on save
@@ -534,40 +564,48 @@ class TestSerialization:
         assert [c.id for c in back.cases] == [c.id for c in idx.cases]
         assert [c.duration_min for c in back.cases] == [c.duration_min for c in idx.cases]
         assert back.cases[0].values == idx.cases[0].values
-        assert back.schema == idx.schema
+        assert back.table.key_attributes == idx.table.key_attributes
 
     def test_retrieval_survives_round_trip(self):
         rng = np.random.default_rng(10)
         idx = simple_index(rng.normal(size=(12, 4)))
         raw = save_index(idx)
-        back = load_index(raw)
+        back = load_index(raw, small_schema())
         query = rng.normal(size=4)
         a = [c.case.id for c in retrieve(back, query, 5)]
-        b = [c.case.id for c in retrieve(load_index(raw), query, 5)]
+        b = [c.case.id for c in retrieve(load_index(raw, small_schema()), query, 5)]
         assert a == b
 
     def test_bad_magic(self):
         raw = bytearray(save_index(simple_index([[1.0, 0.0]])))
         raw[0] ^= 0xFF
         with pytest.raises(ArtifactError, match="magic"):
-            load_index(bytes(raw))
+            load_index(bytes(raw), small_schema())
+
+    def test_retired_layout_names_a_rebuild(self):
+        raw = save_index(simple_index([[1.0, 0.0]]))
+        with pytest.raises(ArtifactError, match="DURCIDX1.*durcast build"):
+            load_index(b"DURCIDX1" + raw[8:], small_schema())
 
     def test_truncated_file(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
         with pytest.raises(ArtifactError, match="truncated"):
-            load_index(raw[:-1])
+            load_index(raw[:-1], small_schema())
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_index(raw[:30], small_schema())
 
     def test_padded_file(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
         with pytest.raises(ArtifactError):
-            load_index(raw + b"x")
+            load_index(raw + b"x", small_schema())
 
     def test_case_without_duration_rejected(self):
-        raw = save_index(simple_index([[1.0, 0.0]]))
-        blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": null')
-        raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
-        with pytest.raises(ArtifactError, match="corrupt"):
-            load_index(raw)
+        """A float64 column has no null: a case without its duration leaves
+        the column an entry short, and every later section shifts."""
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        at = sections(raw, N_KEYS)["durations"]
+        with pytest.raises(ArtifactError):
+            load_index(raw[:at] + raw[at + 8 :], small_schema())
 
     @pytest.mark.parametrize(
         "row, message",
@@ -578,21 +616,165 @@ class TestSerialization:
         raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
         raw = raw[:32] + struct.pack("<2f", *row) + raw[40:]
         with pytest.raises(ArtifactError, match=f"'c1' {message}"):
-            load_index(raw)
+            load_index(raw, small_schema())
 
     def test_fitted_precision_is_kept_and_saved(self):
         vectors = np.random.default_rng(11).normal(size=(6, 4)).astype(index_mod.STORED_DTYPE)
         idx = build(vectors, [mk_case(f"c{i}", 60.0) for i in range(6)], small_schema())
         assert idx.vectors.dtype == np.float32
-        back = load_index(save_index(idx))
+        back = load_index(save_index(idx), small_schema())
         assert back.vectors.dtype == np.float32
         assert back.vectors.tobytes() == idx.vectors.tobytes()
         assert back._unit.tobytes() == idx._unit.tobytes()
 
     @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0"])
     def test_non_finite_or_negative_duration_rejected(self, bad):
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        at = sections(raw, N_KEYS)["durations"] + 8
+        raw = raw[:at] + struct.pack("<d", float(bad)) + raw[at + 8 :]
+        with pytest.raises(ArtifactError, match="corrupt case payload: case 'c1'"):
+            load_index(raw, small_schema())
+
+    @pytest.mark.parametrize(
+        "position, value, message",
+        [(1, 10**6, "out of order"), (0, 1, "out of order"), (2, 10**6, "truncated or padded")],
+    )
+    def test_offsets_out_of_order_or_past_the_end(self, position, value, message):
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        at = sections(raw, N_KEYS)["offsets"] + 8 * position
+        raw = raw[:at] + struct.pack("<Q", value) + raw[at + 8 :]
+        with pytest.raises(ArtifactError, match=message):
+            load_index(raw, small_schema())
+
+    @pytest.mark.parametrize("code", [1, 7, -2])
+    def test_code_outside_its_vocabulary(self, code):
+        """Both cases share one department, so its vocabulary holds 1 value."""
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        at = sections(raw, N_KEYS)["codes"] + 4 * N_KEYS
+        raw = raw[:at] + struct.pack("<i", code) + raw[at + 4 :]
+        with pytest.raises(ArtifactError, match="outside its vocabulary for case 'c1'"):
+            load_index(raw, small_schema())
+
+    @pytest.mark.parametrize("ids", [["c0"], ["c0", "c1", "c2"], ["c0", 1], "c0c1"])
+    def test_ids_must_be_one_string_per_case(self, ids):
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        raw = with_head(raw, lambda head: head.update(ids=ids))
+        with pytest.raises(ArtifactError, match="2 string case ids"):
+            load_index(raw, small_schema())
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda head: head["vocabs"].pop(),
+            lambda head: head["vocabs"][0].append(head["vocabs"][0][0]),
+            lambda head: head["vocabs"][0].append(3),
+            lambda head: head.pop("vocabs"),
+        ],
+    )
+    def test_corrupt_vocabularies_rejected(self, change):
+        raw = with_head(save_index(simple_index([[1.0, 0.0], [0.0, 1.0]])), change)
+        with pytest.raises(ArtifactError, match="vocabulary|table head"):
+            load_index(raw, small_schema())
+
+    def test_keys_must_match_the_schema(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
-        blob = raw[32:].replace(b'"duration_min": 60.0', b'"duration_min": ' + bad)
-        raw = raw[:16] + struct.pack("<Q", len(blob)) + raw[24:32] + blob
-        with pytest.raises(ArtifactError, match="corrupt"):
-            load_index(raw)
+        schema = small_schema()
+        reordered = FeatureSchema(
+            schema.features, schema.ordinal_orders, tuple(reversed(schema.key_attributes))
+        )
+        with pytest.raises(ArtifactError, match="differ from the schema"):
+            load_index(raw, reordered)
+
+    @pytest.mark.parametrize("span", [b"{", b"[1]", b"\xff\xfe", b"null"])
+    def test_corrupt_values_span_fails_on_first_access(self, span):
+        raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
+        at = sections(raw, N_KEYS)
+        start, end = struct.unpack("<2Q", raw[at["offsets"] + 8 : at["offsets"] + 24])
+        values = raw[at["values"] :]
+        values = values[:start] + span.ljust(end - start) + values[end:]
+        back = load_index(raw[: at["values"]] + values, small_schema())
+        assert back.cases[0].id == "c0"
+        for _ in range(2):
+            with pytest.raises(ArtifactError, match="corrupt values span for case 'c1'"):
+                back.cases[1]
+
+    def test_cases_decode_once_on_first_access(self):
+        raw = save_index(simple_index(np.eye(4), ids=["c0", "c1", "c1", "c3"]))
+        back = load_index(raw, small_schema())
+        assert back.cases[-1] is back.cases[3]
+        # decoded cases share one object per feature name
+        ages = [next(key for key in c.values if key == "age") for c in back.cases]
+        assert all(key is ages[0] for key in ages)
+        assert back.cases[1] == back.cases[2] and back.cases[1] is not back.cases[2]
+        with pytest.raises(IndexError):
+            back.cases[4]
+
+
+def test_lazy_cases_under_racing_threads():
+    """Threads that race to decode the same rows all read equal cases, and
+    every row ends up decoded once for good."""
+    cases = [mk_case(f"c{i}", 60.0 + i, age=float(i)) for i in range(300)]
+    vectors = np.random.default_rng(12).normal(size=(300, 4))
+    back = load_index(save_index(build(vectors, cases, small_schema())), small_schema())
+    seen = [[] for _ in range(8)]
+
+    def read(j):
+        order = np.random.default_rng(j).permutation(300).tolist()
+        seen[j] = [(i, back.cases[i]) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(case == cases[i] for run in seen for i, case in run)
+    assert all(len(run) == 300 for run in seen)
+    assert all(back.cases[i] is back.cases[i] for i in range(300))
+
+
+KEY_SCHEMA = FeatureSchema(
+    features=(Feature("dept", "categorical"), Feature("size", "numerical"),
+              Feature("note", "text")),
+    key_attributes=("dept", "size"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "a"]),
+            st.one_of(st.none(), st.sampled_from(["x", "y", "1"])),
+            st.one_of(st.none(), st.sampled_from([1.0, 2.5, -0.0, 1e300])),
+            st.floats(0.5, 900.0),
+            st.one_of(st.none(), st.text(max_size=6)),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_stored_columns_equal_table_of_cases(rows):
+    """The CaseTable load_index builds from the stored columns equals
+    CaseTable.of over the cases; repeated ids, missing key values and a
+    numerical key (coded by str(value)) included."""
+    cases = [
+        SurgicalCase(id=case_id, values={"dept": dept, "size": size, "note": note},
+                     duration_min=dur)
+        for case_id, dept, size, dur, note in rows
+    ]
+    vectors = np.arange(1, 1 + 3 * len(cases), dtype=np.float32).reshape(len(cases), 3)
+    back = load_index(save_index(build(vectors, cases, KEY_SCHEMA)), KEY_SCHEMA)
+    want = CaseTable.of(cases, KEY_SCHEMA.key_attributes)
+    got = back.table
+    assert got.ids == want.ids
+    assert got.durations.tobytes() == want.durations.tobytes()
+    assert got.id_rank.tolist() == want.id_rank.tolist()
+    assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
+    assert [list(v.items()) for v in got.vocabs] == [list(v.items()) for v in want.vocabs]
+    assert list(back.cases) == cases

@@ -12,7 +12,7 @@ from durcast.strata import CaseTable
 
 
 def table_of(corpus):
-    return CaseTable(corpus.cases, corpus.schema.key_attributes)
+    return CaseTable.of(corpus.cases, corpus.schema.key_attributes)
 
 
 def thyroid_query():

@@ -13,7 +13,6 @@ from durcast.schema import (
     load_schema,
     load_schema_file,
     split,
-    strip_duration,
     write_csv,
 )
 
@@ -52,11 +51,6 @@ class TestLoadSchema:
     def test_yaml_roundtrip(self):
         schema = small_schema()
         assert load_schema(schema.to_yaml()) == schema
-
-    def test_by_kind(self):
-        schema = load_schema(GOOD_YAML)
-        assert schema.by_kind("numerical") == ("age",)
-        assert schema.by_kind("text") == ("note",)
 
     @pytest.mark.parametrize(
         "text",
@@ -141,11 +135,6 @@ class TestCases:
         )
         assert cs.durations() == [60.0]
         assert len(cs) == 2
-
-    def test_strip_duration(self):
-        case = mk_case("a", 60.0)
-        assert strip_duration(case).duration_min is None
-        assert strip_duration(case).values == case.values
 
 
 CSV_TEXT = """case_id,age,surgery_level,department,emergency,note,duration_min

@@ -11,7 +11,7 @@ from durcast.strata import MISSING, GLOBAL_STRATUM, CaseTable, describe_tier, la
 
 def walk_ids(query, cases, keys, rows=None):
     """(level, tier, member ids) for each tier the table walk yields."""
-    table = CaseTable(cases, keys)
+    table = CaseTable.of(cases, keys)
     rows = np.arange(len(cases)) if rows is None else np.asarray(rows)
     return [
         (level, tier, [cases[i].id for i in rows[mask[0]]])
@@ -84,13 +84,13 @@ def test_table_columns():
         SurgicalCase(id="b", values={"a": "y"}, duration_min=90.0),
         SurgicalCase(id="a0", values={"a": "x"}, duration_min=30.0),
     ]
-    table = CaseTable(cases, ("a",))
+    table = CaseTable.of(cases, ("a",))
     assert table.durations.tolist() == [60.0, 75.5, 90.0, 30.0]
     # stable: the two "b" ids keep their list order
     assert table.id_rank.tolist() == [2, 0, 3, 1]
     assert table.codes[:, 0].tolist() == [0, MISSING, 1, 0]
     assert table.codes.dtype == np.int32
-    assert len(CaseTable([], ("a",))) == 0
+    assert len(CaseTable.of([], ("a",))) == 0
 
 
 def test_describe_tier():
