@@ -125,8 +125,11 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default=None)
     p.add_argument("--api-key-env", default=None)
     p.add_argument("--timeout-s", type=float, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
-    p.add_argument("--concurrency", type=int, default=None)
+    p.add_argument("--max-retries", type=int, default=None,
+                   help="extra attempts per round (default 2)")
+    p.add_argument("--concurrency", type=int, default=None,
+                   help="most backend calls in flight (default 10); http runs a "
+                        "query's rounds at once, the mocks one after another")
     p.add_argument("--noise-sd", type=float, default=None,
                    help="gaussian noise of mock_reference_mean")
     p.add_argument("--mock-seed", type=int, default=None)
@@ -336,7 +339,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     rows = [metrics_csv_row(f"{args.mode}", report)]
     if args.with_median_baseline:
-        rows.append(metrics_csv_row("global_median_baseline", global_median_baseline(train, test)))
+        baseline_train = pipe.index.table.durations if pipe else train  # decodes no case
+        baseline = global_median_baseline(baseline_train, test)
+        rows.append(metrics_csv_row("global_median_baseline", baseline))
     if args.metrics_csv:
         write_metrics_csv(rows, args.metrics_csv)
     for row in rows:

@@ -152,11 +152,13 @@ def run_experiment(
 
     Fits the pipeline from train unless one is supplied. In rag mode, every
     test case is embedded, retrieved and refined once per call, in one
-    batch, before the fan-out. Test cases then run concurrently up to the
-    backend's concurrency limit, or one after another on the calling thread
-    when that limit is 1; outputs are reduced and written in test order. A
-    case that raises a DurcastError is excluded from the metrics, counted in
-    the report's failed field, and logged as {"id", "error"}:
+    batch, before the fan-out. The backend's concurrency_limit bounds its
+    calls in flight: each case runs backend.round_width(rounds) rounds at
+    once, so concurrency_limit // width cases run at once, on a thread pool,
+    or one after another on the calling thread when that is 1. Outputs are
+    reduced and written in test order. A case that raises a DurcastError is
+    excluded from the metrics, counted in the report's failed field, and
+    logged as {"id", "error"}:
     "all_rounds_failed" when every round failed, else the error's class
     name. Log documents are built only when jsonl_path is given. With fewer
     than two cases scored, the log is still written and TooFewSamples names
@@ -183,11 +185,12 @@ def run_experiment(
         except DurcastError as exc:
             return type(exc).__name__
 
-    if cfg.backend.concurrency_limit <= 1:
+    cases_at_once = cfg.backend.concurrency_limit // cfg.backend.round_width(cfg.rounds)
+    if cases_at_once == 1:
         # a one-worker pool only adds a hand-off per case
         results = list(map(one, test.cases, retrieved))
     else:
-        with ThreadPoolExecutor(max_workers=cfg.backend.concurrency_limit) as pool:
+        with ThreadPoolExecutor(max_workers=cases_at_once) as pool:
             results = list(pool.map(one, test.cases, retrieved))
 
     pairs = []
@@ -220,10 +223,13 @@ def run_experiment(
     return compute_metrics(pairs, ids, failed=failed)
 
 
-def global_median_baseline(train: CaseSet, test: CaseSet) -> MetricsReport:
-    """Constant predictor: the training-set median duration for every case."""
-    durations = train.durations()
-    if not durations:
+def global_median_baseline(train: CaseSet | np.ndarray, test: CaseSet) -> MetricsReport:
+    """Constant predictor: the training-set median duration for every case.
+
+    train is the training set or its durations in case order; a loaded
+    pipeline's index.table.durations gives them without decoding a case."""
+    durations = train.durations() if isinstance(train, CaseSet) else train
+    if not len(durations):
         raise TooFewSamples("train set has no recorded durations")
     median = float(np.median(durations))
     pairs = [

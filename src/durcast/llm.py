@@ -9,28 +9,38 @@ Backends share one method, complete(prompt, temperature, round_index) ->
 raw text. The HTTP backend speaks the common chat-completions shape; the
 mock backends are deterministic stand-ins for hermetic tests and offline
 runs, reading structured prompt metadata rather than scraping prompt text.
+
+A backend's concurrency_limit is the most calls in flight. The HTTP
+backend waits on I/O, so a query's rounds run at once, up to that limit;
+the in-process mocks run them one after another on the calling thread.
+Either way each round keeps its seed, temperature and retries, and the
+ensemble lists rounds by round_index.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import os
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import requests
 
 from .errors import (
     AllRoundsFailed,
     BackendTransportError,
     BackendUnreachable,
     BadN,
+    SpecError,
     UnparseableOutput,
 )
 from .prompting import Prompt
+from .transport import TransportFailure, post_json
 
 DEFAULT_MAX_MINUTES = 810.0
 DEFAULT_CONCURRENCY = 10
@@ -93,15 +103,37 @@ def parse_duration(raw: str, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
     return float(min(max(_extract_number(raw), 1.0), max_minutes))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(kw_only=True)
 class LlmBackend:
     """Interface plus the knobs every backend carries: extra attempts per
-    round (max_retries) and the number of cases evaluated at once
-    (concurrency_limit)."""
+    round (max_retries, an int >= 0) and the most calls in flight
+    (concurrency_limit, an int >= 1). A bad knob is a SpecError.
+
+    concurrent_rounds says whether one query's rounds may run at once. It
+    is a property of the class: true for a backend that waits on I/O,
+    false for one that computes under the interpreter lock or answers in
+    call order."""
 
     kind: ClassVar[str]
+    concurrent_rounds: ClassVar[bool] = False
     max_retries: int = 2
     concurrency_limit: int = DEFAULT_CONCURRENCY
+
+    def __post_init__(self):
+        if not (_is_int(self.max_retries) and self.max_retries >= 0):
+            raise SpecError(f"max_retries must be an integer >= 0, got {self.max_retries!r}")
+        if not (_is_int(self.concurrency_limit) and self.concurrency_limit >= 1):
+            raise SpecError(
+                f"concurrency_limit must be an integer >= 1, got {self.concurrency_limit!r}"
+            )
+
+    def round_width(self, rounds: int) -> int:
+        """How many of a query's rounds run at once."""
+        return min(self.concurrency_limit, rounds) if self.concurrent_rounds else 1
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         raise NotImplementedError
@@ -111,13 +143,22 @@ class LlmBackend:
 class HttpChatBackend(LlmBackend):
     """Chat-completions client: POST {model, messages, temperature} and read
     choices[0].message.content. API key, when required, comes from the
-    environment variable named by api_key_env."""
+    environment variable named by api_key_env. timeout_s (finite, > 0)
+    bounds the connect and each read. Proxies come from the environment and
+    TLS uses the system trust store (see durcast.transport)."""
 
     endpoint: str = "http://localhost:8000/v1/chat/completions"
     model_name: str = "unspecified"
     api_key_env: str = "DURCAST_API_KEY"
     timeout_s: float = 60.0
     kind = "http_chat"
+    concurrent_rounds = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        t = self.timeout_s
+        if not (isinstance(t, (int, float)) and not isinstance(t, bool) and 0 < t < math.inf):
+            raise SpecError(f"timeout_s must be a finite number > 0, got {t!r}")
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         headers = {}
@@ -133,18 +174,19 @@ class HttpChatBackend(LlmBackend):
             "temperature": temperature,
         }
         try:
-            resp = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout_s
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            return payload["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            payload = post_json(self.endpoint, body, self.timeout_s, headers)
+        except TransportFailure as exc:
             raise BackendTransportError(f"chat backend {self.endpoint}: {exc}") from exc
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        try:
+            content = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
             raise BackendTransportError(
-                f"chat backend {self.endpoint} returned malformed payload: {exc}"
-            ) from exc
+                f"chat backend {self.endpoint} returned malformed payload: "
+                "no string at choices[0].message.content"
+            )
+        return content
 
 
 @dataclass
@@ -201,6 +243,7 @@ class MockScripted(LlmBackend):
     kind = "mock_scripted"
 
     def __post_init__(self):
+        super().__post_init__()
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -238,6 +281,35 @@ class PredictionEnsemble:
         return len(self.rounds)
 
 
+def _ask_round(
+    prompt: Prompt, backend: LlmBackend, max_minutes: float, round_index: int, temperature: float
+) -> tuple[PredictionRound | None, int]:
+    """One round, up to backend.max_retries + 1 attempts: the retained
+    round, or None when every attempt failed, and how many attempts failed
+    on transport."""
+    transport_failures = 0
+    for _ in range(backend.max_retries + 1):
+        try:
+            raw = backend.complete(prompt, temperature, round_index)
+        except BackendTransportError:
+            transport_failures += 1
+            continue
+        try:
+            unclamped = _extract_number(raw)
+        except UnparseableOutput:
+            continue
+        parsed = float(min(max(unclamped, 1.0), max_minutes))
+        kept = PredictionRound(
+            round_index=round_index,
+            temperature=temperature,
+            raw_text=raw,
+            parsed_minutes=parsed,
+            clamped=parsed != unclamped,
+        )
+        return kept, transport_failures
+    return None, transport_failures
+
+
 def predict_ensemble(
     prompt: Prompt,
     backend: LlmBackend,
@@ -249,42 +321,40 @@ def predict_ensemble(
     """Run n scheduled rounds against the backend.
 
     Each round retries up to backend.max_retries extra attempts on transport
-    errors or unparseable completions, then is dropped. strict mode raises
-    BackendUnreachable when round 1 exhausts its retries entirely on
-    transport errors (the backend is presumed down). Raises AllRoundsFailed
-    when no round survives.
+    errors or unparseable completions, then is dropped. backend.round_width(n)
+    rounds run at once on a thread pool; at width 1 they run one after
+    another on the calling thread. strict mode raises BackendUnreachable
+    when round 1 exhausts its retries entirely on transport errors (the
+    backend is presumed down); rounds not yet started are then cancelled.
+    Raises AllRoundsFailed when no round survives.
     """
     temperatures = schedule_temperatures(n, seed)
+    ask = functools.partial(_ask_round, prompt, backend, max_minutes)
+    rounds = range(1, n + 1)
+    width = backend.round_width(n)
+    if width == 1:
+        # lazy, so a strict failure of round 1 starts no further round
+        return _ensemble(map(ask, rounds, temperatures), backend, n, seed, strict)
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        futures = [pool.submit(ask, i, t) for i, t in zip(rounds, temperatures)]
+        try:
+            return _ensemble((f.result() for f in futures), backend, n, seed, strict)
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+def _ensemble(outcomes, backend: LlmBackend, n: int, seed: int, strict: bool):
+    """The ensemble of the rounds' outcomes, taken in round_index order."""
     retained = []
-    for round_index, temperature in enumerate(temperatures, start=1):
-        transport_failures = 0
-        for _ in range(backend.max_retries + 1):
-            try:
-                raw = backend.complete(prompt, temperature, round_index)
-            except BackendTransportError:
-                transport_failures += 1
-                continue
-            try:
-                unclamped = _extract_number(raw)
-            except UnparseableOutput:
-                continue
-            parsed = float(min(max(unclamped, 1.0), max_minutes))
-            retained.append(
-                PredictionRound(
-                    round_index=round_index,
-                    temperature=temperature,
-                    raw_text=raw,
-                    parsed_minutes=parsed,
-                    clamped=parsed != unclamped,
-                )
+    for round_index, (kept, transport_failures) in enumerate(outcomes, start=1):
+        if kept is not None:
+            retained.append(kept)
+        elif strict and round_index == 1 and transport_failures == backend.max_retries + 1:
+            raise BackendUnreachable(
+                f"backend {backend.kind} failed all "
+                f"{backend.max_retries + 1} attempts on the first round"
             )
-            break
-        else:
-            if strict and round_index == 1 and transport_failures == backend.max_retries + 1:
-                raise BackendUnreachable(
-                    f"backend {backend.kind} failed all "
-                    f"{backend.max_retries + 1} attempts on the first round"
-                )
     if not retained:
         raise AllRoundsFailed(
             f"all {n} rounds dropped against backend {backend.kind}"

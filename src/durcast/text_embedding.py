@@ -12,9 +12,9 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .errors import EmbeddingServiceError
+from .transport import TransportFailure, post_json
 
 _BOUNDARY_START = "\x02"
 _BOUNDARY_END = "\x03"
@@ -97,18 +97,14 @@ class RemoteTextEmbedder(TextEmbedder):
             return np.zeros((0, self.dim), dtype=np.float64)
         with self._gate:
             try:
-                resp = requests.post(
-                    self.url, json={"input": list(texts)}, timeout=self.timeout_s
-                )
-                resp.raise_for_status()
-                payload = resp.json()
-            except requests.RequestException as exc:
+                payload = post_json(self.url, {"input": list(texts)}, self.timeout_s)
+            except TransportFailure as exc:
                 raise EmbeddingServiceError(
                     f"embedding service at {self.url} failed: {exc}"
                 ) from exc
         try:
             rows = [np.asarray(item["embedding"], dtype=np.float64) for item in payload["data"]]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingServiceError(
                 f"embedding service returned malformed payload: {exc}"
             ) from exc

@@ -3,8 +3,11 @@ three procedure clusters, and constructors for priors and ensembles."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -153,21 +156,53 @@ def mk_ensemble(values, seed: int = 0) -> PredictionEnsemble:
     return PredictionEnsemble(rounds=rounds, seed=seed, requested_n=len(rounds))
 
 
+def chat_reply(text) -> dict:
+    """A chat-completions reply whose content is text."""
+    return {"choices": [{"message": {"content": text}}]}
+
+
+def seeded_faults(body: bytes, seen: int):
+    """A fault-injecting reply, a pure function of the request body and how
+    often that body was seen before: 503, a body that is not JSON, a
+    numberless reply, a reply without the sentinel, else a sentinel answer."""
+    draw = int.from_bytes(
+        hashlib.blake2b(body + b"#%d" % seen, digest_size=8).digest(), "little"
+    )
+    kind, minutes = draw % 20, 60 + (draw >> 8) % 180
+    if kind < 2:
+        return 503, {"error": "overloaded"}
+    if kind == 2:
+        return 200, b"<html>not json</html>"
+    if kind == 3:
+        return 200, chat_reply("no estimate possible")
+    if kind == 4:
+        return 200, chat_reply(f"roughly {minutes}")
+    return 200, chat_reply(f"PREDICTION: {minutes} minutes")
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays canned responses and records request bodies for assertions."""
+    """Records each request, holds it for the server's latency while
+    counting how many are held at once, then answers
+    server.respond(body, times this body was seen before)."""
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
-        record = {
-            "path": self.path,
-            "headers": dict(self.headers),
-            "body": json.loads(body) if body else None,
-        }
-        self.server.requests.append(record)
-        status, payload = self.server.replies[
-            min(len(self.server.requests) - 1, len(self.server.replies) - 1)
-        ]
+        server = self.server
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with server.lock:
+            server.requests.append(
+                {"method": "POST", "path": self.path, "headers": dict(self.headers),
+                 "body": json.loads(body) if body else None}
+            )
+            seen = server.seen.get(body, 0)
+            server.seen[body] = seen + 1
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        try:
+            time.sleep(server.latency_s)
+            status, payload = server.respond(body, seen)
+        finally:
+            with server.lock:
+                server.in_flight -= 1
         blob = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -175,15 +210,32 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(blob)
 
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.requests.append({"method": "CONNECT", "path": self.path})
+        self.send_error(405)
+
     def log_message(self, *args):
         pass
 
 
+class _StubHTTPServer(ThreadingHTTPServer):
+    request_queue_size = 64  # concurrent connects must not wait for a SYN retry
+
+
 class StubServer:
-    def __init__(self, replies):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        self.httpd.replies = replies
+    """A loopback HTTP server with latency and an answer function; it
+    records every request and the peak held at once. The default answer is
+    a chat reply of PREDICTION: 100."""
+
+    def __init__(self, respond=None, latency_s: float = 0.0):
+        self.httpd = _StubHTTPServer(("127.0.0.1", 0), _StubHandler)
+        self.httpd.respond = respond or (lambda body, seen: (200, chat_reply("PREDICTION: 100")))
+        self.httpd.latency_s = latency_s
+        self.httpd.lock = threading.Lock()
         self.httpd.requests = []
+        self.httpd.seen = {}
+        self.httpd.in_flight = self.httpd.peak = 0
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -193,8 +245,12 @@ class StubServer:
         return f"http://{host}:{port}"
 
     @property
-    def requests(self):
+    def requests(self) -> list[dict]:
         return self.httpd.requests
+
+    @property
+    def peak(self) -> int:
+        return self.httpd.peak
 
     def close(self):
         self.httpd.shutdown()
@@ -203,13 +259,28 @@ class StubServer:
 
 @pytest.fixture
 def stub_server():
+    """start(respond, latency_s) starts a StubServer; start(replies) starts
+    one that answers the listed (status, payload) pairs in request order,
+    repeating the last."""
     servers = []
 
-    def start(replies):
-        server = StubServer(replies)
+    def start(respond=None, latency_s: float = 0.0):
+        if isinstance(respond, list):
+            replies, calls = respond, itertools.count()
+            respond = lambda body, seen: replies[min(next(calls), len(replies) - 1)]  # noqa: E731
+        server = StubServer(respond, latency_s)
         servers.append(server)
         return server
 
     yield start
     for server in servers:
         server.close()
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """An environment with no proxy settings; a test sets the ones it needs."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch

@@ -7,6 +7,7 @@ import struct
 
 import pytest
 
+from conftest import chat_reply, seeded_faults
 from durcast import cli, index as index_mod
 from durcast.llm import MockReferenceMean
 from durcast.pipeline import ExperimentConfig, Pipeline, load_artifacts
@@ -197,6 +198,26 @@ class TestPredict:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_http_first_round_down_exits_3_while_others_answer(
+        self, workspace, stub_server, capsys
+    ):
+        """Rounds 2..5 run beside round 1 and answer; round 1 exhausting
+        its retries on transport errors still means the backend is down."""
+
+        def respond(body, seen):
+            if json.loads(body)["temperature"] == 0.0:
+                return 503, {"error": "overloaded"}
+            return 200, chat_reply("PREDICTION: 95 minutes")
+
+        server = stub_server(respond)
+        rc = cli.main([
+            "predict", "--artifacts", str(workspace / "artifacts"),
+            "--backend", "http", "--endpoint", server.url, "--rounds", "5", *QUERY_FLAGS,
+        ])
+        assert rc == 3
+        assert "failed all 3 attempts on the first round" in capsys.readouterr().err
+        assert sum(r["body"]["temperature"] == 0.0 for r in server.requests) == 3
+
 
 class TestEvaluate:
     def evaluate_args(self, workspace, **over):
@@ -255,6 +276,46 @@ class TestEvaluate:
         for line in runs[0].decode("utf-8").splitlines():
             rounds = [r["raw_text"] for r in json.loads(line)["rounds"]]
             assert rounds == ["PREDICTION: 77", "about 90", "PREDICTION: 77"]
+
+    @pytest.mark.parametrize(
+        "backend", [["mock_reference_mean", "--noise-sd", "10"], ["mock_echo_prior"],
+                    ["mock_scripted", "--script", "PREDICTION: 77", "--script", "no idea"]]
+    )
+    def test_mocks_write_same_bytes_at_any_concurrency(self, workspace, tmp_path, backend):
+        runs = []
+        for limit in ("1", "10"):
+            csv_path, jsonl_path = tmp_path / f"{limit}.csv", tmp_path / f"{limit}.jsonl"
+            rc = cli.main(self.evaluate_args(
+                workspace, rounds="5", metrics_csv=str(csv_path), jsonl=str(jsonl_path),
+                concurrency=limit, backend=backend[0],
+            ) + backend[1:] + ["--with-median-baseline"])
+            assert rc == 0
+            runs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_http_writes_same_bytes_at_any_concurrency(self, workspace, tmp_path, stub_server):
+        runs = []
+        for limit in ("1", "4", "10"):
+            server = stub_server(seeded_faults)
+            csv_path, jsonl_path = tmp_path / f"{limit}.csv", tmp_path / f"{limit}.jsonl"
+            rc = cli.main(self.evaluate_args(
+                workspace, rounds="5", metrics_csv=str(csv_path), jsonl=str(jsonl_path),
+                concurrency=limit, backend="http", endpoint=server.url,
+            ))
+            assert rc == 0
+            runs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--concurrency", "0"], ["--concurrency", "-3"], ["--max-retries", "-1"],
+         ["--backend", "http", "--timeout-s", "0"], ["--backend", "http", "--timeout-s", "nan"]],
+    )
+    def test_bad_backend_settings_exit_1(self, workspace, capsys, flags):
+        rc = cli.main(self.evaluate_args(workspace) + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
 
     def test_all_failed_names_the_cause(self, workspace, tmp_path, capsys):
         jsonl_path = tmp_path / "cases.jsonl"
@@ -472,6 +533,16 @@ class TestDecodesOnlyWhatIsRead:
                        *QUERY_FLAGS])
         assert rc == 1
         assert "corrupt values span for case" in capsys.readouterr().err
+
+    def test_median_baseline_decodes_nothing(self, workspace, tmp_path, decoded, capsys):
+        rc = cli.main([
+            "evaluate", "--artifacts", str(workspace / "artifacts"),
+            "--test", str(workspace / "data" / "test.csv"), "--rounds", "2",
+            "--mode", "zero_shot", "--with-median-baseline",
+        ])
+        assert rc == 0
+        assert "global_median_baseline: m=12" in capsys.readouterr().out
+        assert decoded == []
 
     @pytest.mark.parametrize("mode, k", [("rag", "4"), ("random_few_shot", "3"),
                                          ("zero_shot", None)])

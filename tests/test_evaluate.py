@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mk_case
+from conftest import mk_case, seeded_faults
 from durcast import evaluate as evaluate_mod, index as index_mod
 from durcast.errors import (
     BadAxisValue,
@@ -33,7 +33,8 @@ from durcast.evaluate import (
     write_grid_csv,
     write_metrics_csv,
 )
-from durcast.llm import LlmBackend, MockReferenceMean, MockScripted
+from durcast import llm as llm_mod
+from durcast.llm import HttpChatBackend, LlmBackend, MockReferenceMean, MockScripted
 from durcast.pipeline import FitConfig, Pipeline
 from durcast.prompting import load_template
 from durcast.schema import CaseSet
@@ -412,6 +413,36 @@ _FAN_OUT_BACKENDS = {
 }
 
 
+class TestHttpFanOut:
+    """Against a loopback chat server: concurrency_limit bounds the calls
+    in flight, and the outputs do not depend on it."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 10])
+    def test_requests_in_flight_within_limit(self, fitted, corpus_module, stub_server, limit):
+        server = stub_server(latency_s=0.02)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=limit)
+        test = CaseSet(cases=corpus_module.cases[:6], schema=corpus_module.schema)
+        cfg = ExperimentConfig(backend, mode="rag", k=3, rounds=5)
+        assert run_experiment(cfg, corpus_module, test, pipeline=fitted).m == 6
+        assert len(server.requests) == 30
+        assert 1 <= server.peak <= limit
+        if limit > 1:
+            assert server.peak > 1  # rounds or cases did overlap
+
+    def test_outputs_do_not_depend_on_limit(self, fitted, corpus_module, stub_server, tmp_path):
+        test = CaseSet(cases=corpus_module.cases, schema=corpus_module.schema)
+        runs = []
+        for limit in (1, 4, 10):
+            server = stub_server(seeded_faults)
+            backend = HttpChatBackend(endpoint=server.url, concurrency_limit=limit)
+            cfg = ExperimentConfig(backend, mode="rag", k=3, rounds=5, seed=4)
+            out = tmp_path / f"limit{limit}.jsonl"
+            report = run_experiment(cfg, corpus_module, test, pipeline=fitted, jsonl_path=out)
+            runs.append((report, out.read_bytes(), len(server.requests)))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][2] > 5 * len(test.cases)  # faults were retried
+
+
 class TestFanOut:
     """concurrency_limit 1 runs the cases inline on the calling thread; a
     larger limit keeps the thread pool. Both write the same bytes."""
@@ -423,7 +454,7 @@ class TestFanOut:
         # one failed line among the answers
         cases[7] = replace(cases[7], values={**cases[7].values, "asa_grade": "ZZZ"})
         runs = []
-        for limit in (1, 4):
+        for limit in (1, 4, 10):
             cfg = ExperimentConfig(
                 _FAN_OUT_BACKENDS[backend](limit), mode="rag", k=8, rounds=3, seed=2
             )
@@ -433,7 +464,7 @@ class TestFanOut:
             )
             runs.append((report, out.read_bytes()))
         assert runs[0][0].failed == 1
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_one_worker_uses_no_pool(self, synthetic_split, monkeypatch):
         train, pipe, test = synthetic_split
@@ -444,6 +475,16 @@ class TestFanOut:
         monkeypatch.setattr(evaluate_mod, "ThreadPoolExecutor", no_pool)
         cfg = ExperimentConfig(_FAN_OUT_BACKENDS["mock_reference_mean"](1), k=4, rounds=1)
         assert run_experiment(cfg, train, test, pipeline=pipe).m == len(test)
+
+    def test_mocks_run_rounds_on_the_case_thread(self, synthetic_split, monkeypatch):
+        train, pipe, test = synthetic_split
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a mock backend's rounds started a thread pool")
+
+        monkeypatch.setattr(llm_mod, "ThreadPoolExecutor", no_pool)
+        cfg = ExperimentConfig(_FAN_OUT_BACKENDS["mock_scripted"](10), k=4, rounds=5)
+        assert run_experiment(cfg, train, test, pipeline=pipe).m > 0
 
     @pytest.mark.parametrize("limit", [1, 4])
     def test_other_errors_propagate(self, synthetic_split, tmp_path, limit):

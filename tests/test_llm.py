@@ -1,14 +1,18 @@
 """Output parsing, temperature scheduling, mock and HTTP backends, and the
 multi-round ensemble driver."""
 
+import json
+import time
+
 import pytest
 
-from conftest import mk_case, mk_prior, small_schema
+from conftest import chat_reply, mk_case, mk_prior, small_schema
 from durcast.errors import (
     AllRoundsFailed,
     BackendTransportError,
     BackendUnreachable,
     BadN,
+    SpecError,
     UnparseableOutput,
 )
 from durcast.llm import (
@@ -263,6 +267,37 @@ class TestBackendKnobs:
         for backend in (MockEchoPrior(), MockReferenceMean(), MockScripted()):
             assert not hasattr(backend, "timeout_s")
 
+    @pytest.mark.parametrize(
+        "cls", [HttpChatBackend, MockEchoPrior, MockReferenceMean, MockScripted]
+    )
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"max_retries": -1},
+            {"max_retries": 1.0},
+            {"max_retries": True},
+            {"max_retries": "2"},
+            {"concurrency_limit": 0},
+            {"concurrency_limit": -3},
+            {"concurrency_limit": True},
+            {"concurrency_limit": 2.0},
+        ],
+    )
+    def test_bad_knobs_rejected(self, cls, knobs):
+        with pytest.raises(SpecError):
+            cls(**knobs)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), True, "5"])
+    def test_bad_timeout_rejected(self, timeout):
+        with pytest.raises(SpecError, match="timeout_s"):
+            HttpChatBackend(timeout_s=timeout)
+
+    def test_round_width(self):
+        assert HttpChatBackend(concurrency_limit=3).round_width(5) == 3
+        assert HttpChatBackend(concurrency_limit=10).round_width(5) == 5
+        for cls in (MockEchoPrior, MockReferenceMean, MockScripted):
+            assert cls(concurrency_limit=10).round_width(5) == 1
+
 
 class TestHttpChatBackend:
     def _payload(self, text):
@@ -309,3 +344,127 @@ class TestHttpChatBackend:
         backend = HttpChatBackend(endpoint="http://127.0.0.1:9/nothing", timeout_s=2.0)
         with pytest.raises(BackendTransportError):
             backend.complete(zero_prompt(), 0.0, 1)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"<html>not json</html>",
+            b"\xff\xfe",
+            {"choices": []},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 120}}]},
+            [1, 2],
+        ],
+    )
+    def test_malformed_reply_is_transport_error(self, stub_server, payload):
+        server = stub_server([(200, payload)])
+        with pytest.raises(BackendTransportError):
+            HttpChatBackend(endpoint=server.url).complete(zero_prompt(), 0.0, 1)
+
+    @pytest.mark.parametrize("status", [301, 404, 429, 503])
+    def test_non_2xx_is_transport_error(self, stub_server, status):
+        server = stub_server([(status, self._payload("PREDICTION: 1"))])
+        with pytest.raises(BackendTransportError, match=str(status)):
+            HttpChatBackend(endpoint=server.url).complete(zero_prompt(), 0.0, 1)
+
+    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/x", "127.0.0.1:8000", "http://h:x/"])
+    def test_bad_endpoint_is_transport_error(self, endpoint):
+        with pytest.raises(BackendTransportError):
+            HttpChatBackend(endpoint=endpoint).complete(zero_prompt(), 0.0, 1)
+
+    def test_slow_server_past_timeout_is_transport_error(self, stub_server):
+        server = stub_server(latency_s=0.6)
+        backend = HttpChatBackend(endpoint=server.url, timeout_s=0.1)
+        start = time.perf_counter()
+        with pytest.raises(BackendTransportError, match="timed out"):
+            backend.complete(zero_prompt(), 0.0, 1)
+        assert time.perf_counter() - start < 0.5
+
+
+class TestProxies:
+    """Requests follow HTTP(S)_PROXY and NO_PROXY from the environment."""
+
+    def test_http_proxy_receives_request(self, stub_server, no_proxy_env):
+        target, proxy = stub_server(), stub_server()
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        endpoint = target.url + "/v1/chat/completions"
+        assert HttpChatBackend(endpoint=endpoint).complete(zero_prompt(), 0.0, 1)
+        assert target.requests == []
+        assert [r["path"] for r in proxy.requests] == [endpoint]
+        assert proxy.requests[0]["body"]["temperature"] == 0.0
+
+    def test_no_proxy_bypasses_proxy(self, stub_server, no_proxy_env):
+        target, proxy = stub_server(), stub_server()
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        HttpChatBackend(endpoint=target.url + "/v1/chat").complete(zero_prompt(), 0.0, 1)
+        assert proxy.requests == []
+        assert [r["path"] for r in target.requests] == ["/v1/chat"]
+
+    def test_proxy_credentials_become_basic_auth(self, stub_server, no_proxy_env):
+        proxy = stub_server()
+        host = proxy.url.removeprefix("http://")
+        no_proxy_env.setenv("http_proxy", f"http://us%40er:p%3Ass@{host}")
+        HttpChatBackend(endpoint="http://chat.invalid/v1").complete(zero_prompt(), 0.0, 1)
+        # base64 of "us@er:p:ss"
+        assert proxy.requests[0]["headers"]["Proxy-Authorization"] == "Basic dXNAZXI6cDpzcw=="
+
+    def test_https_is_tunnelled_through_proxy(self, stub_server, no_proxy_env):
+        proxy = stub_server()
+        no_proxy_env.setenv("https_proxy", proxy.url)
+        backend = HttpChatBackend(endpoint="https://chat.invalid:8443/v1/chat")
+        with pytest.raises(BackendTransportError, match="405"):
+            backend.complete(zero_prompt(), 0.0, 1)
+        assert proxy.requests == [{"method": "CONNECT", "path": "chat.invalid:8443"}]
+
+
+class TestConcurrentRounds:
+    """The HTTP backend runs a query's rounds at once, up to its limit."""
+
+    def test_rounds_overlap(self, stub_server):
+        latency = 0.2
+        server = stub_server(latency_s=latency)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=4)
+        start = time.perf_counter()
+        ens = predict_ensemble(rag_prompt(), backend, 4, seed=3)
+        assert time.perf_counter() - start < 2 * latency
+        assert server.peak == 4
+        assert [r.round_index for r in ens.rounds] == [1, 2, 3, 4]
+        assert [r.temperature for r in ens.rounds] == schedule_temperatures(4, seed=3)
+        sent = sorted(r["body"]["temperature"] for r in server.requests)
+        assert sent == sorted(schedule_temperatures(4, seed=3))
+
+    def test_width_caps_requests_in_flight(self, stub_server):
+        server = stub_server(latency_s=0.05)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=2)
+        assert predict_ensemble(rag_prompt(), backend, 5, seed=0).retained_n == 5
+        assert server.peak == 2
+
+    def test_retries_keep_their_round(self, stub_server):
+        """Each round retries its own body; a dropped round leaves a gap."""
+
+        def respond(body, seen):
+            temperature = json.loads(body)["temperature"]
+            if temperature == 0.0 or seen == 0:
+                return 503, {"error": "overloaded"}
+            return 200, chat_reply(f"PREDICTION: {int(temperature * 1000)}")
+
+        server = stub_server(respond)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=5, max_retries=1)
+        ens = predict_ensemble(rag_prompt(), backend, 5, seed=7)
+        temps = schedule_temperatures(5, seed=7)
+        assert [r.round_index for r in ens.rounds] == [2, 3, 4, 5]
+        assert ens.values() == [float(int(t * 1000)) for t in temps[1:]]
+        assert len(server.requests) == 10
+
+    def test_strict_first_round_down_raises(self, stub_server):
+        def respond(body, seen):
+            if json.loads(body)["temperature"] == 0.0:
+                return 503, {"error": "overloaded"}
+            return 200, chat_reply("PREDICTION: 90")
+
+        server = stub_server(respond)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=5)
+        with pytest.raises(BackendUnreachable):
+            predict_ensemble(rag_prompt(), backend, 5, seed=0, strict=True)
+        assert predict_ensemble(rag_prompt(), backend, 5, seed=0).retained_n == 4

@@ -95,6 +95,13 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbeddingServiceError):
             emb.embed("a")
 
+    @pytest.mark.parametrize("vectors", [[["x", "y"]], [[1.0, [2.0]]]])
+    def test_non_numeric_vector_rejected(self, stub_server, vectors):
+        server = stub_server([(200, {"data": [{"embedding": v} for v in vectors]})])
+        emb = RemoteTextEmbedder(url=server.url, dim=2)
+        with pytest.raises(EmbeddingServiceError, match="malformed"):
+            emb.embed("a")
+
     def test_http_error_rejected(self, stub_server):
         server = stub_server([(503, {"error": "overloaded"})])
         emb = RemoteTextEmbedder(url=server.url, dim=2)
