@@ -339,8 +339,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     rows = [metrics_csv_row(f"{args.mode}", report)]
     if args.with_median_baseline:
-        baseline_train = pipe.index.table.durations if pipe else train  # decodes no case
-        baseline = global_median_baseline(baseline_train, test)
+        # a loaded index holds the durations column, so no case is decoded
+        durations = pipe.index.table.durations if pipe else train.durations()
+        baseline = global_median_baseline(durations, test)
         rows.append(metrics_csv_row("global_median_baseline", baseline))
     if args.metrics_csv:
         write_metrics_csv(rows, args.metrics_csv)

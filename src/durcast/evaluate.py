@@ -14,6 +14,7 @@ backend: no timestamps or timings appear in them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from collections import Counter
@@ -152,13 +153,13 @@ def run_experiment(
 
     Fits the pipeline from train unless one is supplied. In rag mode, every
     test case is embedded, retrieved and refined once per call, in one
-    batch, before the fan-out. The backend's concurrency_limit bounds its
-    calls in flight: each case runs backend.round_width(rounds) rounds at
-    once, so concurrency_limit // width cases run at once, on a thread pool,
-    or one after another on the calling thread when that is 1. Outputs are
-    reduced and written in test order. A case that raises a DurcastError is
-    excluded from the metrics, counted in the report's failed field, and
-    logged as {"id", "error"}:
+    batch, before the fan-out. Cases run on concurrency_limit threads, or
+    one after another on the calling thread when that limit is 1. With the
+    backend's call_pool, which holds its calls in flight to that limit, a
+    case starts only when the pool can start one of its rounds at once.
+    Outputs are reduced and written in test order. A case that raises a
+    DurcastError is excluded from the metrics, counted in the report's
+    failed field, and logged as {"id", "error"}:
     "all_rounds_failed" when every round failed, else the error's class
     name. Log documents are built only when jsonl_path is given. With fewer
     than two cases scored, the log is still written and TooFewSamples names
@@ -174,23 +175,26 @@ def run_experiment(
             test.cases, cfg.k, cfg.expansion_factor, cfg.postprocess
         )
 
+    calls = cfg.backend.call_pool
+    admit = calls.admit if calls is not None else contextlib.nullcontext
+
     def one(case, found) -> CasePrediction | str:
         try:
             if isinstance(found, DurcastError):
                 raise found
             refs = found[0] if found else None
-            return pipe.predict_case(case, cfg, template, references=refs)
+            with admit():
+                return pipe.predict_case(case, cfg, template, references=refs)
         except AllRoundsFailed:
             return "all_rounds_failed"
         except DurcastError as exc:
             return type(exc).__name__
 
-    cases_at_once = cfg.backend.concurrency_limit // cfg.backend.round_width(cfg.rounds)
-    if cases_at_once == 1:
+    if cfg.backend.concurrency_limit == 1:
         # a one-worker pool only adds a hand-off per case
         results = list(map(one, test.cases, retrieved))
     else:
-        with ThreadPoolExecutor(max_workers=cases_at_once) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.backend.concurrency_limit) as pool:
             results = list(pool.map(one, test.cases, retrieved))
 
     pairs = []
@@ -223,15 +227,12 @@ def run_experiment(
     return compute_metrics(pairs, ids, failed=failed)
 
 
-def global_median_baseline(train: CaseSet | np.ndarray, test: CaseSet) -> MetricsReport:
-    """Constant predictor: the training-set median duration for every case.
-
-    train is the training set or its durations in case order; a loaded
-    pipeline's index.table.durations gives them without decoding a case."""
-    durations = train.durations() if isinstance(train, CaseSet) else train
-    if not len(durations):
+def global_median_baseline(train_durations, test: CaseSet) -> MetricsReport:
+    """Constant predictor: the median of the training durations (a sequence
+    in case order) for every case."""
+    if not len(train_durations):
         raise TooFewSamples("train set has no recorded durations")
-    median = float(np.median(durations))
+    median = float(np.median(train_durations))
     pairs = [
         (c.duration_min, median) for c in test.cases if c.duration_min is not None
     ]

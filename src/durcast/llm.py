@@ -11,21 +11,23 @@ mock backends are deterministic stand-ins for hermetic tests and offline
 runs, reading structured prompt metadata rather than scraping prompt text.
 
 A backend's concurrency_limit is the most calls in flight. The HTTP
-backend waits on I/O, so a query's rounds run at once, up to that limit;
-the in-process mocks run them one after another on the calling thread.
-Either way each round keeps its seed, temperature and retries, and the
-ensemble lists rounds by round_index.
+backend waits on I/O, so its calls run on one shared CallPool of that many
+threads: a query's rounds run at once, and the next query's rounds take
+the threads the last one leaves idle. The in-process mocks run rounds one
+after another on the calling thread. Either way each round keeps its seed,
+temperature and retries, and the ensemble lists rounds by round_index.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -107,6 +109,54 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class CallPool:
+    """The threads that run one backend's calls: at most limit at once,
+    started in the order they were asked for.
+
+    A caller that fans queries out runs each one inside admit(). It waits
+    until a call asked for now would start at once and holds that place
+    for the query's rounds, so queries wait their turn outside the pool and
+    a query's rounds never queue behind a later query's."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._executor = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="durcast-call")
+        self._turn = threading.Condition()
+        self._open = 0  # places held plus calls not yet done
+        self._held = threading.local()
+
+    @contextlib.contextmanager
+    def admit(self):
+        with self._turn:
+            self._turn.wait_for(lambda: self._open < self.limit)
+            self._open += 1
+        self._held.place = True
+        try:
+            yield
+        finally:
+            if self._held.place:
+                self._held.place = False
+                self._done()
+
+    def map(self, fn, *iterables) -> list[Future]:
+        """Submit fn over the zipped arguments, in order. A place this
+        thread holds from admit() goes to the first call."""
+        calls = list(zip(*iterables))
+        with self._turn:
+            held = getattr(self._held, "place", False)
+            self._held.place = False
+            self._open += len(calls) - held
+        futures = [self._executor.submit(fn, *args) for args in calls]
+        for future in futures:
+            future.add_done_callback(self._done)
+        return futures
+
+    def _done(self, _future=None):
+        with self._turn:
+            self._open -= 1
+            self._turn.notify()
+
+
 @dataclass(kw_only=True)
 class LlmBackend:
     """Interface plus the knobs every backend carries: extra attempts per
@@ -116,10 +166,12 @@ class LlmBackend:
     concurrent_rounds says whether one query's rounds may run at once. It
     is a property of the class: true for a backend that waits on I/O,
     false for one that computes under the interpreter lock or answers in
-    call order."""
+    call order. Such a backend with a limit above 1 gets a call_pool of
+    concurrency_limit threads; other backends have none."""
 
     kind: ClassVar[str]
     concurrent_rounds: ClassVar[bool] = False
+    call_pool = None  # not a field: __post_init__ sets it per backend
     max_retries: int = 2
     concurrency_limit: int = DEFAULT_CONCURRENCY
 
@@ -130,10 +182,8 @@ class LlmBackend:
             raise SpecError(
                 f"concurrency_limit must be an integer >= 1, got {self.concurrency_limit!r}"
             )
-
-    def round_width(self, rounds: int) -> int:
-        """How many of a query's rounds run at once."""
-        return min(self.concurrency_limit, rounds) if self.concurrent_rounds else 1
+        if self.concurrent_rounds and self.concurrency_limit > 1:
+            self.call_pool = CallPool(self.concurrency_limit)
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         raise NotImplementedError
@@ -321,27 +371,26 @@ def predict_ensemble(
     """Run n scheduled rounds against the backend.
 
     Each round retries up to backend.max_retries extra attempts on transport
-    errors or unparseable completions, then is dropped. backend.round_width(n)
-    rounds run at once on a thread pool; at width 1 they run one after
-    another on the calling thread. strict mode raises BackendUnreachable
-    when round 1 exhausts its retries entirely on transport errors (the
-    backend is presumed down); rounds not yet started are then cancelled.
-    Raises AllRoundsFailed when no round survives.
+    errors or unparseable completions, then is dropped. With a call_pool,
+    the rounds run there, as many at once as it has free threads; else
+    they run one after another on the calling thread. strict mode raises
+    BackendUnreachable when round 1 exhausts its retries entirely on
+    transport errors (the backend is presumed down); rounds not yet
+    started are then cancelled. Raises AllRoundsFailed when no round
+    survives.
     """
     temperatures = schedule_temperatures(n, seed)
     ask = functools.partial(_ask_round, prompt, backend, max_minutes)
     rounds = range(1, n + 1)
-    width = backend.round_width(n)
-    if width == 1:
+    if backend.call_pool is None:
         # lazy, so a strict failure of round 1 starts no further round
         return _ensemble(map(ask, rounds, temperatures), backend, n, seed, strict)
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(ask, i, t) for i, t in zip(rounds, temperatures)]
-        try:
-            return _ensemble((f.result() for f in futures), backend, n, seed, strict)
-        finally:
-            for future in futures:
-                future.cancel()
+    futures = backend.call_pool.map(ask, rounds, temperatures)
+    try:
+        return _ensemble((f.result() for f in futures), backend, n, seed, strict)
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _ensemble(outcomes, backend: LlmBackend, n: int, seed: int, strict: bool):

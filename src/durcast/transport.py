@@ -1,12 +1,15 @@
 """The package's one HTTP client: a JSON POST over the standard library.
 
 Each call opens one connection and closes it before returning. Proxies
-come from the environment (HTTP_PROXY, HTTPS_PROXY and NO_PROXY, in
-either case, read with urllib.request.getproxies and proxy_bypass): an
-http URL is sent to its proxy in absolute form, an https URL is tunnelled
-through it with CONNECT, and user:password in a proxy URL becomes a Basic
-Proxy-Authorization header. HTTPS verifies the server against the system
-trust store (ssl.create_default_context), not a bundled one.
+come from the environment (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and
+NO_PROXY, in either case, read with urllib.request.getproxies and
+proxy_bypass); a proxy is spoken to in plain HTTP. An http URL is sent to
+its proxy in absolute form, an https URL is tunnelled through it with
+CONNECT. user:password in a proxy URL becomes a Basic Proxy-Authorization
+header, and in the request URL a Basic Authorization header unless the
+caller passes one. HTTPS verifies the server against the system trust
+store (ssl.create_default_context), not a bundled one. Redirects are not
+followed: a 3xx reply is a failure like any other status outside 2xx.
 """
 
 from __future__ import annotations
@@ -29,24 +32,33 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
+def _basic(url: urllib.parse.SplitResult) -> str:
+    user = f"{urllib.parse.unquote(url.username)}:{urllib.parse.unquote(url.password or '')}"
+    return "Basic " + base64.b64encode(user.encode()).decode()
+
+
 def _open(url: urllib.parse.SplitResult, timeout_s: float):
     """(connection, request target, extra headers) for a POST to url."""
-    cls = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-    kwargs = {"context": _tls_context()} if url.scheme == "https" else {}
+    https = url.scheme == "https"
+    cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    kwargs = {"context": _tls_context()} if https else {}
+    # an explicit port, so http.client does not split an IPv6 host at a colon
+    port = url.port or (443 if https else 80)
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    proxy = urllib.request.getproxies().get(url.scheme)
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
     if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
-        return cls(url.hostname, url.port, timeout=timeout_s, **kwargs), target, {}
+        return cls(url.hostname, port, timeout=timeout_s, **kwargs), target, {}
     via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-    auth = {}
-    if via.username is not None:
-        user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
-        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
+    if via.scheme != "http" or not via.hostname:
+        raise TransportFailure(f"unsupported proxy {proxy!r}: need http://host[:port]")
+    auth = {"Proxy-Authorization": _basic(via)} if via.username is not None else {}
     conn = cls(via.hostname, via.port or 80, timeout=timeout_s, **kwargs)
-    if url.scheme == "https":
-        conn.set_tunnel(url.hostname, url.port, headers=auth)
+    if https:
+        conn.set_tunnel(url.hostname, port, headers=auth)
         return conn, target, {}
-    return conn, urllib.parse.urlunsplit(url._replace(fragment="")), auth
+    absolute = url._replace(netloc=url.netloc.rpartition("@")[2], fragment="")
+    return conn, urllib.parse.urlunsplit(absolute), auth
 
 
 def post_json(url: str, body, timeout_s: float, headers: dict[str, str] | None = None):
@@ -60,15 +72,13 @@ def post_json(url: str, body, timeout_s: float, headers: dict[str, str] | None =
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise TransportFailure(f"not an http(s) URL: {url!r}")
     data = json.dumps(body).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
+    if parts.username is not None:
+        headers.setdefault("Authorization", _basic(parts))
     try:
         conn, target, extra = _open(parts, timeout_s)
         try:
-            conn.request(
-                "POST",
-                target,
-                body=data,
-                headers={"Content-Type": "application/json", **extra, **(headers or {})},
-            )
+            conn.request("POST", target, body=data, headers={**extra, **headers})
             with conn.getresponse() as resp:
                 status, reason, raw = resp.status, resp.reason, resp.read()
         finally:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -442,6 +443,20 @@ class TestHttpFanOut:
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][2] > 5 * len(test.cases)  # faults were retried
 
+    def test_next_query_takes_the_idle_threads(self, fitted, corpus_module, stub_server):
+        """Two cases of 3 rounds at limit 2: 6 calls on 2 threads take 3
+        latencies, where one case at a time would take 4."""
+        latency = 0.2
+        server = stub_server(latency_s=latency)
+        backend = HttpChatBackend(endpoint=server.url, concurrency_limit=2)
+        test = CaseSet(cases=corpus_module.cases[:2], schema=corpus_module.schema)
+        cfg = ExperimentConfig(backend, mode="rag", k=3, rounds=3)
+        start = time.perf_counter()
+        assert run_experiment(cfg, corpus_module, test, pipeline=fitted).m == 2
+        assert time.perf_counter() - start < 3.5 * latency
+        assert server.peak == 2
+
+
 
 class TestFanOut:
     """concurrency_limit 1 runs the cases inline on the calling thread; a
@@ -500,7 +515,7 @@ class TestGlobalMedianBaseline:
     def test_constant_predictor(self, corpus_module, test_set):
         import numpy as np
 
-        report = global_median_baseline(corpus_module, test_set)
+        report = global_median_baseline(corpus_module.durations(), test_set)
         median = float(np.median(corpus_module.durations()))
         for _, truth, pred in report.per_case:
             assert pred == median
@@ -512,7 +527,7 @@ class TestGlobalMedianBaseline:
             schema=corpus_module.schema,
         )
         with pytest.raises(TooFewSamples):
-            global_median_baseline(empty, test_set)
+            global_median_baseline(empty.durations(), test_set)
 
 
 class TestAblation:

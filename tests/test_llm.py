@@ -2,7 +2,9 @@
 multi-round ensemble driver."""
 
 import json
+import threading
 import time
+import urllib.parse
 
 import pytest
 
@@ -15,7 +17,9 @@ from durcast.errors import (
     SpecError,
     UnparseableOutput,
 )
+from durcast import transport
 from durcast.llm import (
+    CallPool,
     HttpChatBackend,
     LlmBackend,
     MockEchoPrior,
@@ -292,11 +296,11 @@ class TestBackendKnobs:
         with pytest.raises(SpecError, match="timeout_s"):
             HttpChatBackend(timeout_s=timeout)
 
-    def test_round_width(self):
-        assert HttpChatBackend(concurrency_limit=3).round_width(5) == 3
-        assert HttpChatBackend(concurrency_limit=10).round_width(5) == 5
+    def test_call_pool(self):
+        assert HttpChatBackend(concurrency_limit=3).call_pool.limit == 3
+        assert HttpChatBackend(concurrency_limit=1).call_pool is None
         for cls in (MockEchoPrior, MockReferenceMean, MockScripted):
-            assert cls(concurrency_limit=10).round_width(5) == 1
+            assert cls(concurrency_limit=10).call_pool is None
 
 
 class TestHttpChatBackend:
@@ -382,7 +386,8 @@ class TestHttpChatBackend:
 
 
 class TestProxies:
-    """Requests follow HTTP(S)_PROXY and NO_PROXY from the environment."""
+    """Requests follow HTTP(S)_PROXY, ALL_PROXY and NO_PROXY from the
+    environment."""
 
     def test_http_proxy_receives_request(self, stub_server, no_proxy_env):
         target, proxy = stub_server(), stub_server()
@@ -416,6 +421,53 @@ class TestProxies:
         with pytest.raises(BackendTransportError, match="405"):
             backend.complete(zero_prompt(), 0.0, 1)
         assert proxy.requests == [{"method": "CONNECT", "path": "chat.invalid:8443"}]
+
+    def test_all_proxy_serves_a_scheme_without_its_own(self, stub_server, no_proxy_env):
+        proxy = stub_server()
+        no_proxy_env.setenv("ALL_PROXY", proxy.url)
+        HttpChatBackend(endpoint="http://chat.invalid/v1").complete(zero_prompt(), 0.0, 1)
+        assert [r["path"] for r in proxy.requests] == ["http://chat.invalid/v1"]
+
+    def test_non_http_proxy_is_transport_error(self, no_proxy_env):
+        no_proxy_env.setenv("ALL_PROXY", "socks5://127.0.0.1:1080")
+        with pytest.raises(BackendTransportError, match="unsupported proxy"):
+            HttpChatBackend(endpoint="http://chat.invalid/v1").complete(zero_prompt(), 0.0, 1)
+
+    def test_ipv6_literal_tunnels_to_default_port(self, stub_server, no_proxy_env):
+        proxy = stub_server()
+        no_proxy_env.setenv("https_proxy", proxy.url)
+        with pytest.raises(BackendTransportError, match="405"):
+            HttpChatBackend(endpoint="https://[::1]/v1").complete(zero_prompt(), 0.0, 1)
+        assert [r["path"].rsplit(":", 1) for r in proxy.requests] == [["::1", "443"]]
+
+
+class TestEndpointUrl:
+    def test_ipv6_literal_without_port(self, no_proxy_env):
+        conn, target, _ = transport._open(urllib.parse.urlsplit("http://[::1]/v1?x=1"), 1.0)
+        assert (conn.host, conn.port, target) == ("::1", 80, "/v1?x=1")
+
+    def test_url_credentials_become_basic_auth(self, stub_server, no_proxy_env):
+        server = stub_server()
+        host = server.url.removeprefix("http://")
+        backend = HttpChatBackend(endpoint=f"http://us%40er:p%3Ass@{host}/v1")
+        backend.complete(zero_prompt(), 0.0, 1)
+        no_proxy_env.setenv("DURCAST_API_KEY", "k")
+        backend.complete(zero_prompt(), 0.0, 1)
+        auth = [r["headers"]["Authorization"] for r in server.requests]
+        assert auth == ["Basic dXNAZXI6cDpzcw==", "Bearer k"]
+
+    def test_url_credentials_stay_out_of_a_proxied_request_line(self, stub_server, no_proxy_env):
+        proxy = stub_server()
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        HttpChatBackend(endpoint="http://u:p@chat.invalid/v1").complete(zero_prompt(), 0.0, 1)
+        assert [r["path"] for r in proxy.requests] == ["http://chat.invalid/v1"]
+        assert proxy.requests[0]["headers"]["Host"] == "chat.invalid"
+
+    def test_redirect_is_not_followed(self, stub_server):
+        server = stub_server([(307, {"error": "moved"})])
+        with pytest.raises(BackendTransportError, match="307"):
+            HttpChatBackend(endpoint=server.url).complete(zero_prompt(), 0.0, 1)
+        assert len(server.requests) == 1
 
 
 class TestConcurrentRounds:
@@ -468,3 +520,57 @@ class TestConcurrentRounds:
         with pytest.raises(BackendUnreachable):
             predict_ensemble(rag_prompt(), backend, 5, seed=0, strict=True)
         assert predict_ensemble(rag_prompt(), backend, 5, seed=0).retained_n == 4
+
+
+class TestCallPool:
+    def test_admit_waits_for_a_free_thread(self):
+        pool, release = CallPool(2), threading.Event()
+        futures = pool.map(release.wait, [5.0, 5.0])
+        admitted = threading.Event()
+
+        def query():
+            with pool.admit():
+                admitted.set()
+
+        thread = threading.Thread(target=query)
+        thread.start()
+        assert not admitted.wait(0.2)
+        release.set()
+        assert admitted.wait(5.0)
+        thread.join()
+        assert [f.result() for f in futures] == [True, True]
+
+    def test_held_place_goes_to_the_first_call(self):
+        """An admitted query's first call takes its place: with one call
+        running on a pool of 2, a second query is let in at once."""
+        pool, release = CallPool(2), threading.Event()
+        second = threading.Event()
+
+        def other_query():
+            with pool.admit():
+                second.set()
+
+        with pool.admit():
+            futures = pool.map(release.wait, [5.0])
+            thread = threading.Thread(target=other_query)
+            thread.start()
+            assert second.wait(5.0)
+        release.set()
+        thread.join()
+        assert futures[0].result()
+
+    def test_rounds_keep_query_order(self):
+        """A query's calls start before those of a query asked for later."""
+        pool, started, lock = CallPool(1), [], threading.Lock()
+
+        def call(label):
+            with lock:
+                started.append(label)
+
+        gate = threading.Event()
+        first = pool.map(gate.wait, [5.0])
+        later = pool.map(call, ["a1", "a2"]) + pool.map(call, ["b1", "b2"])
+        gate.set()
+        for future in first + later:
+            future.result()
+        assert started == ["a1", "a2", "b1", "b2"]
