@@ -446,7 +446,7 @@ class TestHttpFanOut:
     def test_next_query_takes_the_idle_threads(self, fitted, corpus_module, stub_server):
         """Two cases of 3 rounds at limit 2: 6 calls on 2 threads take 3
         latencies, where one case at a time would take 4."""
-        latency = 0.2
+        latency = 0.3
         server = stub_server(latency_s=latency)
         backend = HttpChatBackend(endpoint=server.url, concurrency_limit=2)
         test = CaseSet(cases=corpus_module.cases[:2], schema=corpus_module.schema)
