@@ -8,7 +8,7 @@ generator, and fused with the stratum prior by Bayesian averaging.
 """
 
 from .aggregate import AggregateEstimate, aggregate, baseline_aggregate, bayesian_average
-from .encoding import FittedEncoder, NormalizedEmbedding, fit
+from .encoding import FittedEncoder, fit
 from .errors import DurcastError
 from .evaluate import (
     ExperimentConfig,
@@ -23,7 +23,6 @@ from .index import (
     ReferenceSet,
     RetrievalCandidate,
     build,
-    postprocess,
     retrieve,
 )
 from .llm import (

@@ -48,8 +48,8 @@ def bayesian_average(
 ) -> AggregateEstimate:
     """Convex combination of ensemble mean and prior median with weights
     n/(w_prior+n) and w_prior/(w_prior+n)."""
-    if w_prior < 0.0:
-        raise SpecError(f"prior weight must be >= 0, got {w_prior}")
+    if not 0.0 <= w_prior < np.inf:
+        raise SpecError(f"prior weight must be finite and >= 0, got {w_prior}")
     values = _values(ens)
     n = values.shape[0]
     y_bar = float(values.mean())

@@ -232,7 +232,10 @@ def _load_sets(args: argparse.Namespace) -> tuple[Pipeline | None, CaseSet, Case
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        ratios = ()  # refused below, as a count other than three is
     if len(ratios) != 3:
         raise ParseError(f"--ratios needs three comma-separated numbers, got {args.ratios!r}")
     corpus = generate_synthetic(SyntheticSpec(n_cases=args.n), seed=args.seed)

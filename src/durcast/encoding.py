@@ -70,18 +70,6 @@ def _as_float(value, feature: str) -> float:
         raise SchemaMismatch(f"feature {feature!r}: not numeric: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class NormalizedEmbedding:
-    """Dense vector plus the (offset, length) of each category block."""
-
-    vector: np.ndarray
-    segment_map: dict[str, tuple[int, int]]
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
-
-
 @dataclass
 class FittedEncoder:
     """Immutable per-feature statistics fitted on the training set only."""
@@ -181,12 +169,13 @@ class FittedEncoder:
             if length:
                 block[..., start : start + length] *= self._alphas[category]
 
-    def encode(self, case: SurgicalCase) -> NormalizedEmbedding:
-        """Encode one case; pure given (case, fitted state)."""
+    def encode(self, case: SurgicalCase) -> np.ndarray:
+        """Encode one case into a D-vector, its blocks at segment_map; pure
+        given (case, fitted state)."""
         vector = np.zeros(self.dim, dtype=np.float64)
         self._fill(case, vector)
         self._scale(vector)
-        return NormalizedEmbedding(vector=vector, segment_map=dict(self.segment_map))
+        return vector
 
     def encode_matrix(self, cs: CaseSet) -> np.ndarray:
         """Encode every case into one N x D matrix (rows follow input order)."""

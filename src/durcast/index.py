@@ -9,21 +9,19 @@ re-scored, with one row-wise dot product per row, and sorted by
 (similarity descending, id ascending) through the case table's id ranks, so
 ids and similarities equal a linear-scan sort bit for bit. Every query keeps
 min(m, n) candidates, so a batch's candidates are two Q x min(m, n) arrays,
-(rows, similarities), as in FAISS (retrieve_units, for queries already
-scaled to unit norm by unit_query); retrieve_batch answers each query's
-line, and retrieve, a retrieve_batch of one, turns it into
+(rows, similarities), as in FAISS: retrieve_units answers queries already
+scaled to unit norm by unit_query. retrieve answers one query as
 RetrievalCandidate objects.
 
 A FlatIndex holds its vectors at the precision it is given (STORED_DTYPE,
 float32, once fitted or loaded), the float64 unit rows retrieval reads, and
 the cases' CaseTable; its constructor checks each row, built or loaded.
 
-Post-processing refines a whole batch of queries' candidate rows at once
+postprocess_rows refines a whole batch of queries' candidate rows at once
 into their final reference sets: one stratum-ladder walk over the index's
 CaseTable for the batch, then one sort of the chosen tiers' durations for
 the interquartile-range trim; only the final references become
-(SurgicalCase, similarity) pairs. postprocess is the same refinement, a
-batch of one, over a list of RetrievalCandidate objects.
+(SurgicalCase, similarity) pairs.
 
 On-disk format (little-endian), columnar so that loading reads arrays and
 decodes no case:
@@ -78,7 +76,7 @@ _RETIRED_MAGIC = b"DURCIDX1"
 # The precision index.bin stores vectors in.
 STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
-# Most product scores retrieve_batch holds at once (16 MB of float64): a
+# Most product scores retrieve_units holds at once (16 MB of float64): a
 # block of queries has at most this many rows times the index size entries.
 _BLOCK_SCORES = 1 << 21
 
@@ -150,37 +148,20 @@ def build(
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
     """Top-m entries by cosine similarity, descending; ties broken by
     ascending case id. Equals a linear-scan sort exactly."""
-    return as_candidates(idx, *retrieve_batch(idx, [query], m)[0])
-
-
-def as_candidates(
-    idx: FlatIndex, rows: np.ndarray, sims: np.ndarray
-) -> list[RetrievalCandidate]:
-    """A retrieve_batch answer as RetrievalCandidate objects, in order."""
+    rows, sims = retrieve_units(idx, [unit_query(idx, query)], m)
     return [
         RetrievalCandidate(case=idx.cases[i], similarity=s)
-        for i, s in zip(rows.tolist(), sims.tolist())
+        for i, s in zip(rows[0].tolist(), sims[0].tolist())
     ]
-
-
-def retrieve_batch(
-    idx: FlatIndex, queries: list[np.ndarray], m: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """retrieve for each query, in input order, with one matrix product per
-    block of queries instead of one per query. A query's answer is two
-    arrays: its top-m row indices into the index and their similarities."""
-    # Each query is normalised on its own: a row-wise norm of the stacked
-    # queries rounds differently and would move the similarities.
-    rows, sims = retrieve_units(idx, [unit_query(idx, q) for q in queries], m)
-    return list(zip(rows, sims))
 
 
 def retrieve_units(
     idx: FlatIndex, units: list[np.ndarray], m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """retrieve_batch for queries already scaled by unit_query: two
-    len(units) x min(m, n) arrays, the row indices and their similarities,
-    line j for units[j]."""
+    """Top-m retrieval, one matrix product per block of queries, for
+    queries each scaled by unit_query (a row-wise norm of stacked queries
+    rounds differently): two len(units) x min(m, n) arrays, the row indices
+    and their similarities, line j for units[j]."""
     if len(idx) == 0:
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
@@ -307,19 +288,6 @@ def postprocess_rows(
             high.tolist(),
         )
     ]
-
-
-def postprocess(
-    candidates: list[RetrievalCandidate],
-    query: SurgicalCase,
-    k: int,
-    key_attributes: tuple[str, ...],
-) -> ReferenceSet:
-    """postprocess_rows for one query over a candidate list, in descending
-    similarity order, with key_attributes as the ladder's keys."""
-    table = CaseTable.of([c.case for c in candidates], key_attributes)
-    sims = np.array([[c.similarity for c in candidates]], dtype=np.float64)
-    return postprocess_rows(table, np.arange(len(candidates))[None, :], sims, [query], k)[0]
 
 
 class LazyCases(Sequence):

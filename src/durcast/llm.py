@@ -265,12 +265,17 @@ class MockReferenceMean(LlmBackend):
     Noise is a pure function of (seed, query id, round index), independent
     of temperature: it models the generator's estimation error, which does
     not vanish at temperature 0, so averaging more rounds genuinely reduces
-    it."""
+    it. noise_sd must be finite and >= 0."""
 
     noise_sd: float = 0.0
     seed: int = 0
     fallback_min: float = 90.0
     kind = "mock_reference_mean"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise SpecError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         durations = prompt.metadata.reference_durations

@@ -49,7 +49,7 @@ from .errors import (
     ModeArgumentMismatch,
     SpecError,
 )
-from .index import FlatIndex, ReferenceSet, RetrievalCandidate
+from .index import FlatIndex, ReferenceSet
 from .llm import LlmBackend, PredictionEnsemble, predict_ensemble, stable_seed
 from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
 from .prompting import MODES, PromptTemplate, build_prompt, load_template
@@ -101,7 +101,7 @@ def _is_count(value) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of one prediction protocol. k must be 0 in zero_shot
-    mode and >= 1 otherwise."""
+    mode and >= 1 otherwise; w_prior is finite and >= 0 in every mode."""
 
     backend: LlmBackend
     mode: str = "rag"
@@ -128,6 +128,10 @@ class ExperimentConfig:
             raise SpecError(f"rounds must be >= 1, got {self.rounds}")
         if self.strategy not in STRATEGIES:
             raise SpecError(f"unknown strategy {self.strategy!r}")
+        if not 0.0 <= self.w_prior < np.inf:
+            raise SpecError(f"w_prior must be a finite number >= 0, got {self.w_prior!r}")
+        if self.prior_mode not in ("fixed", "calibrated"):
+            raise SpecError(f"unknown prior strength mode {self.prior_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,7 @@ class Pipeline:
         return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:
-        return pca_mod.apply_weights(self.encoder.encode(case).vector, self.weights)
+        return pca_mod.apply_weights(self.encoder.encode(case), self.weights)
 
     def retrieve_references(
         self,
@@ -242,17 +246,11 @@ class Pipeline:
         k: int = DEFAULT_K,
         expansion_factor: int = DEFAULT_EXPANSION,
         postprocess: bool = True,
-    ) -> tuple[ReferenceSet, list[RetrievalCandidate]]:
+    ) -> tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]]:
         """Expanded retrieval then clinical refinement (or a plain top-k
         cut when postprocessing is disabled), with the expanded candidates
-        the references were picked from."""
-        refs, (rows, sims) = self._references(case, k, expansion_factor, postprocess)
-        return refs, index_mod.as_candidates(self.index, rows, sims)
-
-    def _references(
-        self, case: SurgicalCase, k: int, expansion_factor: int, postprocess: bool
-    ) -> tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]]:
-        """retrieve_references_batch for one case, raising its error."""
+        the references were picked from as (index rows, similarities)
+        arrays: retrieve_references_batch for one case, raising its error."""
         found = self.retrieve_references_batch([case], k, expansion_factor, postprocess)[0]
         if isinstance(found, DurcastError):
             raise found
@@ -339,8 +337,9 @@ class Pipeline:
         if cfg.mode == "rag":
             refs = references
             if refs is None:
-                # the references alone: no case objects for the other candidates
-                refs = self._references(query, cfg.k, cfg.expansion_factor, cfg.postprocess)[0]
+                refs = self.retrieve_references(
+                    query, cfg.k, cfg.expansion_factor, cfg.postprocess
+                )[0]
             prior = self.priors.for_query(query)
         elif cfg.mode == "random_few_shot":
             refs = self.random_references(

@@ -85,8 +85,8 @@ def prior_strength(
     (saturating at 30 cases) and down with relative variance:
     base_w * min(1, cohort/30) * 1 / (1 + variance / median^2).
     """
-    if base_w < 0.0:
-        raise SpecError(f"prior weight must be >= 0, got {base_w}")
+    if not 0.0 <= base_w < np.inf:
+        raise SpecError(f"prior weight must be finite and >= 0, got {base_w}")
     if mode == "fixed":
         return base_w
     if mode == "calibrated":

@@ -124,15 +124,6 @@ class CaseSet:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def validate(self) -> None:
-        names = set(self.schema.feature_names)
-        for case in self.cases:
-            unknown = set(case.values) - names
-            if unknown:
-                raise SchemaError(
-                    f"case {case.id!r} has values outside the schema: {sorted(unknown)}"
-                )
-
     def durations(self) -> list[float]:
         return [c.duration_min for c in self.cases if c.duration_min is not None]
 
@@ -271,11 +262,11 @@ def split(
 ) -> tuple[CaseSet, CaseSet, CaseSet]:
     """Partition a CaseSet into train/val/test by shuffled assignment.
 
-    Ratios must be positive and sum to 1 within 1e-9. The shuffle is a
+    Ratios must be positive, finite and sum to 1 within 1e-9. The shuffle is a
     pure function of the seed, so identical inputs give identical splits.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise SpecError(f"ratios must be three positive numbers, got {ratios}")
+    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
+        raise SpecError(f"ratios must be three positive finite numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SpecError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
     order = list(range(len(cs.cases)))

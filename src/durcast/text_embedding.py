@@ -8,8 +8,7 @@ to any service exposing the usual embeddings endpoint shape.
 from __future__ import annotations
 
 import hashlib
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,9 @@ class TextEmbedder:
     """Interface: fixed output dimension, deterministic per string."""
 
     dim: int
-    identifier: str
 
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self.embed(t) for t in texts])
 
 
 @dataclass
@@ -48,7 +43,6 @@ class HashingTextEmbedder(TextEmbedder):
     ngram: int = 3
 
     def __post_init__(self):
-        self.identifier = f"hashing-{self.ngram}gram-{self.dim}"
         self._grams: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
@@ -71,47 +65,27 @@ class HashingTextEmbedder(TextEmbedder):
 
 @dataclass
 class RemoteTextEmbedder(TextEmbedder):
-    """Client for an HTTP embeddings endpoint.
-
-    POSTs {"input": [strings]} and expects {"data": [{"embedding": [...]}]}.
-    Responses are L2-normalized locally so downstream code can rely on
-    unit-norm vectors regardless of service behavior.
-    """
+    """Client for an HTTP embeddings endpoint, one text per request: POSTs
+    {"input": [text]}, expects {"data": [{"embedding": [dim numbers]}]} and
+    L2-normalizes that vector locally, whatever the service returns."""
 
     url: str = "http://localhost:8080/v1/embeddings"
     dim: int = 768
     timeout_s: float = 30.0
-    max_in_flight: int = 8
-    identifier: str = field(init=False)
-    _gate: threading.Semaphore = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.identifier = f"remote-{self.dim}@{self.url}"
-        self._gate = threading.Semaphore(self.max_in_flight)
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        with self._gate:
-            try:
-                payload = post_json(self.url, {"input": list(texts)}, self.timeout_s)
-            except TransportFailure as exc:
-                raise EmbeddingServiceError(
-                    f"embedding service at {self.url} failed: {exc}"
-                ) from exc
+        try:
+            payload = post_json(self.url, {"input": [text]}, self.timeout_s)
+        except TransportFailure as exc:
+            raise EmbeddingServiceError(f"embedding service at {self.url} failed: {exc}") from exc
         try:
             rows = [np.asarray(item["embedding"], dtype=np.float64) for item in payload["data"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise EmbeddingServiceError(
                 f"embedding service returned malformed payload: {exc}"
             ) from exc
-        if len(rows) != len(texts) or any(r.shape != (self.dim,) for r in rows):
-            raise EmbeddingServiceError(
-                f"expected {len(texts)} vectors of dim {self.dim} from {self.url}"
-            )
-        out = np.stack(rows)
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        return out / np.where(norms > 0.0, norms, 1.0)
+        if len(rows) != 1 or rows[0].shape != (self.dim,):
+            raise EmbeddingServiceError(f"expected 1 vector of dim {self.dim} from {self.url}")
+        # a row norm of the 1 x dim array rounds as built indexes' vectors did
+        (norm,) = np.linalg.norm(rows, axis=1)
+        return rows[0] / norm if norm > 0.0 else rows[0]

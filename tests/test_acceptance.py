@@ -20,11 +20,12 @@ from conftest import mk_case, mk_ensemble, mk_prior, tiny_corpus
 from durcast import cli
 from durcast.aggregate import baseline_aggregate, bayesian_average
 from durcast.evaluate import ExperimentConfig, compute_metrics, run_experiment
-from durcast.index import RetrievalCandidate, build, postprocess, retrieve
+from durcast.index import build, postprocess_rows, retrieve
 from durcast.llm import MockReferenceMean, schedule_temperatures
 from durcast.pca import derive_weights, fit_pca
 from durcast.pipeline import Pipeline
 from durcast.schema import CaseSet, split, write_csv
+from durcast.strata import CaseTable
 from durcast.synthetic import SyntheticSpec, generate_synthetic
 
 GOLDEN = Path(__file__).parent / "data" / "golden_predict_audit.txt"
@@ -169,11 +170,9 @@ def iqr_oracle(durations):
 def run_iqr_stage(durations):
     # empty key attributes collapse the stratum ladder to the global tier,
     # and k = n disables the top-k cut, isolating the outlier filter
-    candidates = [
-        RetrievalCandidate(case=mk_case(f"r-{i:03d}", d), similarity=1.0 - i * 1e-3)
-        for i, d in enumerate(durations)
-    ]
-    refs = postprocess(candidates, mk_case("q"), len(durations), ())
+    table = CaseTable.of([mk_case(f"r-{i:03d}", d) for i, d in enumerate(durations)], ())
+    rows = np.arange(len(durations))[None, :]
+    refs = postprocess_rows(table, rows, 1.0 - rows * 1e-3, [mk_case("q")], len(durations))[0]
     return [c.duration_min for c, _ in refs.references], refs.iqr_bounds
 
 

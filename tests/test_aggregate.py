@@ -66,6 +66,11 @@ class TestBayesianAverage:
         with pytest.raises(SpecError):
             bayesian_average(mk_ensemble([100.0]), mk_prior(), -0.1)
 
+    def test_rejects_non_finite_weight(self):
+        for w in (np.nan, np.inf):
+            with pytest.raises(SpecError):
+                bayesian_average(mk_ensemble([100.0]), mk_prior(), w)
+
     def test_empty_ensemble(self):
         with pytest.raises(EmptyEnsemble):
             bayesian_average(mk_ensemble([]), mk_prior(), 0.9)

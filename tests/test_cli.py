@@ -470,6 +470,53 @@ class TestAblate:
         assert "cannot parse" in capsys.readouterr().err
 
 
+# Every numeric value flag of evaluate and predict, with the backend it
+# applies to; the fit flags are evaluate's alone.
+NUMERIC_FLAGS = [
+    ("--w-prior", None), ("--noise-sd", None), ("--timeout-s", "http"), ("--k", None),
+    ("--rounds", None), ("--expansion", None), ("--concurrency", None),
+    ("--max-retries", None), ("--variance-fraction", None), ("--min-cohort", None),
+    ("--pca-top-m", None),
+]
+HOSTILE_RUNS = [
+    (command, [f"{flag}={value}", *(["--backend", backend] if backend else [])])
+    for flag, backend in NUMERIC_FLAGS
+    for value in ("nan", "inf", "-inf", "-1")
+    for command in ("evaluate", "predict")
+    if command == "evaluate" or flag[2:].replace("-", "_") not in cli.FIT_FLAGS
+] + [
+    ("ablate", ["--axis", "w_prior", "--values", "nan"]),
+    ("generate", ["--ratios", "abc,0.5,0.5"]),
+    ("generate", ["--ratios", "nan,0.5,0.5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags", HOSTILE_RUNS, ids=[" ".join([c, *f]) for c, f in HOSTILE_RUNS]
+)
+def test_hostile_numeric_value_is_refused(workspace, tmp_path, capsys, command, flags):
+    """A non-finite or negative number is a usage or pipeline error: an
+    error line, no traceback and no nan printed as a result."""
+    data, artifacts = workspace / "data", str(workspace / "artifacts")
+    base = {
+        "evaluate": ["--train", str(data / "train.csv"), "--schema", str(data / "schema.yaml"),
+                     "--test", str(data / "test.csv")],
+        "predict": ["--artifacts", artifacts, *QUERY_FLAGS],
+        "ablate": ["--artifacts", artifacts, "--test", str(data / "test.csv")],
+        "generate": ["--n", "10", "--out", str(tmp_path / "corpus")],
+    }[command]
+    capsys.readouterr()
+    try:
+        rc = cli.main([command, *base, *flags])
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc in (1, 2)
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "nan" not in captured.out
+
+
 class TestDecodesOnlyWhatIsRead:
     """A loaded index decodes a case's values span only when something
     reads that case; decoded rows are counted by wrapping the decoder."""

@@ -78,7 +78,7 @@ class TestNumerical:
         schema = one_kind_schema("numerical", ("x",))
         enc = fit_on(schema, [{"x": 1.0}, {"x": 3.0}])
         # mean 2, population std 1, single numeric dim so alpha is 1
-        vec = enc.encode(SurgicalCase(id="q", values={"x": 5.0})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"x": 5.0}))
         assert vec[0] == pytest.approx(3.0)
 
     def test_alpha_scales_with_block_width(self):
@@ -88,21 +88,21 @@ class TestNumerical:
             {"a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0},
         ]
         enc = fit_on(schema, rows)
-        vec = enc.encode(SurgicalCase(id="q", values={"a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"a": 2.0, "b": 2.0, "c": 2.0, "d": 2.0}))
         # z-score is 1 for every dim, then scaled by 1/sqrt(4)
         assert vec == pytest.approx(np.full(4, 0.5))
 
     def test_missing_imputes_training_mean(self):
         schema = one_kind_schema("numerical", ("x",))
         enc = fit_on(schema, [{"x": 1.0}, {"x": 3.0}])
-        vec = enc.encode(SurgicalCase(id="q", values={"x": None})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"x": None}))
         assert vec[0] == 0.0
 
     def test_constant_feature_uses_unit_std(self):
         schema = one_kind_schema("numerical", ("x",))
         enc = fit_on(schema, [{"x": 7.0}, {"x": 7.0}])
         assert enc.numeric_stats["x"] == (7.0, 1.0)
-        vec = enc.encode(SurgicalCase(id="q", values={"x": 9.0})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"x": 9.0}))
         assert vec[0] == pytest.approx(2.0)
 
     def test_all_missing_feature_defaults(self):
@@ -123,18 +123,18 @@ class TestOrdinal:
     def test_rank_scaling(self):
         enc = fit_on(self.SCHEMA, [{"asa": "I"}, {"asa": "III"}])
         for token, expected in (("I", 0.0), ("II", 0.5), ("III", 1.0)):
-            vec = enc.encode(SurgicalCase(id="q", values={"asa": token})).vector
+            vec = enc.encode(SurgicalCase(id="q", values={"asa": token}))
             assert vec[0] == pytest.approx(expected)
 
     def test_missing_imputes_mean_rank(self):
         enc = fit_on(self.SCHEMA, [{"asa": "I"}, {"asa": "III"}])
-        vec = enc.encode(SurgicalCase(id="q", values={"asa": None})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"asa": None}))
         assert vec[0] == pytest.approx(0.5)
 
     def test_single_level_scale(self):
         schema = one_kind_schema("ordinal", ("x",), {"x": ("only",)})
         enc = fit_on(schema, [{"x": "only"}, {"x": "only"}])
-        vec = enc.encode(SurgicalCase(id="q", values={"x": "only"})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"x": "only"}))
         assert vec[0] == 0.0
 
     def test_unknown_level_rejected(self):
@@ -150,14 +150,14 @@ class TestCategorical:
         enc = fit_on(self.SCHEMA, [{"dept": "uro"}, {"dept": "gyn"}])
         assert enc.cat_vocabs["dept"] == ("gyn", "uro")
         alpha = 1 / math.sqrt(3)
-        vec = enc.encode(SurgicalCase(id="q", values={"dept": "uro"})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"dept": "uro"}))
         assert vec == pytest.approx([0.0, alpha, 0.0])
 
     def test_unseen_and_missing_fire_unknown_slot(self):
         enc = fit_on(self.SCHEMA, [{"dept": "uro"}, {"dept": "gyn"}])
         alpha = 1 / math.sqrt(3)
-        unseen = enc.encode(SurgicalCase(id="q", values={"dept": "ent"})).vector
-        missing = enc.encode(SurgicalCase(id="q", values={"dept": None})).vector
+        unseen = enc.encode(SurgicalCase(id="q", values={"dept": "ent"}))
+        missing = enc.encode(SurgicalCase(id="q", values={"dept": None}))
         assert unseen == pytest.approx([0.0, 0.0, alpha])
         assert missing == pytest.approx([0.0, 0.0, alpha])
 
@@ -171,13 +171,13 @@ class TestBoolean:
     )
     def test_token_table(self, token, expected):
         enc = fit_on(self.SCHEMA, [{"emergency": "true"}, {"emergency": "false"}])
-        vec = enc.encode(SurgicalCase(id="q", values={"emergency": token})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"emergency": token}))
         assert vec[0] == expected
 
     def test_missing_imputes_prevalence(self):
         rows = [{"emergency": "true"}, {"emergency": "false"}, {"emergency": "false"}, {"emergency": "false"}]
         enc = fit_on(self.SCHEMA, rows)
-        vec = enc.encode(SurgicalCase(id="q", values={"emergency": None})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"emergency": None}))
         assert vec[0] == pytest.approx(0.25)
 
     def test_bad_token_rejected(self):
@@ -191,13 +191,13 @@ class TestText:
 
     def test_uses_embedder_scaled_by_alpha(self):
         enc = fit_on(self.SCHEMA, [{"note": "a"}, {"note": "b"}])
-        vec = enc.encode(SurgicalCase(id="q", values={"note": "fasting overnight"})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"note": "fasting overnight"}))
         expected = EMBEDDER.embed("fasting overnight") / math.sqrt(EMBEDDER.dim)
         assert vec == pytest.approx(expected)
 
     def test_missing_embeds_unknown_token(self):
         enc = fit_on(self.SCHEMA, [{"note": "a"}, {"note": "b"}])
-        vec = enc.encode(SurgicalCase(id="q", values={"note": None})).vector
+        vec = enc.encode(SurgicalCase(id="q", values={"note": None}))
         expected = EMBEDDER.embed("UNKNOWN") / math.sqrt(EMBEDDER.dim)
         assert vec == pytest.approx(expected)
 
@@ -219,20 +219,20 @@ class TestEncodeApi:
                 | {"age": 50.0},
             )
         )
-        assert np.array_equal(sparse.vector, explicit.vector)
+        assert np.array_equal(sparse, explicit)
 
     def test_encode_matrix_rows_match_encode(self):
         corpus = tiny_corpus()
         enc = encoding.fit(corpus, EMBEDDER)
         matrix = enc.encode_matrix(corpus)
         assert matrix.shape == (len(corpus), enc.dim)
-        assert np.array_equal(matrix[3], enc.encode(corpus.cases[3]).vector)
+        assert np.array_equal(matrix[3], enc.encode(corpus.cases[3]))
 
     def test_deterministic(self):
         corpus = tiny_corpus()
         enc = encoding.fit(corpus, EMBEDDER)
-        a = enc.encode(corpus.cases[0]).vector
-        b = enc.encode(corpus.cases[0]).vector
+        a = enc.encode(corpus.cases[0])
+        b = enc.encode(corpus.cases[0])
         assert np.array_equal(a, b)
 
     def test_fit_requires_cases(self):
@@ -241,8 +241,7 @@ class TestEncodeApi:
 
     def test_embedding_dim_property(self):
         enc = encoding.fit(tiny_corpus(), EMBEDDER)
-        emb = enc.encode(tiny_corpus().cases[0])
-        assert emb.dim == enc.dim
+        assert enc.encode(tiny_corpus().cases[0]).shape == (enc.dim,)
 
 
 # Oracles: the encoder as one small array per feature, stacked row by row,
@@ -410,7 +409,7 @@ class TestEncoderEqualsOracle:
         cases = as_cases(queries, "q")
         wants = [outcome(oracle_encode, enc, case) for case in cases]
         for case, want in zip(cases, wants):
-            assert_same(outcome(lambda c: enc.encode(c).vector, case), want)
+            assert_same(outcome(enc.encode, case), want)
         matrix = outcome(enc.encode_matrix, CaseSet(cases=cases, schema=MIXED_SCHEMA))
         errors = [w for w in wants if isinstance(w, str)]
         if errors:

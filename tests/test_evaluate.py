@@ -141,6 +141,17 @@ class TestExperimentConfig:
         with pytest.raises(SpecError):
             ExperimentConfig(self.backend(), strategy="mode_of_modes")
 
+    @pytest.mark.parametrize(
+        "over",
+        [{"w_prior": math.nan}, {"w_prior": math.inf}, {"w_prior": -1.0},
+         {"mode": "zero_shot", "k": 0, "w_prior": -1.0}, {"prior_mode": "loose"}],
+    )
+    def test_bad_prior_settings(self, over):
+        with pytest.raises(SpecError):
+            ExperimentConfig(self.backend(), **over)
+        with pytest.raises(SpecError):  # an ablation cell's replace checks too
+            replace(ExperimentConfig(self.backend()), **over)
+
 
 @pytest.fixture(scope="module")
 def fitted(corpus_module):

@@ -32,11 +32,11 @@ from durcast.index import (
     RetrievalCandidate,
     build,
     load_index,
-    postprocess,
     postprocess_rows,
     retrieve,
-    retrieve_batch,
+    retrieve_units,
     save_index,
+    unit_query,
 )
 from durcast.priors import PriorIndex, StatisticalPrior, compute_prior
 from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
@@ -146,9 +146,8 @@ def linear_scan(idx, query, m):
     return [(c.case.id, c.similarity) for c in scan_candidates(idx, query, m)]
 
 
-def as_pairs(idx, found):
-    """A retrieve_batch answer as (id, similarity) pairs."""
-    rows, sims = found
+def as_pairs(idx, rows, sims):
+    """One query's retrieve_units line as (id, similarity) pairs."""
     return [(idx.cases[i].id, s) for i, s in zip(rows.tolist(), sims.tolist())]
 
 
@@ -198,11 +197,11 @@ class TestRetrieveEqualsLinearScan:
             for j, anchor in enumerate(anchor_queries)
         ]
         with mock.patch.object(index_mod, "_BLOCK_SCORES", block * n):
-            batch = retrieve_batch(idx, queries, m)
-        assert len(batch) == len(queries)
-        for query, found in zip(queries, batch):
+            rows, sims = retrieve_units(idx, [unit_query(idx, q) for q in queries], m)
+        assert len(rows) == len(queries)
+        for query, line in zip(queries, zip(rows, sims)):
             expected = linear_scan(idx, query, m)
-            assert as_pairs(idx, found) == expected
+            assert as_pairs(idx, *line) == expected
             assert [(c.case.id, c.similarity) for c in retrieve(idx, query, m)] == expected
 
 
@@ -219,11 +218,12 @@ class TestRetrieveBatch:
             4.0 * anchors[2],
             rng.normal(size=dim),
         ]
+        units = [unit_query(idx, q) for q in queries]
         for m in (1, n - 1, n, n + 1):
-            batch = retrieve_batch(idx, queries, m)
-            assert len(batch) == len(queries)
-            for query, found in zip(queries, batch):
-                got = as_pairs(idx, found)
+            rows, sims = retrieve_units(idx, units, m)
+            assert len(rows) == len(queries)
+            for query, line in zip(queries, zip(rows, sims)):
+                got = as_pairs(idx, *line)
                 assert got == linear_scan(idx, query, m)
                 assert got == [(c.case.id, c.similarity) for c in retrieve(idx, query, m)]
 
@@ -231,13 +231,15 @@ class TestRetrieveBatch:
         rng = np.random.default_rng(7)
         idx, anchors = tie_heavy_index(rng, 64, 120)
         queries = [anchors[0], rng.normal(size=64), anchors[2], rng.normal(size=64)]
-        forward = [as_pairs(idx, f) for f in retrieve_batch(idx, queries, 9)]
-        backward = [as_pairs(idx, f) for f in retrieve_batch(idx, queries[::-1], 9)]
+        units = [unit_query(idx, q) for q in queries]
+        forward = [as_pairs(idx, *line) for line in zip(*retrieve_units(idx, units, 9))]
+        backward = [as_pairs(idx, *line) for line in zip(*retrieve_units(idx, units[::-1], 9))]
         assert backward == forward[::-1]
 
     def test_empty_query_list(self):
         idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
-        assert retrieve_batch(idx, [], 1) == []
+        rows, sims = retrieve_units(idx, [], 1)
+        assert rows.shape == sims.shape == (0, 1)
 
     def test_queries_span_several_blocks(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -245,27 +247,24 @@ class TestRetrieveBatch:
         idx, anchors = tie_heavy_index(rng, 549, n)
         queries = [anchors[j % 3] if j % 2 else rng.normal(size=549) for j in range(7)]
         monkeypatch.setattr(index_mod, "_BLOCK_SCORES", 2 * n)  # two queries a block
+        units = [unit_query(idx, q) for q in queries]
         for m in (1, 13, n - 1):
-            batch = retrieve_batch(idx, queries, m)
-            assert len(batch) == len(queries)
-            for query, found in zip(queries, batch):
-                assert as_pairs(idx, found) == linear_scan(idx, query, m)
+            rows, sims = retrieve_units(idx, units, m)
+            assert len(rows) == len(queries)
+            for query, line in zip(queries, zip(rows, sims)):
+                assert as_pairs(idx, *line) == linear_scan(idx, query, m)
 
     def test_one_bad_query_rejects_the_batch(self):
         idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ZeroVector):
-            retrieve_batch(idx, [np.ones(2), np.zeros(2)], 1)
-        with pytest.raises(DimensionMismatch):
-            retrieve_batch(idx, [np.ones(2), np.ones(3)], 1)
-        with pytest.raises(NonFiniteVector):
-            retrieve_batch(idx, [np.ones(2), np.array([np.nan, 1.0])], 1)
+        for bad, error in [
+            (np.zeros(2), ZeroVector),
+            (np.ones(3), DimensionMismatch),
+            (np.array([np.nan, 1.0]), NonFiniteVector),
+        ]:
+            with pytest.raises(error):
+                retrieve_units(idx, [unit_query(idx, q) for q in (np.ones(2), bad)], 1)
         with pytest.raises(SpecError):
-            retrieve_batch(idx, [np.ones(2)], 0)
-
-
-def candidates_from(cases, sims=None):
-    sims = sims or [0.9 - 0.01 * i for i in range(len(cases))]
-    return [RetrievalCandidate(case=c, similarity=s) for c, s in zip(cases, sims)]
+            retrieve_units(idx, [unit_query(idx, np.ones(2))], 0)
 
 
 class TestPostprocess:
@@ -273,6 +272,12 @@ class TestPostprocess:
 
     def _query(self, department="thyroid_breast", surgery="thyroidectomy"):
         return mk_case("q", department=department, surgery=surgery)
+
+    def _candidates(self, cases, sims=None):
+        """cases as one query's candidates, in order: postprocess_rows'
+        table, rows and similarities."""
+        sims = sims or [0.9 - 0.01 * i for i in range(len(cases))]
+        return CaseTable.of(cases, self.KEYS), np.arange(len(cases))[None, :], np.array([sims])
 
     def test_most_specific_tier_with_enough_survivors(self):
         cases = [
@@ -282,7 +287,7 @@ class TestPostprocess:
             mk_case(f"l{i}", 75.0, department="thyroid_breast", surgery="breast lumpectomy")
             for i in range(3)
         ]
-        refs = postprocess(candidates_from(cases), self._query(), 2, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 2)[0]
         assert refs.fallback_level == 0
         assert refs.stratum_descriptor == (
             "department=thyroid_breast + surgery_name=thyroidectomy"
@@ -296,7 +301,7 @@ class TestPostprocess:
             mk_case(f"l{i}", 75.0, department="thyroid_breast", surgery="breast lumpectomy")
             for i in range(4)
         ]
-        refs = postprocess(candidates_from(cases), self._query(), 3, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 3)[0]
         assert refs.fallback_level == 1
         assert refs.stratum_descriptor == "department=thyroid_breast"
         assert len(refs.references) == 3
@@ -306,7 +311,7 @@ class TestPostprocess:
             mk_case("t0", 120.0, department="thyroid_breast", surgery="thyroidectomy"),
             mk_case("g0", 180.0, department="general_surgery", surgery="colectomy"),
         ]
-        refs = postprocess(candidates_from(cases), self._query(), 5, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 5)[0]
         # the most specific non-empty tier wins even though it is short
         assert refs.fallback_level == 0
         assert [c.id for c, _ in refs.references] == ["t0"]
@@ -314,7 +319,7 @@ class TestPostprocess:
     def test_query_without_keys_uses_global_tier(self):
         query = SurgicalCase(id="q", values={"department": None, "surgery_name": None})
         cases = [mk_case(f"c{i}", 100.0 + i) for i in range(3)]
-        refs = postprocess(candidates_from(cases), query, 2, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [query], 2)[0]
         assert refs.fallback_level == 2  # final unfiltered tier of the 2-key ladder
         assert refs.stratum_descriptor == "GLOBAL"
 
@@ -324,7 +329,7 @@ class TestPostprocess:
             mk_case(f"c{i}", d, department="thyroid_breast", surgery="thyroidectomy")
             for i, d in enumerate(durations)
         ]
-        refs = postprocess(candidates_from(cases), self._query(), 5, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 5)[0]
         kept = [c.duration_min for c, _ in refs.references]
         assert kept == [100.0, 110.0, 120.0, 130.0]
         assert refs.iqr_bounds == (80.0, 160.0)
@@ -339,7 +344,7 @@ class TestPostprocess:
         others = [mk_case(f"o{i}", 1.0 + i) for i in range(6)]
         # candidates interleaved by similarity
         cases = [c for pair in zip(others, tier) for c in pair]
-        refs = postprocess(candidates_from(cases), self._query(), 5, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 5)[0]
         assert refs.fallback_level == 0
         assert refs.iqr_bounds == (75.0, 175.0)
         assert [c.id for c, _ in refs.references] == ["t0", "t1", "t2", "t3", "t4"]
@@ -349,18 +354,18 @@ class TestPostprocess:
             mk_case(f"c{i}", d, department="thyroid_breast", surgery="thyroidectomy")
             for i, d in enumerate([100.0, 110.0, 120.0, 500.0])
         ]
-        refs = postprocess(candidates_from(cases), self._query(), 4, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases), [self._query()], 4)[0]
         assert refs.iqr_bounds is None
         assert len(refs.references) == 4
 
     def test_empty_candidates_raise(self):
         with pytest.raises(NoCandidates):
-            postprocess([], self._query(), 1, self.KEYS)
+            postprocess_rows(*self._candidates([]), [self._query()], 1)
 
     def test_rejects_bad_k(self):
         cases = [mk_case("a", 120.0)]
         with pytest.raises(SpecError):
-            postprocess(candidates_from(cases), self._query(), 0, self.KEYS)
+            postprocess_rows(*self._candidates(cases), [self._query()], 0)[0]
 
     def test_keeps_similarity_order(self):
         cases = [
@@ -368,7 +373,7 @@ class TestPostprocess:
             for i in range(6)
         ]
         sims = [0.99, 0.95, 0.90, 0.85, 0.80, 0.75]
-        refs = postprocess(candidates_from(cases, sims), self._query(), 3, self.KEYS)
+        refs = postprocess_rows(*self._candidates(cases, sims), [self._query()], 3)[0]
         assert [s for _, s in refs.references] == sims[:3]
 
 
@@ -484,25 +489,18 @@ class TestTablePathEqualsObjectOracle:
         m = k * expansion  # k >= m and m >= n both occur
         priors = PriorIndex(idx.table, min_cohort)
         train = CaseSet(cases=cases, schema=small_schema())
-        found = retrieve_batch(idx, query_vectors, m)
+        rows, sims = retrieve_units(idx, [unit_query(idx, q) for q in query_vectors], m)
         # every query of the batch refined by one call
-        refined = postprocess_rows(
-            idx.table,
-            np.stack([rows for rows, _ in found]),
-            np.stack([sims for _, sims in found]),
-            query_cases,
-            k,
-        )
+        refined = postprocess_rows(idx.table, rows, sims, query_cases, k)
         assert len(refined) == len(query_cases)
-        for q, vec, (rows, sims), got in zip(query_cases, query_vectors, found, refined):
+        for q, vec, line, got in zip(query_cases, query_vectors, zip(rows, sims), refined):
             candidates = scan_candidates(idx, vec, m)
-            assert as_pairs(idx, (rows, sims)) == [(c.case.id, c.similarity) for c in candidates]
+            assert as_pairs(idx, *line) == [(c.case.id, c.similarity) for c in candidates]
             want = oracle_postprocess(candidates, q, k, self.KEYS)
             assert [(c.id, s) for c, s in got.references] == [
                 (c.id, s) for c, s in want.references
             ]
             assert got == want
-            assert postprocess(candidates, q, k, self.KEYS) == want
             want_prior = oracle_prior(q, cases, self.KEYS, min_cohort)
             assert priors.for_query(q) == want_prior
             assert compute_prior(q, train, min_cohort) == want_prior

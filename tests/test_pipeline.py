@@ -104,7 +104,7 @@ class TestFit:
         from durcast.pca import apply_weights
 
         q = thyroid_query()
-        want = apply_weights(pipe.encoder.encode(q).vector, pipe.weights)
+        want = apply_weights(pipe.encoder.encode(q), pipe.weights)
         assert np.array_equal(pipe.embed_query(q), want)
 
     def test_importance_report_covers_features(self, pipe):
@@ -148,14 +148,14 @@ class TestFitConfig:
 
 class TestRetrieveReferences:
     def test_postprocessed_stratum(self, pipe):
-        refs, candidates = pipe.retrieve_references(thyroid_query(), k=4)
+        refs, (rows, sims) = pipe.retrieve_references(thyroid_query(), k=4)
         assert len(refs.references) == 4
         assert refs.fallback_level == 0
         assert "thyroidectomy" in refs.stratum_descriptor
         assert all(
             c.values["surgery_name"] == "thyroidectomy" for c, _ in refs.references
         )
-        assert len(candidates) >= len(refs.references)
+        assert len(rows) == len(sims) >= len(refs.references)
 
     def test_plain_topk_when_disabled(self, pipe):
         refs, _ = pipe.retrieve_references(thyroid_query(), k=4, postprocess=False)
@@ -623,12 +623,11 @@ def test_reloaded_index_equals_fitted(tmp_path_factory, rows, queries, id_pool, 
 
     test = CaseSet(cases=[_mk(f"q{i}", r) for i, r in enumerate(queries)], schema=small_schema())
     for q in test.cases:
-        (a_refs, a_found), (b_refs, b_found) = (
+        (a_refs, (a_rows, a_sims)), (b_refs, (b_rows, b_sims)) = (
             p.retrieve_references(q, k=3, expansion_factor=2) for p in (fitted, loaded)
         )
-        assert [(c.case.id, c.similarity) for c in a_found] == [
-            (c.case.id, c.similarity) for c in b_found
-        ]
+        assert a_rows.tolist() == b_rows.tolist()
+        assert a_sims.tobytes() == b_sims.tobytes()
         assert [(c.id, s) for c, s in a_refs.references] == [
             (c.id, s) for c, s in b_refs.references
         ]

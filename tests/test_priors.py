@@ -104,6 +104,11 @@ class TestPriorStrength:
         with pytest.raises(SpecError):
             prior_strength(compute_prior(thyroid_query(), tiny_corpus()), -0.1)
 
+    def test_rejects_non_finite_weight(self):
+        for w in (np.nan, np.inf):
+            with pytest.raises(SpecError):
+                prior_strength(compute_prior(thyroid_query(), tiny_corpus()), w, "calibrated")
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(SpecError):
             prior_strength(compute_prior(thyroid_query(), tiny_corpus()), 0.9, "loose")

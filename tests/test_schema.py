@@ -121,14 +121,6 @@ class TestCases:
                 SurgicalCase(id="x", values={}, duration_min=bad)
         assert SurgicalCase(id="x", values={}, duration_min=None).duration_min is None
 
-    def test_validate_rejects_foreign_values(self):
-        cs = CaseSet(
-            cases=[SurgicalCase(id="x", values={"bogus": 1.0}, duration_min=60.0)],
-            schema=small_schema(),
-        )
-        with pytest.raises(SchemaError, match="outside the schema"):
-            cs.validate()
-
     def test_durations_skip_missing(self):
         cs = CaseSet(
             cases=[mk_case("a", 60.0), mk_case("b", None)], schema=small_schema()

@@ -35,7 +35,7 @@ def test_size_ids_and_schema():
     assert cs.cases[0].id == "syn-000000"
     assert cs.cases[49].id == "syn-000049"
     assert cs.schema == default_schema()
-    cs.validate()
+    assert all(case.values.keys() <= set(cs.schema.feature_names) for case in cs.cases)
 
 
 def test_every_case_is_complete_and_bounded():

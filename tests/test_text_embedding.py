@@ -8,10 +8,10 @@ from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 
 
 class TestHashingEmbedder:
-    def test_dim_and_identifier(self):
+    def test_dim(self):
         emb = HashingTextEmbedder(dim=64, ngram=3)
         assert emb.dim == 64
-        assert emb.identifier == "hashing-3gram-64"
+        assert emb.embed("hernia repair").shape == (64,)
 
     def test_unit_norm(self):
         emb = HashingTextEmbedder(dim=128)
@@ -43,13 +43,6 @@ class TestHashingEmbedder:
         v = HashingTextEmbedder(dim=16).embed("")
         assert np.array_equal(v, np.zeros(16))
 
-    def test_embed_batch_stacks(self):
-        emb = HashingTextEmbedder(dim=16)
-        mat = emb.embed_batch(["alpha", "beta"])
-        assert mat.shape == (2, 16)
-        assert np.array_equal(mat[0], emb.embed("alpha"))
-        assert np.array_equal(mat[1], emb.embed("beta"))
-
 
 class TestRemoteEmbedder:
     def _payload(self, vectors):
@@ -63,25 +56,11 @@ class TestRemoteEmbedder:
         assert np.allclose(v, [0.6, 0.8, 0.0, 0.0])
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
-    def test_batch_roundtrip(self, stub_server):
-        server = stub_server(
-            [(200, self._payload([[1.0, 0.0], [0.0, 2.0]]))]
-        )
-        emb = RemoteTextEmbedder(url=server.url, dim=2)
-        mat = emb.embed_batch(["a", "b"])
-        assert mat.shape == (2, 2)
-        assert np.allclose(mat, [[1.0, 0.0], [0.0, 1.0]])
-        assert server.requests[0]["body"] == {"input": ["a", "b"]}
-
-    def test_identifier_mentions_dim(self):
-        emb = RemoteTextEmbedder(dim=768)
-        assert "768" in emb.identifier
-
     def test_wrong_count_rejected(self, stub_server):
-        server = stub_server([(200, self._payload([[1.0, 0.0]]))])
+        server = stub_server([(200, self._payload([[1.0, 0.0], [0.0, 1.0]]))])
         emb = RemoteTextEmbedder(url=server.url, dim=2)
         with pytest.raises(EmbeddingServiceError):
-            emb.embed_batch(["a", "b"])
+            emb.embed("a")
 
     def test_wrong_dim_rejected(self, stub_server):
         server = stub_server([(200, self._payload([[1.0, 0.0, 0.0]]))])
