@@ -119,7 +119,7 @@ def _flag_value(command: argparse.ArgumentParser, action: argparse.Action, key, 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     """Backend flags default to None: an unset flag leaves the backend's
-    own default in place."""
+    own default in place. A flag of another backend is a usage error."""
     p.add_argument("--backend", choices=BACKENDS, default="mock_reference_mean")
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
@@ -137,20 +137,32 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
                    help="completion text for mock_scripted (repeatable)")
 
 
+# Each backend's class and its own flags, flag dest -> constructor argument.
+BACKEND_FLAGS = {
+    "http": (HttpChatBackend, {"endpoint": "endpoint", "model": "model_name",
+                               "api_key_env": "api_key_env", "timeout_s": "timeout_s"}),
+    "mock_echo_prior": (MockEchoPrior, {}),
+    "mock_scripted": (MockScripted, {"script": "outputs"}),
+    "mock_reference_mean": (MockReferenceMean, {"noise_sd": "noise_sd", "mock_seed": "seed"}),
+}
+
+
+def _check_backend_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Refuse a set flag that the chosen backend does not take."""
+    for backend, (_, flags) in BACKEND_FLAGS.items():
+        for dest in flags:
+            if backend != args.backend and getattr(args, dest) is not None:
+                parser.error(
+                    f"--{dest.replace('_', '-')} applies to --backend {backend}, "
+                    f"not {args.backend}"
+                )
+
+
 def _make_backend(args: argparse.Namespace):
-    cls, given = {
-        "http": (HttpChatBackend, {
-            "endpoint": args.endpoint,
-            "model_name": args.model,
-            "api_key_env": args.api_key_env,
-            "timeout_s": args.timeout_s,
-        }),
-        "mock_echo_prior": (MockEchoPrior, {}),
-        "mock_scripted": (MockScripted, {"outputs": tuple(args.script) if args.script else None}),
-        "mock_reference_mean": (
-            MockReferenceMean, {"noise_sd": args.noise_sd, "seed": args.mock_seed}
-        ),
-    }[args.backend]
+    cls, flags = BACKEND_FLAGS[args.backend]
+    given = {arg: getattr(args, dest) for dest, arg in flags.items()}
+    if given.get("outputs") is not None:
+        given["outputs"] = tuple(given["outputs"])
     given.update(max_retries=args.max_retries, concurrency_limit=args.concurrency)
     return cls(**{name: value for name, value in given.items() if value is not None})
 
@@ -275,6 +287,10 @@ def _query_from_args(args: argparse.Namespace, pipe: Pipeline) -> SurgicalCase:
         key, _, raw = pair.partition("=")
         if key not in pipe.schema.feature_names:
             raise ParseError(f"unknown feature {key!r} in --set")
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:  # bytes that are not UTF-8 reach argv as surrogates
+            raise ParseError(f"feature {key!r}: --set value is not valid UTF-8") from None
         if pipe.schema.kind_of(key) == "numerical":
             try:
                 values[key] = float(raw)
@@ -468,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         getattr(args, dest, None) is not None for dest in FIT_FLAGS
     ):
         parser.error("fit flags cannot be combined with --artifacts, which fix the fit")
+    if hasattr(args, "backend"):
+        _check_backend_flags(args, parser)
     try:
         return args.func(args)
     except BackendUnreachable as exc:

@@ -18,12 +18,16 @@ Encoding rules:
 Fitted and loaded encoders share one per-feature plan (offset, stats, value
 -> slot and level -> rank dicts). One fill routine writes each feature into
 a zeroed row of the output, vector or preallocated N x D matrix; each
-block's columns are then scaled by its alpha once.
+block's columns are then scaled by its alpha once. A single case's texts
+are embedded one at a time through a per-encoder cache; a matrix's distinct
+texts, across all its text columns, are embedded in one embed_many call
+once every row's other features have been checked, and are not cached.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +141,11 @@ class FittedEncoder:
             vec = self._text_cache.setdefault(text, self.text_embedder.embed(text))
         return vec
 
-    def _fill(self, case: SurgicalCase, row: np.ndarray) -> None:
-        """Write the case's unscaled encoding into a zeroed row."""
+    def _fill(
+        self, case: SurgicalCase, row: np.ndarray, embed: Callable[[str], np.ndarray | float]
+    ) -> None:
+        """Write the case's unscaled encoding into a zeroed row, each text
+        block as embed(text)."""
         unknown = case.values.keys() - self._names
         if unknown:
             raise SchemaMismatch(
@@ -161,7 +168,7 @@ class FittedEncoder:
                 row[offset] = rule if value is None else _parse_bool(str(value), name)
             else:
                 text = MISSING_TOKEN if value is None else str(value)
-                row[offset : offset + rule] = self._embed_cached(text)
+                row[offset : offset + rule] = embed(text)
 
     def _scale(self, block: np.ndarray) -> None:
         """Scale each category's columns of a row or matrix by its alpha."""
@@ -173,15 +180,34 @@ class FittedEncoder:
         """Encode one case into a D-vector, its blocks at segment_map; pure
         given (case, fitted state)."""
         vector = np.zeros(self.dim, dtype=np.float64)
-        self._fill(case, vector)
+        self._fill(case, vector, self._embed_cached)
         self._scale(vector)
         return vector
 
     def encode_matrix(self, cs: CaseSet) -> np.ndarray:
-        """Encode every case into one N x D matrix (rows follow input order)."""
+        """Encode every case into one N x D matrix (rows follow input order).
+
+        Rows are filled with their text blocks left zero, so a bad value
+        raises before any text is embedded. The distinct texts, numbered in
+        order of first appearance, are then embedded in one call and copied
+        into each text column."""
         matrix = np.zeros((len(cs.cases), self.dim), dtype=np.float64)
+        numbers: dict[str, int] = {}
+        picks: list[int] = []
+
+        def defer(text: str) -> float:
+            picks.append(numbers.setdefault(text, len(numbers)))
+            return 0.0
+
         for case, row in zip(cs.cases, matrix):
-            self._fill(case, row)
+            self._fill(case, row, defer)
+        if numbers:
+            vectors = self.text_embedder.embed_many(list(numbers))
+            offsets = [offset for _, kind, offset, _ in self._plan if kind == "text"]
+            picks_by_column = np.array(picks, dtype=np.intp).reshape(-1, len(offsets)).T
+            width = self.text_embedder.dim
+            for offset, column in zip(offsets, picks_by_column):
+                matrix[:, offset : offset + width] = vectors[column]
         self._scale(matrix)
         return matrix
 

@@ -194,13 +194,18 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     float; all other kinds stay raw strings. Blank cells become None. A row
     with more or fewer cells than the header, or a numeric cell or duration
     that is unparseable, not finite or (duration) not positive, raises
-    RowError with the 1-based data row index. A repeated header column is a
-    SchemaError; a file that is not UTF-8 is an IoError.
+    RowError with the 1-based data row index, as does a row the csv module
+    cannot read (a cell over its field limit). A repeated header column, or
+    a header the csv module cannot read, is a SchemaError; a file that is
+    not UTF-8 is an IoError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            try:
+                header = next(reader, [])
+            except csv.Error as exc:
+                raise SchemaError(f"CSV header unreadable: {exc}") from exc
             repeated = sorted({n for n in header if header.count(n) > 1})
             if repeated:
                 raise SchemaError(f"CSV header repeats columns: {repeated}")
@@ -211,28 +216,31 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                 raise SchemaError(
                     f"CSV header missing duration column {schema.duration_column!r}"
                 )
-            cases = []
-            for i, cells in enumerate((row for row in reader if row), start=1):
-                if len(cells) != len(header):
-                    raise RowError(i, f"has {len(cells)} cells, the header has {len(header)}")
-                rec = dict(zip(header, cells))
-                values: dict[str, Value] = {}
-                for f in schema.features:
-                    values[f.name] = _parse_cell(rec[f.name], f.kind, i, f.name)
-                raw_dur = rec[schema.duration_column].strip()
-                duration: float | None
-                if raw_dur == "":
-                    duration = None
-                else:
+            cases, i = [], 0
+            try:
+                for i, cells in enumerate((row for row in reader if row), start=1):
+                    if len(cells) != len(header):
+                        raise RowError(i, f"has {len(cells)} cells, the header has {len(header)}")
+                    rec = dict(zip(header, cells))
+                    values: dict[str, Value] = {}
+                    for f in schema.features:
+                        values[f.name] = _parse_cell(rec[f.name], f.kind, i, f.name)
+                    raw_dur = rec[schema.duration_column].strip()
+                    duration: float | None
+                    if raw_dur == "":
+                        duration = None
+                    else:
+                        try:
+                            duration = float(raw_dur)
+                        except ValueError as exc:
+                            raise RowError(i, f"duration not a number: {raw_dur!r}") from exc
+                    case_id = rec.get(schema.id_column) or f"row-{i:06d}"
                     try:
-                        duration = float(raw_dur)
-                    except ValueError as exc:
-                        raise RowError(i, f"duration not a number: {raw_dur!r}") from exc
-                case_id = rec.get(schema.id_column) or f"row-{i:06d}"
-                try:
-                    cases.append(SurgicalCase(id=case_id, values=values, duration_min=duration))
-                except SchemaError as exc:
-                    raise RowError(i, str(exc)) from exc
+                        cases.append(SurgicalCase(id=case_id, values=values, duration_min=duration))
+                    except SchemaError as exc:
+                        raise RowError(i, str(exc)) from exc
+            except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+                raise RowError(i + 1, str(exc)) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return CaseSet(cases=cases, schema=schema)

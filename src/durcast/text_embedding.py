@@ -1,13 +1,17 @@
 """Text embedders: hermetic feature-hashing n-grams and a remote service client.
 
-Both produce fixed-dimension, L2-normalized vectors. The hashing embedder
-has no model dependency and is fully deterministic; the remote client talks
-to any service exposing the usual embeddings endpoint shape.
+Both produce fixed-dimension, L2-normalized vectors, one text at a time
+(embed) or a batch of texts as the rows of one matrix (embed_many). The
+hashing embedder has no model dependency and is fully deterministic; it
+embeds a batch in one vectorised pass with the same bits as embed. The
+remote client talks to any service exposing the usual embeddings endpoint
+shape, one request per text.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,13 @@ class TextEmbedder:
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Row i is embed(texts[i])."""
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for row, text in zip(out, texts):
+            row[:] = self.embed(text)
+        return out
+
 
 @dataclass
 class HashingTextEmbedder(TextEmbedder):
@@ -35,8 +46,10 @@ class HashingTextEmbedder(TextEmbedder):
     Buckets and signs come from a keyed blake2b digest, so vectors are
     stable across processes and platforms. Each distinct gram is hashed
     once and its (bucket, sign) memoised on the instance, one entry per
-    distinct gram ever embedded. Sums of +-1.0 are exact integers, so
-    np.bincount gives the same vector as adding the signs one by one.
+    distinct gram ever embedded. Sums of +-1.0 are exact integers and a
+    norm is the square root of an exact integer sum, so np.bincount, one
+    text or a whole batch at a time, gives the bits of adding the signs one
+    by one.
     """
 
     dim: int = 256
@@ -45,15 +58,19 @@ class HashingTextEmbedder(TextEmbedder):
     def __post_init__(self):
         self._grams: dict[str, tuple[int, float]] = {}
 
-    def embed(self, text: str) -> np.ndarray:
-        padded = _BOUNDARY_START + text.lower() + _BOUNDARY_END
-        grams = [padded[i : i + self.ngram] for i in range(len(padded) - self.ngram + 1)]
+    def _hashed(self, grams: Iterable[str]) -> dict[str, tuple[int, float]]:
+        """The gram -> (bucket, sign) memo, holding every one of grams."""
         memo = self._grams
         for gram in set(grams).difference(memo):
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
             bucket = int.from_bytes(digest[:4], "little") % self.dim
             memo[gram] = bucket, 1.0 if digest[4] & 1 else -1.0
-        buckets, signs = zip(*map(memo.__getitem__, grams)) if grams else ((), ())
+        return memo
+
+    def embed(self, text: str) -> np.ndarray:
+        padded = _BOUNDARY_START + text.lower() + _BOUNDARY_END
+        grams = [padded[i : i + self.ngram] for i in range(len(padded) - self.ngram + 1)]
+        buckets, signs = zip(*map(self._hashed(grams).__getitem__, grams)) if grams else ((), ())
         vec = np.bincount(
             np.array(buckets, dtype=np.intp), weights=np.array(signs), minlength=self.dim
         )
@@ -61,6 +78,44 @@ class HashingTextEmbedder(TextEmbedder):
         if norm > 0.0:
             vec /= norm
         return vec
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Every text's grams in one array: each distinct gram is looked up
+        once, and one scatter-add over (row, bucket) sums the signs."""
+        n, dim = self.ngram, self.dim
+        # lower-case each text alone: a final sigma lowers by its context
+        padded = [_BOUNDARY_START + text.lower() + _BOUNDARY_END for text in texts]
+        joined = "".join(padded)
+        codes = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
+        lengths = [len(p) for p in padded]
+        owner = np.repeat(np.arange(len(texts)), lengths)
+        # the window at i covers codes[i : i + n]; keep those inside one text
+        starts = np.flatnonzero(np.arange(len(codes)) + n <= np.cumsum(lengths)[owner])
+        owner = owner[starts]
+        # a window's key: its code points as digits in base (largest + 1),
+        # renumbered densely whenever the next digit would overflow int64
+        base = int(codes.max(initial=0)) + 1
+        keys, bound = np.zeros(len(starts), dtype=np.int64), 1
+        for j in range(n):
+            if bound * base >= 2**63:
+                _, keys = np.unique(keys, return_inverse=True)
+                bound = len(starts)
+            keys = keys * base + codes[starts + j]
+            bound *= base
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        at = np.empty(len(distinct), dtype=np.intp)
+        at[inverse] = starts  # any window with a key spells its gram
+        grams = [joined[i : i + n] for i in at.tolist()]
+        memo = self._hashed(grams)
+        buckets = np.array([memo[g][0] for g in grams], dtype=np.intp)
+        signs = np.array([memo[g][1] for g in grams], dtype=np.float64)
+        out = np.bincount(
+            owner * dim + buckets[inverse], weights=signs[inverse], minlength=len(texts) * dim
+        ).astype(np.float64, copy=False).reshape(len(texts), dim)
+        norms = np.linalg.norm(out, axis=1)
+        hit = norms > 0.0
+        out[hit] /= norms[hit, None]
+        return out
 
 
 @dataclass

@@ -189,6 +189,16 @@ class TestPredict:
         assert f"feature 'age' expects a finite number, got {raw!r}" in captured.err
         assert "estimate" not in captured.out
 
+    def test_set_rejects_bytes_that_are_not_utf8(self, workspace, capsys):
+        # what argv holds for the bytes b"\xff\xfe note"
+        raw = b"\xff\xfe note".decode("utf-8", "surrogateescape")
+        rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
+                       *QUERY_FLAGS, "--set", f"preop_note={raw}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: feature 'preop_note': --set value is not valid UTF-8" in captured.err
+        assert "estimate" not in captured.out
+
     def test_http_backend_down_exits_3(self, workspace, capsys):
         rc = cli.main([
             "predict", "--artifacts", str(workspace / "artifacts"),
@@ -217,6 +227,21 @@ class TestPredict:
         assert rc == 3
         assert "failed all 3 attempts on the first round" in capsys.readouterr().err
         assert sum(r["body"]["temperature"] == 0.0 for r in server.requests) == 3
+
+
+# Each backend's own flags with a value; every other backend refuses them.
+OWN_BACKEND_FLAGS = [
+    ("--endpoint", "http://127.0.0.1:9/v1", "http"), ("--model", "m", "http"),
+    ("--api-key-env", "KEY", "http"), ("--timeout-s", "nan", "http"),
+    ("--noise-sd", "-5", "mock_reference_mean"), ("--mock-seed", "3", "mock_reference_mean"),
+    ("--script", "x", "mock_scripted"),
+]
+FOREIGN_BACKEND_FLAGS = [
+    (flag, value, backend)
+    for flag, value, owner in OWN_BACKEND_FLAGS
+    for backend in cli.BACKENDS
+    if backend != owner
+]
 
 
 class TestEvaluate:
@@ -316,6 +341,26 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, backend", FOREIGN_BACKEND_FLAGS,
+        ids=[f"{flag} {backend}" for flag, _, backend in FOREIGN_BACKEND_FLAGS],
+    )
+    @pytest.mark.parametrize("via", ["argv", "config"])
+    def test_flag_of_another_backend_is_usage_error(
+        self, workspace, tmp_path, capsys, flag, value, backend, via
+    ):
+        if via == "argv":
+            extra = [flag, value]
+        else:
+            config = tmp_path / "run.yaml"
+            config.write_text(f"{flag[2:]}: {value}\n", encoding="utf-8")
+            extra = ["--config", str(config)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.evaluate_args(workspace, backend=backend) + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} applies to --backend" in err and f"not {backend}" in err
 
     def test_all_failed_names_the_cause(self, workspace, tmp_path, capsys):
         jsonl_path = tmp_path / "cases.jsonl"

@@ -1,9 +1,10 @@
 """Heterogeneous encoding: block layout, per-kind rules, missing-value
 imputation, and the per-category scale factors; the in-place encoder and
-the memoised embedder against per-feature and per-gram oracles, and golden
-pins of their output bits."""
+the memoised embedder, one text or a batch at a time, against per-feature
+and per-gram oracles, and golden pins of their output bits."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from durcast.errors import EmptyTrainingSet, SchemaMismatch
 from durcast.pipeline import FitConfig, Pipeline
 from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
 from durcast.synthetic import SyntheticSpec, generate_synthetic
-from durcast.text_embedding import HashingTextEmbedder
+from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
 
 EMBEDDER = HashingTextEmbedder(dim=16)
 
@@ -357,9 +358,12 @@ MIXED_SCHEMA = FeatureSchema(
 ABSENT = object()
 BOOL_TOKENS = ("true", "TRUE", "Yes", " yes ", "1", "false", "False", "NO", "no", "0",
                True, False, 1, 0)
+# "ΑΣ" lowers its sigma by context and "İ" lowers to two code points; the
+# astral characters take one utf-32 code unit and two utf-16 ones.
 TEXTS = st.one_of(
-    st.sampled_from(["", "a", "ab", "UNKNOWN", "Fasting OVERNIGHT", "naïve café", "ÜBER ☃"]),
-    st.text(alphabet="aAbB zZéÉ☃-", max_size=12),
+    st.sampled_from(["", "a", "ab", "UNKNOWN", "Fasting OVERNIGHT", "naïve café", "ÜBER ☃",
+                     "ΑΣ", "İ", "ΟΔΟΣ ΑΣ", "𝔸𝔹 😀x"]),
+    st.text(alphabet="aAbB zZéÉ☃-ΣΑİ😀𝔸", max_size=12),
 )
 
 
@@ -443,6 +447,78 @@ class TestEmbedderEqualsOracle:
         used.embed("laparoscopic")
         assert used == unused
         assert repr(used) == repr(unused) == "HashingTextEmbedder(dim=16, ngram=3)"
+
+
+class TestEmbedManyEqualsOracle:
+    SHARED = {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(TEXTS, max_size=30),
+        dim=st.sampled_from([1, 2, 16, 256]),
+        ngram=st.integers(1, 5),
+    )
+    def test_rows_equal_oracle_and_embed(self, texts, dim, ngram):
+        fresh = HashingTextEmbedder(dim=dim, ngram=ngram)
+        warm = self.SHARED.setdefault((dim, ngram), HashingTextEmbedder(dim=dim, ngram=ngram))
+        for emb in (fresh, warm):
+            got = emb.embed_many(texts)
+            assert got.shape == (len(texts), dim) and got.dtype == np.float64
+            for row, text in zip(got, texts):
+                assert_same(row, oracle_embed(text, dim, ngram))
+                assert_same(row, emb.embed(text))
+
+    def test_base_class_stacks_embed(self):
+        class Lengths(TextEmbedder):
+            dim = 2
+
+            def embed(self, text):
+                return np.array([len(text), 1.0])
+
+        assert_same(Lengths().embed_many(["ab", ""]), np.array([[2.0, 1.0], [0.0, 1.0]]))
+        assert Lengths().embed_many([]).shape == (0, 2)
+
+
+TWO_TEXTS = FeatureSchema(features=(Feature("a", "text"), Feature("x", "numerical"),
+                                    Feature("b", "text")))
+
+
+class TestMatrixTexts:
+    def test_remote_fit_posts_each_distinct_text_once(self, stub_server):
+        def respond(body, seen):
+            (text,) = json.loads(body)["input"]
+            return 200, {"data": [{"embedding": [1.0, float(len(text))]}]}
+
+        server = stub_server(respond)
+        rows = [{"a": "hip", "b": "knee"}, {"a": "knee", "x": 1.0}, {"b": "hip"}, {"a": "hip"}]
+        train = CaseSet(cases=as_cases(rows, "t"), schema=TWO_TEXTS)
+        enc = encoding.fit(train, RemoteTextEmbedder(url=server.url, dim=2))
+        matrix = enc.encode_matrix(train)
+        assert [r["body"]["input"] for r in server.requests] == [
+            ["hip"], ["knee"], ["UNKNOWN"]
+        ]
+        blocks = {"hip": [1.0, 3.0], "knee": [1.0, 4.0], "UNKNOWN": [1.0, 7.0]}
+        for row, values in zip(matrix, rows):
+            for name, offset, width in enc.feature_spans[1:]:
+                vec = np.array(blocks[values.get(name, "UNKNOWN")])
+                assert_same(row[offset : offset + width],
+                            vec / np.linalg.norm(vec) * enc.alpha("text"))
+
+    def test_bad_value_raises_before_any_text_is_embedded(self, stub_server):
+        server = stub_server([(503, {"error": "down"})])
+        rows = [{"a": "hip", "x": 1.0}, {"a": "knee", "x": "tall"}]
+        enc = encoding.fit(
+            CaseSet(cases=as_cases(rows[:1], "t"), schema=TWO_TEXTS),
+            RemoteTextEmbedder(url=server.url, dim=2),
+        )
+        with pytest.raises(SchemaMismatch, match="not numeric"):
+            enc.encode_matrix(CaseSet(cases=as_cases(rows, "q"), schema=TWO_TEXTS))
+        assert server.requests == []
+
+    def test_fit_leaves_the_text_cache_empty(self):
+        corpus = generate_synthetic(SyntheticSpec(n_cases=120), seed=2)
+        pipe = Pipeline.fit(corpus, FitConfig())
+        assert pipe.encoder._text_cache == {}
 
 
 # sha256 pins recorded before the encoder and embedder wrote in place; each

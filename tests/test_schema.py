@@ -264,6 +264,15 @@ class TestIngestCsv:
         with pytest.raises(RowError, match="row 2"):
             ingest_csv(path, self._schema())
 
+    def test_cell_over_csv_field_limit_reports_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        note = "x" * 131_073
+        path.write_text(self.HEADER + "p1,40,I,urology,false,ok,60\n\n"
+                        f"p2,40,I,urology,false,{note},60\n", encoding="utf-8")
+        with pytest.raises(RowError, match="row 2: field larger than field limit") as err:
+            ingest_csv(path, self._schema())
+        assert err.value.row == 2
+
     def test_repeated_header_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
