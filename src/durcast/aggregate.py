@@ -31,10 +31,8 @@ class AggregateEstimate:
     y_hat_min: float
     strategy: str
     ensemble_mean: float
-    prior_mean: float | None
     prior_weight: float
     effective_n: int
-    effective_sample_size: float
 
 
 def _values(ens: PredictionEnsemble) -> np.ndarray:
@@ -64,10 +62,8 @@ def bayesian_average(
         y_hat_min=float(y_hat),
         strategy="bayesian",
         ensemble_mean=y_bar,
-        prior_mean=mu,
         prior_weight=w_prior,
         effective_n=n,
-        effective_sample_size=w_prior + n,
     )
 
 
@@ -108,15 +104,12 @@ def baseline_aggregate(ens: PredictionEnsemble, strategy: str) -> AggregateEstim
         y_hat = float(kept.mean())
     else:
         y_hat = _majority_vote(values)
-    n = values.shape[0]
     return AggregateEstimate(
         y_hat_min=y_hat,
         strategy=strategy,
         ensemble_mean=float(values.mean()),
-        prior_mean=None,
         prior_weight=0.0,
-        effective_n=n,
-        effective_sample_size=float(n),
+        effective_n=values.shape[0],
     )
 
 

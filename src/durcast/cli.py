@@ -28,7 +28,6 @@ import yaml
 from .errors import (
     BackendUnreachable,
     DurcastError,
-    ModeArgumentMismatch,
     ParseError,
 )
 from .evaluate import (
@@ -79,7 +78,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         return
     try:
         doc = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         parser.error(f"cannot read config file {args.config}: {exc}")
     if doc is None:
         return
@@ -128,8 +127,8 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-retries", type=int, default=None,
                    help="extra attempts per round (default 2)")
     p.add_argument("--concurrency", type=int, default=None,
-                   help="most backend calls in flight (default 10); http runs a "
-                        "query's rounds at once, the mocks one after another")
+                   help="most backend calls in flight (default 10); http runs "
+                        "its calls on that many threads, the mocks run inline")
     p.add_argument("--noise-sd", type=float, default=None,
                    help="gaussian noise of mock_reference_mean")
     p.add_argument("--mock-seed", type=int, default=None)
@@ -204,13 +203,9 @@ def _fit_config(args: argparse.Namespace, **fixed) -> FitConfig:
 
 
 def _resolve_k(args: argparse.Namespace) -> int:
-    if args.mode == "zero_shot":
-        if args.k not in (None, 0):
-            raise ModeArgumentMismatch(
-                f"zero_shot uses no references; drop --k (got {args.k})"
-            )
-        return 0
-    return DEFAULT_K if args.k is None else args.k
+    if args.k is None:
+        return 0 if args.mode == "zero_shot" else DEFAULT_K
+    return args.k
 
 
 def _experiment_config(args: argparse.Namespace, pipe: Pipeline | None) -> ExperimentConfig:

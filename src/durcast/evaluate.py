@@ -14,7 +14,6 @@ backend: no timestamps or timings appear in them.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 from collections import Counter
@@ -24,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import STRATEGIES
 from .errors import (
     AllRoundsFailed,
     BadAxisValue,
@@ -153,15 +151,14 @@ def run_experiment(
 
     Fits the pipeline from train unless one is supplied. In rag mode, every
     test case is embedded, retrieved and refined once per call, in one
-    batch, before the fan-out. Cases run on concurrency_limit threads, or
-    one after another on the calling thread when that limit is 1. With the
-    backend's call_pool, which holds its calls in flight to that limit, a
-    case starts only when the pool can start one of its rounds at once.
-    Outputs are reduced and written in test order. A case that raises a
-    DurcastError is excluded from the metrics, counted in the report's
-    failed field, and logged as {"id", "error"}:
-    "all_rounds_failed" when every round failed, else the error's class
-    name. Log documents are built only when jsonl_path is given. With fewer
+    batch, before the fan-out. A backend with a call_pool runs its cases
+    on as many threads as the pool has, and a case starts only when the
+    pool can start one of its rounds at once; any other backend runs its
+    cases one after another on the calling thread. Outputs are reduced and
+    written in test order. A case that raises a DurcastError is excluded
+    from the metrics, counted in the report's failed field, and logged as
+    {"id", "error"}: "all_rounds_failed" when every round failed, else the
+    error's class name. Log documents are built only when jsonl_path is given. With fewer
     than two cases scored, the log is still written and TooFewSamples names
     the failures.
     """
@@ -175,27 +172,27 @@ def run_experiment(
             test.cases, cfg.k, cfg.expansion_factor, cfg.postprocess
         )
 
-    calls = cfg.backend.call_pool
-    admit = calls.admit if calls is not None else contextlib.nullcontext
-
     def one(case, found) -> CasePrediction | str:
         try:
             if isinstance(found, DurcastError):
                 raise found
             refs = found[0] if found else None
-            with admit():
-                return pipe.predict_case(case, cfg, template, references=refs)
+            return pipe.predict_case(case, cfg, template, references=refs)
         except AllRoundsFailed:
             return "all_rounds_failed"
         except DurcastError as exc:
             return type(exc).__name__
 
-    if cfg.backend.concurrency_limit == 1:
-        # a one-worker pool only adds a hand-off per case
+    calls = cfg.backend.call_pool
+    if calls is None:
         results = list(map(one, test.cases, retrieved))
     else:
-        with ThreadPoolExecutor(max_workers=cfg.backend.concurrency_limit) as pool:
-            results = list(pool.map(one, test.cases, retrieved))
+        def admitted(case, found):
+            with calls.admit():
+                return one(case, found)
+
+        with ThreadPoolExecutor(max_workers=calls.limit) as pool:
+            results = list(pool.map(admitted, test.cases, retrieved))
 
     pairs = []
     ids = []
@@ -239,32 +236,30 @@ def global_median_baseline(train_durations, test: CaseSet) -> MetricsReport:
     return compute_metrics(pairs, [c.id for c in test.cases if c.duration_min is not None])
 
 
-# Integer axes and the ExperimentConfig field each one sets.
-_COUNT_AXES = {"k": "k", "rounds": "rounds", "expansion": "expansion_factor"}
+# Valued axes and the ExperimentConfig field each one sets; the config
+# checks the value.
+_VALUE_AXES = {
+    "k": "k", "rounds": "rounds", "expansion": "expansion_factor",
+    "strategy": "strategy", "w_prior": "w_prior",
+}
 
 
 def _cell_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis in _COUNT_AXES:
-        if not isinstance(value, int) or value < 1:
-            raise BadAxisValue(f"{axis} values must be integers >= 1, got {value!r}")
-        return replace(base, **{_COUNT_AXES[axis]: value})
-    if axis == "strategy":
-        if value not in STRATEGIES:
-            raise BadAxisValue(f"unknown strategy {value!r}")
-        return replace(base, strategy=value)
-    if axis == "w_prior":
-        if not isinstance(value, (int, float)) or value < 0:
-            raise BadAxisValue(f"w_prior values must be numbers >= 0, got {value!r}")
-        return replace(base, w_prior=float(value))
     if axis not in ABLATION_AXES:
         raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
-    if not isinstance(value, bool):
+    if axis not in _VALUE_AXES and not isinstance(value, bool):
         raise BadAxisValue(f"{axis} values must be booleans, got {value!r}")
-    if axis == "pca_on_off":
-        return replace(base, fit=replace(base.fit, pca_weighting=value))
-    if axis == "prior_on_off":
-        return base if value else replace(base, w_prior=0.0)
-    return replace(base, postprocess=value)
+    try:
+        if axis in _VALUE_AXES:
+            cell = replace(base, **{_VALUE_AXES[axis]: value})
+            return replace(cell, w_prior=float(value)) if axis == "w_prior" else cell
+        if axis == "pca_on_off":
+            return replace(base, fit=replace(base.fit, pca_weighting=value))
+        if axis == "prior_on_off":
+            return base if value else replace(base, w_prior=0.0)
+        return replace(base, postprocess=value)
+    except SpecError as exc:
+        raise BadAxisValue(f"bad {axis} value {value!r}: {exc}") from exc
 
 
 def run_ablation_grid(

@@ -10,12 +10,13 @@ raw text. The HTTP backend speaks the common chat-completions shape; the
 mock backends are deterministic stand-ins for hermetic tests and offline
 runs, reading structured prompt metadata rather than scraping prompt text.
 
-A backend's concurrency_limit is the most calls in flight. The HTTP
-backend waits on I/O, so its calls run on one shared CallPool of that many
-threads: a query's rounds run at once, and the next query's rounds take
-the threads the last one leaves idle. The in-process mocks run rounds one
-after another on the calling thread. Either way each round keeps its seed,
-temperature and retries, and the ensemble lists rounds by round_index.
+A backend's concurrency_limit is the most calls in flight. Only the HTTP
+backend waits on I/O, so only it gains from threads: at a limit above 1 it
+owns a CallPool of that many threads, a query's rounds run there at once,
+and the next query's rounds take the threads the last one leaves idle.
+The in-process mocks run on the calling thread, where the limit holds
+trivially. Either way each round keeps its seed, temperature and retries,
+and the ensemble lists rounds by round_index.
 """
 
 from __future__ import annotations
@@ -163,15 +164,13 @@ class LlmBackend:
     round (max_retries, an int >= 0) and the most calls in flight
     (concurrency_limit, an int >= 1). A bad knob is a SpecError.
 
-    concurrent_rounds says whether one query's rounds may run at once. It
-    is a property of the class: true for a backend that waits on I/O,
-    false for one that computes under the interpreter lock or answers in
-    call order. Such a backend with a limit above 1 gets a call_pool of
-    concurrency_limit threads; other backends have none."""
+    call_pool is the one hook for threads. A backend that waits on I/O
+    sets it to a CallPool of concurrency_limit threads, and its queries and
+    rounds then run there; a backend without one, as the mocks, computes
+    under the interpreter lock and runs on the calling thread."""
 
     kind: ClassVar[str]
-    concurrent_rounds: ClassVar[bool] = False
-    call_pool = None  # not a field: __post_init__ sets it per backend
+    call_pool = None  # not a field: an I/O backend's __post_init__ sets it
     max_retries: int = 2
     concurrency_limit: int = DEFAULT_CONCURRENCY
 
@@ -182,8 +181,6 @@ class LlmBackend:
             raise SpecError(
                 f"concurrency_limit must be an integer >= 1, got {self.concurrency_limit!r}"
             )
-        if self.concurrent_rounds and self.concurrency_limit > 1:
-            self.call_pool = CallPool(self.concurrency_limit)
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         raise NotImplementedError
@@ -202,13 +199,14 @@ class HttpChatBackend(LlmBackend):
     api_key_env: str = "DURCAST_API_KEY"
     timeout_s: float = 60.0
     kind = "http_chat"
-    concurrent_rounds = True
 
     def __post_init__(self):
         super().__post_init__()
         t = self.timeout_s
         if not (isinstance(t, (int, float)) and not isinstance(t, bool) and 0 < t < math.inf):
             raise SpecError(f"timeout_s must be a finite number > 0, got {t!r}")
+        if self.concurrency_limit > 1:
+            self.call_pool = CallPool(self.concurrency_limit)
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         headers = {}

@@ -29,7 +29,6 @@ class PCAModel:
     zero the ratios are uniform.
     """
 
-    mean_vector: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
     explained_variance_ratio: np.ndarray
@@ -61,8 +60,7 @@ def fit_pca(embeddings: np.ndarray) -> PCAModel:
     n, _ = x.shape
     if n < 2:
         raise DegenerateInput(f"PCA needs at least 2 rows, got {n}")
-    mean = x.mean(axis=0)
-    cov = np.cov(x - mean, rowvar=False, ddof=1)
+    cov = np.cov(x - x.mean(axis=0), rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
@@ -78,7 +76,6 @@ def fit_pca(embeddings: np.ndarray) -> PCAModel:
     else:
         ratios = np.full(eigenvalues.shape, 1.0 / eigenvalues.shape[0])
     return PCAModel(
-        mean_vector=mean,
         components=eigenvectors,
         explained_variance=eigenvalues,
         explained_variance_ratio=ratios,

@@ -50,7 +50,7 @@ from .errors import (
     SpecError,
 )
 from .index import FlatIndex, ReferenceSet
-from .llm import LlmBackend, PredictionEnsemble, predict_ensemble, stable_seed
+from .llm import LlmBackend, PredictionEnsemble, _is_int, predict_ensemble, stable_seed
 from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
 from .prompting import MODES, PromptTemplate, build_prompt, load_template
 from .schema import CaseSet, SurgicalCase, load_schema
@@ -95,13 +95,16 @@ class FitConfig:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every setting of one prediction protocol. k must be 0 in zero_shot
-    mode and >= 1 otherwise; w_prior is finite and >= 0 in every mode."""
+    """Every setting of one prediction protocol. k, rounds and
+    expansion_factor are ints: k is 0 in zero_shot mode and >= 1 otherwise,
+    the others >= 1. w_prior is a finite number >= 0 in every mode and
+    postprocess a bool. A bad setting is a SpecError; an unknown mode, or a
+    k other than 0 in zero_shot, is a ModeArgumentMismatch."""
 
     backend: LlmBackend
     mode: str = "rag"
@@ -118,18 +121,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ModeArgumentMismatch(f"unknown mode {self.mode!r}")
+        if not _is_int(self.k):
+            raise SpecError(f"k must be an integer, got {self.k!r}")
         if self.mode == "zero_shot" and self.k != 0:
             raise ModeArgumentMismatch(
                 f"zero_shot uses no references; k must be 0, got {self.k}"
             )
         if self.mode != "zero_shot" and self.k < 1:
             raise SpecError(f"mode {self.mode!r} needs k >= 1, got {self.k}")
-        if self.rounds < 1:
-            raise SpecError(f"rounds must be >= 1, got {self.rounds}")
+        for name in ("rounds", "expansion_factor"):
+            if not _is_count(getattr(self, name)):
+                raise SpecError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.strategy not in STRATEGIES:
             raise SpecError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 <= self.w_prior < np.inf:
-            raise SpecError(f"w_prior must be a finite number >= 0, got {self.w_prior!r}")
+        w = self.w_prior
+        if not (isinstance(w, (int, float)) and not isinstance(w, bool) and 0.0 <= w < np.inf):
+            raise SpecError(f"w_prior must be a finite number >= 0, got {w!r}")
+        if not isinstance(self.postprocess, bool):
+            raise SpecError(f"postprocess must be true or false, got {self.postprocess!r}")
         if self.prior_mode not in ("fixed", "calibrated"):
             raise SpecError(f"unknown prior strength mode {self.prior_mode!r}")
 

@@ -19,11 +19,13 @@ Template sections and their placeholders:
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    IoError,
     MissingDuration,
     ModeArgumentMismatch,
     ParseError,
@@ -44,6 +46,15 @@ DEFAULT_MAX_CHARS = 40000
 
 _SECTIONS = ("system", "references_header", "reference", "statistics", "query", "user")
 
+# The placeholders of each section that build_prompt formats; system and
+# references_header are used verbatim.
+_PLACEHOLDERS = {
+    "reference": {"index", "similarity", "duration", "features"},
+    "statistics": {"stratum", "cohort_size", "median", "mean", "low", "high", "q1", "q3"},
+    "query": {"features"},
+    "user": {"references_section", "statistics_section", "query_section"},
+}
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -57,15 +68,9 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class PromptMetadata:
-    """Structured facts about what went into the prompt.
+    """Structured facts about what went into the prompt: mock backends
+    read these instead of re-parsing the rendered text."""
 
-    Mock backends read these instead of re-parsing the rendered text;
-    evaluation records them for audit.
-    """
-
-    mode: str
-    k_used: int
-    stratum_descriptor: str | None
     query_id: str
     reference_durations: tuple[float, ...]
     prior_median: float | None
@@ -79,7 +84,8 @@ class Prompt:
 
 
 def parse_template(text: str) -> PromptTemplate:
-    """Split a template file into its [section] parts."""
+    """Split a template file into its [section] parts. A formatted section
+    with a stray brace or a field it does not document is a ParseError."""
     sections: dict[str, list[str]] = {}
     current: str | None = None
     for line in text.splitlines():
@@ -102,6 +108,16 @@ def parse_template(text: str) -> PromptTemplate:
     if missing:
         raise ParseError(f"template missing sections: {missing}")
     parts = {name: "\n".join(lines).strip("\n") for name, lines in sections.items()}
+    for name, allowed in _PLACEHOLDERS.items():
+        try:
+            fields = {f for _, f, _, _ in string.Formatter().parse(parts[name]) if f is not None}
+        except ValueError as exc:
+            raise ParseError(f"template section [{name}]: {exc}") from None
+        if fields - allowed:
+            raise ParseError(
+                f"template section [{name}] has unknown placeholders "
+                f"{sorted(fields - allowed)}; it takes {sorted(allowed)}"
+            )
     return PromptTemplate(**parts)
 
 
@@ -112,7 +128,10 @@ def load_template(path: str | Path | None = None) -> PromptTemplate:
             resources.files("durcast").joinpath("templates/default_prompt.txt")
         ).read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoError(f"cannot read template file {path}: {exc}") from exc
     return parse_template(text)
 
 
@@ -214,19 +233,10 @@ def build_prompt(
         raise PromptTooLong(
             f"prompt is {len(system_text) + len(user_text)} chars, limit {max_chars}"
         )
-    if prior is not None:
-        stratum = prior.stratum_descriptor
-    elif refs is not None:
-        stratum = refs.stratum_descriptor
-    else:
-        stratum = None
     return Prompt(
         system_text=system_text,
         user_text=user_text,
         metadata=PromptMetadata(
-            mode=mode,
-            k_used=len(refs.references) if refs is not None else 0,
-            stratum_descriptor=stratum,
             query_id=query.id,
             reference_durations=tuple(
                 float(case.duration_min) for case, _ in refs.references

@@ -131,7 +131,7 @@ class CaseSet:
 def load_schema(config_text: str) -> FeatureSchema:
     """Parse a YAML schema document into a validated FeatureSchema.
 
-    Raises ParseError for malformed YAML or wrong top-level structure and
+    Raises ParseError for malformed YAML or a key of the wrong shape and
     SchemaError for semantic violations (duplicate names, ordinal feature
     without an order, unknown kinds).
     """
@@ -151,15 +151,16 @@ def load_schema(config_text: str) -> FeatureSchema:
             raise ParseError(f"feature #{i} must declare 'name' and 'kind'")
         features.append(Feature(name=str(item["name"]), kind=str(item["kind"])))
 
-    orders = {
-        str(name): tuple(str(level) for level in levels)
-        for name, levels in (doc.get("ordinal_orders") or {}).items()
-    }
-    keys = tuple(str(k) for k in (doc.get("key_attributes") or []))
+    orders = doc.get("ordinal_orders") or {}
+    if not (isinstance(orders, dict) and all(isinstance(v, list) for v in orders.values())):
+        raise ParseError("'ordinal_orders' must map each ordinal feature to a list of levels")
+    keys = doc.get("key_attributes") or []
+    if not isinstance(keys, list):
+        raise ParseError(f"'key_attributes' must be a list, got {keys!r}")
     return FeatureSchema(
         features=tuple(features),
-        ordinal_orders=orders,
-        key_attributes=keys,
+        ordinal_orders={str(k): tuple(str(level) for level in v) for k, v in orders.items()},
+        key_attributes=tuple(str(k) for k in keys),
         duration_column=str(doc.get("duration_column", "duration_min")),
         id_column=str(doc.get("id_column", "case_id")),
     )

@@ -25,10 +25,8 @@ class TestBayesianAverage:
         est = bayesian_average(ens, mk_prior(median=120.0), 0.9)
         assert est.y_hat_min == pytest.approx(128.47457627118644, abs=1e-12)
         assert est.ensemble_mean == pytest.approx(130.0)
-        assert est.prior_mean == 120.0
         assert est.prior_weight == 0.9
         assert est.effective_n == 5
-        assert est.effective_sample_size == pytest.approx(5.9)
         assert est.strategy == "bayesian"
 
     def test_convex_identity_randomized(self):
@@ -108,8 +106,6 @@ class TestAggregateDispatch:
         est = aggregate(mk_ensemble([100.0, 300.0, 120.0]), "median", prior=None)
         assert est.y_hat_min == 120.0
         assert est.prior_weight == 0.0
-        assert est.prior_mean is None
-        assert est.effective_sample_size == 3.0
 
     def test_simple_average(self):
         est = aggregate(mk_ensemble([100.0, 110.0, 123.0]), "simple_average",

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 import struct
+from importlib import resources
 
 import pytest
 
@@ -450,6 +451,16 @@ class TestEvaluate:
             cli.main(self.evaluate_args(workspace, config=str(config)))
         assert exc.value.code == 2
 
+    def test_config_file_not_utf8_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_bytes(b"rounds: 1\n# caf\xe9\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.evaluate_args(workspace, config=str(config)))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err
+        assert "Traceback" not in err
+
 
 class TestAblate:
     def ablate_args(self, workspace, axis, values, out=None):
@@ -560,6 +571,42 @@ def test_hostile_numeric_value_is_refused(workspace, tmp_path, capsys, command, 
     assert "error:" in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert "nan" not in captured.out
+
+
+DEFAULT_TEMPLATE = (resources.files("durcast") / "templates/default_prompt.txt").read_text(
+    encoding="utf-8"
+)
+BAD_TEMPLATES = {
+    "missing": None,
+    "not_utf8": b"[system]\ncaf\xe9\n",
+    "unknown_field": DEFAULT_TEMPLATE.replace("{features}\n\n[user]", "{oops}\n\n[user]"),
+    "stray_brace": DEFAULT_TEMPLATE.replace("{cohort_size}", "{cohort_size"),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("bad", sorted(BAD_TEMPLATES))
+def test_bad_template_is_refused(workspace, tmp_path, capsys, command, bad):
+    """An unreadable template, or one whose formatted sections name a field
+    they do not take, exits 1 with an error line before any case runs."""
+    path = tmp_path / "prompt.txt"
+    text = BAD_TEMPLATES[bad]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text, encoding="utf-8")
+    base = {
+        "predict": ["--artifacts", str(workspace / "artifacts"), *QUERY_FLAGS],
+        "evaluate": ["--artifacts", str(workspace / "artifacts"),
+                     "--test", str(workspace / "data" / "test.csv")],
+    }[command]
+    capsys.readouterr()
+    rc = cli.main([command, *base, "--template", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err and "template" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
 
 
 class TestDecodesOnlyWhatIsRead:

@@ -152,6 +152,20 @@ class TestExperimentConfig:
         with pytest.raises(SpecError):  # an ablation cell's replace checks too
             replace(ExperimentConfig(self.backend()), **over)
 
+    @pytest.mark.parametrize(
+        "over",
+        [{"rounds": "5"}, {"rounds": 2.0}, {"k": 2.5}, {"k": True}, {"k": "3"},
+         {"mode": "zero_shot", "k": 0.0}, {"expansion_factor": 1.5},
+         {"expansion_factor": 0}, {"expansion_factor": True}, {"w_prior": "0.5"},
+         {"w_prior": True}, {"postprocess": "no"}, {"postprocess": 0}],
+        ids=repr,
+    )
+    def test_bad_setting_types(self, over):
+        """A setting of the wrong type is a SpecError at construction, not a
+        TypeError later in the run."""
+        with pytest.raises(SpecError):
+            ExperimentConfig(self.backend(), **over)
+
 
 @pytest.fixture(scope="module")
 def fitted(corpus_module):
@@ -470,8 +484,9 @@ class TestHttpFanOut:
 
 
 class TestFanOut:
-    """concurrency_limit 1 runs the cases inline on the calling thread; a
-    larger limit keeps the thread pool. Both write the same bytes."""
+    """A backend without a call pool, as every mock, runs its cases inline
+    on the calling thread at any concurrency_limit, so every limit writes
+    the same bytes."""
 
     @pytest.mark.parametrize("backend", sorted(_FAN_OUT_BACKENDS))
     def test_inline_equals_pool(self, synthetic_split, tmp_path, backend):
@@ -492,14 +507,15 @@ class TestFanOut:
         assert runs[0][0].failed == 1
         assert runs[0] == runs[1] == runs[2]
 
-    def test_one_worker_uses_no_pool(self, synthetic_split, monkeypatch):
+    @pytest.mark.parametrize("limit", [1, 10])
+    def test_one_worker_uses_no_pool(self, synthetic_split, monkeypatch, limit):
         train, pipe, test = synthetic_split
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a one-worker run started a thread pool")
+            raise AssertionError("a mock backend's run started a thread pool")
 
         monkeypatch.setattr(evaluate_mod, "ThreadPoolExecutor", no_pool)
-        cfg = ExperimentConfig(_FAN_OUT_BACKENDS["mock_reference_mean"](1), k=4, rounds=1)
+        cfg = ExperimentConfig(_FAN_OUT_BACKENDS["mock_reference_mean"](limit), k=4, rounds=1)
         assert run_experiment(cfg, train, test, pipeline=pipe).m == len(test)
 
     def test_mocks_run_rounds_on_the_case_thread(self, synthetic_split, monkeypatch):
@@ -574,8 +590,11 @@ class TestAblation:
         [
             ("k", 0),
             ("k", "3"),
+            ("k", True),
             ("rounds", -1),
+            ("rounds", True),
             ("expansion", 0),
+            ("expansion", 1.5),
             ("strategy", "harmonic"),
             ("w_prior", -0.5),
             ("pca_on_off", 1),

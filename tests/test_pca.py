@@ -118,7 +118,6 @@ class TestCumulativeVariance:
     def _model(self, ratios):
         d = len(ratios)
         return PCAModel(
-            mean_vector=np.zeros(d),
             components=np.eye(d),
             explained_variance=np.array(ratios, dtype=float),
             explained_variance_ratio=np.array(ratios, dtype=float),

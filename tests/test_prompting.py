@@ -153,19 +153,14 @@ class TestBuildPrompt:
             query, self._refs(3), mk_prior(median=111.0), "rag", self.TPL, SCHEMA
         )
         md = prompt.metadata
-        assert md.mode == "rag"
-        assert md.k_used == 3
         assert md.query_id == "q-77"
         assert md.reference_durations == (110.0, 120.0, 130.0)
         assert md.prior_median == 111.0
-        assert md.stratum_descriptor == "department=thyroid_breast"
 
     def test_zero_shot_metadata(self):
         md = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL, SCHEMA).metadata
-        assert md.k_used == 0
         assert md.reference_durations == ()
         assert md.prior_median is None
-        assert md.stratum_descriptor is None
 
     def test_deterministic(self):
         query = mk_case("q")

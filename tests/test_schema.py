@@ -66,6 +66,17 @@ class TestLoadSchema:
         with pytest.raises(ParseError):
             load_schema(text)
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("ordinal_orders", "[x]"), ("ordinal_orders", "{asa: 3}"),
+         ("ordinal_orders", "{asa: I}"), ("key_attributes", "5"),
+         ("key_attributes", "asa")],
+    )
+    def test_wrong_shape_names_the_key(self, key, value):
+        text = f"features:\n  - {{name: asa, kind: ordinal}}\n{key}: {value}\n"
+        with pytest.raises(ParseError, match=key):
+            load_schema(text)
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown kind"):
             load_schema("features:\n  - {name: age, kind: float}")
