@@ -92,6 +92,18 @@ def derive_weights(model: PCAModel, k: int) -> WeightVector:
     return WeightVector(weights=weights, k_used=k)
 
 
+def lift_zero_weights(w: WeightVector) -> WeightVector:
+    """w with each zero weight raised to its smallest positive weight.
+
+    A dimension off the top-k components, or constant in training, scores
+    zero; a case whose nonzero coordinates all lie in such dimensions would
+    weight to the zero vector. The top component has a positive variance
+    ratio and a unit-norm loading column, so some weight is positive."""
+    positive = w.weights > 0.0
+    floor = w.weights[positive].min()
+    return WeightVector(weights=np.where(positive, w.weights, floor), k_used=w.k_used)
+
+
 def uniform_weights(dim: int) -> WeightVector:
     if dim < 1:
         raise BadK(f"dimension must be positive, got {dim}")

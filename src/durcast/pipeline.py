@@ -219,7 +219,10 @@ class Pipeline:
         """Fit every stage from the training set.
 
         Only cases with a recorded duration enter the index, and so the
-        priors; the encoder and PCA see the full training set.
+        priors; the encoder and PCA see the full training set. PCA weights
+        that zero out every coordinate of an indexed case have their zero
+        weights raised to the smallest positive weight (lift_zero_weights);
+        other fits keep the PCA weights as derived.
         """
         config = config or FitConfig()
         if not train.cases:
@@ -241,8 +244,13 @@ class Pipeline:
         keep = [case.duration_min is not None for case in train.cases]
         if not any(keep):
             raise EmptyTrainingSet("no training case has a recorded duration")
-        matrix *= weights.weights
-        vectors = matrix.astype(index_mod.STORED_DTYPE)[keep]
+        rows = matrix[keep]
+        vectors = (rows * weights.weights).astype(index_mod.STORED_DTYPE)
+        if config.pca_weighting and not vectors.any(axis=1).all():
+            # PCA left some indexed case no nonzero coordinate, so no
+            # cosine direction: let every dimension count a little.
+            weights = pca_mod.lift_zero_weights(weights)
+            vectors = (rows * weights.weights).astype(index_mod.STORED_DTYPE)
         cases = [case for case, kept in zip(train.cases, keep) if kept]
         return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 

@@ -11,6 +11,7 @@ from durcast.pca import (
     feature_importance_report,
     fit_pca,
     k_for_cumulative_variance,
+    lift_zero_weights,
     uniform_weights,
 )
 
@@ -91,6 +92,17 @@ class TestDeriveWeights:
         model = fit_pca(random_matrix(6, d=6))
         with pytest.raises(BadK):
             derive_weights(model, k)
+
+    def test_lift_raises_only_zero_weights(self):
+        # Only column 0 varies, so the other columns score zero.
+        x = np.array([[1.0, 2.0, 0.0], [0.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
+        w = derive_weights(fit_pca(x), 1)
+        assert w.weights[0] > 0.0 and not w.weights[1:].any()
+        lifted = lift_zero_weights(w)
+        assert lifted.weights.tolist() == [w.weights[0]] * 3
+        assert lifted.k_used == w.k_used
+        kept = derive_weights(fit_pca(random_matrix(7)), 2)
+        assert np.array_equal(lift_zero_weights(kept).weights, kept.weights)
 
 
 class TestUniformAndApply:

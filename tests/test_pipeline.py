@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEVELS, THYROID_DURATIONS, mk_case, small_schema, tiny_corpus
@@ -88,6 +88,21 @@ class TestFit:
     def test_pca_top_m_above_dim_is_clamped(self, train):
         pinned = Pipeline.fit(train, FitConfig(pca_top_m=10_000))
         assert pinned.weights.k_used == pinned.encoder.dim
+
+    def test_every_indexed_case_keeps_a_direction(self):
+        """Only surgery_level varies, and the one case with a duration has
+        rank 0 there: PCA alone would weight it to the zero vector."""
+        rows = [(None, None, None, None, 20), (None, None, "II", None, 20),
+                (None, None, "I", 20.0, 20)]
+        train = CaseSet(cases=[_mk(f"t{i}", r) for i, r in enumerate(rows)],
+                        schema=small_schema())
+        config = FitConfig(embedder={"type": "hashing", "dim": 16, "ngram": 3})
+        fitted = Pipeline.fit(train, config)
+        assert [c.id for c in fitted.index.cases] == ["t2"]
+        assert fitted.index.vectors.any(axis=1).all()
+        assert fitted.weights.weights.min() > 0.0
+        refs, _ = fitted.retrieve_references(_mk("q", rows[0]), k=1)
+        assert [c.id for c, _ in refs.references] == ["t2"]
 
     def test_empty_training_set(self, train):
         with pytest.raises(EmptyTrainingSet):
@@ -574,6 +589,12 @@ def _mk(case_id, row):
     ).filter(lambda rows: any(r[3] is not None for r in rows)),
     queries=st.lists(_rows(("a", "b", "z"), st.none()), min_size=1, max_size=6),
     min_cohort=st.integers(1, 4),
+)
+@example(  # the one indexed case weights to zero under PCA alone
+    rows=[(None, None, None, None, 20), (None, None, "II", None, 20),
+          (None, None, "I", 20.0, 20)],
+    queries=[(None, None, None, None, 20)],
+    min_cohort=1,
 )
 def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
     """Priors are recomputed from the indexed cases, not persisted: the
