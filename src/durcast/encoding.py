@@ -15,13 +15,14 @@ Encoding rules:
                imputes the training mean of the encoded value
   text         fixed-dim unit-norm embedding; missing embeds "UNKNOWN"
 
-Fitted and loaded encoders share one per-feature plan (offset, stats, value
--> slot and level -> rank dicts). One fill routine writes each feature into
-a zeroed row of the output, vector or preallocated N x D matrix; each
-block's columns are then scaled by its alpha once. A single case's texts
-are embedded one at a time through a per-encoder cache; a matrix's distinct
-texts, across all its text columns, are embedded in one embed_many call
-once every row's other features have been checked, and are not cached.
+Fitted and loaded encoders share one per-feature plan (offset, the rule
+that converts a present value, the value a missing one takes).
+encode_matrix is the only encoder, and encode(case) is a one-row
+encode_matrix. It converts one feature column at a time across the cases
+and writes it into a zeroed N x D matrix with one array operation; each
+block's columns are then scaled by its alpha once. The distinct texts of
+all text columns are embedded in one embed_many call, once every other
+value has passed its checks, and no text vector is cached.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class FittedEncoder:
     feature_spans: list[tuple[str, int, int]] = field(init=False)
     dim: int = field(init=False)
     _alphas: dict[str, float] = field(init=False)
-    _text_cache: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         spans: list[tuple[str, int, int]] = []
@@ -100,9 +100,9 @@ class FittedEncoder:
             for f in self.schema.features:
                 if _KIND_TO_CATEGORY[f.kind] != category:
                     continue
-                rule, width = self._rule(f.name, f.kind)
+                convert, missing, width = self._rule(f.name, f.kind)
                 spans.append((f.name, offset, width))
-                plan[f.name] = (f.name, f.kind, offset, rule)
+                plan[f.name] = (f.name, f.kind, offset, convert, missing)
                 offset += width
             segments[category] = (start, offset - start)
         self.segment_map = segments
@@ -112,104 +112,97 @@ class FittedEncoder:
             c: (1.0 / math.sqrt(length) if length > 0 else 0.0)
             for c, (_, length) in segments.items()
         }
-        self._text_cache = {}
-        # _fill walks the plan in schema order, so errors surface in that order
+        # encode_matrix walks the plan in schema order, the order that ranks
+        # a row's errors
         self._plan = [plan[name] for name in self.schema.feature_names]
         self._names = frozenset(plan)
 
-    def _rule(self, name: str, kind: str) -> tuple[object, int]:
-        """What the feature's fill rule reads, and the feature's width."""
+    def _rule(self, name: str, kind: str) -> tuple[Callable, object, int]:
+        """How the feature converts a present value, what a missing value
+        becomes, and the feature's width. A categorical value converts to
+        its slot and a text to the string to embed."""
         if kind == "numerical":
-            return self.numeric_stats[name], 1
+            mean, std = self.numeric_stats[name]
+            if not std > 0.0:
+                raise ValueError(f"feature {name!r}: std must be positive, got {std!r}")
+            # a missing value imputes the mean, so takes the mean's z-score
+            return (lambda v: (_as_float(v, name) - mean) / std), (mean - mean) / std, 1
         if kind == "ordinal":
-            return (self.ordinal_missing[name], _ordinal_ranks(self.schema, name)), 1
+            ranks = _ordinal_ranks(self.schema, name)
+            return (lambda v: _ordinal_rank(ranks, name, str(v))), self.ordinal_missing[name], 1
         if kind == "categorical":
             slots = {value: slot for slot, value in enumerate(self.cat_vocabs[name])}
-            return (slots, len(slots)), len(slots) + 1
+            unknown = len(slots)
+            return (lambda v: slots.get(str(v), unknown)), unknown, unknown + 1
         if kind == "boolean":
-            return self.bool_missing[name], 1
-        return self.text_embedder.dim, self.text_embedder.dim
+            return (lambda v: _parse_bool(str(v), name)), self.bool_missing[name], 1
+        return str, MISSING_TOKEN, self.text_embedder.dim
 
     def alpha(self, category: str) -> float:
         return self._alphas[category]
 
-    def _embed_cached(self, text: str) -> np.ndarray:
-        # get and setdefault are each atomic: threads racing on one text may
-        # both embed it, but every caller gets the one vector stored first
-        vec = self._text_cache.get(text)
-        if vec is None:
-            vec = self._text_cache.setdefault(text, self.text_embedder.embed(text))
-        return vec
-
-    def _fill(
-        self, case: SurgicalCase, row: np.ndarray, embed: Callable[[str], np.ndarray | float]
-    ) -> None:
-        """Write the case's unscaled encoding into a zeroed row, each text
-        block as embed(text)."""
-        unknown = case.values.keys() - self._names
-        if unknown:
-            raise SchemaMismatch(
-                f"case {case.id!r} has features outside the schema: {sorted(unknown)}"
-            )
-        for name, kind, offset, rule in self._plan:
-            value = case.values.get(name)
-            if kind == "numerical":
-                mean, std = rule
-                x = mean if value is None else _as_float(value, name)
-                row[offset] = (x - mean) / std
-            elif kind == "ordinal":
-                missing, ranks = rule
-                row[offset] = missing if value is None else _ordinal_rank(ranks, name, str(value))
-            elif kind == "categorical":
-                slots, unknown_slot = rule
-                slot = unknown_slot if value is None else slots.get(str(value), unknown_slot)
-                row[offset + slot] = 1.0
-            elif kind == "boolean":
-                row[offset] = rule if value is None else _parse_bool(str(value), name)
-            else:
-                text = MISSING_TOKEN if value is None else str(value)
-                row[offset : offset + rule] = embed(text)
-
-    def _scale(self, block: np.ndarray) -> None:
-        """Scale each category's columns of a row or matrix by its alpha."""
-        for category, (start, length) in self.segment_map.items():
-            if length:
-                block[..., start : start + length] *= self._alphas[category]
-
     def encode(self, case: SurgicalCase) -> np.ndarray:
-        """Encode one case into a D-vector, its blocks at segment_map; pure
-        given (case, fitted state)."""
-        vector = np.zeros(self.dim, dtype=np.float64)
-        self._fill(case, vector, self._embed_cached)
-        self._scale(vector)
-        return vector
+        """Encode one case into a D-vector, its blocks at segment_map: a
+        one-row encode_matrix."""
+        return self.encode_matrix(CaseSet(cases=[case], schema=self.schema))[0]
 
     def encode_matrix(self, cs: CaseSet) -> np.ndarray:
-        """Encode every case into one N x D matrix (rows follow input order).
+        """Encode every case into one N x D matrix (rows follow input order);
+        pure given (cases, fitted state).
 
-        Rows are filled with their text blocks left zero, so a bad value
-        raises before any text is embedded. The distinct texts, numbered in
-        order of first appearance, are then embedded in one call and copied
-        into each text column."""
-        matrix = np.zeros((len(cs.cases), self.dim), dtype=np.float64)
-        numbers: dict[str, int] = {}
-        picks: list[int] = []
-
-        def defer(text: str) -> float:
-            picks.append(numbers.setdefault(text, len(numbers)))
-            return 0.0
-
-        for case, row in zip(cs.cases, matrix):
-            self._fill(case, row, defer)
-        if numbers:
-            vectors = self.text_embedder.embed_many(list(numbers))
-            offsets = [offset for _, kind, offset, _ in self._plan if kind == "text"]
-            picks_by_column = np.array(picks, dtype=np.intp).reshape(-1, len(offsets)).T
-            width = self.text_embedder.dim
-            for offset, column in zip(offsets, picks_by_column):
-                matrix[:, offset : offset + width] = vectors[column]
-        self._scale(matrix)
+        Each feature's column is gathered, converted value by value and
+        written with one array operation. A bad value raises before any text
+        is embedded: the one with the smallest (row, schema position), a
+        feature outside the schema first in its row. The distinct texts of
+        every text column, numbered column by column in order of first
+        appearance, are then embedded in one call and copied into their
+        columns."""
+        cases = cs.cases
+        matrix = np.zeros((len(cases), self.dim), dtype=np.float64)
+        failures: list[tuple[int, int, SchemaMismatch]] = []
+        names = self._names
+        foreign = next((i for i, c in enumerate(cases) if not names.issuperset(c.values)), None)
+        if foreign is not None:
+            case = cases[foreign]
+            unknown = sorted(case.values.keys() - names)
+            message = f"case {case.id!r} has features outside the schema: {unknown}"
+            failures.append((foreign, -1, SchemaMismatch(message)))
+        texts: dict[str, int] = {}
+        text_columns = []
+        for position, (name, kind, offset, convert, missing) in enumerate(self._plan):
+            raw = [case.values.get(name) for case in cases]
+            try:
+                column = [missing if value is None else convert(value) for value in raw]
+            except SchemaMismatch:
+                row, exc = _first_failure(raw, convert)
+                failures.append((row, position, exc))
+                continue
+            if kind == "text":
+                text_columns.append((offset, [texts.setdefault(t, len(texts)) for t in column]))
+            elif kind == "categorical":
+                matrix[np.arange(len(cases)), offset + np.array(column, dtype=np.intp)] = 1.0
+            else:
+                matrix[:, offset] = column
+        if failures:
+            raise min(failures, key=lambda failure: failure[:2])[2]
+        if texts:
+            vectors = self.text_embedder.embed_many(list(texts))
+            for offset, picks in text_columns:
+                matrix[:, offset : offset + self.text_embedder.dim] = vectors[picks]
+        for category, (start, length) in self.segment_map.items():
+            matrix[:, start : start + length] *= self._alphas[category]
         return matrix
+
+
+def _first_failure(raw: list, convert: Callable) -> tuple[int, SchemaMismatch]:
+    """The row of the first present value that convert rejects, and its
+    error; convert is pure, so rerunning it finds the value that raised."""
+    for row, value in enumerate(raw):
+        try:
+            if value is not None:
+                convert(value)
+        except SchemaMismatch as exc:
+            return row, exc
 
 
 def _ordinal_ranks(schema: FeatureSchema, name: str) -> dict[str, float]:

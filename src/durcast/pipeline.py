@@ -17,8 +17,8 @@ field is the FitConfig a pipeline is fitted under.
 Artifact directory layout (see save_artifacts); the artifacts hold only
 what prediction reads:
     schema.yaml      feature schema
-    encoder.json     fitted per-feature statistics + embedder spec
-    weights.npz      per-dimension weights
+    encoder.json     fitted per-feature statistics, embedder spec and the
+                     per-dimension weights
     index.bin        flat index: vectors and the case table's columns, each
                      case's values decoded only when a query reads it
     importance.csv   per-feature weight mass, descending
@@ -64,7 +64,7 @@ DEFAULT_W_PRIOR = 0.9
 
 # Every file save_artifacts writes besides manifest.json, which lists each
 # one with its sha256.
-ARTIFACT_FILES = ("schema.yaml", "encoder.json", "weights.npz", "index.bin", "importance.csv")
+ARTIFACT_FILES = ("schema.yaml", "encoder.json", "index.bin", "importance.csv")
 
 
 @dataclass(frozen=True)
@@ -281,21 +281,27 @@ class Pipeline:
         postprocess: bool = True,
     ) -> list[tuple[ReferenceSet, tuple[np.ndarray, np.ndarray]] | DurcastError]:
         """retrieve_references for each case, in order, with one
-        index.retrieve_units call and one index.postprocess_rows call for
-        all of them; each answer holds the candidates as (index rows,
-        similarities) arrays. A case whose query vector cannot be computed
-        or retrieved (wrong dimension, non-finite or zero norm) gets that
-        DurcastError in its place, so one bad case leaves the others
-        answered."""
+        encode_matrix call, one index.retrieve_units call and one
+        index.postprocess_rows call for all of them; each answer holds the
+        candidates as (index rows, similarities) arrays. A case whose query
+        vector cannot be computed or retrieved (a bad value, wrong
+        dimension, non-finite or zero norm) gets that DurcastError in its
+        place, so one bad case leaves the others answered."""
         if expansion_factor < 1:
             raise SpecError(f"expansion factor must be >= 1, got {expansion_factor}")
         out: list = [None] * len(cases)
         units: dict[int, np.ndarray] = {}
+        try:
+            batch = CaseSet(cases=list(cases), schema=self.schema)
+            queries = self.encoder.encode_matrix(batch) * self.weights.weights
+        except DurcastError:
+            queries = None  # encode each case alone, so each bad case gets its own error
         for i, case in enumerate(cases):
             try:
+                query = self.embed_query(case) if queries is None else queries[i]
                 # unit_query makes the checks retrieval makes, so the batch
                 # cannot fail
-                units[i] = index_mod.unit_query(self.index, self.embed_query(case))
+                units[i] = index_mod.unit_query(self.index, query)
             except DurcastError as exc:
                 out[i] = exc
         rows, sims = index_mod.retrieve_units(
@@ -414,14 +420,12 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
             "ordinal_missing": pipeline.encoder.ordinal_missing,
             "cat_vocabs": {k: list(v) for k, v in pipeline.encoder.cat_vocabs.items()},
             "bool_missing": pipeline.encoder.bool_missing,
+            "weights": pipeline.weights.weights.tolist(),
+            "k_used": pipeline.weights.k_used,
         },
         sort_keys=True,
         indent=2,
     ).encode("utf-8")
-
-    buf = io.BytesIO()
-    np.savez(buf, weights=pipeline.weights.weights, k_used=pipeline.weights.k_used)
-    files["weights.npz"] = buf.getvalue()
 
     files["index.bin"] = index_mod.save_index(pipeline.index)
 
@@ -467,7 +471,8 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
     digests, fit_doc = manifest.get("files"), manifest.get("fit_config")
     if not isinstance(digests, dict) or set(digests) != set(ARTIFACT_FILES):
         raise ArtifactError(
-            f"manifest under {root} must list exactly {', '.join(ARTIFACT_FILES)}"
+            f"manifest under {root} must list exactly {', '.join(ARTIFACT_FILES)}; "
+            "rebuild the artifacts with `durcast build`"
         )
     if not isinstance(fit_doc, dict) or set(fit_doc) != {f.name for f in fields(FitConfig)}:
         raise ArtifactError(f"manifest under {root} lacks a complete fit_config")
@@ -491,8 +496,11 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
             cat_vocabs={k: tuple(v) for k, v in enc_doc["cat_vocabs"].items()},
             bool_missing=enc_doc["bool_missing"],
         )
-        with np.load(io.BytesIO(blobs["weights.npz"])) as arrays:
-            weights = pca_mod.WeightVector(arrays["weights"], k_used=int(arrays["k_used"]))
+        raw, k_used = enc_doc["weights"], enc_doc["k_used"]
+        floats = isinstance(raw, list) and all(type(w) is float for w in raw)
+        if not (floats and len(raw) == encoder.dim and np.isfinite(raw).all() and _is_int(k_used)):
+            raise ValueError(f"weights must be {encoder.dim} finite floats, k_used an integer")
+        weights = pca_mod.WeightVector(np.array(raw), k_used=k_used)
     except (ValueError, KeyError, TypeError, AttributeError, SpecError) as exc:
         raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
     try:

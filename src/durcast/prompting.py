@@ -54,6 +54,8 @@ _PLACEHOLDERS = {
     "query": {"features"},
     "user": {"references_section", "statistics_section", "query_section"},
 }
+# The placeholders build_prompt fills with ints; it fills the others with strings.
+_INT_PLACEHOLDERS = {"index", "duration", "cohort_size"}
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ class Prompt:
 
 def parse_template(text: str) -> PromptTemplate:
     """Split a template file into its [section] parts. A formatted section
-    with a stray brace or a field it does not document is a ParseError."""
+    with a stray brace, a field it does not document or a format spec its
+    values do not take is a ParseError."""
     sections: dict[str, list[str]] = {}
     current: str | None = None
     for line in text.splitlines():
@@ -118,6 +121,13 @@ def parse_template(text: str) -> PromptTemplate:
                 f"template section [{name}] has unknown placeholders "
                 f"{sorted(fields - allowed)}; it takes {sorted(allowed)}"
             )
+        # format once with values of the types build_prompt passes, so a
+        # bad format spec or conversion fails here and not mid-run
+        dummies = {f: 0 if f in _INT_PLACEHOLDERS else "" for f in allowed}
+        try:
+            parts[name].format(**dummies)
+        except (ValueError, LookupError, AttributeError) as exc:
+            raise ParseError(f"template section [{name}] does not format: {exc}") from None
     return PromptTemplate(**parts)
 
 

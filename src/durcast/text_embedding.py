@@ -3,7 +3,7 @@
 Both produce fixed-dimension, L2-normalized vectors, one text at a time
 (embed) or a batch of texts as the rows of one matrix (embed_many). The
 hashing embedder has no model dependency and is fully deterministic; it
-embeds a batch in one vectorised pass with the same bits as embed. The
+has one vectorised path, embed_many, and embed is a one-text batch. The
 remote client talks to any service exposing the usual embeddings endpoint
 shape, one request per text.
 """
@@ -11,7 +11,7 @@ shape, one request per text.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +47,8 @@ class HashingTextEmbedder(TextEmbedder):
     stable across processes and platforms. Each distinct gram is hashed
     once and its (bucket, sign) memoised on the instance, one entry per
     distinct gram ever embedded. Sums of +-1.0 are exact integers and a
-    norm is the square root of an exact integer sum, so np.bincount, one
-    text or a whole batch at a time, gives the bits of adding the signs one
-    by one.
+    norm is the square root of an exact integer sum, so np.bincount over a
+    whole batch gives the bits of adding each text's signs one by one.
     """
 
     dim: int = 256
@@ -58,26 +57,8 @@ class HashingTextEmbedder(TextEmbedder):
     def __post_init__(self):
         self._grams: dict[str, tuple[int, float]] = {}
 
-    def _hashed(self, grams: Iterable[str]) -> dict[str, tuple[int, float]]:
-        """The gram -> (bucket, sign) memo, holding every one of grams."""
-        memo = self._grams
-        for gram in set(grams).difference(memo):
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest[:4], "little") % self.dim
-            memo[gram] = bucket, 1.0 if digest[4] & 1 else -1.0
-        return memo
-
     def embed(self, text: str) -> np.ndarray:
-        padded = _BOUNDARY_START + text.lower() + _BOUNDARY_END
-        grams = [padded[i : i + self.ngram] for i in range(len(padded) - self.ngram + 1)]
-        buckets, signs = zip(*map(self._hashed(grams).__getitem__, grams)) if grams else ((), ())
-        vec = np.bincount(
-            np.array(buckets, dtype=np.intp), weights=np.array(signs), minlength=self.dim
-        )
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Every text's grams in one array: each distinct gram is looked up
@@ -106,7 +87,11 @@ class HashingTextEmbedder(TextEmbedder):
         at = np.empty(len(distinct), dtype=np.intp)
         at[inverse] = starts  # any window with a key spells its gram
         grams = [joined[i : i + n] for i in at.tolist()]
-        memo = self._hashed(grams)
+        memo = self._grams
+        for gram in set(grams).difference(memo):
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            bucket = int.from_bytes(digest[:4], "little") % dim
+            memo[gram] = bucket, 1.0 if digest[4] & 1 else -1.0
         buckets = np.array([memo[g][0] for g in grams], dtype=np.intp)
         signs = np.array([memo[g][1] for g in grams], dtype=np.float64)
         out = np.bincount(

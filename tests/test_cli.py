@@ -609,6 +609,25 @@ def test_bad_template_is_refused(workspace, tmp_path, capsys, command, bad):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spec", ["{index:zz}", "{median:d}"])
+def test_template_format_spec_is_refused(workspace, tmp_path, capsys, spec):
+    """A format spec the placeholder's value cannot take is refused when
+    the template loads: one error line and exit 1, no traceback."""
+    path = tmp_path / "prompt.txt"
+    field = spec[1:].split(":")[0]
+    path.write_text(DEFAULT_TEMPLATE.replace("{" + field + "}", spec), encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"), *QUERY_FLAGS,
+                   "--template", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        captured.err.strip()
+    ]
+    assert "does not format" in captured.err
+    assert captured.out == ""
+
+
 class TestDecodesOnlyWhatIsRead:
     """A loaded index decodes a case's values span only when something
     reads that case; decoded rows are counted by wrapping the decoder."""

@@ -515,11 +515,6 @@ class TestMatrixTexts:
             enc.encode_matrix(CaseSet(cases=as_cases(rows, "q"), schema=TWO_TEXTS))
         assert server.requests == []
 
-    def test_fit_leaves_the_text_cache_empty(self):
-        corpus = generate_synthetic(SyntheticSpec(n_cases=120), seed=2)
-        pipe = Pipeline.fit(corpus, FitConfig())
-        assert pipe.encoder._text_cache == {}
-
 
 # sha256 pins recorded before the encoder and embedder wrote in place; each
 # embedder pin hashes the little-endian float64 vectors of GOLDEN_TEXTS.

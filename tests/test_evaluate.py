@@ -384,16 +384,17 @@ class TestBatchedRetrieval:
         train, pipe, test = synthetic_split
         cases = CaseSet(test.cases[:6], test.schema)
         bad_id = cases.cases[2].id
-        embed = pipe.embed_query
+        encode_matrix = pipe.encoder.encode_matrix
 
-        def zero_for_bad(case):
-            vec = embed(case)
-            return np.zeros_like(vec) if case.id == bad_id else vec
+        def zero_for_bad(batch):
+            matrix = encode_matrix(batch)
+            matrix[[case.id == bad_id for case in batch.cases]] = 0.0
+            return matrix
 
         cfg = self.cfg()
         clean_path, mixed_path = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
         run_experiment(cfg, train, cases, pipeline=pipe, jsonl_path=clean_path)
-        monkeypatch.setattr(pipe, "embed_query", zero_for_bad)
+        monkeypatch.setattr(pipe.encoder, "encode_matrix", zero_for_bad)
         report = run_experiment(cfg, train, cases, pipeline=pipe, jsonl_path=mixed_path)
         assert (report.m, report.failed) == (5, 1)
         lines = mixed_path.read_text(encoding="utf-8").splitlines()

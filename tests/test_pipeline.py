@@ -16,6 +16,7 @@ from durcast.errors import (
     ArtifactError,
     BackendTransportError,
     BackendUnreachable,
+    DurcastError,
     EmptyTrainingSet,
     IoError,
     SpecError,
@@ -37,7 +38,6 @@ from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 ARTIFACT_FILES = (
     "schema.yaml",
     "encoder.json",
-    "weights.npz",
     "index.bin",
     "importance.csv",
     "manifest.json",
@@ -467,6 +467,34 @@ class TestArtifacts:
         with pytest.raises(ArtifactError, match="embedder dim"):
             load_artifacts(tmp_path)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc["numeric_stats"]["age"].__setitem__(1, 0.0), "std must be positive"),
+            (lambda doc: doc["weights"].pop(), "finite floats"),
+            (lambda doc: doc["weights"].__setitem__(0, "0.5"), "finite floats"),
+            (lambda doc: doc["weights"].__setitem__(0, float("nan")), "finite floats"),
+            (lambda doc: doc.update(k_used="2"), "k_used an integer"),
+            (lambda doc: doc.pop("weights"), "weights"),
+        ],
+    )
+    def test_resigned_bad_encoder_doc_is_artifact_error(self, pipe, tmp_path, change, message):
+        save_artifacts(pipe, tmp_path)
+        doc = json.loads((tmp_path / "encoder.json").read_text())
+        change(doc)
+        blob = json.dumps(doc).encode("utf-8")
+        (tmp_path / "encoder.json").write_bytes(blob)
+        digest = hashlib.sha256(blob).hexdigest()
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"encoder.json": digest}))
+        with pytest.raises(ArtifactError, match=message):
+            load_artifacts(tmp_path)
+
+    def test_manifest_of_an_older_build_names_the_rebuild(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"weights.npz": "0" * 64}))
+        with pytest.raises(ArtifactError, match="must list exactly.*durcast build"):
+            load_artifacts(tmp_path)
+
     def test_manifest_embedder_must_match_encoder(self, pipe, tmp_path):
         save_artifacts(pipe, tmp_path)
         other = {"type": "hashing", "dim": 64, "ngram": 2}
@@ -564,6 +592,38 @@ def rewrite_manifest(root, change):
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(ARTIFACT_FILES),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+    bit=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_corrupt_artifact_loads_only_as_durcast_error(saved, name, at, bit):
+    """One file truncated at a byte (bit None) or with one bit flipped, and
+    the manifest re-signed over it, so decoding is reached: loading, and a
+    prediction from what loads, either succeed or raise a DurcastError. A
+    corrupt manifest is not re-signed."""
+    with tempfile.TemporaryDirectory() as out:
+        root = Path(out)
+        for path in saved.iterdir():
+            (root / path.name).write_bytes(path.read_bytes())
+        blob = bytearray((root / name).read_bytes())
+        i = int(at * len(blob))
+        if bit is None:
+            del blob[i:]
+        else:
+            blob[i] ^= 1 << bit
+        (root / name).write_bytes(bytes(blob))
+        if name != "manifest.json":
+            digest = hashlib.sha256(bytes(blob)).hexdigest()
+            rewrite_manifest(root, lambda m: m["files"].update({name: digest}))
+        try:
+            cfg = ExperimentConfig(MockReferenceMean(), mode="rag", k=4, rounds=1)
+            load_artifacts(root).predict_case(thyroid_query(), cfg)
+        except DurcastError:
+            pass
 
 
 # Training strata draw key values from "a"/"b"; queries may also use the

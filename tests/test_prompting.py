@@ -1,5 +1,7 @@
 """Template parsing and four-part prompt assembly."""
 
+from importlib import resources
+
 import pytest
 
 from conftest import mk_case, mk_prior, small_schema
@@ -18,6 +20,9 @@ from durcast.prompting import (
     render_reference,
 )
 
+DEFAULT_TEMPLATE = (resources.files("durcast") / "templates/default_prompt.txt").read_text(
+    encoding="utf-8"
+)
 MINIMAL_TEMPLATE = """[system]
 You schedule operating rooms.
 
@@ -90,6 +95,17 @@ class TestParseTemplate:
     def test_text_before_first_marker(self):
         with pytest.raises(ParseError, match="before the first"):
             parse_template("stray text\n" + MINIMAL_TEMPLATE)
+
+    @pytest.mark.parametrize("spec, section", [("{index:zz}", "reference"),
+                                               ("{median:d}", "statistics")])
+    def test_bad_format_spec_fails_at_load(self, tmp_path, spec, section):
+        """build_prompt formats index as an int and median as a string, so
+        neither spec can render; loading says so before any prompt."""
+        field = spec[1:].split(":")[0]
+        path = tmp_path / "tpl.txt"
+        path.write_text(DEFAULT_TEMPLATE.replace("{" + field + "}", spec), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"\[{section}\] does not format"):
+            load_template(path)
 
 
 class TestRenderReference:
