@@ -2,20 +2,26 @@
 
 Retrieval is exhaustive and exact (no approximation): every query scores
 every stored vector, and every stored case carries a recorded duration. It
-runs in two phases. One matrix product per block of queries scores all unit
-vectors at once and picks each query's window: the top m plus every row
-within a proven rounding margin of the m-th score. Only the window is
-re-scored, with one row-wise dot product per row, and sorted by
-(similarity descending, id ascending) through the case table's id ranks, so
-ids and similarities equal a linear-scan sort bit for bit. Every query keeps
+runs in two phases. One matrix product per block of queries, at the stored
+precision (float32 once fitted or loaded), scores every stored vector
+against the queries and scales each score by the row's inverse norm; it
+picks each query's window: the top m plus every row within a proven
+rounding margin of the m-th score. Only the window is re-scored, with one
+float64 row-wise dot product per unit row, and sorted by (similarity
+descending, id ascending) through the case table's id ranks, so ids and
+similarities equal a linear-scan sort bit for bit. Every query keeps
 min(m, n) candidates, so a batch's candidates are two Q x min(m, n) arrays,
 (rows, similarities), as in FAISS: retrieve_units answers queries already
 scaled to unit norm by unit_query. retrieve answers one query as
 RetrievalCandidate objects.
 
 A FlatIndex holds its vectors at the precision it is given (STORED_DTYPE,
-float32, once fitted or loaded), the float64 unit rows retrieval reads, and
-the cases' CaseTable; its constructor checks each row, built or loaded.
+float32, once fitted or loaded), one inverse norm per row for the product,
+a float64 unit-row cache that a lock guards and that a row enters the first
+time a window reaches it, and the cases' CaseTable. Its constructor checks
+each row, built or loaded, and normalises none. A row whose norm lies
+outside the range the float32 product scores safely has no product score
+and joins every window.
 
 postprocess_rows refines a whole batch of queries' candidate rows at once
 into their final reference sets: one stratum-ladder walk over the index's
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -76,9 +83,10 @@ _RETIRED_MAGIC = b"DURCIDX1"
 # The precision index.bin stores vectors in.
 STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
-# Most product scores retrieve_units holds at once (16 MB of float64): a
-# block of queries has at most this many rows times the index size entries.
-_BLOCK_SCORES = 1 << 21
+# Most product scores retrieve_units holds at once (16 MB of float32, the
+# scan precision of a fitted or loaded index): a block of queries has at
+# most this many rows times the index size entries.
+_BLOCK_SCORES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -105,27 +113,55 @@ class ReferenceSet:
 class FlatIndex:
     """Immutable exhaustive index over weighted embeddings: row i embeds
     table.cases[i]. A zero or non-finite row has no cosine direction:
-    ZeroVector, NonFiniteVector, naming the row's case id."""
+    ZeroVector, NonFiniteVector, naming the row's case id.
+
+    It holds the vectors as given (STORED_DTYPE once fitted or loaded), one
+    inverse row norm per row at the scan precision (float32 for float32
+    vectors) for phase 1 of retrieve_units, and a cache of float64 unit rows
+    for phase 2. A row's unit row is built, under a lock, the first time a
+    retrieval window reaches it, so a new index normalises no row and its
+    memory grows with the rows that queries reach. A row whose norm lies
+    outside [2**-64, 2**64] has no phase-1 score (the float32 product could
+    overflow, or its subnormal parts lose their relative precision); it
+    joins every window instead."""
 
     def __init__(self, vectors: np.ndarray, table: CaseTable):
-        # Upcast, row norm, divide: how index.bin has always been read.
-        unit = vectors.astype(np.float64)
-        norms = np.linalg.norm(unit, axis=1)
+        # Float64 sums of squares: zero and non-finite exactly when the
+        # upcast row's norm is, without an upcast copy of the matrix.
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
         bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
         if bad.size:
             case_id = table.ids[bad[0]]
             if norms[bad[0]] == 0.0:
                 raise ZeroVector(f"entry for case {case_id!r} is a zero vector")
             raise NonFiniteVector(f"entry for case {case_id!r} has no finite norm")
-        unit /= norms[:, None]
-        self._unit = unit
         self.vectors = vectors
         self.table = table
         self.cases = table.cases
         self.dim = int(vectors.shape[1])
+        scan = np.result_type(vectors.dtype, np.float32)
+        self._scan = vectors.astype(scan, copy=False)
+        scored = (norms >= 2.0**-64) & (norms <= 2.0**64)
+        self._inv_norms = np.where(scored, 1.0 / norms, 0.0).astype(scan)
+        self._unscored = np.flatnonzero(~scored)
+        self._unit = np.empty(vectors.shape, dtype=np.float64)  # paged in as filled
+        self._filled = np.zeros(len(vectors), dtype=bool)
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.table)
+
+    def _unit_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 unit vectors of the given rows: each row upcast and
+        divided by its norm, as index.bin has always been read, built on
+        first use."""
+        with self._lock:
+            new = rows[~self._filled[rows]]
+            if new.size:
+                block = self.vectors[new].astype(np.float64)
+                self._unit[new] = block / np.linalg.norm(block, axis=1)[:, None]
+                self._filled[new] = True
+        return self._unit[rows]
 
 
 def build(
@@ -166,45 +202,74 @@ def retrieve_units(
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
         raise SpecError(f"candidate count must be >= 1, got {m}")
-    unit = idx._unit
     n = len(idx)
-    if m >= n:
-        windows = [np.arange(n)] * len(units)
-    else:
-        # Phase 1 picks a window per query from a product over a block of
-        # queries; phase 2 re-scores it with row-wise dots, the scores every
-        # caller sees. The two disagree in the last bits: matrix kernels
-        # round a SIMD block row and a remainder row differently, so
-        # duplicate directions at different positions would lose their
-        # exact tie under the product alone.
-        # Bound: any float64 dot of two length-D vectors of norm <= 1 (up to
-        # rounding) lies within gamma = (D + 2) * eps of the true dot,
-        # whatever its summation order, blocking or thread split (the
-        # classical bound is D * eps / 2; the slack covers the norms). So a
-        # product score and a row dot differ by at most delta = 2 * gamma.
-        # The m rows with product score >= edge (the m-th largest) have row
-        # dots >= edge - delta, so the m-th largest row dot is too, and every
-        # row of the true top m has product score >= edge - 2 * delta.
-        margin = 4.0 * (idx.dim + 2) * _EPS
-        block = max(1, _BLOCK_SCORES // n)
-        windows = []
-        for start in range(0, len(units), block):
-            approx = np.stack(units[start : start + block]) @ unit.T
-            edge = np.partition(approx, n - m, axis=1)[:, n - m]
-            keep = approx >= (edge - margin)[:, None]
-            windows.extend(np.flatnonzero(row) for row in keep)
-    # The window holds the top m (or all n) rows, so every line is full.
     rows = np.empty((len(units), min(m, n)), dtype=np.intp)
     sims = np.empty(rows.shape, dtype=np.float64)
-    for j, (qv, window) in enumerate(zip(units, windows)):
-        # vecdot takes one dot product per row, the same one a 1-D
-        # unit[i] @ qv takes, so the similarities keep their bits; a
-        # matrix-vector product unit[window] @ qv rounds differently.
-        scores = np.vecdot(unit[window], qv)
-        order = np.lexsort((idx.table.id_rank[window], -scores))[:m]
-        rows[j] = window[order]
-        sims[j] = scores[order]
+    block = max(1, _BLOCK_SCORES // n)
+    for start in range(0, len(units), block):
+        batch = units[start : start + block]
+        windows = [np.arange(n)] * len(batch) if m >= n else _windows(idx, batch, m)
+        # The window holds the top m (or all n) rows, so every line is full.
+        for j, (qv, window) in enumerate(zip(batch, windows), start):
+            # vecdot takes one dot product per row, the same one a 1-D
+            # unit[i] @ qv takes, so the similarities keep their bits; a
+            # matrix-vector product unit[window] @ qv rounds differently.
+            scores = np.vecdot(idx._unit_rows(window), qv)
+            order = np.lexsort((idx.table.id_rank[window], -scores))[:m]
+            rows[j] = window[order]
+            sims[j] = scores[order]
     return rows, sims
+
+
+def _windows(idx: FlatIndex, batch: list[np.ndarray], m: int) -> list[np.ndarray]:
+    """Phase 1 of retrieve_units for m < n: per query, the ascending rows
+    that may reach its top m, from one matrix product at the scan
+    precision: the top m by product score plus every row within a proven
+    rounding margin of the m-th, and every unscored row."""
+    # Phase 2 re-scores the window with float64 row-wise dots, the scores
+    # every caller sees. The two disagree: the product is float32 for a
+    # fitted or loaded index, and even at float64 matrix kernels round a
+    # SIMD block row and a remainder row differently, so duplicate
+    # directions at different positions would lose their exact tie under
+    # the product alone.
+    # Bound (Higham, Accuracy and Stability of Numerical Algorithms, §2.2
+    # and §3.1), for a row v, the float64 unit query q and the exact cosine
+    # c = q.v / |v|; u is the scan precision's unit roundoff (2**-24 for
+    # float32), eps = 2**-52 and gamma = D * u / (1 - D * u):
+    # - Phase 2 gives s within (D + 2) * eps of c: a float64 dot of two
+    #   vectors of norm <= 1 (up to rounding) in any summation order, the
+    #   classical D * eps / 2 with slack for the norms.
+    # - Phase 1 gives p = fl(fl(fl(q) . v) * fl(1 / |v|)), within
+    #   gamma + 7 * u + 2 * (D + 4) * eps of c for D <= 2**20. The parts:
+    #   rounding q (u); the dot, accumulated in any order, blocking or
+    #   thread split (gamma); 1 / |v|, from a float64 norm ((D + 4) * eps),
+    #   rounded (u); the product with it (u). The last two scale a value
+    #   below 2, so they count twice. A query component, row component or
+    #   product below the normal range errs by at most 2**-126 absolute,
+    #   even flushed to zero; the row-norm guard keeps |v| >= 2**-64, so D
+    #   of them move p by under D * 2**-62. These and the second-order
+    #   terms fit in the last u.
+    # So |p - s| <= delta = gamma + 7 * u + (3 * D + 10) * eps.
+    # The m rows with p >= edge (the m-th largest) have s >= edge - delta,
+    # so the m-th largest s is too, and every row of the true top m has
+    # p >= edge - 2 * delta. An unscored row scores -inf, so it never sets
+    # the edge, and joins every window.
+    n, dim = len(idx), idx.dim
+    dtype = idx._scan.dtype
+    u = float(np.finfo(dtype).eps) / 2
+    gamma = dim * u / (1 - dim * u)
+    margin = 2 * (gamma + 7 * u + (3 * dim + 10) * _EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # only unscored rows
+        approx = np.stack(batch).astype(dtype, copy=False) @ idx._scan.T
+        approx *= idx._inv_norms
+    approx[:, idx._unscored] = -np.inf
+    edge = np.partition(approx, n - m, axis=1)[:, n - m]
+    # The bound at float64, rounded down to the scan precision.
+    lower = (edge.astype(np.float64) - margin).astype(dtype)
+    lower = np.nextafter(lower, dtype.type(-np.inf))
+    keep = approx >= lower[:, None]
+    keep[:, idx._unscored] = True
+    return [np.flatnonzero(row) for row in keep]
 
 
 def unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:

@@ -72,6 +72,28 @@ class TestBuild:
         with pytest.raises(NonFiniteVector, match="'b'"):
             build(vectors, [mk_case("a", 60.0), mk_case("b", 60.0)], small_schema())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        ("row", "error", "message"),
+        [((0.0, 0.0, 0.0), ZeroVector, "is a zero vector"),
+         ((1.0, np.nan, 0.0), NonFiniteVector, "has no finite norm"),
+         ((np.inf, 1.0, 0.0), NonFiniteVector, "has no finite norm")],
+    )
+    def test_rejects_first_unusable_row_at_either_precision(self, dtype, row, error, message):
+        vectors = np.array([[1.0, 1.0, 1.0], row, [0.0, 0.0, 0.0]], dtype=dtype)
+        cases = [mk_case(case_id, 60.0) for case_id in "abc"]
+        with pytest.raises(error, match=f"'b' {message}"):
+            build(vectors, cases, small_schema())
+
+    def test_float64_norm_out_of_range(self):
+        """A float64 row whose squared norm overflows has no finite norm; one
+        whose squares all underflow is a zero vector."""
+        cases = [mk_case("a", 60.0), mk_case("b", 60.0)]
+        with pytest.raises(NonFiniteVector, match="'b' has no finite norm"):
+            build(np.array([[1.0, 1.0, 1.0], [1e200, 1.0, 0.0]]), cases, small_schema())
+        with pytest.raises(ZeroVector, match="'b' is a zero vector"):
+            build(np.array([[1.0, 1.0, 1.0], [1e-200, 0.0, 0.0]]), cases, small_schema())
+
     def test_rejects_case_without_duration(self):
         cases = [mk_case("a", 60.0), mk_case("b", None)]
         with pytest.raises(MissingDuration, match="'b'"):
@@ -134,10 +156,16 @@ class TestRetrieve:
             retrieve(idx, np.ones(2), 1)
 
 
+def unit_rows(vectors):
+    """Every stored row upcast to float64 and divided by its norm."""
+    unit = np.asarray(vectors, dtype=np.float64)
+    return unit / np.linalg.norm(unit, axis=1)[:, None]
+
+
 def scan_candidates(idx, query, m):
     """Reference retrieval: one row dot per stored case, then a full sort."""
     qv = query / float(np.linalg.norm(query))
-    sims = [float(row @ qv) for row in idx._unit]
+    sims = [float(row @ qv) for row in unit_rows(idx.vectors)]
     order = sorted(range(len(idx)), key=lambda i: (-sims[i], idx.cases[i].id))
     return [RetrievalCandidate(case=idx.cases[i], similarity=sims[i]) for i in order[:m]]
 
@@ -265,6 +293,148 @@ class TestRetrieveBatch:
                 retrieve_units(idx, [unit_query(idx, q) for q in (np.ones(2), bad)], 1)
         with pytest.raises(SpecError):
             retrieve_units(idx, [unit_query(idx, np.ones(2))], 0)
+
+
+def float32_tie_index(rng, dim, n):
+    """A float32 index with near-ties that collapse in float32 but not in
+    float64: random rows, half of them overwritten at scattered positions
+    by a copy of an anchor, the anchor one float32 ulp off in one
+    component, at scale 0.25, 3 or 7, or scaled so that its norm lies near
+    the float32 subnormal range, outside the scored range, or near
+    finfo(float32).max."""
+    f32 = np.float32
+    anchors = rng.normal(size=(3, dim)).astype(f32)
+    vectors = rng.normal(size=(n, dim)).astype(f32)
+    # Norms 2**-63 and 2**63 lie just inside the phase-1 range; the others,
+    # and a row whose largest component is near finfo(float32).max, outside.
+    norms = (1e-42, 1e-38, 2.0**-70, 2.0**-63, 2.0**63, 2.0**70, None)
+    positions = rng.choice(n, size=n // 2, replace=False)
+    for j, pos in enumerate(positions):
+        row = anchors[j % 3].copy()
+        kind = j % 4
+        if kind == 0:
+            row[j % dim] = np.nextafter(row[j % dim], f32(np.inf))
+        elif kind == 1:
+            row = row * f32((0.25, 3.0, 7.0)[j % 3])
+        elif kind == 2:
+            wide, norm = row.astype(np.float64), norms[j % len(norms)]
+            if norm is None:
+                scale = 0.99 * float(np.finfo(f32).max) / np.abs(wide).max()
+            else:
+                scale = norm / np.linalg.norm(wide)
+            row = (wide * scale).astype(f32)
+        vectors[pos] = row if row.any() else anchors[j % 3]
+    ids = [f"c{i:04d}" for i in rng.permutation(n)]
+    cases = [mk_case(case_id, 60.0) for case_id in ids]
+    return build(vectors, cases, small_schema()), anchors
+
+
+class TestFloat32Retrieval:
+    """The production path: a float32 index scanned by a float32 product,
+    against the float64 linear scan."""
+
+    @pytest.mark.parametrize("dim", [3, 64, 549])
+    def test_every_edge_in_the_anchor_clusters(self, dim):
+        """The m-th row falls inside a cluster of near-ties for every m."""
+        for seed in range(6):
+            idx, anchors = float32_tie_index(np.random.default_rng([dim, seed]), dim, 160)
+            for anchor in anchors:
+                query = anchor.astype(np.float64)
+                units = [unit_query(idx, query)]
+                for m in range(1, 50):
+                    rows, sims = retrieve_units(idx, units, m)
+                    want = linear_scan(idx, query, m)
+                    assert as_pairs(idx, rows[0], sims[0]) == want
+                    assert sims[0].tobytes() == np.array([s for _, s in want]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([3, 64, 549]),
+        n=st.integers(2, 160),
+        m=st.integers(1, 60),
+        anchor_queries=st.lists(st.sampled_from(["anchor", "scaled", "tiny", "random"]),
+                                max_size=6),
+        block=st.integers(1, 4),
+    )
+    def test_property(self, seed, dim, n, m, anchor_queries, block):
+        rng = np.random.default_rng(seed)
+        idx, anchors = float32_tie_index(rng, dim, n)
+        assert idx.vectors.dtype == np.float32
+        queries = []
+        for j, kind in enumerate(anchor_queries):
+            query = anchors[j % 3].astype(np.float64)
+            if kind == "scaled":
+                query = 1e-30 * query
+            elif kind == "tiny":  # components that underflow in float32
+                query[::2] *= 1e-300
+            elif kind == "random":
+                query = rng.normal(size=dim)
+            queries.append(query)
+        with mock.patch.object(index_mod, "_BLOCK_SCORES", block * n):
+            rows, sims = retrieve_units(idx, [unit_query(idx, q) for q in queries], m)
+        for query, line in zip(queries, zip(rows, sims)):
+            want = linear_scan(idx, query, m)
+            assert as_pairs(idx, *line) == want
+            assert line[1].tobytes() == np.array([s for _, s in want]).tobytes()
+
+    def test_fresh_index_holds_no_unit_row(self):
+        idx, _ = float32_tie_index(np.random.default_rng(3), 64, 120)
+        back = load_index(save_index(idx), small_schema())
+        assert not idx._filled.any() and not back._filled.any()
+
+    def test_one_query_fills_only_its_window(self):
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(500, 64)).astype(np.float32)
+        idx = build(vectors, [mk_case(f"c{i}", 60.0) for i in range(500)], small_schema())
+        rows, _ = retrieve_units(idx, [unit_query(idx, rng.normal(size=64))], 5)
+        # No other row is near the fifth's similarity: the window is the top 5.
+        assert np.flatnonzero(idx._filled).tolist() == sorted(rows[0].tolist())
+
+        idx, anchors = float32_tie_index(rng, 64, 400)
+        query = anchors[1].astype(np.float64)
+        rows, sims = retrieve_units(idx, [unit_query(idx, query)], 7)
+        filled = np.flatnonzero(idx._filled)
+        assert set(rows[0].tolist()) <= set(filled.tolist())
+        oracle = unit_rows(idx.vectors) @ (query / np.linalg.norm(query))
+        # A window row trails the 7th similarity by at most twice the margin
+        # (about 2e-5 at D = 64), or has no product score.
+        unscored = set(idx._unscored.tolist())
+        near = oracle >= sims[0][-1] - 1e-4
+        assert all(near[i] or i in unscored for i in filled.tolist())
+
+    def test_racing_threads_fill_alike(self):
+        """Threads that retrieve on a fresh index race to fill its unit rows;
+        each gets the bits one thread gets."""
+        rng = np.random.default_rng(5)
+        idx, anchors = float32_tie_index(rng, 64, 300)
+        raw = save_index(idx)
+        queries = [anchors[j % 3] if j % 2 else rng.normal(size=64) for j in range(40)]
+        alone = load_index(raw, small_schema())
+        units = [unit_query(alone, q) for q in queries]
+        want = [retrieve_units(alone, [qv], 9) for qv in units]
+        shared = load_index(raw, small_schema())
+        got = [[None] * len(units) for _ in range(4)]
+
+        def run(t):
+            for j in np.random.default_rng(t).permutation(len(units)).tolist():
+                got[t][j] = retrieve_units(shared, [units[j]], 9)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for run_result in got:
+            for (a_rows, a_sims), (b_rows, b_sims) in zip(run_result, want):
+                assert a_rows.tolist() == b_rows.tolist()
+                assert a_sims.tobytes() == b_sims.tobytes()
 
 
 class TestPostprocess:
@@ -623,7 +793,9 @@ class TestSerialization:
         back = load_index(save_index(idx), small_schema())
         assert back.vectors.dtype == np.float32
         assert back.vectors.tobytes() == idx.vectors.tobytes()
-        assert back._unit.tobytes() == idx._unit.tobytes()
+        rows = np.arange(6)
+        assert back._unit_rows(rows).tobytes() == unit_rows(idx.vectors).tobytes()
+        assert idx._unit_rows(rows).tobytes() == unit_rows(back.vectors).tobytes()
 
     @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0"])
     def test_non_finite_or_negative_duration_rejected(self, bad):

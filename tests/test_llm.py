@@ -2,11 +2,14 @@
 multi-round ensemble driver."""
 
 import json
+import math
 import threading
 import time
 import urllib.parse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chat_reply, mk_case, mk_prior, small_schema
 from durcast.errors import (
@@ -98,6 +101,24 @@ class TestParseDuration:
     def test_rejects_numberless_text(self):
         with pytest.raises(UnparseableOutput):
             parse_duration("I cannot answer that.")
+
+    PIECES = ["PREDICTION:", "prediction :", " ", "\n", "-", "\u2013", ",", ".", "h", "hours",
+              "hrs", " minutes", " to ", "ASA", "0", "7", "12", "1,200", "\u0663", "9" * 400]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        raw=st.one_of(st.text(), st.lists(st.sampled_from(PIECES), max_size=12).map("".join)),
+        max_minutes=st.floats(1.0, 1e6),
+    )
+    def test_any_text_reads_in_range_or_is_unparseable(self, raw, max_minutes):
+        """Whatever a backend replies, the round gets minutes in
+        [1, max_minutes] or an UnparseableOutput to retry on; nothing else."""
+        try:
+            minutes = parse_duration(raw, max_minutes)
+        except UnparseableOutput:
+            return
+        assert isinstance(minutes, float) and math.isfinite(minutes)
+        assert 1.0 <= minutes <= max_minutes
 
 
 class TestSchedule:
