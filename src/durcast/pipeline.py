@@ -23,6 +23,13 @@ what prediction reads:
                      case's values decoded only when a query reads it
     importance.csv   per-feature weight mass, descending
     manifest.json    fit config + sha256 of every other file (fingerprint)
+
+load_artifacts reads schema.yaml with FeatureSchema.from_yaml, which parses
+with libyaml's safe loader when PyYAML has it (the pure-Python SafeLoader
+otherwise): that file is always to_yaml's output, which both loaders read
+alike, and the C parser takes a fraction of the time. An operator's --schema
+file goes through load_schema and yaml.safe_load, as the loaders can read
+hand-written YAML differently.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .index import FlatIndex, ReferenceSet
 from .llm import LlmBackend, PredictionEnsemble, _is_int, predict_ensemble, stable_seed
 from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
 from .prompting import MODES, PromptTemplate, build_prompt, load_template
-from .schema import CaseSet, SurgicalCase, load_schema
+from .schema import CaseSet, FeatureSchema, SurgicalCase
 from .strata import GLOBAL_STRATUM, ladder
 from .text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
 
@@ -486,7 +493,7 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
             raise ArtifactError(f"artifact {name} does not match its fingerprint")
 
     try:
-        schema = load_schema(blobs["schema.yaml"].decode("utf-8"))
+        schema = FeatureSchema.from_yaml(blobs["schema.yaml"].decode("utf-8"))
         enc_doc = json.loads(blobs["encoder.json"])
         encoder = FittedEncoder(
             schema=schema,

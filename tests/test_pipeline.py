@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEVELS, THYROID_DURATIONS, mk_case, small_schema, tiny_corpus
+from durcast import schema as schema_mod
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
@@ -592,6 +594,35 @@ def rewrite_manifest(root, change):
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+@pytest.mark.parametrize("loader", ["libyaml if built", "pure Python"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "features: !!python/object/apply:os.system [\"touch '{marker}'\"]\n",
+        "!!python/object/new:os.system [\"touch '{marker}'\"]\n",
+        "features:\n  - {{name: !!python/name:os.system , kind: text}}\n",
+        "- a list\n- not a mapping\n",
+        "features: [\n",
+    ],
+)
+def test_hostile_schema_yaml_is_durcast_error(pipe, tmp_path, monkeypatch, loader, text):
+    """A schema.yaml that asks for a Python object, names a function, is
+    not a mapping or is not YAML, with the manifest re-signed over it, is a
+    DurcastError, and runs nothing; with libyaml's loader and without."""
+    if loader == "pure Python":
+        monkeypatch.setattr(schema_mod, "_ARTIFACT_LOADER", yaml.SafeLoader)
+    marker = tmp_path / "ran"
+    root = tmp_path / "artifacts"
+    save_artifacts(pipe, root)
+    blob = text.format(marker=marker).encode("utf-8")
+    (root / "schema.yaml").write_bytes(blob)
+    digest = hashlib.sha256(blob).hexdigest()
+    rewrite_manifest(root, lambda m: m["files"].update({"schema.yaml": digest}))
+    with pytest.raises(DurcastError):
+        load_artifacts(root)
+    assert not marker.exists()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,26 @@
 """Schema parsing, CSV ingestion, and deterministic splitting."""
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_case, small_schema, tiny_corpus
-from durcast.errors import IoError, ParseError, RowError, SchemaError, SpecError
+from durcast import schema as schema_mod
+from durcast.errors import (
+    DurcastError,
+    IoError,
+    ParseError,
+    RowError,
+    SchemaError,
+    SpecError,
+)
 from durcast.schema import (
+    FEATURE_KINDS,
     CaseSet,
     Feature,
     FeatureSchema,
@@ -119,6 +135,105 @@ class TestLoadSchema:
     def test_load_schema_file_missing(self, tmp_path):
         with pytest.raises(IoError):
             load_schema_file(tmp_path / "absent.yaml")
+
+
+# Any character but a lone surrogate, plus the ones YAML treats specially.
+_YAML_HOSTILE = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from("\t\x85\u2028\ufeff\"'#:!|>-")),
+    max_size=200,
+)
+
+
+@st.composite
+def feature_schemas(draw):
+    names = draw(st.lists(_YAML_HOSTILE, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(FEATURE_KINDS)) for _ in names]
+    return FeatureSchema(
+        features=tuple(Feature(n, k) for n, k in zip(names, kinds)),
+        ordinal_orders={
+            n: tuple(draw(st.lists(_YAML_HOSTILE, max_size=4, unique=True)))
+            for n, k in zip(names, kinds)
+            if k == "ordinal"
+        },
+        key_attributes=tuple(draw(st.lists(st.sampled_from(names), max_size=3))),
+        duration_column=draw(_YAML_HOSTILE),
+        id_column=draw(_YAML_HOSTILE),
+    )
+
+
+class TestFromYaml:
+    """from_yaml reads artifacts with libyaml, load_schema reads operator
+    files with yaml.safe_load; both must read what to_yaml writes as the
+    schema it was written from."""
+
+    def test_uses_libyaml_when_pyyaml_has_it(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert schema_mod._ARTIFACT_LOADER is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(schema=feature_schemas())
+    def test_round_trip(self, schema):
+        text = schema.to_yaml()
+        assert FeatureSchema.from_yaml(text) == load_schema(text) == schema
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, schema_mod._ARTIFACT_LOADER])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("features: [", ParseError),
+            ("- just\n- a list", ParseError),
+            ("features:\n  - {name: asa, kind: ordinal}", SchemaError),
+        ],
+    )
+    def test_errors_keep_their_types(self, monkeypatch, loader, text, error):
+        monkeypatch.setattr(schema_mod, "_ARTIFACT_LOADER", loader)
+        with pytest.raises(error):
+            FeatureSchema.from_yaml(text)
+
+    def test_lone_surrogate_text_is_a_parse_error(self):
+        # libyaml raises UnicodeEncodeError here, the pure-Python reader a
+        # YAMLError; both end as a ParseError
+        for read in (load_schema, FeatureSchema.from_yaml):
+            with pytest.raises(ParseError):
+                read("a: \ud800")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # a bare "!" is None to yaml.safe_load and '' to libyaml
+            ("features:\n  - name: !\n    kind: numerical\n", "None"),
+            # yaml.safe_load refuses these tabs, libyaml reads "x" and "a\tb"
+            ("features:\n  - name: !\tx\n    kind: numerical\n", ParseError),
+            ("features: [{name: x, kind: numerical}]\nid_column: a\tb\n", ParseError),
+        ],
+    )
+    def test_load_schema_reads_hand_written_text_as_safe_load(self, text, expected):
+        if yaml.__with_libyaml__:  # the two loaders do disagree on this text
+            assert _doc_or_error(text, yaml.SafeLoader) != _doc_or_error(text, yaml.CSafeLoader)
+        if expected is ParseError:
+            with pytest.raises(ParseError):
+                load_schema(text)
+        else:
+            assert load_schema(text).feature_names == (expected,)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["features:\n  - {name: \"\\ud800\", kind: numerical}\n",
+         "features: [{name: a, kind: numerical}]\nid_column: \"\\udfff\"\n",
+         "features: [{name: a, kind: ordinal}]\nordinal_orders: {a: [I, \"\\ud83d\"]}\n"],
+    )
+    def test_lone_surrogate_escape_is_refused(self, where):
+        """yaml.safe_load turns the escape into a lone surrogate, which
+        to_yaml would write back as an escape libyaml refuses."""
+        with pytest.raises(SchemaError, match="not valid Unicode"):
+            load_schema(where)
+
+
+def _doc_or_error(text, loader):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return "YAMLError"
 
 
 class TestCases:
@@ -322,6 +437,54 @@ class TestIngestCsv:
                     assert va == vb
                 else:
                     assert (va is None and vb is None) or str(va) == str(vb)
+
+
+_CSV_NUMBERS = st.sampled_from(
+    ["95", "3.5", " 7 ", "0", "-5", "", "nan", "-inf", "inf", "1e400", "-1e400",
+     "\u0661\u0662", "\u0663.\u0665", "\uff17", "\x00", "1\r"]
+)
+_CSV_CELLS = st.one_of(
+    _CSV_NUMBERS,
+    st.sampled_from(["\r", "\r\n", '"', '""', ",", "II", "true"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    """A header of the schema's columns in any order, some perhaps left
+    out, plus junk columns; rows of cells holding NUL, CR, quotes,
+    non-finite numbers and Unicode digits, sometimes ragged or quoted; and
+    maybe trailing bytes."""
+    names = [*small_schema().feature_names, "case_id", "duration_min"]
+    kept = draw(st.permutations(names))[: len(names) - draw(st.sampled_from([0, 0, 0, 1]))]
+    junk = draw(st.lists(st.one_of(st.sampled_from(names), st.text(max_size=6)), max_size=2))
+    header = draw(st.permutations([*kept, *junk]))
+    quote = draw(st.booleans())
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [draw(_CSV_NUMBERS if n in ("age", "duration_min") else _CSV_CELLS)
+                 for n in header]
+        lines.append(cells[: len(cells) - draw(st.sampled_from([0, 0, 0, 0, 1]))])
+    text = "\n".join(",".join(f'"{c}"' if quote else c for c in cells) for cells in lines)
+    return text.encode("utf-8") + draw(st.one_of(st.just(b""), st.binary(max_size=4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=st.one_of(csv_bytes(), st.binary(max_size=64)))
+def test_ingest_csv_of_any_bytes_is_a_case_set_or_durcast_error(blob):
+    """Ingestion of CSV-like or random bytes returns cases with finite numbers and positive finite
+    durations, or raises a DurcastError."""
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "data.csv"
+        path.write_bytes(blob)
+        try:
+            cs = ingest_csv(path, small_schema())
+        except DurcastError:
+            return
+    for case in cs.cases:
+        assert case.duration_min is None or 0 < case.duration_min < math.inf
+        assert case.values["age"] is None or math.isfinite(case.values["age"])
 
 
 class TestSplit:
