@@ -28,6 +28,7 @@ import yaml
 from .errors import (
     BackendUnreachable,
     DurcastError,
+    IoError,
     ParseError,
 )
 from .evaluate import (
@@ -107,6 +108,8 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 def _flag_value(command: argparse.ArgumentParser, action: argparse.Action, key, value):
     """A config value converted the way argparse converts the flag's argument."""
     convert = action.type or str
+    if "\0" in str(value):
+        command.error(f"config option {key!r}: no command line holds a NUL character: {value!r}")
     try:
         result = convert(str(value))
     except (TypeError, ValueError):
@@ -248,8 +251,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     corpus = generate_synthetic(SyntheticSpec(n_cases=args.n), seed=args.seed)
     train, val, test = split(corpus, ratios, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "schema.yaml").write_text(default_schema().to_yaml(), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "schema.yaml").write_text(default_schema().to_yaml(), encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write the corpus under {out}: {exc}") from exc
     for name, cs in (("train", train), ("val", val), ("test", test)):
         write_csv(cs, out / f"{name}.csv")
     print(f"wrote {len(train)}/{len(val)}/{len(test)} cases under {out}")

@@ -263,7 +263,8 @@ class MockReferenceMean(LlmBackend):
     Noise is a pure function of (seed, query id, round index), independent
     of temperature: it models the generator's estimation error, which does
     not vanish at temperature 0, so averaging more rounds genuinely reduces
-    it. noise_sd must be finite and >= 0."""
+    it. noise_sd must be a finite number >= 0. A value that overflows to
+    infinity gets a refusal, so its round is unparseable, not a crash."""
 
     noise_sd: float = 0.0
     seed: int = 0
@@ -272,8 +273,9 @@ class MockReferenceMean(LlmBackend):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.noise_sd < math.inf:
-            raise SpecError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
+        sd = self.noise_sd
+        if not (isinstance(sd, (int, float)) and not isinstance(sd, bool) and 0.0 <= sd < math.inf):
+            raise SpecError(f"noise_sd must be a finite number >= 0, got {sd!r}")
 
     def complete(self, prompt: Prompt, temperature: float, round_index: int) -> str:
         durations = prompt.metadata.reference_durations
@@ -283,6 +285,8 @@ class MockReferenceMean(LlmBackend):
                 stable_seed(self.seed, prompt.metadata.query_id, round_index)
             )
             value += float(rng.normal(0.0, self.noise_sd))
+        if not math.isfinite(value):
+            return "I cannot estimate this duration."
         return f"PREDICTION: {max(int(round(value)), 1)} minutes"
 
 
@@ -290,13 +294,17 @@ class MockReferenceMean(LlmBackend):
 class MockScripted(LlmBackend):
     """Cycles through a fixed list of completions, one cursor per query id
     (thread-safe): each query's calls get outputs[0], outputs[1], ... in
-    order, however concurrent queries interleave."""
+    order, however concurrent queries interleave. outputs must be a
+    non-empty tuple of strings."""
 
     outputs: tuple[str, ...] = ("PREDICTION: 100 minutes",)
     kind = "mock_scripted"
 
     def __post_init__(self):
         super().__post_init__()
+        out = self.outputs
+        if not (isinstance(out, tuple) and out and all(isinstance(o, str) for o in out)):
+            raise SpecError(f"outputs must be a non-empty tuple of strings, got {out!r}")
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
 

@@ -17,8 +17,8 @@ field is the FitConfig a pipeline is fitted under.
 Artifact directory layout (see save_artifacts); the artifacts hold only
 what prediction reads:
     schema.yaml      feature schema
-    encoder.json     fitted per-feature statistics, embedder spec and the
-                     per-dimension weights
+    encoder.json     fitted per-feature statistics and the per-dimension
+                     weights
     index.bin        flat index: vectors and the case table's columns, each
                      case's values decoded only when a query reads it
     importance.csv   per-feature weight mass, descending
@@ -98,7 +98,7 @@ class FitConfig:
             raise SpecError(f"pca_top_m must be an integer >= 1, got {self.pca_top_m!r}")
         if not _is_count(self.min_cohort):
             raise SpecError(f"min_cohort must be an integer >= 1, got {self.min_cohort!r}")
-        _check_embedder_spec(self.embedder)
+        make_embedder(self.embedder)
 
 
 def _is_count(value) -> bool:
@@ -163,47 +163,24 @@ class CasePrediction:
     estimate: AggregateEstimate
 
 
-def _check_embedder_spec(spec) -> None:
-    """Raise SpecError unless make_embedder accepts spec."""
+def make_embedder(spec: dict) -> TextEmbedder:
+    """The embedder a FitConfig's embedder spec describes, absent keys
+    taking their defaults; a spec it cannot build is a SpecError."""
     kind = spec.get("type", "hashing") if isinstance(spec, dict) else None
     if kind not in ("hashing", "remote"):
         raise SpecError(f"embedder must be a mapping of type hashing or remote, got {spec!r}")
     for key in ("dim", "ngram") if kind == "hashing" else ("dim",):
         if key in spec and not _is_count(spec[key]):
             raise SpecError(f"embedder {key} must be an integer >= 1, got {spec[key]!r}")
-    if kind == "remote" and not isinstance(spec.get("url"), str):
+    if kind == "hashing":
+        return HashingTextEmbedder(dim=spec.get("dim", 256), ngram=spec.get("ngram", 3))
+    if not isinstance(spec.get("url"), str):
         raise SpecError(f"remote embedder url must be a string, got {spec.get('url')!r}")
-    timeout = spec.get("timeout_s", 30.0) if kind == "remote" else 30.0
+    timeout = spec.get("timeout_s", 30.0)
     number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
     if not (number and 0.0 < timeout < np.inf):
         raise SpecError(f"embedder timeout_s must be a positive number, got {timeout!r}")
-
-
-def make_embedder(spec: dict) -> TextEmbedder:
-    _check_embedder_spec(spec)
-    kind = spec.get("type", "hashing")
-    if kind == "hashing":
-        return HashingTextEmbedder(dim=spec.get("dim", 256), ngram=spec.get("ngram", 3))
-    return RemoteTextEmbedder(
-        url=spec["url"],
-        dim=spec.get("dim", 768),
-        timeout_s=float(spec.get("timeout_s", 30.0)),
-    )
-
-
-def _embedder_spec(embedder: TextEmbedder) -> dict:
-    """The spec of embedder that save_artifacts writes to encoder.json;
-    make_embedder builds an equal embedder from it."""
-    if isinstance(embedder, HashingTextEmbedder):
-        return {"type": "hashing", "dim": embedder.dim, "ngram": embedder.ngram}
-    if isinstance(embedder, RemoteTextEmbedder):
-        return {
-            "type": "remote",
-            "dim": embedder.dim,
-            "url": embedder.url,
-            "timeout_s": embedder.timeout_s,
-        }
-    raise SpecError(f"cannot persist embedder {type(embedder).__name__}")
+    return RemoteTextEmbedder(url=spec["url"], dim=spec.get("dim", 768), timeout_s=float(timeout))
 
 
 class Pipeline:
@@ -410,7 +387,11 @@ def _sha256(data: bytes) -> str:
 
 
 def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
-    """Persist every fitted stage plus a manifest fingerprinting the files."""
+    """Persist every fitted stage plus a manifest fingerprinting the files.
+    fit_config.embedder is the one record of the text embedder, so an
+    encoder that embeds otherwise is a SpecError before anything is written."""
+    if make_embedder(pipeline.fit_config.embedder) != pipeline.encoder.text_embedder:
+        raise SpecError("cannot save an encoder that embeds otherwise than fit_config.embedder")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -422,7 +403,6 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
 
     files["encoder.json"] = json.dumps(
         {
-            "embedder": _embedder_spec(pipeline.encoder.text_embedder),
             "numeric_stats": pipeline.encoder.numeric_stats,
             "ordinal_missing": pipeline.encoder.ordinal_missing,
             "cat_vocabs": {k: list(v) for k, v in pipeline.encoder.cat_vocabs.items()},
@@ -493,11 +473,15 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
             raise ArtifactError(f"artifact {name} does not match its fingerprint")
 
     try:
+        fit_config = FitConfig(**fit_doc)
+    except SpecError as exc:
+        raise ArtifactError(f"manifest under {root} has a bad fit_config: {exc}") from exc
+    try:
         schema = FeatureSchema.from_yaml(blobs["schema.yaml"].decode("utf-8"))
         enc_doc = json.loads(blobs["encoder.json"])
         encoder = FittedEncoder(
             schema=schema,
-            text_embedder=make_embedder(enc_doc["embedder"]),
+            text_embedder=make_embedder(fit_config.embedder),
             numeric_stats={k: tuple(v) for k, v in enc_doc["numeric_stats"].items()},
             ordinal_missing=enc_doc["ordinal_missing"],
             cat_vocabs={k: tuple(v) for k, v in enc_doc["cat_vocabs"].items()},
@@ -510,11 +494,5 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
         weights = pca_mod.WeightVector(np.array(raw), k_used=k_used)
     except (ValueError, KeyError, TypeError, AttributeError, SpecError) as exc:
         raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
-    try:
-        fit_config = FitConfig(**fit_doc)
-    except SpecError as exc:
-        raise ArtifactError(f"manifest under {root} has a bad fit_config: {exc}") from exc
-    if _embedder_spec(make_embedder(fit_config.embedder)) != _embedder_spec(encoder.text_embedder):
-        raise ArtifactError(f"manifest under {root} records another embedder than encoder.json")
     flat_index = index_mod.load_index(blobs["index.bin"], schema)
     return Pipeline(encoder, weights, flat_index, fit_config)

@@ -68,8 +68,11 @@ def post_json(url: str, body, timeout_s: float, headers: dict[str, str] | None =
     TransportFailure for a URL that is not http(s), a socket, TLS or
     protocol error, a status outside 2xx, or a reply that is not JSON.
     """
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:  # as an unclosed IPv6 bracket
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
         raise TransportFailure(f"not an http(s) URL: {url!r}")
     data = json.dumps(body).encode("utf-8")
     headers = {"Content-Type": "application/json", **(headers or {})}

@@ -1,18 +1,25 @@
 """End-to-end command line runs, in process via cli.main."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import struct
 from importlib import resources
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chat_reply, seeded_faults
 from durcast import cli, index as index_mod
+from durcast.aggregate import STRATEGIES
 from durcast.llm import MockReferenceMean
 from durcast.pipeline import ExperimentConfig, Pipeline, load_artifacts
 from durcast.schema import ingest_csv
+from durcast.synthetic import default_schema
 
 QUERY_FLAGS = [
     "--set", "department=thyroid_breast",
@@ -71,6 +78,15 @@ class TestGenerate:
         rc = cli.main(["generate", "--n", "10", "--out", str(tmp_path / "x"),
                        "--ratios", "0.6,0.3,0.3"])
         assert rc == 1
+
+    @pytest.mark.parametrize("out", ["a_file", "a_file/x"])
+    def test_unwritable_out_is_error(self, tmp_path, capsys, out):
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        rc = cli.main(["generate", "--n", "10", "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: cannot write the corpus under" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestBuild:
@@ -208,6 +224,17 @@ class TestPredict:
         ])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", ["http://[::1/v1", "ftp://x/y"])
+    def test_malformed_endpoint_exits_3(self, workspace, capsys, endpoint):
+        rc = cli.main([
+            "predict", "--artifacts", str(workspace / "artifacts"),
+            "--backend", "http", "--endpoint", endpoint, "--rounds", "1", *QUERY_FLAGS,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "error: backend http_chat failed" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_http_first_round_down_exits_3_while_others_answer(
         self, workspace, stub_server, capsys
@@ -432,7 +459,9 @@ class TestEvaluate:
         assert docs and all(len(d["rounds"]) == 5 for d in docs)
 
     @pytest.mark.parametrize(
-        "line", ["rounds: five", "mode: bogus", "no-postprocess: maybe", "k: [1, 2]"]
+        "line",
+        ["rounds: five", "mode: bogus", "no-postprocess: maybe", "k: [1, 2]",
+         'test: "test.csv\\0"', 'template: "a\\0"'],
     )
     def test_config_file_bad_value_is_usage_error(self, workspace, tmp_path, capsys, line):
         config = tmp_path / "run.yaml"
@@ -722,3 +751,78 @@ class TestDecodesOnlyWhatIsRead:
         ids = load_artifacts(workspace / "artifacts").index.table.ids
         assert len(decoded) == len(set(decoded)) < len(ids)
         assert {ids[i] for i in decoded} == referenced
+
+
+# Random predict inputs: a --config document, or --set values. Only the
+# in-process mocks are drawn, and every count is at most 8, so no draw asks
+# for much work or for many threads.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+COUNTS = st.one_of(st.integers(-2, 8), st.floats(-2, 8), st.booleans(),
+                   st.sampled_from(["3", "x", "", "0x4", "1e1"]))
+REALS = st.one_of(st.floats(), st.integers(-5, 5), st.booleans(),
+                  st.sampled_from(["1e308", "-0", "nan", "x"]))
+CONFIG_VALUES = {
+    "mode": st.sampled_from(["rag", "zero_shot", "random_few_shot", "bogus"]),
+    "k": COUNTS,
+    "rounds": COUNTS,
+    "expansion": COUNTS,
+    "max-retries": COUNTS,
+    "concurrency": COUNTS,
+    "w-prior": REALS,
+    "noise-sd": REALS,
+    "seed": st.integers(),
+    "mock-seed": st.integers(),
+    "strategy": st.sampled_from([*STRATEGIES, "bogus"]),
+    "prior-mode": st.sampled_from(["fixed", "calibrated", "bogus"]),
+    "no-postprocess": st.one_of(st.booleans(), st.just("yes")),
+    "json": st.one_of(st.booleans(), st.just(1)),
+    "backend": st.sampled_from(["mock_reference_mean", "mock_echo_prior", "mock_scripted"]),
+    "script": st.one_of(TEXT, st.lists(TEXT, max_size=3)),
+    "query-id": TEXT,
+}
+SET_VALUES = st.builds(
+    "{}={}".format,
+    st.sampled_from([*default_schema().feature_names, "nope"]),
+    st.one_of(st.floats().map(str), st.integers().map(str),
+              st.text(st.characters(blacklist_characters="\0"), max_size=12)),
+)
+CONFIG_DOCS = st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: st.one_of(st.none(), CONFIG_VALUES[key]) for key in keys}
+    )
+)
+
+
+def run_quietly(argv):
+    """cli.main's exit code and stderr; an exception escapes as it would."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=CONFIG_DOCS)
+@example(doc={"noise-sd": 1e308})
+@example(doc={"backend": "mock_scripted", "script": []})
+@example(doc={"query-id": "q\0"})
+def test_predict_config_document_ends_in_an_exit_code(workspace, doc):
+    config = workspace / "fuzz.yaml"
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    rc, err = run_quietly(["predict", "--artifacts", str(workspace / "artifacts"),
+                           *QUERY_FLAGS, "--config", str(config)])
+    assert rc in (0, 1, 2)
+    assert rc == 0 or "error:" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(SET_VALUES, max_size=3))
+def test_predict_set_values_end_in_an_exit_code(workspace, pairs):
+    sets = [arg for pair in pairs for arg in ("--set", pair)]
+    rc, err = run_quietly(["predict", "--artifacts", str(workspace / "artifacts"),
+                           "--rounds", "2", *QUERY_FLAGS, *sets])
+    assert rc in (0, 1, 2)
+    assert rc == 0 or "error:" in err

@@ -196,6 +196,14 @@ class TestMockBackends:
         backend = MockReferenceMean(fallback_min=-50.0)
         assert backend.complete(zero_prompt(), 0.0, 1) == "PREDICTION: 1 minutes"
 
+    def test_reference_mean_overflowing_draw_is_a_failed_round(self):
+        backend = MockReferenceMean(noise_sd=1e308, max_retries=0)
+        replies = [backend.complete(rag_prompt(), 0.0, i) for i in range(1, 41)]
+        refused = replies.count("I cannot estimate this duration.")
+        assert 0 < refused < 40
+        ens = predict_ensemble(rag_prompt(), backend, 40, seed=0)
+        assert len(ens.rounds) == 40 - refused
+
     def test_scripted_cycles(self):
         backend = MockScripted(outputs=("PREDICTION: 10", "PREDICTION: 20"))
         outs = [backend.complete(zero_prompt(), 0.0, 1) for _ in range(4)]
@@ -317,6 +325,25 @@ class TestBackendKnobs:
         with pytest.raises(SpecError, match="timeout_s"):
             HttpChatBackend(timeout_s=timeout)
 
+    @pytest.mark.parametrize(
+        "cls, knob, value",
+        [
+            (MockReferenceMean, "noise_sd", -1.0),
+            (MockReferenceMean, "noise_sd", float("nan")),
+            (MockReferenceMean, "noise_sd", float("inf")),
+            (MockReferenceMean, "noise_sd", "1"),
+            (MockReferenceMean, "noise_sd", True),
+            (MockReferenceMean, "noise_sd", None),
+            (MockScripted, "outputs", ()),
+            (MockScripted, "outputs", "PREDICTION: 5"),
+            (MockScripted, "outputs", ["PREDICTION: 5"]),
+            (MockScripted, "outputs", ("PREDICTION: 5", 5)),
+        ],
+    )
+    def test_bad_mock_knob_rejected(self, cls, knob, value):
+        with pytest.raises(SpecError, match=knob):
+            cls(**{knob: value})
+
     def test_call_pool(self):
         assert HttpChatBackend(concurrency_limit=3).call_pool.limit == 3
         assert HttpChatBackend(concurrency_limit=1).call_pool is None
@@ -392,10 +419,17 @@ class TestHttpChatBackend:
         with pytest.raises(BackendTransportError, match=str(status)):
             HttpChatBackend(endpoint=server.url).complete(zero_prompt(), 0.0, 1)
 
-    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/x", "127.0.0.1:8000", "http://h:x/"])
+    @pytest.mark.parametrize(
+        "endpoint", ["ftp://127.0.0.1/x", "127.0.0.1:8000", "http://h:x/", "http://[::1/v1"]
+    )
     def test_bad_endpoint_is_transport_error(self, endpoint):
         with pytest.raises(BackendTransportError):
             HttpChatBackend(endpoint=endpoint).complete(zero_prompt(), 0.0, 1)
+
+    @pytest.mark.parametrize("url", ["ftp://x/y", "http://[::1/v1", "http:///v1"])
+    def test_url_that_is_not_http_is_transport_failure(self, url):
+        with pytest.raises(transport.TransportFailure, match="not an http"):
+            transport.post_json(url, {}, 1.0)
 
     def test_slow_server_past_timeout_is_transport_error(self, stub_server):
         server = stub_server(latency_s=0.6)

@@ -334,6 +334,10 @@ class RecordingBackend(LlmBackend):
         return "PREDICTION: 120 minutes"
 
 
+class CustomEmbedder(HashingTextEmbedder):
+    """Embeds as the default hashing embedder, but no spec describes it."""
+
+
 @pytest.fixture(scope="module")
 def saved(pipe, tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
@@ -458,16 +462,36 @@ class TestArtifacts:
         with pytest.raises(ArtifactError, match="embedder dim"):
             load_artifacts(tmp_path)
 
-    def test_resigned_encoder_embedder_dim_zero_is_artifact_error(self, pipe, tmp_path):
+    @pytest.mark.parametrize(
+        "stale",
+        [{"type": "hashing", "dim": 256, "ngram": 3}, {"type": "hashing", "dim": 64, "ngram": 2}],
+    )
+    def test_encoder_embedder_key_is_ignored(self, pipe, tmp_path, stale):
+        """encoder.json of an older build also records the embedder; the
+        manifest's fit_config.embedder is the one that is built."""
         save_artifacts(pipe, tmp_path)
         doc = json.loads((tmp_path / "encoder.json").read_text())
-        doc["embedder"]["dim"] = 0
-        blob = json.dumps(doc).encode("utf-8")
+        doc["embedder"] = stale
+        blob = json.dumps(doc, sort_keys=True, indent=2).encode("utf-8")
         (tmp_path / "encoder.json").write_bytes(blob)
         digest = hashlib.sha256(blob).hexdigest()
         rewrite_manifest(tmp_path, lambda m: m["files"].update({"encoder.json": digest}))
-        with pytest.raises(ArtifactError, match="embedder dim"):
-            load_artifacts(tmp_path)
+        loaded = load_artifacts(tmp_path)
+        assert loaded.encoder.text_embedder == make_embedder(pipe.fit_config.embedder)
+        cfg = ExperimentConfig(MockReferenceMean(noise_sd=5.0), mode="rag", k=4, rounds=2)
+        assert loaded.predict_case(thyroid_query(), cfg) == pipe.predict_case(thyroid_query(), cfg)
+
+    @pytest.mark.parametrize(
+        "embedder",
+        [HashingTextEmbedder(dim=64), HashingTextEmbedder(ngram=2), CustomEmbedder()],
+    )
+    def test_save_refuses_an_embedder_other_than_the_fit_configs(self, pipe, tmp_path, embedder):
+        other = Pipeline(
+            replace(pipe.encoder, text_embedder=embedder), pipe.weights, pipe.index, pipe.fit_config
+        )
+        with pytest.raises(SpecError, match="fit_config.embedder"):
+            save_artifacts(other, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "change, message",
@@ -497,13 +521,6 @@ class TestArtifacts:
         with pytest.raises(ArtifactError, match="must list exactly.*durcast build"):
             load_artifacts(tmp_path)
 
-    def test_manifest_embedder_must_match_encoder(self, pipe, tmp_path):
-        save_artifacts(pipe, tmp_path)
-        other = {"type": "hashing", "dim": 64, "ngram": 2}
-        rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder=other))
-        with pytest.raises(ArtifactError, match="another embedder than encoder.json"):
-            load_artifacts(tmp_path)
-
     def test_remote_timeout_survives_reload(self, pipe, tmp_path):
         spec = {"type": "remote", "url": "http://127.0.0.1:9/v1", "dim": 256, "timeout_s": 5}
         remote = Pipeline(
@@ -514,9 +531,6 @@ class TestArtifacts:
         )
         save_artifacts(remote, tmp_path)
         assert load_artifacts(tmp_path).encoder.text_embedder.timeout_s == 5.0
-        rewrite_manifest(tmp_path, lambda m: m["fit_config"]["embedder"].update(timeout_s=9))
-        with pytest.raises(ArtifactError, match="another embedder than encoder.json"):
-            load_artifacts(tmp_path)
 
     def test_reloaded_pipeline_builds_the_fitted_prompts(self, pipe, saved):
         prompts = {}
