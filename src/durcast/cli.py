@@ -35,6 +35,7 @@ from .evaluate import (
     ExperimentConfig,
     global_median_baseline,
     metrics_csv_row,
+    parse_axis_values,
     run_ablation_grid,
     run_experiment,
     write_metrics_csv,
@@ -67,8 +68,6 @@ from .schema import (
 from .synthetic import SyntheticSpec, default_schema, generate_synthetic
 
 BACKENDS = ("mock_reference_mean", "mock_echo_prior", "mock_scripted", "http")
-BOOLEAN_VALUES = {"true": True, "on": True, "1": True, "yes": True,
-                  "false": False, "off": False, "0": False, "no": False}
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -374,27 +373,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis_values(axis: str, raw: str) -> list:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if axis in ("k", "rounds", "expansion"):
-        return [int(p) for p in parts]
-    if axis == "w_prior":
-        return [float(p) for p in parts]
-    if axis == "strategy":
-        return parts
-    unknown = [p for p in parts if p.lower() not in BOOLEAN_VALUES]
-    if unknown:
-        raise ValueError(f"expected on/off values, got {unknown[0]!r}")
-    return [BOOLEAN_VALUES[p.lower()] for p in parts]
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
+    values = parse_axis_values(args.axis, args.values)
     pipe, train, test = _load_sets(args)
     base = _experiment_config(args, pipe)
-    try:
-        values = _parse_axis_values(args.axis, args.values)
-    except ValueError as exc:
-        raise ParseError(f"cannot parse --values for axis {args.axis}: {exc}") from exc
     template = load_template(args.template) if args.template else None
     rows = run_ablation_grid(
         base, args.axis, values, train, test, csv_path=args.out, template=template, pipeline=pipe

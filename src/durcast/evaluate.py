@@ -29,6 +29,7 @@ from .errors import (
     DurcastError,
     IoError,
     NonPositiveTruth,
+    ParseError,
     SpecError,
     TooFewSamples,
 )
@@ -36,16 +37,32 @@ from .pipeline import CasePrediction, ExperimentConfig, Pipeline
 from .prompting import PromptTemplate, load_template
 from .schema import CaseSet
 
-ABLATION_AXES = (
-    "k",
-    "rounds",
-    "expansion",
-    "strategy",
-    "w_prior",
-    "pca_on_off",
-    "prior_on_off",
-    "postprocess_on_off",
-)
+
+def _on_off(text: str) -> bool:
+    word = text.lower()
+    if word in ("true", "on", "1", "yes"):
+        return True
+    if word in ("false", "off", "0", "no"):
+        return False
+    raise ValueError(f"expected on/off values, got {text!r}")
+
+
+# Each ablation axis: how one --values item reads, and the cell config a
+# value gives on the base config, which checks the value. An on/off axis
+# (read by _on_off) takes bools only.
+_AXES = {
+    "k": (int, lambda base, k: replace(base, k=k)),
+    "rounds": (int, lambda base, n: replace(base, rounds=n)),
+    "expansion": (int, lambda base, n: replace(base, expansion_factor=n)),
+    "strategy": (str, lambda base, name: replace(base, strategy=name)),
+    "w_prior": (float, lambda base, w: replace(replace(base, w_prior=w), w_prior=float(w))),
+    "pca_on_off": (
+        _on_off, lambda base, on: replace(base, fit=replace(base.fit, pca_weighting=on))
+    ),
+    "prior_on_off": (_on_off, lambda base, on: base if on else replace(base, w_prior=0.0)),
+    "postprocess_on_off": (_on_off, lambda base, on: replace(base, postprocess=on)),
+}
+ABLATION_AXES = tuple(_AXES)
 
 
 @dataclass(frozen=True)
@@ -236,28 +253,28 @@ def global_median_baseline(train_durations, test: CaseSet) -> MetricsReport:
     return compute_metrics(pairs, [c.id for c in test.cases if c.duration_min is not None])
 
 
-# Valued axes and the ExperimentConfig field each one sets; the config
-# checks the value.
-_VALUE_AXES = {
-    "k": "k", "rounds": "rounds", "expansion": "expansion_factor",
-    "strategy": "strategy", "w_prior": "w_prior",
-}
+def _axis(name: str) -> tuple:
+    if name not in ABLATION_AXES:
+        raise BadAxisValue(f"unknown axis {name!r}, expected one of {ABLATION_AXES}")
+    return _AXES[name]
+
+
+def parse_axis_values(axis: str, text: str) -> list:
+    """The comma-separated values of text, each read as the axis reads one;
+    blank items are skipped. Reads no file."""
+    read = _axis(axis)[0]
+    try:
+        return [read(item.strip()) for item in text.split(",") if item.strip()]
+    except ValueError as exc:
+        raise ParseError(f"cannot parse --values for axis {axis}: {exc}") from exc
 
 
 def _cell_config(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis not in ABLATION_AXES:
-        raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
-    if axis not in _VALUE_AXES and not isinstance(value, bool):
+    read, cell = _axis(axis)
+    if read is _on_off and not isinstance(value, bool):
         raise BadAxisValue(f"{axis} values must be booleans, got {value!r}")
     try:
-        if axis in _VALUE_AXES:
-            cell = replace(base, **{_VALUE_AXES[axis]: value})
-            return replace(cell, w_prior=float(value)) if axis == "w_prior" else cell
-        if axis == "pca_on_off":
-            return replace(base, fit=replace(base.fit, pca_weighting=value))
-        if axis == "prior_on_off":
-            return base if value else replace(base, w_prior=0.0)
-        return replace(base, postprocess=value)
+        return cell(base, value)
     except SpecError as exc:
         raise BadAxisValue(f"bad {axis} value {value!r}: {exc}") from exc
 
@@ -280,8 +297,6 @@ def run_ablation_grid(
     Each cell gets its own copy of the backend, so a stateful backend
     starts every cell afresh and the grid isolates the axis.
     """
-    if axis not in ABLATION_AXES:
-        raise BadAxisValue(f"unknown axis {axis!r}, expected one of {ABLATION_AXES}")
     if not values:
         raise BadAxisValue(f"axis {axis!r} needs at least one value")
     configs = [(v, _cell_config(base, axis, v)) for v in values]
@@ -300,9 +315,8 @@ def run_ablation_grid(
     return rows
 
 
-def metrics_csv_row(label: str, report: MetricsReport) -> dict:
+def _metric_columns(report: MetricsReport) -> dict:
     return {
-        "experiment": label,
         "m": report.m,
         "failed": report.failed,
         "mae_min": repr(report.mae_min),
@@ -310,6 +324,10 @@ def metrics_csv_row(label: str, report: MetricsReport) -> dict:
         "r2": repr(report.r2),
         "mape_pct": repr(report.mape_pct),
     }
+
+
+def metrics_csv_row(label: str, report: MetricsReport) -> dict:
+    return {"experiment": label, **_metric_columns(report)}
 
 
 def write_metrics_csv(rows: list[dict], path: str | Path) -> None:
@@ -325,14 +343,7 @@ def write_metrics_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_grid_csv(axis: str, rows: list[tuple[object, MetricsReport]], path: str | Path) -> None:
-    out = []
-    for value, report in rows:
-        row = metrics_csv_row(f"{axis}={value}", report)
-        row["axis"] = axis
-        row["value"] = str(value)
-        out.append(row)
-    ordered = [
-        {k: r[k] for k in ("axis", "value", "m", "failed", "mae_min", "rmse_min", "r2", "mape_pct")}
-        for r in out
-    ]
-    write_metrics_csv(ordered, path)
+    write_metrics_csv(
+        [{"axis": axis, "value": str(value), **_metric_columns(report)} for value, report in rows],
+        path,
+    )

@@ -49,8 +49,6 @@ The schema is not repeated: load_index takes the one schema.yaml holds.
 Loading checks every column and builds the CaseTable from them; index.cases
 is then a LazyCases sequence, which decodes a case's values span on first
 access. Vectors are stored as STORED_DTYPE, which Pipeline.fit rounds to.
-A file of the earlier DURCIDX1 layout (one JSON payload of every case) is
-refused with an ArtifactError that asks for a rebuild.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ from .schema import FeatureSchema, SurgicalCase
 from .strata import MISSING, CaseTable, describe_tier, ladder, quartiles
 
 _MAGIC = b"DURCIDX2"
-_RETIRED_MAGIC = b"DURCIDX1"
 # The precision index.bin stores vectors in.
 STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
@@ -278,7 +275,8 @@ def unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (idx.dim,):
         raise DimensionMismatch(f"query dim {q.shape} does not match index ({idx.dim},)")
-    qn = float(np.linalg.norm(q))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        qn = float(np.linalg.norm(q))
     if not np.isfinite(qn):
         raise NonFiniteVector("query has no finite norm")
     if qn == 0.0:
@@ -425,11 +423,6 @@ def save_index(idx: FlatIndex) -> bytes:
 def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:
     """Decode the bytes of an index file written by save_index, for the
     schema its artifacts hold. Checks every column; decodes no case."""
-    if raw[:8] == _RETIRED_MAGIC:
-        raise ArtifactError(
-            "index file has the retired DURCIDX1 layout; rebuild the artifacts with "
-            "`durcast build`"
-        )
     if len(raw) < 24 or raw[:8] != _MAGIC:
         raise ArtifactError("not an index file (bad magic)")
     dim, n, head_len = struct.unpack("<IIQ", raw[8:24])

@@ -98,7 +98,7 @@ def prior_strength(
 
 class PriorIndex:
     """Cache of priors over a case table, keyed by the query's key-attribute
-    values.
+    values as the walk compares them: str(value), or None where missing.
 
     A prior's stratum is found by one walk over the whole table, on the
     first lookup of its key; evaluation issues the same stratum lookups
@@ -112,7 +112,10 @@ class PriorIndex:
         self._cache: dict[tuple, StatisticalPrior] = {}
 
     def key_for(self, query: SurgicalCase) -> tuple:
-        return tuple((attr, query.values.get(attr)) for attr in self._table.key_attributes)
+        return tuple(
+            (attr, None if (value := query.values.get(attr)) is None else str(value))
+            for attr in self._table.key_attributes
+        )
 
     def for_query(self, query: SurgicalCase) -> StatisticalPrior:
         key = self.key_for(query)

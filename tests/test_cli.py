@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import struct
+import warnings
 from importlib import resources
 
 import pytest
@@ -205,6 +206,15 @@ class TestPredict:
         captured = capsys.readouterr()
         assert f"feature 'age' expects a finite number, got {raw!r}" in captured.err
         assert "estimate" not in captured.out
+
+    def test_overflowing_query_norm_is_one_error_line(self, workspace, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
+                           *QUERY_FLAGS, "--set", "age=-5.7e253"])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: query has no finite norm\n"
 
     def test_set_rejects_bytes_that_are_not_utf8(self, workspace, capsys):
         # what argv holds for the bytes b"\xff\xfe note"
@@ -544,10 +554,11 @@ class TestAblate:
         assert fitted[0].fit_config.embedder == loaded.fit_config.embedder
         assert fitted[0].encoder.dim == loaded.encoder.dim
 
-    def test_unknown_axis(self, workspace, capsys):
-        rc = cli.main(self.ablate_args(workspace, "knn", "1,2"))
+    def test_unknown_axis(self, tmp_path, capsys):
+        """The axis is checked before any file is read."""
+        rc = cli.main(self.ablate_args(tmp_path, "K", "2,4"))
         assert rc == 1
-        assert "axis" in capsys.readouterr().err
+        assert "unknown axis 'K'" in capsys.readouterr().err
 
     def test_unparseable_values(self, workspace, capsys):
         rc = cli.main(self.ablate_args(workspace, "k", "two,four"))

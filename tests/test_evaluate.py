@@ -15,6 +15,7 @@ from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
     NonPositiveTruth,
+    ParseError,
     PromptTooLong,
     SpecError,
     NonFiniteVector,
@@ -28,6 +29,7 @@ from durcast.evaluate import (
     compute_metrics,
     global_median_baseline,
     metrics_csv_row,
+    parse_axis_values,
     prediction_json,
     run_ablation_grid,
     run_experiment,
@@ -606,6 +608,30 @@ class TestAblation:
     def test_bad_axis_values(self, axis, value):
         with pytest.raises(BadAxisValue):
             _cell_config(self.base(), axis, value)
+
+    @pytest.mark.parametrize(
+        ("axis", "text", "values"),
+        [
+            ("k", " 4 ,8", [4, 8]),
+            ("rounds", "1, 3", [1, 3]),
+            ("expansion", " 4 ", [4]),
+            ("strategy", "median, bayesian", ["median", "bayesian"]),
+            ("w_prior", "0.5,2", [0.5, 2.0]),
+            ("pca_on_off", "on,OFF", [True, False]),
+            ("prior_on_off", "yes,0", [True, False]),
+            ("postprocess_on_off", " true ,No", [True, False]),
+        ],
+    )
+    def test_axis_reads_its_values(self, axis, text, values):
+        assert list(map(repr, parse_axis_values(axis, text))) == list(map(repr, values))
+
+    @pytest.mark.parametrize(
+        ("axis", "text", "bad"),
+        [("pca_on_off", "on,offf", "'offf'"), ("k", "two", "'two'"), ("w_prior", "x", "'x'")],
+    )
+    def test_axis_refuses_what_it_cannot_read(self, axis, text, bad):
+        with pytest.raises(ParseError, match=f"cannot parse --values for axis {axis}: .*{bad}"):
+            parse_axis_values(axis, text)
 
     def test_unknown_axis_and_empty_values(self, corpus_module, test_set):
         with pytest.raises(BadAxisValue):

@@ -6,6 +6,7 @@ import json
 import struct
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,14 @@ class TestRetrieveBatch:
                 retrieve_units(idx, [unit_query(idx, q) for q in (np.ones(2), bad)], 1)
         with pytest.raises(SpecError):
             retrieve_units(idx, [unit_query(idx, np.ones(2))], 0)
+
+    def test_overflowing_query_norm_is_refused_without_a_warning(self):
+        idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteVector, match="no finite norm"):
+                unit_query(idx, np.array([-5.7e253, 1.0]))
+            assert unit_query(idx, np.array([3.0, 4.0])).tolist() == [0.6, 0.8]
 
 
 def float32_tie_index(rng, dim, n):
@@ -745,15 +754,10 @@ class TestSerialization:
         assert a == b
 
     def test_bad_magic(self):
-        raw = bytearray(save_index(simple_index([[1.0, 0.0]])))
-        raw[0] ^= 0xFF
-        with pytest.raises(ArtifactError, match="magic"):
-            load_index(bytes(raw), small_schema())
-
-    def test_retired_layout_names_a_rebuild(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
-        with pytest.raises(ArtifactError, match="DURCIDX1.*durcast build"):
-            load_index(b"DURCIDX1" + raw[8:], small_schema())
+        for magic in (bytes([raw[0] ^ 0xFF]) + raw[1:8], b"DURCIDX1"):
+            with pytest.raises(ArtifactError, match="magic"):
+                load_index(magic + raw[8:], small_schema())
 
     def test_truncated_file(self):
         raw = save_index(simple_index([[1.0, 0.0]]))

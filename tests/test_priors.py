@@ -138,6 +138,22 @@ class TestPriorIndex:
                                 surgery="thyroidectomy", level="II"))
         assert calls == ["q"]  # second query shares the key tuple
 
+    @pytest.mark.parametrize(
+        "values", [(4.0, 4), (4, 4.0), (True, 1), (1, True)], ids=repr
+    )
+    def test_values_equal_but_printed_apart_are_apart(self, values):
+        """The walk compares str(value): 4 and 4.0, or True and 1, fall in
+        different strata, whichever is looked up first."""
+        cases = [mk_case(f"c{i}", 60.0 + i) for i in range(12)]
+        for case in cases[:6]:
+            case.values["ports"] = values[0]
+        table = CaseTable.of(cases, ("ports",))
+        cache = PriorIndex(table, min_cohort=5)
+        for value in values:
+            query = mk_case("q")
+            query.values["ports"] = value
+            assert cache.for_query(query) == priors_mod.stratum_prior(table, query, 5)
+
     def test_key_for(self):
         cache = PriorIndex(table_of(tiny_corpus()))
         assert cache.key_for(thyroid_query()) == (
