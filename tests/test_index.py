@@ -2,6 +2,7 @@
 round trip. The linear scan, object post-processing and object prior below
 are the reference implementations the table path must equal."""
 
+import hashlib
 import json
 import struct
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_case, small_schema
+from conftest import mk_case, small_schema, tiny_corpus
 from durcast import index as index_mod
 from durcast.errors import (
     ArtifactError,
@@ -39,6 +40,7 @@ from durcast.index import (
     save_index,
     unit_query,
 )
+from durcast.pipeline import Pipeline, load_artifacts, save_artifacts
 from durcast.priors import PriorIndex, StatisticalPrior, compute_prior
 from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
 from durcast.strata import CaseTable, describe_tier, ladder
@@ -758,6 +760,25 @@ class TestSerialization:
         for magic in (bytes([raw[0] ^ 0xFF]) + raw[1:8], b"DURCIDX1"):
             with pytest.raises(ArtifactError, match="magic"):
                 load_index(magic + raw[8:], small_schema())
+
+    def test_retired_layout_names_a_rebuild(self, tmp_path):
+        # A build whose index.bin has the DURCIDX1 layout also lists
+        # weights.npz in its manifest; load_artifacts refuses that manifest,
+        # naming the rebuild, before index.bin reaches load_index.
+        save_artifacts(Pipeline.fit(tiny_corpus()), tmp_path)
+        index_bin = tmp_path / "index.bin"
+        index_bin.write_bytes(b"DURCIDX1" + index_bin.read_bytes()[8:])
+        np.savez(tmp_path / "weights.npz", weights=np.ones(3))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["fingerprint"]
+        for name in [*manifest["files"], "weights.npz"]:
+            manifest["files"][name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with mock.patch("durcast.index.load_index", side_effect=AssertionError("decoded")):
+            with pytest.raises(ArtifactError, match="must list exactly.*durcast build"):
+                load_artifacts(tmp_path)
 
     def test_truncated_file(self):
         raw = save_index(simple_index([[1.0, 0.0]]))
