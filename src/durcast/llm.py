@@ -343,7 +343,7 @@ class PredictionEnsemble:
 
 
 def _ask_round(
-    prompt: Prompt, backend: LlmBackend, max_minutes: float, round_index: int, temperature: float
+    prompt: Prompt, backend: LlmBackend, round_index: int, temperature: float
 ) -> tuple[PredictionRound | None, int]:
     """One round, up to backend.max_retries + 1 attempts: the retained
     round, or None when every attempt failed, and how many attempts failed
@@ -359,7 +359,7 @@ def _ask_round(
             unclamped = _extract_number(raw)
         except UnparseableOutput:
             continue
-        parsed = float(min(max(unclamped, 1.0), max_minutes))
+        parsed = float(min(max(unclamped, 1.0), DEFAULT_MAX_MINUTES))
         kept = PredictionRound(
             round_index=round_index,
             temperature=temperature,
@@ -377,7 +377,6 @@ def predict_ensemble(
     n: int,
     seed: int,
     strict: bool = False,
-    max_minutes: float = DEFAULT_MAX_MINUTES,
 ) -> PredictionEnsemble:
     """Run n scheduled rounds against the backend.
 
@@ -391,7 +390,7 @@ def predict_ensemble(
     survives.
     """
     temperatures = schedule_temperatures(n, seed)
-    ask = functools.partial(_ask_round, prompt, backend, max_minutes)
+    ask = functools.partial(_ask_round, prompt, backend)
     rounds = range(1, n + 1)
     if backend.call_pool is None:
         # lazy, so a strict failure of round 1 starts no further round

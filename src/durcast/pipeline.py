@@ -199,8 +199,11 @@ class Pipeline:
         self.schema = encoder.schema
 
     @classmethod
-    def fit(cls, train: CaseSet, config: FitConfig | None = None) -> "Pipeline":
-        """Fit every stage from the training set.
+    def fit(
+        cls, train: CaseSet, config: FitConfig | None = None, encoder: FittedEncoder | None = None
+    ) -> "Pipeline":
+        """Fit every stage from the training set, the encoder only when none
+        is given; a given one must match config.embedder and train.schema.
 
         Only cases with a recorded duration enter the index, and so the
         priors; the encoder and PCA see the full training set. PCA weights
@@ -209,10 +212,12 @@ class Pipeline:
         other fits keep the PCA weights as derived.
         """
         config = config or FitConfig()
+        embedder = make_embedder(config.embedder)
+        if encoder and (encoder.text_embedder != embedder or encoder.schema != train.schema):
+            raise SpecError("an encoder given to fit must match config.embedder and train.schema")
         if not train.cases:
             raise EmptyTrainingSet("pipeline fit requires training cases")
-        embedder = make_embedder(config.embedder)
-        encoder = encoding.fit(train, embedder)
+        encoder = encoder or encoding.fit(train, embedder)
         matrix = encoder.encode_matrix(train)
 
         if config.pca_weighting:

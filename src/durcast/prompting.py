@@ -199,7 +199,6 @@ def build_prompt(
     mode: str,
     template: PromptTemplate,
     schema: FeatureSchema,
-    max_chars: int = DEFAULT_MAX_CHARS,
 ) -> Prompt:
     """Assemble the full prompt for one query under the given mode, each
     case's features listed in schema order.
@@ -207,7 +206,7 @@ def build_prompt(
     zero_shot forbids references and prior; random_few_shot takes references
     only; rag requires both. Deterministic: identical inputs produce
     byte-identical prompts. Errors rather than truncating when the rendered
-    text exceeds max_chars.
+    text exceeds DEFAULT_MAX_CHARS.
     """
     if mode not in MODES:
         raise ModeArgumentMismatch(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -239,9 +238,9 @@ def build_prompt(
     while "\n\n\n" in user_text:
         user_text = user_text.replace("\n\n\n", "\n\n")
     system_text = template.system + "\n" + OUTPUT_CONTRACT
-    if len(system_text) + len(user_text) > max_chars:
+    if len(system_text) + len(user_text) > DEFAULT_MAX_CHARS:
         raise PromptTooLong(
-            f"prompt is {len(system_text) + len(user_text)} chars, limit {max_chars}"
+            f"prompt is {len(system_text) + len(user_text)} chars, limit {DEFAULT_MAX_CHARS}"
         )
     return Prompt(
         system_text=system_text,

@@ -1,13 +1,16 @@
 """End-to-end command line runs, in process via cli.main."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
 import struct
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -538,14 +541,20 @@ class TestAblate:
         assert "'offf'" in capsys.readouterr().err
 
     def test_artifacts_pipeline_is_reused(self, workspace, monkeypatch, capsys):
-        fitted = []
+        fitted, given, loads = [], [], []
         real_fit = Pipeline.fit.__func__
 
-        def spy(cls, train, config=None):
-            fitted.append(real_fit(cls, train, config))
+        def spy(cls, train, config=None, encoder=None):
+            given.append(encoder)
+            fitted.append(real_fit(cls, train, config, encoder))
             return fitted[-1]
 
+        def loading(artifact_dir):
+            loads.append(load_artifacts(artifact_dir))
+            return loads[-1]
+
         monkeypatch.setattr(Pipeline, "fit", classmethod(spy))
+        monkeypatch.setattr(cli, "load_artifacts", loading)
         assert cli.main(self.ablate_args(workspace, "k", "2,3")) == 0
         assert fitted == []
         assert cli.main(self.ablate_args(workspace, "pca_on_off", "on,off")) == 0
@@ -553,6 +562,7 @@ class TestAblate:
         assert [p.fit_config.pca_weighting for p in fitted] == [False]
         assert fitted[0].fit_config.embedder == loaded.fit_config.embedder
         assert fitted[0].encoder.dim == loaded.encoder.dim
+        assert given[0] is loads[-1].encoder
 
     def test_unknown_axis(self, tmp_path, capsys):
         """The axis is checked before any file is read."""
@@ -666,6 +676,21 @@ def test_template_format_spec_is_refused(workspace, tmp_path, capsys, spec):
     ]
     assert "does not format" in captured.err
     assert captured.out == ""
+
+
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{command} {option}"
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(re.escape(option) + r"(?![\w-])", readme)
+    ]
+    assert missing == []
 
 
 class TestDecodesOnlyWhatIsRead:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEVELS, THYROID_DURATIONS, mk_case, small_schema, tiny_corpus
-from durcast import schema as schema_mod
+from durcast import encoding as encoding_mod, schema as schema_mod
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
@@ -23,6 +23,7 @@ from durcast.errors import (
     IoError,
     SpecError,
 )
+from durcast.encoding import FittedEncoder
 from durcast.evaluate import run_experiment
 from durcast.llm import LlmBackend, MockEchoPrior, MockReferenceMean
 from durcast.pipeline import (
@@ -56,6 +57,17 @@ def train():
 @pytest.fixture(scope="module")
 def pipe(train):
     return Pipeline.fit(train)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("fit did work it should not have")
+
+
+@pytest.fixture()
+def no_fit_work(monkeypatch):
+    """Fails the test if anything fits or encodes."""
+    for owner, name in ((encoding_mod, "fit"), (FittedEncoder, "encode_matrix")):
+        monkeypatch.setattr(owner, name, _no_work)
 
 
 def thyroid_query(case_id="q-thy"):
@@ -116,6 +128,28 @@ class TestFit:
         )
         with pytest.raises(EmptyTrainingSet):
             Pipeline.fit(bare)
+
+    def test_given_encoder_replaces_the_encoder_fit(self, train, pipe, monkeypatch):
+        config = FitConfig(pca_weighting=False)
+        fresh = Pipeline.fit(train, config)
+        monkeypatch.setattr(encoding_mod, "fit", _no_work)
+        reused = Pipeline.fit(train, config, pipe.encoder)
+        assert reused.encoder is pipe.encoder
+        assert np.array_equal(reused.index.vectors, fresh.index.vectors)
+
+    @pytest.mark.parametrize("embedder", [
+        {"type": "hashing", "dim": 128, "ngram": 3},
+        {"type": "hashing", "dim": 256, "ngram": 4},
+    ])
+    def test_given_encoder_must_embed_as_the_config(self, train, pipe, no_fit_work, embedder):
+        """Refused with the equality save_artifacts applies."""
+        with pytest.raises(SpecError, match="config.embedder"):
+            Pipeline.fit(train, FitConfig(embedder=embedder), pipe.encoder)
+
+    def test_given_encoder_must_hold_the_training_schema(self, train, pipe, no_fit_work):
+        other = replace(train.schema, key_attributes=("department", "surgery_name"))
+        with pytest.raises(SpecError, match="train.schema"):
+            Pipeline.fit(CaseSet(cases=train.cases, schema=other), None, pipe.encoder)
 
     def test_embed_query_is_weighted_encoding(self, pipe):
         from durcast.pca import apply_weights

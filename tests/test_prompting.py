@@ -11,6 +11,7 @@ from durcast.errors import (
     ParseError,
     PromptTooLong,
 )
+from durcast import prompting
 from durcast.index import ReferenceSet
 from durcast.prompting import (
     OUTPUT_CONTRACT,
@@ -206,7 +207,7 @@ class TestBuildPrompt:
         with pytest.raises(ModeArgumentMismatch, match="unknown mode"):
             build_prompt(mk_case("q"), None, None, "few_shot", self.TPL, SCHEMA)
 
-    def test_oversized_prompt_rejected(self):
+    def test_oversized_prompt_rejected(self, monkeypatch):
+        monkeypatch.setattr(prompting, "DEFAULT_MAX_CHARS", 50)
         with pytest.raises(PromptTooLong):
-            build_prompt(mk_case("q"), self._refs(), mk_prior(), "rag", self.TPL, SCHEMA,
-                         max_chars=50)
+            build_prompt(mk_case("q"), self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
