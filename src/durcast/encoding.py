@@ -123,8 +123,11 @@ class FittedEncoder:
         its slot and a text to the string to embed."""
         if kind == "numerical":
             mean, std = self.numeric_stats[name]
-            if not std > 0.0:
-                raise ValueError(f"feature {name!r}: std must be positive, got {std!r}")
+            if not (math.isfinite(mean) and 0.0 < std < math.inf):
+                raise ValueError(
+                    f"feature {name!r}: std must be positive and finite and mean finite, "
+                    f"got mean {mean!r}, std {std!r}"
+                )
             # a missing value imputes the mean, so takes the mean's z-score
             return (lambda v: (_as_float(v, name) - mean) / std), (mean - mean) / std, 1
         if kind == "ordinal":
@@ -226,7 +229,8 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
 
     Statistics are order-independent: means, population standard deviations,
     and sorted vocabularies. Raises EmptyTrainingSet on an empty corpus and
-    SchemaMismatch when an ordinal or boolean value violates its declaration.
+    SchemaMismatch when an ordinal or boolean value violates its declaration
+    or a numerical feature's float64 mean or std is not finite.
     """
     if not train.cases:
         raise EmptyTrainingSet("encoder fit requires at least one training case")
@@ -240,10 +244,16 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
         observed = [c.values.get(f.name) for c in train.cases]
         present = [v for v in observed if v is not None]
         if f.kind == "numerical":
-            floats = [_as_float(v, f.name) for v in present]
-            if floats:
-                mean = float(np.mean(floats))
-                std = float(np.std(floats))
+            floats = np.array([_as_float(v, f.name) for v in present], dtype=np.float64)
+            if floats.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean = float(floats.mean())
+                    std = float(floats.std())
+                if not (math.isfinite(mean) and math.isfinite(std)):
+                    raise SchemaMismatch(
+                        f"feature {f.name!r}: training values too large for a finite "
+                        f"mean and std (mean {mean!r}, std {std!r})"
+                    )
             else:
                 mean, std = 0.0, 1.0
             numeric_stats[f.name] = (mean, 1.0 if std < 1e-12 else std)

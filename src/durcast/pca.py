@@ -66,10 +66,10 @@ def fit_pca(embeddings: np.ndarray) -> PCAModel:
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     eigenvectors = eigenvectors[:, order]
-    for k in range(eigenvectors.shape[1]):
-        pivot = int(np.argmax(np.abs(eigenvectors[:, k])))
-        if eigenvectors[pivot, k] < 0.0:
-            eigenvectors[:, k] = -eigenvectors[:, k]
+    # each column's first largest-magnitude entry decides its sign; a
+    # product with -1.0 has the bits of a negation
+    pivots = np.argmax(np.abs(eigenvectors), axis=0)
+    eigenvectors *= np.where(eigenvectors[pivots, np.arange(len(pivots))] < 0.0, -1.0, 1.0)
     total = float(eigenvalues.sum())
     if total > 0.0:
         ratios = eigenvalues / total

@@ -233,13 +233,13 @@ class Pipeline:
         keep = [case.duration_min is not None for case in train.cases]
         if not any(keep):
             raise EmptyTrainingSet("no training case has a recorded duration")
-        rows = matrix[keep]
-        vectors = (rows * weights.weights).astype(index_mod.STORED_DTYPE)
+        rows = matrix if all(keep) else matrix[keep]
+        vectors = _index_rows(rows, weights)
         if config.pca_weighting and not vectors.any(axis=1).all():
             # PCA left some indexed case no nonzero coordinate, so no
             # cosine direction: let every dimension count a little.
             weights = pca_mod.lift_zero_weights(weights)
-            vectors = (rows * weights.weights).astype(index_mod.STORED_DTYPE)
+            vectors = _index_rows(rows, weights)
         cases = [case for case, kept in zip(train.cases, keep) if kept]
         return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 
@@ -389,6 +389,13 @@ class Pipeline:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _index_rows(rows: np.ndarray, weights: pca_mod.WeightVector) -> np.ndarray:
+    """rows * weights rounded to index_mod.STORED_DTYPE: each product is
+    taken in float64 and rounded once, with no float64 temporary."""
+    out = np.empty(rows.shape, dtype=index_mod.STORED_DTYPE)
+    return np.multiply(rows, weights.weights, out=out, casting="same_kind")
 
 
 def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:

@@ -17,10 +17,10 @@ Schema files are YAML::
     duration_column: duration_min   # optional
     id_column: case_id              # optional
 
-Dataset files are UTF-8 CSV with a header row naming every schema feature
-plus the duration column; an id column is optional and synthesized when
-absent. Empty cells are kept as explicit missing values (None), never
-dropped.
+Dataset files are UTF-8 CSV, a leading byte-order mark skipped, with a
+header row naming every schema feature plus the duration column; an id
+column is optional and synthesized when absent. Empty cells are kept as
+explicit missing values (None), never dropped.
 """
 
 from __future__ import annotations
@@ -198,20 +198,6 @@ def load_schema_file(path: str | Path) -> FeatureSchema:
     return load_schema(text)
 
 
-def _parse_cell(raw: str, kind: str, row: int, name: str) -> Value:
-    if raw == "":
-        return None
-    if kind == "numerical":
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise RowError(row, f"feature {name!r}: not a number: {raw!r}") from exc
-        if not math.isfinite(value):
-            raise RowError(row, f"feature {name!r}: not a finite number: {raw!r}")
-        return value
-    return raw
-
-
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     """Read a dataset CSV into a CaseSet.
 
@@ -222,10 +208,12 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     RowError with the 1-based data row index, as does a row the csv module
     cannot read (a cell over its field limit). A repeated header column, or
     a header the csv module cannot read, is a SchemaError; a file that is
-    not UTF-8 is an IoError.
+    not UTF-8 is an IoError. A byte-order mark before the header is
+    skipped. Header positions are resolved once per file, and each row's
+    cells are read by position.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, [])
@@ -241,16 +229,29 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                 raise SchemaError(
                     f"CSV header missing duration column {schema.duration_column!r}"
                 )
+            positions = [(f.name, header.index(f.name)) for f in schema.features]
+            numeric = [f.name for f in schema.features if f.kind == "numerical"]
+            at_duration = header.index(schema.duration_column)
+            at_id = header.index(schema.id_column) if schema.id_column in header else None
             cases, i = [], 0
             try:
                 for i, cells in enumerate((row for row in reader if row), start=1):
                     if len(cells) != len(header):
                         raise RowError(i, f"has {len(cells)} cells, the header has {len(header)}")
-                    rec = dict(zip(header, cells))
-                    values: dict[str, Value] = {}
-                    for f in schema.features:
-                        values[f.name] = _parse_cell(rec[f.name], f.kind, i, f.name)
-                    raw_dur = rec[schema.duration_column].strip()
+                    values: dict[str, Value] = {name: cells[at] or None for name, at in positions}
+                    # only numerical cells can fail, so the first bad one in
+                    # schema order is the row's error
+                    for name in numeric:
+                        raw = values[name]
+                        if raw is None:
+                            continue
+                        try:
+                            values[name] = number = float(raw)
+                        except ValueError as exc:
+                            raise RowError(i, f"feature {name!r}: not a number: {raw!r}") from exc
+                        if not math.isfinite(number):
+                            raise RowError(i, f"feature {name!r}: not a finite number: {raw!r}")
+                    raw_dur = cells[at_duration].strip()
                     duration: float | None
                     if raw_dur == "":
                         duration = None
@@ -259,7 +260,7 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                             duration = float(raw_dur)
                         except ValueError as exc:
                             raise RowError(i, f"duration not a number: {raw_dur!r}") from exc
-                    case_id = rec.get(schema.id_column) or f"row-{i:06d}"
+                    case_id = (cells[at_id] if at_id is not None else "") or f"row-{i:06d}"
                     try:
                         cases.append(SurgicalCase(id=case_id, values=values, duration_min=duration))
                     except SchemaError as exc:

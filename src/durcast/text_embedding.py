@@ -97,9 +97,10 @@ class HashingTextEmbedder(TextEmbedder):
         out = np.bincount(
             owner * dim + buckets[inverse], weights=signs[inverse], minlength=len(texts) * dim
         ).astype(np.float64, copy=False).reshape(len(texts), dim)
-        norms = np.linalg.norm(out, axis=1)
-        hit = norms > 0.0
-        out[hit] /= norms[hit, None]
+        # a zero row divides by 1.0 and stays zero
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+        norms[norms == 0.0] = 1.0
+        out /= norms[:, None]
         return out
 
 

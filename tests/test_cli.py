@@ -127,6 +127,26 @@ class TestBuild:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_numeric_column_writes_nothing(self, workspace, tmp_path, capsys):
+        """One finite age of 1e200 overflows the float64 std: the build
+        names the feature and exits 1, with no RuntimeWarning on stderr."""
+        text = (workspace / "data" / "train.csv").read_text(encoding="utf-8")
+        header, first, *rest = text.splitlines(keepends=True)
+        cells = first.split(",")
+        cells[header.split(",").index("age")] = "1e200"
+        train = tmp_path / "train.csv"
+        train.write_text("".join([header, ",".join(cells), *rest]), encoding="utf-8")
+        out = tmp_path / "art"
+        args = self.build_args(workspace, out)
+        args[args.index("--train") + 1] = str(train)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature 'age': training values too large")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_sets_fit(self, workspace, tmp_path):
         config = tmp_path / "build.yaml"
         config.write_text("no-pca: true\nmin-cohort: 6\n", encoding="utf-8")

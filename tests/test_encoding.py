@@ -6,6 +6,8 @@ and per-gram oracles, and golden pins of their output bits."""
 import hashlib
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import mk_case, small_schema, tiny_corpus
 from durcast import encoding, index
 from durcast.errors import EmptyTrainingSet, SchemaMismatch
-from durcast.pipeline import FitConfig, Pipeline
-from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase
+from durcast.pipeline import FitConfig, Pipeline, save_artifacts
+from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase, ingest_csv, write_csv
 from durcast.synthetic import SyntheticSpec, generate_synthetic
 from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
 
@@ -110,6 +112,20 @@ class TestNumerical:
         schema = one_kind_schema("numerical", ("x",))
         enc = fit_on(schema, [{"x": None}, {"x": None}])
         assert enc.numeric_stats["x"] == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "values", [[1e200, 1.0], [1e308, 1e308], [-1e308, 1e308]], ids=["std", "mean", "both"]
+    )
+    def test_overflowing_statistics_are_refused(self, values):
+        """A finite value whose float64 mean or std overflows would store
+        inf and silently zero the feature; the fit names it instead, with no
+        RuntimeWarning."""
+        schema = one_kind_schema("numerical", ("x", "y"))
+        rows = [{"x": 1.0, "y": v} for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaMismatch, match="feature 'y'.*finite mean and std"):
+                fit_on(schema, rows)
 
     def test_non_numeric_value_rejected(self):
         schema = one_kind_schema("numerical", ("x",))
@@ -535,6 +551,11 @@ GOLDEN_INDEX_BIN = "6d5e65d800a5c04efb0be125597a6c58d8066b028967aef8e52335511e88
 # from the DURCIDX1 file, which stored the same vectors at the same offset, so
 # the layout change left every vector byte in place.
 GOLDEN_INDEX_VECTORS = "6ed59d00f4b2794d7ac0a05b6d3c87e120d8ffaedc5087a00074ff3f7bcfb125"
+# A 2,000-case seed-7 synthetic corpus, every fifth duration blanked, through
+# write_csv -> ingest_csv -> a uniform-weight fit: sha256 of index.bin and of
+# encoder.json. Recorded before ingest_csv read cells by position.
+GOLDEN_CSV_INDEX_BIN = "eb335c37dc7baebe1b46ebf5e4abc55705034018c1fee836d6d9ef0f5fc2b0f5"
+GOLDEN_CSV_ENCODER_JSON = "0abe4ef1c92f06237795a825e191421fe120130b82d1389fd538ab769b2f1e22"
 
 
 class TestGoldenPins:
@@ -550,6 +571,19 @@ class TestGoldenPins:
         corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)
         pipe = Pipeline.fit(corpus, FitConfig(pca_weighting=False))
         assert hashlib.sha256(index.save_index(pipe.index)).hexdigest() == GOLDEN_INDEX_BIN
+
+    def test_csv_path_bits(self, tmp_path):
+        corpus = generate_synthetic(SyntheticSpec(n_cases=2000), seed=7)
+        cases = [replace(c, duration_min=None) if i % 5 == 4 else c
+                 for i, c in enumerate(corpus.cases)]
+        write_csv(CaseSet(cases=cases, schema=corpus.schema), tmp_path / "train.csv")
+        train = ingest_csv(tmp_path / "train.csv", corpus.schema)
+        pipe = Pipeline.fit(train, FitConfig(pca_weighting=False))
+        assert len(pipe.index.table.ids) == 1600
+        assert hashlib.sha256(index.save_index(pipe.index)).hexdigest() == GOLDEN_CSV_INDEX_BIN
+        save_artifacts(pipe, tmp_path / "out")
+        encoder_json = (tmp_path / "out" / "encoder.json").read_bytes()
+        assert hashlib.sha256(encoder_json).hexdigest() == GOLDEN_CSV_ENCODER_JSON
 
     def test_index_bin_vector_bits(self):
         corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)

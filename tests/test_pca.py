@@ -20,7 +20,61 @@ def random_matrix(seed, n=12, d=5):
     return np.random.default_rng(seed).normal(size=(n, d))
 
 
+def reference_pca(x):
+    """fit_pca written out step by step, with one sign fix per column: its
+    first largest-magnitude entry made positive."""
+    cov = np.atleast_2d(np.cov(x - x.mean(axis=0), rowvar=False, ddof=1))
+    values, vectors = np.linalg.eigh(cov)
+    order = np.argsort(values)[::-1]
+    values = np.clip(values[order], 0.0, None)
+    vectors = vectors[:, order]
+    for k in range(vectors.shape[1]):
+        pivot = int(np.argmax(np.abs(vectors[:, k])))
+        if vectors[pivot, k] < 0.0:
+            vectors[:, k] = -vectors[:, k]
+    total = float(values.sum())
+    ratios = values / total if total > 0.0 else np.full(values.shape, 1.0 / values.shape[0])
+    return vectors, values, ratios
+
+
+def _tied_columns():
+    a = np.random.default_rng(3).normal(size=9)
+    return np.column_stack([a, -a])
+
+
+REFERENCE_INPUTS = {
+    "random": random_matrix(5, n=40, d=9),
+    "wide": random_matrix(6, n=7, d=15),
+    "zero and constant columns": np.column_stack(
+        [random_matrix(7, n=20, d=3), np.zeros(20), np.full(20, 2.5), random_matrix(8, n=20, d=2)]
+    ),
+    "all constant": np.full((6, 4), 3.0),
+    "n = 2": random_matrix(9, n=2, d=4),
+    "D = 1": random_matrix(10, n=6, d=1),
+    "a and -a": _tied_columns(),
+}
+
+
 class TestFitPca:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+    def test_equals_reference_bitwise(self, name):
+        x = REFERENCE_INPUTS[name]
+        model = fit_pca(x)
+        components, values, ratios = reference_pca(x)
+        assert model.components.tobytes() == components.tobytes()
+        assert model.explained_variance.tobytes() == values.tobytes()
+        assert model.explained_variance_ratio.tobytes() == ratios.tobytes()
+
+    def test_tied_magnitudes_take_the_first_entry_sign(self):
+        """A component of columns a and -a has entries of one magnitude and
+        opposite signs; the first of them is made positive."""
+        model = fit_pca(_tied_columns())
+        tied = [k for k in range(2) if abs(model.components[0, k]) == abs(model.components[1, k])
+                and model.components[0, k] == -model.components[1, k]]
+        assert tied
+        for k in tied:
+            assert model.components[0, k] > 0.0
+
     def test_reconstructs_covariance(self):
         x = random_matrix(0)
         model = fit_pca(x)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -531,6 +532,11 @@ class TestArtifacts:
         "change, message",
         [
             (lambda doc: doc["numeric_stats"]["age"].__setitem__(1, 0.0), "std must be positive"),
+            # json reads Infinity and NaN as floats
+            (lambda doc: doc["numeric_stats"]["age"].__setitem__(1, math.inf), "and finite"),
+            (lambda doc: doc["numeric_stats"]["age"].__setitem__(1, math.nan), "std must be"),
+            (lambda doc: doc["numeric_stats"]["age"].__setitem__(0, -math.inf), "mean finite"),
+            (lambda doc: doc["numeric_stats"]["age"].__setitem__(0, math.nan), "mean finite"),
             (lambda doc: doc["weights"].pop(), "finite floats"),
             (lambda doc: doc["weights"].__setitem__(0, "0.5"), "finite floats"),
             (lambda doc: doc["weights"].__setitem__(0, float("nan")), "finite floats"),

@@ -279,6 +279,21 @@ class TestIngestCsv:
         # non-numeric kinds stay strings
         assert cs.cases[0].values["emergency"] == "true"
 
+    @pytest.mark.parametrize("first", ["case_id", "age"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, first):
+        """Excel's "CSV UTF-8" export starts the file with a BOM; the first
+        header name must still be read as written, id column or feature."""
+        lines = [line.split(",") for line in CSV_TEXT.splitlines()]
+        at = lines[0].index(first)
+        text = "".join(",".join([c[at], *c[:at], *c[at + 1 :]]) + "\n" for c in lines)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        cs = ingest_csv(marked, self._schema())
+        assert [c.id for c in cs.cases] == ["p1", "p2", "p3"]
+        assert cs.cases[0].values["age"] == 61.5
+        assert cs.cases == ingest_csv(plain, self._schema()).cases
+
     def test_synthesizes_ids(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
