@@ -38,7 +38,6 @@ from .llm import (
 from .pca import (
     PCAModel,
     WeightVector,
-    apply_weights,
     derive_weights,
     feature_importance_report,
     fit_pca,

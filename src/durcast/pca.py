@@ -110,16 +110,6 @@ def uniform_weights(dim: int) -> WeightVector:
     return WeightVector(weights=np.ones(dim), k_used=0)
 
 
-def apply_weights(vector: np.ndarray, w: WeightVector) -> np.ndarray:
-    """Elementwise product of an embedding vector with the weight vector."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != w.weights.shape:
-        raise DimensionMismatch(
-            f"vector dim {v.shape} does not match weights dim {w.weights.shape}"
-        )
-    return v * w.weights
-
-
 def k_for_cumulative_variance(model: PCAModel, fraction: float = 0.95) -> int:
     """Smallest component count whose cumulative variance ratio reaches
     the fraction."""

@@ -244,7 +244,7 @@ class Pipeline:
         return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:
-        return pca_mod.apply_weights(self.encoder.encode(case), self.weights)
+        return self.encoder.encode(case) * self.weights.weights
 
     def retrieve_references(
         self,

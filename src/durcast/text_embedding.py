@@ -1,11 +1,10 @@
 """Text embedders: hermetic feature-hashing n-grams and a remote service client.
 
-Both produce fixed-dimension, L2-normalized vectors, one text at a time
-(embed) or a batch of texts as the rows of one matrix (embed_many). The
-hashing embedder has no model dependency and is fully deterministic; it
-has one vectorised path, embed_many, and embed is a one-text batch. The
-remote client talks to any service exposing the usual embeddings endpoint
-shape, one request per text.
+An embedder implements embed_many, which turns a batch of texts into the
+rows of one matrix of fixed-dimension, L2-normalized vectors; embed is a
+one-text batch. The hashing embedder is fully deterministic and needs no
+model. The remote client talks to any service exposing the usual
+embeddings endpoint shape, in batches of at most _BATCH_TEXTS texts.
 """
 
 from __future__ import annotations
@@ -21,22 +20,21 @@ from .transport import TransportFailure, post_json
 
 _BOUNDARY_START = "\x02"
 _BOUNDARY_END = "\x03"
+# texts per request: about 4 MB of JSON at dim 768, under the usual 2,048 cap
+_BATCH_TEXTS = 256
 
 
 class TextEmbedder:
-    """Interface: fixed output dimension, deterministic per string."""
+    """Interface: fixed dimension, deterministic per string; subclasses implement embed_many."""
 
     dim: int
 
     def embed(self, text: str) -> np.ndarray:
-        raise NotImplementedError
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Row i is embed(texts[i])."""
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for row, text in zip(out, texts):
-            row[:] = self.embed(text)
-        return out
+        """A len(texts) x dim float64 matrix, row i the vector of texts[i]."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -56,9 +54,6 @@ class HashingTextEmbedder(TextEmbedder):
 
     def __post_init__(self):
         self._grams: dict[str, tuple[int, float]] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Every text's grams in one array: each distinct gram is looked up
@@ -106,27 +101,42 @@ class HashingTextEmbedder(TextEmbedder):
 
 @dataclass
 class RemoteTextEmbedder(TextEmbedder):
-    """Client for an HTTP embeddings endpoint, one text per request: POSTs
-    {"input": [text]}, expects {"data": [{"embedding": [dim numbers]}]} and
-    L2-normalizes that vector locally, whatever the service returns."""
+    """Client for an HTTP embeddings endpoint. Each run of at most
+    _BATCH_TEXTS texts is one POST of {"input": [texts]}, answered by
+    {"data": [{"embedding": [dim numbers]}, ...]}, one vector per text in
+    order; the vectors are L2-normalized locally, whatever the service
+    returns. Any other reply is an EmbeddingServiceError naming its batch."""
 
     url: str = "http://localhost:8080/v1/embeddings"
     dim: int = 768
     timeout_s: float = 30.0
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for start in range(0, len(texts), _BATCH_TEXTS):
+            chunk = texts[start : start + _BATCH_TEXTS]
+            out[start : start + len(chunk)] = self._post(chunk, start)
+        return out
+
+    def _post(self, chunk: Sequence[str], start: int) -> np.ndarray:
+        """chunk's unit vectors; each entry must be a JSON number, not a
+        string or a boolean, and each vector's sum of squares finite."""
+        where = f"embedding service at {self.url}, batch from text {start}"
         try:
-            payload = post_json(self.url, {"input": [text]}, self.timeout_s)
+            payload = post_json(self.url, {"input": chunk}, self.timeout_s)
+            vectors = [item["embedding"] for item in payload["data"]]
+            numbers = all({int, float}.issuperset(map(type, v)) for v in vectors)
+            rows = np.array(vectors, dtype=np.float64)
         except TransportFailure as exc:
-            raise EmbeddingServiceError(f"embedding service at {self.url} failed: {exc}") from exc
-        try:
-            rows = [np.asarray(item["embedding"], dtype=np.float64) for item in payload["data"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EmbeddingServiceError(
-                f"embedding service returned malformed payload: {exc}"
-            ) from exc
-        if len(rows) != 1 or rows[0].shape != (self.dim,):
-            raise EmbeddingServiceError(f"expected 1 vector of dim {self.dim} from {self.url}")
-        # a row norm of the 1 x dim array rounds as built indexes' vectors did
-        (norm,) = np.linalg.norm(rows, axis=1)
-        return rows[0] / norm if norm > 0.0 else rows[0]
+            raise EmbeddingServiceError(f"{where}: failed: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise EmbeddingServiceError(f"{where}: malformed payload: {exc!r}") from exc
+        if rows.shape != (len(chunk), self.dim):
+            raise EmbeddingServiceError(f"{where}: expected {len(chunk)} dim-{self.dim} vectors")
+        # one row norm of the chunk rounds each row as a 1 x dim norm does
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(rows, axis=1)
+        if not (numbers and np.isfinite(norms).all()):
+            raise EmbeddingServiceError(f"{where}: malformed payload: not finite JSON numbers")
+        norms[norms == 0.0] = 1.0  # a zero vector stays zero
+        return rows / norms[:, None]

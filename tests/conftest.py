@@ -180,6 +180,24 @@ def seeded_faults(body: bytes, seen: int):
     return 200, chat_reply(f"PREDICTION: {minutes} minutes")
 
 
+def hashed_vector(text: str, dim: int) -> list[float]:
+    """dim numbers in [-8, 8) drawn from text's shake_256 digest: a pure
+    function of the text, with fractions that make its norm round."""
+    digest = hashlib.shake_256(text.encode("utf-8")).digest(2 * dim)
+    return [int.from_bytes(digest[2 * i : 2 * i + 2], "little") / 4096 - 8.0 for i in range(dim)]
+
+
+def hashed_embeddings(dim: int):
+    """An embeddings answer function: one hashed_vector per input text, in
+    input order, however many texts a request holds."""
+
+    def respond(body: bytes, seen: int):
+        texts = json.loads(body)["input"]
+        return 200, {"data": [{"embedding": hashed_vector(t, dim)} for t in texts]}
+
+    return respond
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """Records each request, holds it for the server's latency while
     counting how many are held at once, then answers

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_case, small_schema, tiny_corpus
+from conftest import hashed_embeddings, mk_case, small_schema, tiny_corpus
 from durcast import encoding, index
 from durcast.errors import EmptyTrainingSet, SchemaMismatch
 from durcast.pipeline import FitConfig, Pipeline, save_artifacts
 from durcast.schema import CaseSet, Feature, FeatureSchema, SurgicalCase, ingest_csv, write_csv
 from durcast.synthetic import SyntheticSpec, generate_synthetic
-from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
+from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 
 EMBEDDER = HashingTextEmbedder(dim=16)
 
@@ -484,16 +484,6 @@ class TestEmbedManyEqualsOracle:
                 assert_same(row, oracle_embed(text, dim, ngram))
                 assert_same(row, emb.embed(text))
 
-    def test_base_class_stacks_embed(self):
-        class Lengths(TextEmbedder):
-            dim = 2
-
-            def embed(self, text):
-                return np.array([len(text), 1.0])
-
-        assert_same(Lengths().embed_many(["ab", ""]), np.array([[2.0, 1.0], [0.0, 1.0]]))
-        assert Lengths().embed_many([]).shape == (0, 2)
-
 
 TWO_TEXTS = FeatureSchema(features=(Feature("a", "text"), Feature("x", "numerical"),
                                     Feature("b", "text")))
@@ -502,17 +492,15 @@ TWO_TEXTS = FeatureSchema(features=(Feature("a", "text"), Feature("x", "numerica
 class TestMatrixTexts:
     def test_remote_fit_posts_each_distinct_text_once(self, stub_server):
         def respond(body, seen):
-            (text,) = json.loads(body)["input"]
-            return 200, {"data": [{"embedding": [1.0, float(len(text))]}]}
+            texts = json.loads(body)["input"]
+            return 200, {"data": [{"embedding": [1.0, float(len(t))]} for t in texts]}
 
         server = stub_server(respond)
         rows = [{"a": "hip", "b": "knee"}, {"a": "knee", "x": 1.0}, {"b": "hip"}, {"a": "hip"}]
         train = CaseSet(cases=as_cases(rows, "t"), schema=TWO_TEXTS)
         enc = encoding.fit(train, RemoteTextEmbedder(url=server.url, dim=2))
         matrix = enc.encode_matrix(train)
-        assert [r["body"]["input"] for r in server.requests] == [
-            ["hip"], ["knee"], ["UNKNOWN"]
-        ]
+        assert [r["body"]["input"] for r in server.requests] == [["hip", "knee", "UNKNOWN"]]
         blocks = {"hip": [1.0, 3.0], "knee": [1.0, 4.0], "UNKNOWN": [1.0, 7.0]}
         for row, values in zip(matrix, rows):
             for name, offset, width in enc.feature_spans[1:]:
@@ -556,6 +544,12 @@ GOLDEN_INDEX_VECTORS = "6ed59d00f4b2794d7ac0a05b6d3c87e120d8ffaedc5087a00074ff3f
 # encoder.json. Recorded before ingest_csv read cells by position.
 GOLDEN_CSV_INDEX_BIN = "eb335c37dc7baebe1b46ebf5e4abc55705034018c1fee836d6d9ef0f5fc2b0f5"
 GOLDEN_CSV_ENCODER_JSON = "0abe4ef1c92f06237795a825e191421fe120130b82d1389fd538ab769b2f1e22"
+# A 300-case seed-5 synthetic corpus through a uniform-weight fit with a
+# dim-8 remote embedder whose stub answers hashed_vector per text: sha256 of
+# index.bin and of encoder.json. Recorded while the remote embedder posted
+# one text per request.
+GOLDEN_REMOTE_INDEX_BIN = "cc27103fa66ea736bde74d9172b345153e9b7a7eab34099ae2ce84f421a0b152"
+GOLDEN_REMOTE_ENCODER_JSON = "1e8a605a6de3189325bbac7c4a0a72434881378c320008c2c2b30a8cb51c7f0f"
 
 
 class TestGoldenPins:
@@ -584,6 +578,16 @@ class TestGoldenPins:
         save_artifacts(pipe, tmp_path / "out")
         encoder_json = (tmp_path / "out" / "encoder.json").read_bytes()
         assert hashlib.sha256(encoder_json).hexdigest() == GOLDEN_CSV_ENCODER_JSON
+
+    def test_remote_fit_bits(self, stub_server, tmp_path):
+        server = stub_server(hashed_embeddings(8))
+        corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)
+        embedder = {"type": "remote", "url": server.url, "dim": 8}
+        pipe = Pipeline.fit(corpus, FitConfig(pca_weighting=False, embedder=embedder))
+        save_artifacts(pipe, tmp_path)
+        encoder_json = (tmp_path / "encoder.json").read_bytes()
+        assert hashlib.sha256(index.save_index(pipe.index)).hexdigest() == GOLDEN_REMOTE_INDEX_BIN
+        assert hashlib.sha256(encoder_json).hexdigest() == GOLDEN_REMOTE_ENCODER_JSON
 
     def test_index_bin_vector_bits(self):
         corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=5)

@@ -6,7 +6,6 @@ import pytest
 from durcast.errors import BadK, DegenerateInput, DimensionMismatch
 from durcast.pca import (
     PCAModel,
-    apply_weights,
     derive_weights,
     feature_importance_report,
     fit_pca,
@@ -168,16 +167,6 @@ class TestUniformAndApply:
     def test_uniform_rejects_bad_dim(self):
         with pytest.raises(BadK):
             uniform_weights(0)
-
-    def test_apply_elementwise(self):
-        w = derive_weights(fit_pca(random_matrix(7, d=4)), 2)
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.array_equal(apply_weights(v, w), v * w.weights)
-
-    def test_apply_rejects_mismatch(self):
-        w = uniform_weights(4)
-        with pytest.raises(DimensionMismatch):
-            apply_weights(np.ones(3), w)
 
 
 class TestCumulativeVariance:

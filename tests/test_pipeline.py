@@ -153,10 +153,10 @@ class TestFit:
             Pipeline.fit(CaseSet(cases=train.cases, schema=other), None, pipe.encoder)
 
     def test_embed_query_is_weighted_encoding(self, pipe):
-        from durcast.pca import apply_weights
-
+        """The query row a retrieval batch weights, bit for bit."""
         q = thyroid_query()
-        want = apply_weights(pipe.encoder.encode(q), pipe.weights)
+        batch = CaseSet(cases=[mk_case("other", note="fasting overnight"), q], schema=pipe.schema)
+        want = (pipe.encoder.encode_matrix(batch) * pipe.weights.weights)[1]
         assert np.array_equal(pipe.embed_query(q), want)
 
     def test_importance_report_covers_features(self, pipe):

@@ -1,10 +1,13 @@
 """Hashing n-gram embedder invariants and the remote embedding client."""
 
+import math
+
 import numpy as np
 import pytest
 
+from conftest import hashed_embeddings
 from durcast.errors import EmbeddingServiceError
-from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
+from durcast.text_embedding import _BATCH_TEXTS, HashingTextEmbedder, RemoteTextEmbedder
 
 
 class TestHashingEmbedder:
@@ -80,6 +83,50 @@ class TestRemoteEmbedder:
         emb = RemoteTextEmbedder(url=server.url, dim=2)
         with pytest.raises(EmbeddingServiceError, match="malformed"):
             emb.embed("a")
+
+    @pytest.mark.parametrize(
+        "vector",
+        [["3", "4"], [True, 1.0], [float("nan"), 1.0], [float("inf"), 1.0],
+         [1.0, float("-inf")], [10**400, 1.0], [1e300, 1e300]],
+        ids=["digits", "true", "NaN", "Infinity", "-Infinity", "beyond-float64",
+             "overflowing-norm"],
+    )
+    def test_non_number_entry_rejected(self, stub_server, vector):
+        """Each entry must be a JSON number, not a string or a boolean, and
+        the vector's sum of squares finite: the error blames the service,
+        not a case, and raises no RuntimeWarning."""
+        server = stub_server([(200, {"data": [{"embedding": vector}]})])
+        emb = RemoteTextEmbedder(url=server.url, dim=2)
+        with pytest.raises(EmbeddingServiceError, match="malformed"):
+            emb.embed("a")
+
+    def test_zero_vector_stays_zero(self, stub_server):
+        server = stub_server([(200, self._payload([[0.0, 0.0], [0.0, 2.0]]))])
+        got = RemoteTextEmbedder(url=server.url, dim=2).embed_many(["a", "b"])
+        assert np.array_equal(got, [[0.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
+    def test_batches_equal_one_text_posts(self, stub_server, n):
+        """ceil(n / 256) requests of consecutive texts, and each row is
+        bitwise the vector of its text posted alone."""
+        server = stub_server(hashed_embeddings(8))
+        emb = RemoteTextEmbedder(url=server.url, dim=8)
+        texts = [f"note {i}: {'x' * (i % 7)}" for i in range(n)]
+        got = emb.embed_many(texts)
+        assert got.shape == (n, 8) and got.dtype == np.float64
+        posted = [r["body"]["input"] for r in server.requests]
+        assert _BATCH_TEXTS == 256 and len(posted) == math.ceil(n / 256)
+        assert [t for chunk in posted for t in chunk] == texts
+        for row, text in zip(got, texts):
+            assert row.tobytes() == emb.embed(text).tobytes()
+
+    def test_bad_batch_is_named_by_its_first_text(self, stub_server):
+        vectors = [[1.0, 0.0]] * 256
+        server = stub_server([(200, self._payload(vectors)), (200, self._payload(vectors))])
+        emb = RemoteTextEmbedder(url=server.url, dim=2)
+        with pytest.raises(EmbeddingServiceError, match="batch from text 256: expected 44"):
+            emb.embed_many(["t"] * 300)
+        assert len(server.requests) == 2
 
     def test_http_error_rejected(self, stub_server):
         server = stub_server([(503, {"error": "overloaded"})])
