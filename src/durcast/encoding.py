@@ -20,9 +20,10 @@ that converts a present value, the value a missing one takes).
 encode_matrix is the only encoder, and encode(case) is a one-row
 encode_matrix. It converts one feature column at a time across the cases
 and writes it into a zeroed N x D matrix with one array operation; each
-block's columns are then scaled by its alpha once. The distinct texts of
-all text columns are embedded in one embed_many call, once every other
-value has passed its checks, and no text vector is cached.
+block's columns are then scaled by its alpha once. A row with a bad value
+is reported with its error in the same pass: its line stays zero and its
+texts are not embedded. The distinct texts of the other rows' text columns
+are embedded in one embed_many call, and no text vector is cached.
 """
 
 from __future__ import annotations
@@ -146,66 +147,72 @@ class FittedEncoder:
 
     def encode(self, case: SurgicalCase) -> np.ndarray:
         """Encode one case into a D-vector, its blocks at segment_map: a
-        one-row encode_matrix."""
-        return self.encode_matrix(CaseSet(cases=[case], schema=self.schema))[0]
+        one-row encode_matrix, raising the row's error."""
+        matrix, errors = self.encode_matrix(CaseSet(cases=[case], schema=self.schema))
+        if errors:
+            raise errors[0]
+        return matrix[0]
 
-    def encode_matrix(self, cs: CaseSet) -> np.ndarray:
-        """Encode every case into one N x D matrix (rows follow input order);
-        pure given (cases, fitted state).
+    def encode_matrix(self, cs: CaseSet) -> tuple[np.ndarray, dict[int, SchemaMismatch]]:
+        """Encode every case into one N x D matrix (rows follow input order),
+        with the error of each row that cannot be encoded; pure given
+        (cases, fitted state).
 
         Each feature's column is gathered, converted value by value and
-        written with one array operation. A bad value raises before any text
-        is embedded: the one with the smallest (row, schema position), a
-        feature outside the schema first in its row. The distinct texts of
-        every text column, numbered column by column in order of first
-        appearance, are then embedded in one call and copied into their
+        written with one array operation. A row's error is the one encode
+        raises for that case alone: a feature outside the schema first, then
+        the first bad value in schema order. A bad row's line is zero and
+        its texts are not embedded. The distinct texts of the other rows'
+        text columns, numbered column by column in order of first
+        appearance, are embedded in one call and copied into their
         columns."""
         cases = cs.cases
         matrix = np.zeros((len(cases), self.dim), dtype=np.float64)
-        failures: list[tuple[int, int, SchemaMismatch]] = []
         names = self._names
-        foreign = next((i for i, c in enumerate(cases) if not names.issuperset(c.values)), None)
-        if foreign is not None:
-            case = cases[foreign]
-            unknown = sorted(case.values.keys() - names)
-            message = f"case {case.id!r} has features outside the schema: {unknown}"
-            failures.append((foreign, -1, SchemaMismatch(message)))
-        texts: dict[str, int] = {}
+        errors = {row: SchemaMismatch(f"case {case.id!r} has features outside the schema: "
+                                      f"{sorted(case.values.keys() - names)}")
+                  for row, case in enumerate(cases) if not names.issuperset(case.values)}
         text_columns = []
-        for position, (name, kind, offset, convert, missing) in enumerate(self._plan):
+        for name, kind, offset, convert, missing in self._plan:
             raw = [case.values.get(name) for case in cases]
             try:
                 column = [missing if value is None else convert(value) for value in raw]
             except SchemaMismatch:
-                row, exc = _first_failure(raw, convert)
-                failures.append((row, position, exc))
-                continue
+                column = _convert_each(raw, convert, missing, errors)
             if kind == "text":
-                text_columns.append((offset, [texts.setdefault(t, len(texts)) for t in column]))
+                text_columns.append((offset, column))
             elif kind == "categorical":
                 matrix[np.arange(len(cases)), offset + np.array(column, dtype=np.intp)] = 1.0
             else:
                 matrix[:, offset] = column
-        if failures:
-            raise min(failures, key=lambda failure: failure[:2])[2]
+        good = slice(None)
+        if errors:
+            good = [row for row in range(len(cases)) if row not in errors]
+            matrix[list(errors)] = 0.0
+            text_columns = [(offset, [col[row] for row in good]) for offset, col in text_columns]
+        texts: dict[str, int] = {}
+        picks = [(offset, [texts.setdefault(t, len(texts)) for t in column])
+                 for offset, column in text_columns]
         if texts:
             vectors = self.text_embedder.embed_many(list(texts))
-            for offset, picks in text_columns:
-                matrix[:, offset : offset + self.text_embedder.dim] = vectors[picks]
+            for offset, rows in picks:
+                matrix[good, offset : offset + self.text_embedder.dim] = vectors[rows]
         for category, (start, length) in self.segment_map.items():
             matrix[:, start : start + length] *= self._alphas[category]
-        return matrix
+        return matrix, errors
 
 
-def _first_failure(raw: list, convert: Callable) -> tuple[int, SchemaMismatch]:
-    """The row of the first present value that convert rejects, and its
-    error; convert is pure, so rerunning it finds the value that raised."""
+def _convert_each(raw: list, convert: Callable, missing, errors: dict) -> list:
+    """raw converted value by value; a value that convert rejects becomes
+    missing, and its error is its row's unless the row already has one."""
+    column = []
     for row, value in enumerate(raw):
         try:
-            if value is not None:
-                convert(value)
+            column.append(missing if value is None else convert(value))
         except SchemaMismatch as exc:
-            return row, exc
+            errors.setdefault(row, exc)
+            column.append(missing)
+    return column
 
 
 def _ordinal_ranks(schema: FeatureSchema, name: str) -> dict[str, float]:

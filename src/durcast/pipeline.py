@@ -51,6 +51,7 @@ from .encoding import FittedEncoder
 from .errors import (
     ArtifactError,
     DurcastError,
+    EmbeddingServiceError,
     EmptyTrainingSet,
     IoError,
     ModeArgumentMismatch,
@@ -218,7 +219,9 @@ class Pipeline:
         if not train.cases:
             raise EmptyTrainingSet("pipeline fit requires training cases")
         encoder = encoder or encoding.fit(train, embedder)
-        matrix = encoder.encode_matrix(train)
+        matrix, errors = encoder.encode_matrix(train)
+        if errors:
+            raise errors[min(errors)]
 
         if config.pca_weighting:
             pca_model = pca_mod.fit_pca(matrix)
@@ -275,24 +278,24 @@ class Pipeline:
         candidates as (index rows, similarities) arrays. A case whose query
         vector cannot be computed or retrieved (a bad value, wrong
         dimension, non-finite or zero norm) gets that DurcastError in its
-        place, so one bad case leaves the others answered."""
+        place, so one bad case leaves the others answered. When the batch's
+        embedding request fails, that error is every case's answer."""
         if expansion_factor < 1:
             raise SpecError(f"expansion factor must be >= 1, got {expansion_factor}")
-        out: list = [None] * len(cases)
-        units: dict[int, np.ndarray] = {}
         try:
-            batch = CaseSet(cases=list(cases), schema=self.schema)
-            queries = self.encoder.encode_matrix(batch) * self.weights.weights
-        except DurcastError:
-            queries = None  # encode each case alone, so each bad case gets its own error
-        for i, case in enumerate(cases):
-            try:
-                query = self.embed_query(case) if queries is None else queries[i]
-                # unit_query makes the checks retrieval makes, so the batch
-                # cannot fail
-                units[i] = index_mod.unit_query(self.index, query)
-            except DurcastError as exc:
-                out[i] = exc
+            matrix, errors = self.encoder.encode_matrix(CaseSet(list(cases), self.schema))
+        except EmbeddingServiceError as exc:
+            return [exc] * len(cases)
+        out: list = [errors.get(i) for i in range(len(cases))]
+        units: dict[int, np.ndarray] = {}
+        for i, query in enumerate(matrix * self.weights.weights):
+            if out[i] is None:
+                try:
+                    # unit_query makes the checks retrieval makes, so the
+                    # batch cannot fail
+                    units[i] = index_mod.unit_query(self.index, query)
+                except DurcastError as exc:
+                    out[i] = exc
         rows, sims = index_mod.retrieve_units(
             self.index, list(units.values()), expansion_factor * k
         )

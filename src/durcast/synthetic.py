@@ -207,7 +207,10 @@ def default_schema() -> FeatureSchema:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> CaseSet:
-    """Draw a CaseSet per the SyntheticSpec. Pure function of (spec, seed)."""
+    """Draw a CaseSet per the SyntheticSpec. Pure function of (spec, seed);
+    seed must be an integer >= 0."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise SpecError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     schema = default_schema()
     cases = []

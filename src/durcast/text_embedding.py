@@ -120,7 +120,9 @@ class RemoteTextEmbedder(TextEmbedder):
 
     def _post(self, chunk: Sequence[str], start: int) -> np.ndarray:
         """chunk's unit vectors; each entry must be a JSON number, not a
-        string or a boolean, and each vector's sum of squares finite."""
+        string or a boolean, and each vector's sum of squares finite. A
+        nonzero vector whose squares underflow is divided by its largest
+        magnitude before it is normalized; a zero vector stays zero."""
         where = f"embedding service at {self.url}, batch from text {start}"
         try:
             payload = post_json(self.url, {"input": chunk}, self.timeout_s)
@@ -138,5 +140,9 @@ class RemoteTextEmbedder(TextEmbedder):
             norms = np.linalg.norm(rows, axis=1)
         if not (numbers and np.isfinite(norms).all()):
             raise EmbeddingServiceError(f"{where}: malformed payload: not finite JSON numbers")
+        tiny = (norms == 0.0) & rows.any(axis=1)
+        if tiny.any():
+            rows[tiny] /= np.abs(rows[tiny]).max(axis=1, keepdims=True)
+            norms[tiny] = np.linalg.norm(rows[tiny], axis=1)
         norms[norms == 0.0] = 1.0  # a zero vector stays zero
         return rows / norms[:, None]

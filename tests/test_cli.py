@@ -83,6 +83,15 @@ class TestGenerate:
                        "--ratios", "0.6,0.3,0.3"])
         assert rc == 1
 
+    def test_negative_seed_is_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = cli.main(["generate", "--n", "50", "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: seed must be an integer >= 0, got -1" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["a_file", "a_file/x"])
     def test_unwritable_out_is_error(self, tmp_path, capsys, out):
         (tmp_path / "a_file").write_text("", encoding="utf-8")

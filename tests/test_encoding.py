@@ -241,7 +241,8 @@ class TestEncodeApi:
     def test_encode_matrix_rows_match_encode(self):
         corpus = tiny_corpus()
         enc = encoding.fit(corpus, EMBEDDER)
-        matrix = enc.encode_matrix(corpus)
+        matrix, errors = enc.encode_matrix(corpus)
+        assert errors == {}
         assert matrix.shape == (len(corpus), enc.dim)
         assert np.array_equal(matrix[3], enc.encode(corpus.cases[3]))
 
@@ -430,20 +431,23 @@ class TestEncoderEqualsOracle:
         wants = [outcome(oracle_encode, enc, case) for case in cases]
         for case, want in zip(cases, wants):
             assert_same(outcome(enc.encode, case), want)
-        matrix = outcome(enc.encode_matrix, CaseSet(cases=cases, schema=MIXED_SCHEMA))
-        errors = [w for w in wants if isinstance(w, str)]
-        if errors:
-            assert matrix == errors[0]
-        else:
-            assert matrix.shape == (len(cases), enc.dim)
-            for row, want in zip(matrix, wants):
+        matrix, errors = enc.encode_matrix(CaseSet(cases=cases, schema=MIXED_SCHEMA))
+        assert matrix.shape == (len(cases), enc.dim)
+        assert sorted(errors) == [i for i, want in enumerate(wants) if isinstance(want, str)]
+        for i, (row, want) in enumerate(zip(matrix, wants)):
+            if isinstance(want, str):
+                assert str(errors[i]) == want
+                assert_same(row, np.zeros(enc.dim))
+            else:
                 assert_same(row, want)
 
     def test_fitted_training_matrix_equals_oracle(self):
         corpus = generate_synthetic(SyntheticSpec(n_cases=120), seed=2)
         enc = encoding.fit(corpus, HashingTextEmbedder(dim=32))
         want = np.stack([oracle_encode(enc, c) for c in corpus.cases])
-        assert_same(enc.encode_matrix(corpus), want)
+        matrix, errors = enc.encode_matrix(corpus)
+        assert errors == {}
+        assert_same(matrix, want)
 
 
 class TestEmbedderEqualsOracle:
@@ -499,7 +503,8 @@ class TestMatrixTexts:
         rows = [{"a": "hip", "b": "knee"}, {"a": "knee", "x": 1.0}, {"b": "hip"}, {"a": "hip"}]
         train = CaseSet(cases=as_cases(rows, "t"), schema=TWO_TEXTS)
         enc = encoding.fit(train, RemoteTextEmbedder(url=server.url, dim=2))
-        matrix = enc.encode_matrix(train)
+        matrix, errors = enc.encode_matrix(train)
+        assert errors == {}
         assert [r["body"]["input"] for r in server.requests] == [["hip", "knee", "UNKNOWN"]]
         blocks = {"hip": [1.0, 3.0], "knee": [1.0, 4.0], "UNKNOWN": [1.0, 7.0]}
         for row, values in zip(matrix, rows):
@@ -508,15 +513,26 @@ class TestMatrixTexts:
                 assert_same(row[offset : offset + width],
                             vec / np.linalg.norm(vec) * enc.alpha("text"))
 
-    def test_bad_value_raises_before_any_text_is_embedded(self, stub_server):
-        server = stub_server([(503, {"error": "down"})])
-        rows = [{"a": "hip", "x": 1.0}, {"a": "knee", "x": "tall"}]
+    def test_remote_bad_row_text_is_never_posted(self, stub_server):
+        server = stub_server(hashed_embeddings(2))
+        rows = [{"a": "hip", "x": 1.0}, {"a": "knee", "x": "tall", "b": "elbow"},
+                {"b": "hip"}]
         enc = encoding.fit(
             CaseSet(cases=as_cases(rows[:1], "t"), schema=TWO_TEXTS),
             RemoteTextEmbedder(url=server.url, dim=2),
         )
+        server.requests.clear()
+        cases = as_cases(rows, "q")
+        matrix, errors = enc.encode_matrix(CaseSet(cases=cases, schema=TWO_TEXTS))
+        assert [r["body"]["input"] for r in server.requests] == [["hip", "UNKNOWN"]]
+        assert list(errors) == [1]
+        assert str(errors[1]) == "feature 'x': not numeric: 'tall'"
+        assert not matrix[1].any()
+        for i in (0, 2):
+            assert_same(matrix[i], enc.encode(cases[i]))
+        server.requests.clear()
         with pytest.raises(SchemaMismatch, match="not numeric"):
-            enc.encode_matrix(CaseSet(cases=as_cases(rows, "q"), schema=TWO_TEXTS))
+            enc.encode(cases[1])
         assert server.requests == []
 
 

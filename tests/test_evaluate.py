@@ -389,9 +389,9 @@ class TestBatchedRetrieval:
         encode_matrix = pipe.encoder.encode_matrix
 
         def zero_for_bad(batch):
-            matrix = encode_matrix(batch)
+            matrix, errors = encode_matrix(batch)
             matrix[[case.id == bad_id for case in batch.cases]] = 0.0
-            return matrix
+            return matrix, errors
 
         cfg = self.cfg()
         clean_path, mixed_path = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"

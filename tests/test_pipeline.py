@@ -13,15 +13,24 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LEVELS, THYROID_DURATIONS, mk_case, small_schema, tiny_corpus
+from conftest import (
+    LEVELS,
+    THYROID_DURATIONS,
+    hashed_embeddings,
+    mk_case,
+    small_schema,
+    tiny_corpus,
+)
 from durcast import encoding as encoding_mod, schema as schema_mod
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
     BackendUnreachable,
     DurcastError,
+    EmbeddingServiceError,
     EmptyTrainingSet,
     IoError,
+    SchemaMismatch,
     SpecError,
 )
 from durcast.encoding import FittedEncoder
@@ -37,6 +46,7 @@ from durcast.pipeline import (
 )
 from durcast.priors import compute_prior
 from durcast.schema import CaseSet
+from durcast.synthetic import SyntheticSpec, generate_synthetic
 from durcast.text_embedding import HashingTextEmbedder, RemoteTextEmbedder
 
 ARTIFACT_FILES = (
@@ -156,7 +166,9 @@ class TestFit:
         """The query row a retrieval batch weights, bit for bit."""
         q = thyroid_query()
         batch = CaseSet(cases=[mk_case("other", note="fasting overnight"), q], schema=pipe.schema)
-        want = (pipe.encoder.encode_matrix(batch) * pipe.weights.weights)[1]
+        matrix, errors = pipe.encoder.encode_matrix(batch)
+        assert errors == {}
+        want = (matrix * pipe.weights.weights)[1]
         assert np.array_equal(pipe.embed_query(q), want)
 
     def test_importance_report_covers_features(self, pipe):
@@ -231,6 +243,45 @@ class TestRetrieveReferences:
     def test_random_references_cap_at_pool(self, pipe):
         refs = pipe.random_references(thyroid_query(), k=99, seed=0)
         assert len(refs.references) == 16
+
+
+def remote_fit(stub_server):
+    """A 300-case seed-1 fit whose dim-16 remote embedder posts to a stub,
+    the stub, and the next 40 synthetic cases as queries."""
+    server = stub_server(hashed_embeddings(16))
+    corpus = generate_synthetic(SyntheticSpec(n_cases=340), seed=1)
+    config = FitConfig(embedder={"type": "remote", "url": server.url, "dim": 16})
+    fitted = Pipeline.fit(CaseSet(corpus.cases[:300], corpus.schema), config)
+    server.requests.clear()
+    return server, fitted, corpus.cases[300:]
+
+
+class TestRemoteRetrievalBatch:
+    def test_remote_bad_row_costs_no_request_of_its_own(self, stub_server):
+        server, fitted, queries = remote_fit(stub_server)
+        clean = fitted.retrieve_references_batch(queries)
+        only_here = "a note only the bad row holds"
+        bad = replace(queries[7], values={**queries[7].values, "asa_grade": "ZZZ",
+                                          "preop_note": only_here})
+        server.requests.clear()
+        mixed = fitted.retrieve_references_batch([*queries[:7], bad, *queries[8:]])
+        assert len(server.requests) == 1
+        assert only_here not in server.requests[0]["body"]["input"]
+        assert isinstance(mixed[7], SchemaMismatch)
+        assert "asa_grade" in str(mixed[7])
+        for got, want in zip(mixed[:7] + mixed[8:], clean[:7] + clean[8:]):
+            assert got[0] == want[0]
+            assert np.array_equal(got[1][0], want[1][0])
+            assert np.array_equal(got[1][1], want[1][1])
+
+    def test_remote_service_down_fails_every_case_in_one_request(self, stub_server):
+        server, fitted, queries = remote_fit(stub_server)
+        server.httpd.respond = lambda body, seen: (503, {"error": "down"})
+        answers = fitted.retrieve_references_batch(queries)
+        assert len(server.requests) == 1
+        assert len(answers) == 40
+        assert all(isinstance(a, EmbeddingServiceError) for a in answers)
+        assert "HTTP 503" in str(answers[0])
 
 
 class AlwaysDown(LlmBackend):

@@ -94,3 +94,9 @@ def test_custom_departments():
 def test_rejects_nonpositive_n():
     with pytest.raises(SpecError):
         SyntheticSpec(n_cases=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "1", True, None])
+def test_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(SpecError, match="seed must be an integer >= 0"):
+        generate_synthetic(SyntheticSpec(n_cases=5), seed)

@@ -105,6 +105,17 @@ class TestRemoteEmbedder:
         got = RemoteTextEmbedder(url=server.url, dim=2).embed_many(["a", "b"])
         assert np.array_equal(got, [[0.0, 0.0], [0.0, 1.0]])
 
+    def test_underflowing_vector_is_normalized(self, stub_server):
+        """Squares of 1e-200 underflow to a zero norm; the vector is still
+        scaled to unit norm, and every other row keeps its bits."""
+        vectors = [[1e-200, 3e-200], [0.0, 0.0], [3.0, 4.0]]
+        server = stub_server([(200, self._payload(vectors))])
+        got = RemoteTextEmbedder(url=server.url, dim=2).embed_many(["a", "b", "c"])
+        assert math.isclose(np.linalg.norm(got[0]), 1.0)
+        assert np.allclose(got[0], np.array([1.0, 3.0]) / math.sqrt(10.0))
+        assert np.array_equal(got[1], [0.0, 0.0])
+        assert np.array_equal(got[2], np.array([3.0, 4.0]) / 5.0)
+
     @pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
     def test_batches_equal_one_text_posts(self, stub_server, n):
         """ceil(n / 256) requests of consecutive texts, and each row is
