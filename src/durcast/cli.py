@@ -291,7 +291,9 @@ def _query_from_args(args: argparse.Namespace, pipe: Pipeline) -> SurgicalCase:
             raw.encode("utf-8")
         except UnicodeEncodeError:  # bytes that are not UTF-8 reach argv as surrogates
             raise ParseError(f"feature {key!r}: --set value is not valid UTF-8") from None
-        if pipe.schema.kind_of(key) == "numerical":
+        if raw == "":  # missing, as a blank CSV cell is
+            values[key] = None
+        elif pipe.schema.kind_of(key) == "numerical":
             try:
                 values[key] = float(raw)
             except ValueError:

@@ -169,8 +169,7 @@ class FittedEncoder:
         cases = cs.cases
         matrix = np.zeros((len(cases), self.dim), dtype=np.float64)
         names = self._names
-        errors = {row: SchemaMismatch(f"case {case.id!r} has features outside the schema: "
-                                      f"{sorted(case.values.keys() - names)}")
+        errors = {row: _outside_schema(case, names)
                   for row, case in enumerate(cases) if not names.issuperset(case.values)}
         text_columns = []
         for name, kind, offset, convert, missing in self._plan:
@@ -200,6 +199,11 @@ class FittedEncoder:
         for category, (start, length) in self.segment_map.items():
             matrix[:, start : start + length] *= self._alphas[category]
         return matrix, errors
+
+
+def _outside_schema(case: SurgicalCase, names: frozenset[str]) -> SchemaMismatch:
+    return SchemaMismatch(f"case {case.id!r} has features outside the schema: "
+                          f"{sorted(case.values.keys() - names)}")
 
 
 def _convert_each(raw: list, convert: Callable, missing, errors: dict) -> list:
@@ -236,8 +240,9 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
 
     Statistics are order-independent: means, population standard deviations,
     and sorted vocabularies. Raises EmptyTrainingSet on an empty corpus and
-    SchemaMismatch when an ordinal or boolean value violates its declaration
-    or a numerical feature's float64 mean or std is not finite.
+    SchemaMismatch when an ordinal or boolean value violates its declaration,
+    a numerical feature's float64 mean or std is not finite, or, checked last,
+    a case has a feature outside the schema (encode_matrix's error for it).
     """
     if not train.cases:
         raise EmptyTrainingSet("encoder fit requires at least one training case")
@@ -273,6 +278,10 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
         elif f.kind == "boolean":
             encoded = [_parse_bool(str(v), f.name) for v in present]
             bool_missing[f.name] = float(np.mean(encoded)) if encoded else 0.5
+    names = frozenset(schema.feature_names)
+    stray = next((c for c in train.cases if not names.issuperset(c.values)), None)
+    if stray is not None:
+        raise _outside_schema(stray, names)
     return FittedEncoder(
         schema=schema,
         text_embedder=text_embedder,

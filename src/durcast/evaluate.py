@@ -294,7 +294,7 @@ def run_ablation_grid(
     Each cell runs on a pipeline fitted under its cfg.fit: the supplied
     pipeline when its fit_config matches, else one fitted from train once
     and shared by every cell with that fit (only the PCA toggle changes it).
-    Every refit reuses the encoder of the grid's first pipeline.
+    A refit from a loaded pipeline's train_cases() is the refit from train.
     Each cell gets its own copy of the backend, so a stateful backend
     starts every cell afresh and the grid isolates the axis.
     """
@@ -307,7 +307,7 @@ def run_ablation_grid(
         cfg = replace(cfg, backend=replace(cfg.backend))
         pipe = next((p for p in pipelines if p.fit_config == cfg.fit), None)
         if pipe is None:
-            pipe = Pipeline.fit(train, cfg.fit, pipelines[0].encoder if pipelines else None)
+            pipe = Pipeline.fit(train, cfg.fit)
             pipelines.append(pipe)
         report = run_experiment(cfg, train, test, pipeline=pipe, template=template)
         rows.append((value, report))

@@ -1,7 +1,7 @@
 """End-to-end wiring: fit retrieval state from a training set, predict one
 case under any inference mode, persist and reload the fitted artifacts.
 
-Fitting: encode the training corpus, derive PCA importance weights (or
+Fitting: encode the training cases, derive PCA importance weights (or
 uniform ones) and build the flat index over weighted embeddings rounded to
 index.STORED_DTYPE, as index.bin stores them, so a fitted pipeline is
 bitwise its reload. A pipeline, fitted or reloaded, derives its stratum
@@ -200,28 +200,21 @@ class Pipeline:
         self.schema = encoder.schema
 
     @classmethod
-    def fit(
-        cls, train: CaseSet, config: FitConfig | None = None, encoder: FittedEncoder | None = None
-    ) -> "Pipeline":
-        """Fit every stage from the training set, the encoder only when none
-        is given; a given one must match config.embedder and train.schema.
-
-        Only cases with a recorded duration enter the index, and so the
-        priors; the encoder and PCA see the full training set. PCA weights
-        that zero out every coordinate of an indexed case have their zero
-        weights raised to the smallest positive weight (lift_zero_weights);
-        other fits keep the PCA weights as derived.
+    def fit(cls, train: CaseSet, config: FitConfig | None = None) -> "Pipeline":
+        """Fit every stage from the training cases, the rows with a recorded
+        duration: the encoder, PCA, the index and so the priors read no other
+        row. PCA weights that zero out every coordinate of an indexed case
+        have their zero weights raised to the smallest positive weight
+        (lift_zero_weights); other fits keep the PCA weights as derived.
         """
         config = config or FitConfig()
-        embedder = make_embedder(config.embedder)
-        if encoder and (encoder.text_embedder != embedder or encoder.schema != train.schema):
-            raise SpecError("an encoder given to fit must match config.embedder and train.schema")
-        if not train.cases:
-            raise EmptyTrainingSet("pipeline fit requires training cases")
-        encoder = encoder or encoding.fit(train, embedder)
-        matrix, errors = encoder.encode_matrix(train)
-        if errors:
-            raise errors[min(errors)]
+        cases = [case for case in train.cases if case.duration_min is not None]
+        if not cases:
+            raise EmptyTrainingSet("pipeline fit requires training cases with a recorded duration")
+        labelled = CaseSet(cases, train.schema)
+        encoder = encoding.fit(labelled, make_embedder(config.embedder))
+        # encoding.fit refuses every case that encode_matrix could not encode
+        matrix, _ = encoder.encode_matrix(labelled)
 
         if config.pca_weighting:
             pca_model = pca_mod.fit_pca(matrix)
@@ -233,17 +226,12 @@ class Pipeline:
         else:
             weights = pca_mod.uniform_weights(encoder.dim)
 
-        keep = [case.duration_min is not None for case in train.cases]
-        if not any(keep):
-            raise EmptyTrainingSet("no training case has a recorded duration")
-        rows = matrix if all(keep) else matrix[keep]
-        vectors = _index_rows(rows, weights)
+        vectors = _index_rows(matrix, weights)
         if config.pca_weighting and not vectors.any(axis=1).all():
             # PCA left some indexed case no nonzero coordinate, so no
             # cosine direction: let every dimension count a little.
             weights = pca_mod.lift_zero_weights(weights)
-            vectors = _index_rows(rows, weights)
-        cases = [case for case, kept in zip(train.cases, keep) if kept]
+            vectors = _index_rows(matrix, weights)
         return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -217,6 +218,29 @@ class TestPredict:
                        "--case", str(two)])
         assert rc == 1
         assert "exactly 1 row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("feature", ["crp_mg_l", "surgery_name"])
+    def test_empty_set_value_is_missing(self, workspace, tmp_path, capsys, feature):
+        """--set key= leaves the feature missing, as leaving the flag unset
+        and a blank cell in the --case file do."""
+        with open(workspace / "data" / "test.csv", newline="", encoding="utf-8") as fh:
+            row = next(csv.DictReader(fh))
+        row[feature] = row["duration_min"] = ""
+        case = tmp_path / "case.csv"
+        with open(case, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+        sets = ["--query-id", row.pop("case_id")]
+        for name, value in row.items():
+            if value:
+                sets += ["--set", f"{name}={value}"]
+        outputs = []
+        for query in ([*sets, "--set", f"{feature}="], sets, ["--case", str(case)]):
+            assert cli.main(["predict", "--artifacts", str(workspace / "artifacts"), "--json",
+                             *query]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_set_rejects_unknown_feature(self, workspace, capsys):
         rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
@@ -570,12 +594,11 @@ class TestAblate:
         assert "'offf'" in capsys.readouterr().err
 
     def test_artifacts_pipeline_is_reused(self, workspace, monkeypatch, capsys):
-        fitted, given, loads = [], [], []
+        fitted, loads = [], []
         real_fit = Pipeline.fit.__func__
 
-        def spy(cls, train, config=None, encoder=None):
-            given.append(encoder)
-            fitted.append(real_fit(cls, train, config, encoder))
+        def spy(cls, train, config=None):
+            fitted.append(real_fit(cls, train, config))
             return fitted[-1]
 
         def loading(artifact_dir):
@@ -591,7 +614,7 @@ class TestAblate:
         assert [p.fit_config.pca_weighting for p in fitted] == [False]
         assert fitted[0].fit_config.embedder == loaded.fit_config.embedder
         assert fitted[0].encoder.dim == loaded.encoder.dim
-        assert given[0] is loads[-1].encoder
+        assert fitted[0].encoder == loads[-1].encoder
 
     def test_unknown_axis(self, tmp_path, capsys):
         """The axis is checked before any file is read."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_case, seeded_faults
-from durcast import encoding as encoding_mod, evaluate as evaluate_mod, index as index_mod
+from durcast import evaluate as evaluate_mod, index as index_mod
 from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
@@ -674,43 +674,27 @@ class TestAblation:
 
     def test_supplied_pipeline_reused_when_fit_matches(self, corpus_module, fitted,
                                                       test_set, monkeypatch):
-        fits, given = [], []
+        fits = []
         orig = Pipeline.fit.__func__
 
-        def counting(cls, train, config=None, encoder=None):
-            given.append(encoder)
-            fits.append(orig(cls, train, config, encoder))
+        def counting(cls, train, config=None):
+            fits.append(orig(cls, train, config))
             return fits[-1]
 
         monkeypatch.setattr(Pipeline, "fit", classmethod(counting))
         run_ablation_grid(self.base(), "pca_on_off", [True, False, True],
                           corpus_module, test_set, pipeline=fitted)
         assert [p.fit_config for p in fits] == [FitConfig(pca_weighting=False)]
-        assert given[0] is fitted.encoder
+        assert fits[0].encoder == fitted.encoder
 
-    def test_grid_fits_one_encoder(self, corpus_module, fitted, test_set, monkeypatch):
-        """Every refit reuses the grid's first encoder: the first cell's
-        fit, or the supplied pipeline's."""
-        calls = []
-        real_fit = encoding_mod.fit
-
-        def counting(train, embedder):
-            calls.append(train)
-            return real_fit(train, embedder)
-
-        monkeypatch.setattr(encoding_mod, "fit", counting)
-        run_ablation_grid(self.base(), "pca_on_off", [True, False], corpus_module, test_set)
-        assert len(calls) == 1
-        calls.clear()
-        run_ablation_grid(self.base(), "pca_on_off", [True, False], corpus_module, test_set,
-                          pipeline=fitted)
-        assert calls == []
-
-    @pytest.mark.parametrize("values", [[True, False], [False, True]])
-    def test_pca_grid_from_artifacts_equals_grid_from_train(self, tmp_path, values):
-        """With rows lacking a duration, which the artifacts do not index,
-        the pca-off cell refit from PCA-weighted artifacts is still the cell
-        fitted from every training row."""
+    @pytest.mark.parametrize("pca, values", [
+        (True, [True, False]), (True, [False, True]),
+        (False, [True, False]), (False, [False, True]),
+    ], ids=["values0", "values1", "no-pca-values0", "no-pca-values1"])
+    def test_pca_grid_from_artifacts_equals_grid_from_train(self, tmp_path, pca, values):
+        """With rows lacking a duration, which the artifacts do not hold,
+        the cell refit from PCA-weighted or from --no-pca artifacts is the
+        cell fitted from the training rows, and fits the loaded encoder."""
         corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=1)
         train, _, test = split(corpus, (0.8, 0.1, 0.1), seed=1)
         train = CaseSet(
@@ -719,12 +703,16 @@ class TestAblation:
             schema=train.schema,
         )
         base = ExperimentConfig(MockReferenceMean(noise_sd=10.0))
-        save_artifacts(Pipeline.fit(train, base.fit), tmp_path / "artifacts")
+        built = FitConfig(pca_weighting=pca)
+        save_artifacts(Pipeline.fit(train, built), tmp_path / "artifacts")
         loaded = load_artifacts(tmp_path / "artifacts")
         run_ablation_grid(replace(base, fit=loaded.fit_config), "pca_on_off", values,
                           loaded.train_cases(), test, tmp_path / "loaded.csv", pipeline=loaded)
-        run_ablation_grid(base, "pca_on_off", values, train, test, tmp_path / "fitted.csv")
+        run_ablation_grid(replace(base, fit=built), "pca_on_off", values, train, test,
+                          tmp_path / "fitted.csv")
         assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "fitted.csv").read_bytes()
+        refit = Pipeline.fit(loaded.train_cases(), FitConfig(pca_weighting=not pca))
+        assert refit.encoder == loaded.encoder
 
 
 class TestCsvHelpers:

@@ -21,11 +21,12 @@ from conftest import (
     small_schema,
     tiny_corpus,
 )
-from durcast import encoding as encoding_mod, schema as schema_mod
+from durcast import encoding as encoding_mod, pca as pca_mod, schema as schema_mod
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
     BackendUnreachable,
+    DegenerateInput,
     DurcastError,
     EmbeddingServiceError,
     EmptyTrainingSet,
@@ -33,7 +34,6 @@ from durcast.errors import (
     SchemaMismatch,
     SpecError,
 )
-from durcast.encoding import FittedEncoder
 from durcast.evaluate import run_experiment
 from durcast.llm import LlmBackend, MockEchoPrior, MockReferenceMean
 from durcast.pipeline import (
@@ -70,17 +70,6 @@ def pipe(train):
     return Pipeline.fit(train)
 
 
-def _no_work(*args, **kwargs):
-    raise AssertionError("fit did work it should not have")
-
-
-@pytest.fixture()
-def no_fit_work(monkeypatch):
-    """Fails the test if anything fits or encodes."""
-    for owner, name in ((encoding_mod, "fit"), (FittedEncoder, "encode_matrix")):
-        monkeypatch.setattr(owner, name, _no_work)
-
-
 def thyroid_query(case_id="q-thy"):
     return mk_case(case_id, None, department="thyroid_breast",
                    surgery="thyroidectomy", note="neck ultrasound reviewed")
@@ -94,9 +83,12 @@ class TestFit:
         assert list(pipe.train_cases().cases) == list(pipe.index.cases)
 
     def test_encoder_fitted_on_full_train(self, train, pipe):
-        ages = [c.values["age"] for c in train.cases]
+        """The training set is the cases with a duration: the pending case's
+        age shapes no statistic."""
+        ages = [c.values["age"] for c in pipe.index.cases]
         mean, _ = pipe.encoder.numeric_stats["age"]
         assert mean == pytest.approx(sum(ages) / len(ages))
+        assert mean != pytest.approx(sum(c.values["age"] for c in train.cases) / len(train.cases))
 
     def test_pca_weights_by_default(self, pipe):
         assert pipe.weights.k_used >= 1
@@ -114,19 +106,25 @@ class TestFit:
         pinned = Pipeline.fit(train, FitConfig(pca_top_m=10_000))
         assert pinned.weights.k_used == pinned.encoder.dim
 
-    def test_every_indexed_case_keeps_a_direction(self):
-        """Only surgery_level varies, and the one case with a duration has
+    def test_every_indexed_case_keeps_a_direction(self, monkeypatch):
+        """Among the indexed cases only surgery_level varies, and t2 has
         rank 0 there: PCA alone would weight it to the zero vector."""
-        rows = [(None, None, None, None, 20), (None, None, "II", None, 20),
-                (None, None, "I", 20.0, 20)]
-        train = CaseSet(cases=[_mk(f"t{i}", r) for i, r in enumerate(rows)],
+        lifted, real_lift = [], pca_mod.lift_zero_weights
+
+        def spy(weights):
+            lifted.append(weights)
+            return real_lift(weights)
+
+        monkeypatch.setattr(pca_mod, "lift_zero_weights", spy)
+        train = CaseSet(cases=[_mk(f"t{i}", r) for i, r in enumerate(LIFTED_ROWS)],
                         schema=small_schema())
         config = FitConfig(embedder={"type": "hashing", "dim": 16, "ngram": 3})
         fitted = Pipeline.fit(train, config)
-        assert [c.id for c in fitted.index.cases] == ["t2"]
+        assert [c.id for c in fitted.index.cases] == ["t1", "t2"]
+        assert len(lifted) == 1 and (lifted[0].weights == 0.0).any()
         assert fitted.index.vectors.any(axis=1).all()
         assert fitted.weights.weights.min() > 0.0
-        refs, _ = fitted.retrieve_references(_mk("q", rows[0]), k=1)
+        refs, _ = fitted.retrieve_references(_mk("q", LIFTED_ROWS[2]), k=1)
         assert [c.id for c, _ in refs.references] == ["t2"]
 
     def test_empty_training_set(self, train):
@@ -140,27 +138,54 @@ class TestFit:
         with pytest.raises(EmptyTrainingSet):
             Pipeline.fit(bare)
 
-    def test_given_encoder_replaces_the_encoder_fit(self, train, pipe, monkeypatch):
-        config = FitConfig(pca_weighting=False)
-        fresh = Pipeline.fit(train, config)
-        monkeypatch.setattr(encoding_mod, "fit", _no_work)
-        reused = Pipeline.fit(train, config, pipe.encoder)
-        assert reused.encoder is pipe.encoder
-        assert np.array_equal(reused.index.vectors, fresh.index.vectors)
+    def test_unlabelled_rows_are_not_training_cases(self, tmp_path):
+        """A fit of a set with rows lacking a duration writes the artifact
+        bytes a fit of its labelled rows alone writes."""
+        corpus = generate_synthetic(SyntheticSpec(n_cases=200), seed=3)
+        blanked = [replace(c, duration_min=None) if i % 5 == 4 else c
+                   for i, c in enumerate(corpus.cases)]
+        labelled = [c for c in blanked if c.duration_min is not None]
+        for name, cases in (("mixed", blanked), ("labelled", labelled)):
+            save_artifacts(Pipeline.fit(CaseSet(cases, corpus.schema)), tmp_path / name)
+        for file in ARTIFACT_FILES:
+            assert (tmp_path / "mixed" / file).read_bytes() == \
+                (tmp_path / "labelled" / file).read_bytes()
 
-    @pytest.mark.parametrize("embedder", [
-        {"type": "hashing", "dim": 128, "ngram": 3},
-        {"type": "hashing", "dim": 256, "ngram": 4},
-    ])
-    def test_given_encoder_must_embed_as_the_config(self, train, pipe, no_fit_work, embedder):
-        """Refused with the equality save_artifacts applies."""
-        with pytest.raises(SpecError, match="config.embedder"):
-            Pipeline.fit(train, FitConfig(embedder=embedder), pipe.encoder)
+    def test_one_labelled_row_needs_pca_off(self, train):
+        """PCA needs two training cases, however many unlabelled rows come
+        with the one."""
+        one = CaseSet([train.cases[0], *(mk_case(f"n{i}") for i in range(3))], train.schema)
+        with pytest.raises(DegenerateInput):
+            Pipeline.fit(one)
+        flat = Pipeline.fit(one, FitConfig(pca_weighting=False))
+        assert [c.id for c in flat.index.cases] == [train.cases[0].id]
 
-    def test_given_encoder_must_hold_the_training_schema(self, train, pipe, no_fit_work):
-        other = replace(train.schema, key_attributes=("department", "surgery_name"))
-        with pytest.raises(SpecError, match="train.schema"):
-            Pipeline.fit(CaseSet(cases=train.cases, schema=other), None, pipe.encoder)
+    def test_unlabelled_row_values_are_not_read(self, train, pipe):
+        """An undeclared ordinal level in a row without a duration does not
+        fail the fit, which never reads that row."""
+        stray = mk_case("pending-2", None, asa="ZZZ")
+        with pytest.raises(SchemaMismatch, match="ZZZ"):
+            Pipeline.fit(CaseSet([*train.cases, replace(stray, duration_min=90.0)],
+                                 train.schema))
+        fitted = Pipeline.fit(CaseSet([*train.cases, stray], train.schema))
+        assert fitted.encoder == pipe.encoder
+        assert np.array_equal(fitted.index.vectors, pipe.index.vectors)
+
+    def test_remote_fit_posts_nothing_for_a_feature_outside_the_schema(self, stub_server):
+        """The encoder fit refuses the row with encode_matrix's error before
+        any text is embedded."""
+        server = stub_server(hashed_embeddings(16))
+        corpus = generate_synthetic(SyntheticSpec(n_cases=50), seed=1)
+        stray = replace(corpus.cases[7], values={**corpus.cases[7].values, "ward": "B"})
+        train = CaseSet([*corpus.cases[:7], stray, *corpus.cases[8:]], corpus.schema)
+        config = FitConfig(embedder={"type": "remote", "url": server.url, "dim": 16})
+        with pytest.raises(SchemaMismatch) as caught:
+            Pipeline.fit(train, config)
+        assert server.requests == []
+        clean = encoding_mod.fit(corpus, HashingTextEmbedder(dim=16))
+        _, errors = clean.encode_matrix(train)
+        assert list(errors) == [7]
+        assert str(caught.value) == str(errors[7])
 
     def test_embed_query_is_weighted_encoding(self, pipe):
         """The query row a retrieval batch weights, bit for bit."""
@@ -776,22 +801,28 @@ def _mk(case_id, row):
     return mk_case(case_id, dur, age=float(age), department=dept, surgery=surgery, level=level)
 
 
+# Two labelled rows that differ only in surgery_level, the second at rank 0,
+# behind one unlabelled row: PCA weights the second to the zero vector, so
+# the fit reaches lift_zero_weights.
+LIFTED_ROWS = [(None, None, None, None, 20), (None, None, "II", 30.0, 20),
+               (None, None, "I", 20.0, 20)]
+
+
+def _two_labelled(rows):
+    return sum(r[3] is not None for r in rows) >= 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     rows=st.lists(
         _rows(("a", "b"), st.one_of(st.none(), st.integers(20, 400).map(float))),
         min_size=3,
         max_size=14,
-    ).filter(lambda rows: any(r[3] is not None for r in rows)),
+    ).filter(_two_labelled),
     queries=st.lists(_rows(("a", "b", "z"), st.none()), min_size=1, max_size=6),
     min_cohort=st.integers(1, 4),
 )
-@example(  # the one indexed case weights to zero under PCA alone
-    rows=[(None, None, None, None, 20), (None, None, "II", None, 20),
-          (None, None, "I", 20.0, 20)],
-    queries=[(None, None, None, None, 20)],
-    min_cohort=1,
-)
+@example(rows=LIFTED_ROWS, queries=[(None, None, None, None, 20)], min_cohort=1)
 def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
     """Priors are recomputed from the indexed cases, not persisted: the
     fitted pipeline and its save/load round trip agree on every query."""
@@ -816,7 +847,7 @@ def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
         _rows(("a", "b"), st.one_of(st.none(), st.integers(20, 400).map(float))),
         min_size=3,
         max_size=14,
-    ).filter(lambda rows: any(r[3] is not None for r in rows)),
+    ).filter(_two_labelled),
     queries=st.lists(_rows(("a", "b", "z"), st.integers(20, 400).map(float)), min_size=2,
                      max_size=6),
     id_pool=st.integers(1, 14),
