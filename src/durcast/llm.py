@@ -87,6 +87,10 @@ def _extract_number(raw: str) -> float:
     return minutes * 60.0 if hours else minutes
 
 
+def _clamp(minutes: float, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
+    return float(min(max(minutes, 1.0), max_minutes))
+
+
 def parse_duration(raw: str, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
     """Minutes from a completion, clamped to [1, max_minutes].
 
@@ -103,7 +107,7 @@ def parse_duration(raw: str, max_minutes: float = DEFAULT_MAX_MINUTES) -> float:
       unparseable, as does text with no number: UnparseableOutput, so the
       round is retried.
     """
-    return float(min(max(_extract_number(raw), 1.0), max_minutes))
+    return _clamp(_extract_number(raw), max_minutes)
 
 
 def _is_int(value) -> bool:
@@ -343,11 +347,12 @@ class PredictionEnsemble:
 
 
 def _ask_round(
-    prompt: Prompt, backend: LlmBackend, round_index: int, temperature: float
-) -> tuple[PredictionRound | None, int]:
-    """One round, up to backend.max_retries + 1 attempts: the retained
-    round, or None when every attempt failed, and how many attempts failed
-    on transport."""
+    prompt: Prompt, backend: LlmBackend, strict: bool, round_index: int, temperature: float
+) -> PredictionRound | None:
+    """One round of up to backend.max_retries + 1 attempts, a transport
+    error or an unparseable completion moving on to the next: the retained
+    round, or None when every attempt failed. In strict mode, round 1
+    failing every attempt on transport raises BackendUnreachable instead."""
     transport_failures = 0
     for _ in range(backend.max_retries + 1):
         try:
@@ -359,16 +364,14 @@ def _ask_round(
             unclamped = _extract_number(raw)
         except UnparseableOutput:
             continue
-        parsed = float(min(max(unclamped, 1.0), DEFAULT_MAX_MINUTES))
-        kept = PredictionRound(
-            round_index=round_index,
-            temperature=temperature,
-            raw_text=raw,
-            parsed_minutes=parsed,
-            clamped=parsed != unclamped,
+        parsed = _clamp(unclamped)
+        return PredictionRound(round_index, temperature, raw, parsed, clamped=parsed != unclamped)
+    if strict and round_index == 1 and transport_failures == backend.max_retries + 1:
+        raise BackendUnreachable(
+            f"backend {backend.kind} failed all "
+            f"{backend.max_retries + 1} attempts on the first round"
         )
-        return kept, transport_failures
-    return None, transport_failures
+    return None
 
 
 def predict_ensemble(
@@ -378,44 +381,29 @@ def predict_ensemble(
     seed: int,
     strict: bool = False,
 ) -> PredictionEnsemble:
-    """Run n scheduled rounds against the backend.
-
-    Each round retries up to backend.max_retries extra attempts on transport
-    errors or unparseable completions, then is dropped. With a call_pool,
-    the rounds run there, as many at once as it has free threads; else
-    they run one after another on the calling thread. strict mode raises
-    BackendUnreachable when round 1 exhausts its retries entirely on
-    transport errors (the backend is presumed down); rounds not yet
-    started are then cancelled. Raises AllRoundsFailed when no round
-    survives.
+    """Run n scheduled rounds against the backend, each one _ask_round, and
+    keep those that survive, in round_index order. With a call_pool, the
+    rounds run there, as many at once as it has free threads; else they run
+    one after another on the calling thread. strict mode raises
+    BackendUnreachable when round 1 fails every attempt on transport (the
+    backend is presumed down); rounds not yet started are then cancelled.
+    Raises AllRoundsFailed when no round survives.
     """
     temperatures = schedule_temperatures(n, seed)
-    ask = functools.partial(_ask_round, prompt, backend)
+    ask = functools.partial(_ask_round, prompt, backend, strict)
     rounds = range(1, n + 1)
+    futures: list[Future] = []
     if backend.call_pool is None:
         # lazy, so a strict failure of round 1 starts no further round
-        return _ensemble(map(ask, rounds, temperatures), backend, n, seed, strict)
-    futures = backend.call_pool.map(ask, rounds, temperatures)
+        outcomes = map(ask, rounds, temperatures)
+    else:
+        futures = backend.call_pool.map(ask, rounds, temperatures)
+        outcomes = (future.result() for future in futures)
     try:
-        return _ensemble((f.result() for f in futures), backend, n, seed, strict)
+        retained = tuple(kept for kept in outcomes if kept is not None)
     finally:
         for future in futures:
             future.cancel()
-
-
-def _ensemble(outcomes, backend: LlmBackend, n: int, seed: int, strict: bool):
-    """The ensemble of the rounds' outcomes, taken in round_index order."""
-    retained = []
-    for round_index, (kept, transport_failures) in enumerate(outcomes, start=1):
-        if kept is not None:
-            retained.append(kept)
-        elif strict and round_index == 1 and transport_failures == backend.max_retries + 1:
-            raise BackendUnreachable(
-                f"backend {backend.kind} failed all "
-                f"{backend.max_retries + 1} attempts on the first round"
-            )
     if not retained:
-        raise AllRoundsFailed(
-            f"all {n} rounds dropped against backend {backend.kind}"
-        )
-    return PredictionEnsemble(rounds=tuple(retained), seed=seed, requested_n=n)
+        raise AllRoundsFailed(f"all {n} rounds dropped against backend {backend.kind}")
+    return PredictionEnsemble(rounds=retained, seed=seed, requested_n=n)

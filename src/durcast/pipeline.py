@@ -166,11 +166,16 @@ class CasePrediction:
 
 def make_embedder(spec: dict) -> TextEmbedder:
     """The embedder a FitConfig's embedder spec describes, absent keys
-    taking their defaults; a spec it cannot build is a SpecError."""
+    taking their defaults; a spec it cannot build, or with a key its type
+    does not take, is a SpecError."""
     kind = spec.get("type", "hashing") if isinstance(spec, dict) else None
     if kind not in ("hashing", "remote"):
         raise SpecError(f"embedder must be a mapping of type hashing or remote, got {spec!r}")
-    for key in ("dim", "ngram") if kind == "hashing" else ("dim",):
+    takes = ("dim", "ngram") if kind == "hashing" else ("dim", "url", "timeout_s")
+    unknown = [key for key in spec if key != "type" and key not in takes]
+    if unknown:
+        raise SpecError(f"{kind} embedder takes no key {', '.join(map(repr, unknown))}")
+    for key in ("dim", "ngram"):
         if key in spec and not _is_count(spec[key]):
             raise SpecError(f"embedder {key} must be an integer >= 1, got {spec[key]!r}")
     if kind == "hashing":
@@ -352,13 +357,10 @@ class Pipeline:
         prompt = build_prompt(query, refs, prior, cfg.mode, template, self.schema)
         seed = stable_seed(cfg.seed, "ensemble", query.id)
         ensemble = predict_ensemble(prompt, cfg.backend, cfg.rounds, seed=seed, strict=strict)
-        if cfg.mode == "rag" and cfg.strategy == "bayesian":
-            weight = prior_strength(prior, cfg.w_prior, cfg.prior_mode)
-            estimate = aggregate(ensemble, "bayesian", prior, weight)
-        elif cfg.mode == "rag":
-            estimate = aggregate(ensemble, cfg.strategy)
-        else:
-            estimate = aggregate(ensemble, "simple_average")
+        strategy = cfg.strategy if cfg.mode == "rag" else "simple_average"
+        bayesian = strategy == "bayesian"
+        weight = prior_strength(prior, cfg.w_prior, cfg.prior_mode) if bayesian else 0.0
+        estimate = aggregate(ensemble, strategy, prior, weight)
         return CasePrediction(
             query_id=query.id,
             mode=cfg.mode,

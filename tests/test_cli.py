@@ -157,6 +157,21 @@ class TestBuild:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_header_cell_over_csv_field_limit_writes_nothing(self, workspace, tmp_path, capsys):
+        """A header cell one character longer than the csv module's field
+        limit (131,072) is an unreadable header: exit 1, one error line."""
+        text = (workspace / "data" / "train.csv").read_text(encoding="utf-8")
+        train = tmp_path / "train.csv"
+        train.write_text("x" * (csv.field_size_limit() + 1) + "," + text, encoding="utf-8")
+        out = tmp_path / "art"
+        args = self.build_args(workspace, out)
+        args[args.index("--train") + 1] = str(train)
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CSV header unreadable: field larger than field limit")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_sets_fit(self, workspace, tmp_path):
         config = tmp_path / "build.yaml"
         config.write_text("no-pca: true\nmin-cohort: 6\n", encoding="utf-8")
@@ -247,6 +262,13 @@ class TestPredict:
                        "--set", "blood_type=A"])
         assert rc == 1
         assert "unknown feature" in capsys.readouterr().err
+
+    def test_set_without_equals_sign_is_refused(self, workspace, capsys):
+        rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"), "--set", "age"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: --set expects key=value, got 'age'\n"
+        assert captured.out == ""
 
     def test_set_rejects_bad_number(self, workspace, capsys):
         rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"),
@@ -708,6 +730,22 @@ def test_bad_template_is_refused(workspace, tmp_path, capsys, command, bad):
     assert rc == 1
     assert "error:" in captured.err and "template" in captured.err
     assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
+
+
+def test_template_without_sections_is_refused(workspace, tmp_path, capsys):
+    """A template that stops before its [reference] section exits 1 and
+    names the sections it lacks."""
+    path = tmp_path / "prompt.txt"
+    path.write_text(DEFAULT_TEMPLATE.split("\n[reference]\n")[0], encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(["predict", "--artifacts", str(workspace / "artifacts"), *QUERY_FLAGS,
+                   "--template", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        "error: template missing sections: ['reference', 'statistics', 'query', 'user']\n"
+    )
     assert captured.out == ""
 
 

@@ -270,6 +270,24 @@ class TestPredictEnsemble:
         with pytest.raises(BackendUnreachable):
             predict_ensemble(rag_prompt(), backend, 2, seed=0, strict=True)
 
+    def test_strict_inline_stops_after_round_one(self):
+        """On the calling thread, a strict failure of round 1 starts no
+        further round: a backend that is down sees round 1's attempts only."""
+        rounds_seen = []
+
+        class Down(LlmBackend):
+            kind = "down"
+
+            def complete(self, prompt, temperature, round_index):
+                rounds_seen.append(round_index)
+                raise BackendTransportError("synthetic outage")
+
+        backend = Down(max_retries=2)
+        assert backend.call_pool is None
+        with pytest.raises(BackendUnreachable):
+            predict_ensemble(rag_prompt(), backend, 5, seed=0, strict=True)
+        assert rounds_seen == [1, 1, 1]
+
     def test_nonstrict_unparseable_rounds_do_not_trip_strict_check(self):
         backend = MockScripted(outputs=("no estimate possible",))
         with pytest.raises(AllRoundsFailed):

@@ -414,6 +414,9 @@ class TestMakeEmbedder:
             ({"type": "remote", "url": "http://x/v1", "timeout_s": float("inf")}, "timeout_s"),
             ({"type": "remote", "url": "http://x/v1", "timeout_s": True}, "timeout_s"),
             ({"type": "remote", "url": "http://x/v1", "timeout_s": None}, "timeout_s"),
+            ({"type": "hashing", "dimm": 128}, "takes no key 'dimm'"),
+            ({"type": "hashing", "url": "http://x/v1"}, "takes no key 'url'"),
+            ({"dim": 64, "ngrams": 2, 7: 1}, "^hashing embedder takes no key 'ngrams', 7$"),
         ],
     )
     def test_bad_spec_is_spec_error(self, spec, message):
@@ -427,9 +430,10 @@ class TestMakeEmbedder:
         spec = {"type": "remote", "url": "http://x/v1", "timeout_s": timeout}
         assert make_embedder(spec).timeout_s == timeout
 
-    def test_remote_ngram_is_not_read(self):
-        spec = {"type": "remote", "url": "http://x/v1", "dim": 32, "ngram": 0}
-        assert FitConfig(embedder=spec).embedder == spec
+    def test_remote_ngram_is_refused(self):
+        spec = {"type": "remote", "url": "http://x/v1", "dim": 32, "ngram": 3}
+        with pytest.raises(SpecError, match="remote embedder takes no key 'ngram'"):
+            FitConfig(embedder=spec)
 
 
 class RecordingBackend(LlmBackend):
@@ -673,6 +677,13 @@ class TestArtifacts:
         rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder={"type": "hashing"}))
         assert load_artifacts(tmp_path).fit_config.embedder == {"type": "hashing"}
 
+    def test_manifest_embedder_key_its_type_does_not_take(self, pipe, tmp_path):
+        save_artifacts(pipe, tmp_path)
+        spec = {"type": "hashing", "dimm": 128}
+        rewrite_manifest(tmp_path, lambda m: m["fit_config"].update(embedder=spec))
+        with pytest.raises(ArtifactError, match="bad fit_config: hashing embedder takes no key"):
+            load_artifacts(tmp_path)
+
     def test_unusable_index_row_is_artifact_error(self, pipe, tmp_path):
         save_artifacts(pipe, tmp_path)
         blob = bytearray((tmp_path / "index.bin").read_bytes())
@@ -853,11 +864,22 @@ def test_reloaded_priors_equal_fitted(rows, queries, min_cohort):
     id_pool=st.integers(1, 14),
     pca=st.booleans(),
 )
+# The third query has the training mean age and no other feature: its
+# PCA-weighted encoding is zero, so it has no cosine direction.
+@example(
+    rows=[(None, "a", None, 20.0, 40), (None, "a", None, 20.0, 58), (None, "a", None, 20.0, 58)],
+    queries=[(None, None, None, 20.0, 20), (None, None, None, 20.0, 20),
+             (None, None, None, 20.0, 52)],
+    id_pool=1,
+    pca=True,
+)
 def test_reloaded_index_equals_fitted(tmp_path_factory, rows, queries, id_pool, pca):
     """Fit rounds the index rows to the precision index.bin stores, so a
-    fitted pipeline and its reload hold the same bits and retrieve the same
-    references with the same similarities; run_experiment writes the same
-    JSONL bytes with either."""
+    fitted pipeline and its reload hold the same bits and give every query
+    the same outcome: the same references with the same similarities, or
+    the same error (a query with no weighted direction is a ZeroVector on
+    both); run_experiment writes the same JSONL bytes with either, or
+    raises the same error."""
     cases = [_mk(f"t{i % id_pool}", r) for i, r in enumerate(rows)]
     train = CaseSet(cases=cases, schema=small_schema())
     config = FitConfig(pca_weighting=pca, embedder={"type": "hashing", "dim": 16, "ngram": 3})
@@ -872,16 +894,26 @@ def test_reloaded_index_equals_fitted(tmp_path_factory, rows, queries, id_pool, 
     assert units[0].tobytes() == units[1].tobytes()
 
     test = CaseSet(cases=[_mk(f"q{i}", r) for i, r in enumerate(queries)], schema=small_schema())
-    for q in test.cases:
-        (a_refs, (a_rows, a_sims)), (b_refs, (b_rows, b_sims)) = (
-            p.retrieve_references(q, k=3, expansion_factor=2) for p in (fitted, loaded)
-        )
-        assert a_rows.tolist() == b_rows.tolist()
-        assert a_sims.tobytes() == b_sims.tobytes()
-        assert [(c.id, s) for c, s in a_refs.references] == [
-            (c.id, s) for c, s in b_refs.references
-        ]
+
+    def outcome(found):
+        if isinstance(found, DurcastError):
+            return type(found), str(found)
+        refs, (candidates, sims) = found
+        return candidates.tolist(), sims.tobytes(), [(c.id, s) for c, s in refs.references]
+
+    fitted_found, loaded_found = (
+        [outcome(f) for f in p.retrieve_references_batch(test.cases, k=3, expansion_factor=2)]
+        for p in (fitted, loaded)
+    )
+    assert fitted_found == loaded_found
     cfg = ExperimentConfig(MockReferenceMean(noise_sd=5.0), mode="rag", k=3, rounds=2, fit=config)
+    runs = []
     for name, p in (("fitted", fitted), ("loaded", loaded)):
-        run_experiment(cfg, train, test, pipeline=p, jsonl_path=out / f"{name}.jsonl")
-    assert (out / "fitted.jsonl").read_bytes() == (out / "loaded.jsonl").read_bytes()
+        path = out / f"{name}.jsonl"
+        try:
+            run_experiment(cfg, train, test, pipeline=p, jsonl_path=path)
+            error = None
+        except DurcastError as exc:
+            error = type(exc), str(exc)
+        runs.append((error, path.read_bytes() if path.exists() else None))
+    assert runs[0] == runs[1]
