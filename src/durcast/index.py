@@ -12,16 +12,17 @@ descending, id ascending) through the case table's id ranks, so ids and
 similarities equal a linear-scan sort bit for bit. Every query keeps
 min(m, n) candidates, so a batch's candidates are two Q x min(m, n) arrays,
 (rows, similarities), as in FAISS: retrieve_units answers queries already
-scaled to unit norm by unit_query. retrieve answers one query as
-RetrievalCandidate objects.
+scaled to unit norm, a whole batch in one pass by unit_queries or one query
+by unit_query. retrieve answers one query as RetrievalCandidate objects.
 
 A FlatIndex holds its vectors at the precision it is given (STORED_DTYPE,
 float32, once fitted or loaded), one inverse norm per row for the product,
 a float64 unit-row cache that a lock guards and that a row enters the first
-time a window reaches it, and the cases' CaseTable. Its constructor checks
-each row, built or loaded, and normalises none. A row whose norm lies
-outside the range the float32 product scores safely has no product score
-and joins every window.
+time a window reaches it (rows in first-use order, so its memory follows
+the rows that queries reach), and the cases' CaseTable. Its constructor
+checks each row, built or loaded, and normalises none. A row whose norm
+lies outside the range the float32 product scores safely has no product
+score and joins every window.
 
 postprocess_rows refines a whole batch of queries' candidate rows at once
 into their final reference sets: one stratum-ladder walk over the index's
@@ -116,8 +117,11 @@ class FlatIndex:
     inverse row norm per row at the scan precision (float32 for float32
     vectors) for phase 1 of retrieve_units, and a cache of float64 unit rows
     for phase 2. A row's unit row is built, under a lock, the first time a
-    retrieval window reaches it, so a new index normalises no row and its
-    memory grows with the rows that queries reach. A row whose norm lies
+    retrieval window reaches it, and appended to the cache's filled prefix:
+    _unit[:_used] holds the filled rows in first-use order, row r at
+    _slot[r]. So a new index normalises no row, and the cache's resident
+    memory is _used * dim * 8 bytes (rounded up to whole pages) however
+    scattered the reached rows are. A row whose norm lies
     outside [2**-64, 2**64] has no phase-1 score (the float32 product could
     overflow, or its subnormal parts lose their relative precision); it
     joins every window instead."""
@@ -141,24 +145,27 @@ class FlatIndex:
         scored = (norms >= 2.0**-64) & (norms <= 2.0**64)
         self._inv_norms = np.where(scored, 1.0 / norms, 0.0).astype(scan)
         self._unscored = np.flatnonzero(~scored)
-        self._unit = np.empty(vectors.shape, dtype=np.float64)  # paged in as filled
-        self._filled = np.zeros(len(vectors), dtype=bool)
+        self._unit = np.empty(vectors.shape, dtype=np.float64)
+        self._slot = np.full(len(vectors), -1, dtype=np.intp)  # -1: not filled
+        self._used = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.table)
 
     def _unit_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The float64 unit vectors of the given rows: each row upcast and
-        divided by its norm, as index.bin has always been read, built on
-        first use."""
+        """The float64 unit vectors of the given distinct rows: each row
+        upcast and divided by its norm, as index.bin has always been read,
+        built on first use and appended to the filled prefix. A filled slot
+        never changes, so it is read outside the lock."""
         with self._lock:
-            new = rows[~self._filled[rows]]
+            new = rows[self._slot[rows] < 0]
             if new.size:
+                start, self._used = self._used, self._used + new.size
                 block = self.vectors[new].astype(np.float64)
-                self._unit[new] = block / np.linalg.norm(block, axis=1)[:, None]
-                self._filled[new] = True
-        return self._unit[rows]
+                self._unit[start : self._used] = block / np.linalg.norm(block, axis=1)[:, None]
+                self._slot[new] = np.arange(start, self._used)
+        return self._unit[self._slot[rows]]
 
 
 def build(
@@ -189,12 +196,12 @@ def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandida
 
 
 def retrieve_units(
-    idx: FlatIndex, units: list[np.ndarray], m: int
+    idx: FlatIndex, units: list[np.ndarray] | np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-m retrieval, one matrix product per block of queries, for
-    queries each scaled by unit_query (a row-wise norm of stacked queries
-    rounds differently): two len(units) x min(m, n) arrays, the row indices
-    and their similarities, line j for units[j]."""
+    queries scaled by unit_queries or unit_query (np.linalg.norm along an
+    axis rounds differently): two len(units) x min(m, n) arrays, the row
+    indices and their similarities, line j for units[j]."""
     if len(idx) == 0:
         raise EmptyIndex("retrieve on an empty index")
     if m < 1:
@@ -271,17 +278,38 @@ def _windows(idx: FlatIndex, batch: list[np.ndarray], m: int) -> list[np.ndarray
 
 def unit_query(idx: FlatIndex, query: np.ndarray) -> np.ndarray:
     """The query scaled to unit norm; raises unless it has the index's
-    dimension and a finite, non-zero norm."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (idx.dim,):
-        raise DimensionMismatch(f"query dim {q.shape} does not match index ({idx.dim},)")
+    dimension and a finite, non-zero norm. unit_queries for one row."""
+    units, errors = unit_queries(idx, np.asarray(query, dtype=np.float64)[None])
+    if errors:
+        raise errors[0]
+    return units[0]
+
+
+def unit_queries(
+    idx: FlatIndex, queries: np.ndarray
+) -> tuple[np.ndarray, dict[int, ZeroVector | NonFiniteVector]]:
+    """Each row of a Q x D query matrix scaled to unit norm, and the rows
+    that cannot be: row i -> its NonFiniteVector or ZeroVector, its line
+    left zero. Raises DimensionMismatch unless D is the index's dimension.
+
+    A row's norm is the square root of one dot product of the row with
+    itself, the one np.linalg.norm takes of a lone 1-D query, so a row
+    scales to the same bits alone or in a batch."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.shape[1:] != (idx.dim,):
+        raise DimensionMismatch(f"query dim {q.shape[1:]} does not match index ({idx.dim},)")
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        qn = float(np.linalg.norm(q))
-    if not np.isfinite(qn):
-        raise NonFiniteVector("query has no finite norm")
-    if qn == 0.0:
-        raise ZeroVector("query is a zero vector")
-    return q / qn
+        norms = np.sqrt(np.vecdot(q, q))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    errors: dict[int, ZeroVector | NonFiniteVector] = {
+        i: ZeroVector("query is a zero vector") if norms[i] == 0.0
+        else NonFiniteVector("query has no finite norm")
+        for i in bad.tolist()
+    }
+    norms[bad] = 1.0
+    units = q / norms[:, None]
+    units[bad] = 0.0
+    return units, errors
 
 
 def postprocess_rows(

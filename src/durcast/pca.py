@@ -60,8 +60,16 @@ def fit_pca(embeddings: np.ndarray) -> PCAModel:
     n, _ = x.shape
     if n < 2:
         raise DegenerateInput(f"PCA needs at least 2 rows, got {n}")
-    cov = np.cov(x - x.mean(axis=0), rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    # np.cov(x - mean, rowvar=False, ddof=1) with its own sums, on one
+    # centred copy instead of two: np.cov copies its input, centres the copy
+    # a second time, takes dot(c.T, c) and scales it by 1 / (n - 1). The
+    # same calls on the same buffer give its bits, and the copy is freed
+    # before the solver runs.
+    c = x - x.mean(axis=0)
+    c -= c.mean(axis=0)
+    cov = np.dot(c.T, c)
+    cov *= np.true_divide(1, n - 1)
+    del c
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)

@@ -50,6 +50,7 @@ from .aggregate import STRATEGIES, AggregateEstimate, aggregate
 from .encoding import FittedEncoder
 from .errors import (
     ArtifactError,
+    DimensionMismatch,
     DurcastError,
     EmbeddingServiceError,
     EmptyTrainingSet,
@@ -279,28 +280,24 @@ class Pipeline:
             matrix, errors = self.encoder.encode_matrix(CaseSet(list(cases), self.schema))
         except EmbeddingServiceError as exc:
             return [exc] * len(cases)
-        out: list = [errors.get(i) for i in range(len(cases))]
-        units: dict[int, np.ndarray] = {}
-        for i, query in enumerate(matrix * self.weights.weights):
-            if out[i] is None:
-                try:
-                    # unit_query makes the checks retrieval makes, so the
-                    # batch cannot fail
-                    units[i] = index_mod.unit_query(self.index, query)
-                except DurcastError as exc:
-                    out[i] = exc
-        rows, sims = index_mod.retrieve_units(
-            self.index, list(units.values()), expansion_factor * k
-        )
+        # unit_queries makes the checks retrieval makes, so the batch of
+        # answered rows cannot fail
+        try:
+            units, unusable = index_mod.unit_queries(self.index, matrix * self.weights.weights)
+        except DimensionMismatch as exc:
+            return [errors.get(i, exc) for i in range(len(cases))]
+        out: list = [errors.get(i) or unusable.get(i) for i in range(len(cases))]
+        answered = [i for i, found in enumerate(out) if found is None]
+        rows, sims = index_mod.retrieve_units(self.index, units[answered], expansion_factor * k)
         if postprocess:
-            queries = [cases[i] for i in units]
+            queries = [cases[i] for i in answered]
             refs = index_mod.postprocess_rows(self.index.table, rows, sims, queries, k)
         else:
             refs = [
                 self._unstratified(zip([self.index.cases[i] for i in case_rows], case_sims))
                 for case_rows, case_sims in zip(rows[:, :k].tolist(), sims[:, :k].tolist())
             ]
-        for i, ref, case_rows, case_sims in zip(units, refs, rows, sims):
+        for i, ref, case_rows, case_sims in zip(answered, refs, rows, sims):
             out[i] = (ref, (case_rows, case_sims))
         return out
 

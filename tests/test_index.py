@@ -165,6 +165,22 @@ def unit_rows(vectors):
     return unit / np.linalg.norm(unit, axis=1)[:, None]
 
 
+def filled_rows(idx):
+    """The ascending rows whose unit row the index has built."""
+    return np.flatnonzero(idx._slot >= 0)
+
+
+def assert_cache_holds_unit_rows(idx):
+    """Each filled row owns one slot of the filled prefix, and its cached
+    unit row is bitwise the row upcast and divided by its norm."""
+    filled = filled_rows(idx)
+    assert sorted(idx._slot[filled].tolist()) == list(range(idx._used))
+    for r in filled.tolist():
+        row = idx.vectors[r].astype(np.float64)
+        want = row / np.linalg.norm(row[None], axis=1)
+        assert idx._unit[idx._slot[r]].tobytes() == want.tobytes()
+
+
 def scan_candidates(idx, query, m):
     """Reference retrieval: one row dot per stored case, then a full sort."""
     qv = query / float(np.linalg.norm(query))
@@ -306,6 +322,69 @@ class TestRetrieveBatch:
             assert unit_query(idx, np.array([3.0, 4.0])).tolist() == [0.6, 0.8]
 
 
+def per_row_unit(query):
+    """One query scaled by its own np.linalg.norm, or the error that
+    refuses it: the per-row normalisation unit_queries must equal."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(query))
+    if not np.isfinite(norm):
+        return NonFiniteVector("query has no finite norm")
+    if norm == 0.0:
+        return ZeroVector("query is a zero vector")
+    return query / norm
+
+
+QUERY_ROWS = {
+    "random": lambda rng, dim: rng.normal(size=dim),
+    "scaled": lambda rng, dim: rng.normal(size=dim) * rng.uniform(0, 5, size=dim),
+    "zero": lambda rng, dim: np.zeros(dim),
+    "nan": lambda rng, dim: np.where(np.arange(dim) == 0, np.nan, rng.normal(size=dim)),
+    "inf": lambda rng, dim: np.where(np.arange(dim) == dim - 1, -np.inf, rng.normal(size=dim)),
+    "overflow": lambda rng, dim: rng.normal(size=dim) * 1e200,
+    "underflow": lambda rng, dim: rng.normal(size=dim) * 1e-170,
+    "subnormal": lambda rng, dim: rng.normal(size=dim) * 1e-310,
+}
+
+
+class TestUnitQueries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3, 64, 549]),
+        kinds=st.lists(st.sampled_from(sorted(QUERY_ROWS)), max_size=12),
+    )
+    def test_batch_equals_per_row_path(self, seed, dim, kinds):
+        """Each row scales to the bits of its own np.linalg.norm, and a row
+        that cannot be scaled gets, in its place, the error and message the
+        per-row path gives it; a batch raises no RuntimeWarning."""
+        rng = np.random.default_rng(seed)
+        queries = np.array([QUERY_ROWS[kind](rng, dim) for kind in kinds]).reshape(-1, dim)
+        idx = simple_index(np.eye(dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            units, errors = index_mod.unit_queries(idx, queries)
+        assert units.shape == queries.shape
+        for i, query in enumerate(queries):
+            want = per_row_unit(query)
+            if isinstance(want, np.ndarray):
+                assert i not in errors
+                assert units[i].tobytes() == want.tobytes()
+                assert unit_query(idx, query).tobytes() == want.tobytes()
+            else:
+                assert (type(errors[i]), str(errors[i])) == (type(want), str(want))
+                assert not units[i].any()
+                with pytest.raises(type(want), match=str(want)):
+                    unit_query(idx, query)
+
+    def test_dimension_mismatch_fails_the_batch(self):
+        idx = simple_index([[1.0, 0.0], [0.0, 1.0]])
+        message = r"query dim \(3,\) does not match index \(2,\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            index_mod.unit_queries(idx, np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch, match=message):
+            unit_query(idx, np.ones(3))
+
+
 def float32_tie_index(rng, dim, n):
     """A float32 index with near-ties that collapse in float32 but not in
     float64: random rows, half of them overwritten at scattered positions
@@ -392,7 +471,8 @@ class TestFloat32Retrieval:
     def test_fresh_index_holds_no_unit_row(self):
         idx, _ = float32_tie_index(np.random.default_rng(3), 64, 120)
         back = load_index(save_index(idx), small_schema())
-        assert not idx._filled.any() and not back._filled.any()
+        for fresh in (idx, back):
+            assert fresh._used == 0 and (fresh._slot == -1).all()
 
     def test_one_query_fills_only_its_window(self):
         rng = np.random.default_rng(4)
@@ -400,12 +480,13 @@ class TestFloat32Retrieval:
         idx = build(vectors, [mk_case(f"c{i}", 60.0) for i in range(500)], small_schema())
         rows, _ = retrieve_units(idx, [unit_query(idx, rng.normal(size=64))], 5)
         # No other row is near the fifth's similarity: the window is the top 5.
-        assert np.flatnonzero(idx._filled).tolist() == sorted(rows[0].tolist())
+        assert filled_rows(idx).tolist() == sorted(rows[0].tolist())
+        assert idx._used == 5
 
         idx, anchors = float32_tie_index(rng, 64, 400)
         query = anchors[1].astype(np.float64)
         rows, sims = retrieve_units(idx, [unit_query(idx, query)], 7)
-        filled = np.flatnonzero(idx._filled)
+        filled = filled_rows(idx)
         assert set(rows[0].tolist()) <= set(filled.tolist())
         oracle = unit_rows(idx.vectors) @ (query / np.linalg.norm(query))
         # A window row trails the 7th similarity by at most twice the margin
@@ -446,6 +527,46 @@ class TestFloat32Retrieval:
             for (a_rows, a_sims), (b_rows, b_sims) in zip(run_result, want):
                 assert a_rows.tolist() == b_rows.tolist()
                 assert a_sims.tobytes() == b_sims.tobytes()
+        # The threads reached the windows one thread reaches, overlapping
+        # across queries, and filled each of their rows once.
+        assert filled_rows(shared).tolist() == filled_rows(alone).tolist()
+        assert_cache_holds_unit_rows(shared)
+
+    def test_cache_holds_each_reached_row_once(self):
+        rng = np.random.default_rng(6)
+        idx, anchors = float32_tie_index(rng, 64, 400)
+        queries = [anchors[j % 3] if j % 2 else rng.normal(size=64) for j in range(12)]
+        reached = set()
+
+        def spy(*args):
+            windows = find_windows(*args)
+            for window in windows:
+                reached.update(window.tolist())
+            return windows
+
+        find_windows = index_mod._windows
+        with mock.patch.object(index_mod, "_windows", spy):
+            retrieve_units(idx, [unit_query(idx, q) for q in queries[:6]], 9)
+            for query in queries[3:]:
+                retrieve_units(idx, [unit_query(idx, query)], 9)
+        assert idx._used == len(reached) < len(idx)
+        assert set(filled_rows(idx).tolist()) == reached
+        assert_cache_holds_unit_rows(idx)
+
+    def test_repeated_query_fills_nothing(self):
+        rng = np.random.default_rng(7)
+        idx, anchors = float32_tie_index(rng, 64, 300)
+        units = [unit_query(idx, q) for q in (anchors[0], rng.normal(size=64), anchors[2])]
+        first = retrieve_units(idx, units, 9)
+        used, slots, cache = idx._used, idx._slot.copy(), idx._unit[: idx._used].copy()
+        for query in units:
+            retrieve_units(idx, [query], 9)
+        again = retrieve_units(idx, units, 9)
+        assert idx._used == used
+        assert idx._slot.tolist() == slots.tolist()
+        assert idx._unit[: idx._used].tobytes() == cache.tobytes()
+        assert again[0].tolist() == first[0].tolist()
+        assert again[1].tobytes() == first[1].tobytes()
 
 
 class TestPostprocess:

@@ -1,7 +1,11 @@
 """Covariance eigendecomposition and loading-derived dimension weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from durcast.errors import BadK, DegenerateInput, DimensionMismatch
 from durcast.pca import (
@@ -63,6 +67,45 @@ class TestFitPca:
         assert model.components.tobytes() == components.tobytes()
         assert model.explained_variance.tobytes() == values.tobytes()
         assert model.explained_variance_ratio.tobytes() == ratios.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        d=st.integers(1, 40),
+        constant=st.sets(st.integers(0, 39), max_size=5),
+        scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e150]),
+    )
+    @example(seed=0, n=2, d=1, constant=set(), scale=1.0)
+    @example(seed=1, n=2, d=1, constant={0}, scale=1.0)
+    @example(seed=2, n=9, d=6, constant={0, 3, 5}, scale=1.0)
+    def test_equals_np_cov_reference_bitwise(self, seed, n, d, constant, scale):
+        """The covariance fit_pca sums itself is np.cov's, bit for bit:
+        constant columns, n = 2 and D = 1 included."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * scale + rng.normal(size=d)
+        for j in constant:
+            if j < d:
+                x[:, j] = x[0, j]
+        model = fit_pca(x)
+        components, values, ratios = reference_pca(x)
+        assert model.components.tobytes() == components.tobytes()
+        assert model.explained_variance.tobytes() == values.tobytes()
+        assert model.explained_variance_ratio.tobytes() == ratios.tobytes()
+
+    def test_peak_memory_is_one_centred_copy(self):
+        """fit_pca holds one n x D float64 copy of a tall matrix at a time;
+        np.cov on a centred copy would hold two."""
+        n, d = 20_000, 24
+        x = random_matrix(12, n=n, d=d)
+        fit_pca(x)  # imports and one-time allocations outside the trace
+        tracemalloc.start()
+        try:
+            fit_pca(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
     def test_tied_magnitudes_take_the_first_entry_sign(self):
         """A component of columns a and -a has entries of one magnitude and

@@ -21,12 +21,14 @@ from conftest import (
     small_schema,
     tiny_corpus,
 )
-from durcast import encoding as encoding_mod, pca as pca_mod, schema as schema_mod
+from durcast import encoding as encoding_mod, index as index_mod, pca as pca_mod
+from durcast import schema as schema_mod
 from durcast.errors import (
     ArtifactError,
     BackendTransportError,
     BackendUnreachable,
     DegenerateInput,
+    DimensionMismatch,
     DurcastError,
     EmbeddingServiceError,
     EmptyTrainingSet,
@@ -307,6 +309,20 @@ class TestRemoteRetrievalBatch:
         assert len(answers) == 40
         assert all(isinstance(a, EmbeddingServiceError) for a in answers)
         assert "HTTP 503" in str(answers[0])
+
+
+def test_dimension_mismatch_fails_every_case_but_its_own_errors(pipe, monkeypatch):
+    """An index of another dimension fails every query of a batch with one
+    DimensionMismatch; a row that cannot be encoded keeps its own error."""
+    wide = np.ones((1, pipe.index.dim + 1))
+    monkeypatch.setattr(pipe, "index", index_mod.build(wide, [pipe.index.cases[0]], pipe.schema))
+    good = thyroid_query()
+    bad = replace(good, id="q-bad", values={**good.values, "not_in_schema": 1})
+    answers = pipe.retrieve_references_batch([good, bad, thyroid_query("q-2")])
+    assert isinstance(answers[1], SchemaMismatch)
+    for answer in (answers[0], answers[2]):
+        assert isinstance(answer, DimensionMismatch)
+        assert "does not match index" in str(answer)
 
 
 class AlwaysDown(LlmBackend):
