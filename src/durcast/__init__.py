@@ -7,7 +7,7 @@ into a structured prompt, answered by a multi-round temperature-scheduled
 generator, and fused with the stratum prior by Bayesian averaging.
 """
 
-from .aggregate import AggregateEstimate, aggregate, baseline_aggregate, bayesian_average
+from .aggregate import AggregateEstimate, aggregate
 from .encoding import FittedEncoder, fit
 from .errors import DurcastError
 from .evaluate import (

@@ -51,11 +51,13 @@ from .pipeline import (
     DEFAULT_K,
     DEFAULT_ROUNDS,
     DEFAULT_W_PRIOR,
+    MODES,
     FitConfig,
     Pipeline,
     load_artifacts,
     save_artifacts,
 )
+from .priors import PRIOR_MODES
 from .prompting import load_template
 from .schema import (
     CaseSet,
@@ -169,14 +171,14 @@ def _make_backend(args: argparse.Namespace):
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("zero_shot", "random_few_shot", "rag"), default="rag")
+    p.add_argument("--mode", choices=MODES, default="rag")
     p.add_argument("--k", type=int, default=None,
                    help="reference count (default: 8, or 0 in zero_shot)")
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     p.add_argument("--expansion", type=int, default=DEFAULT_EXPANSION)
     p.add_argument("--w-prior", type=float, default=DEFAULT_W_PRIOR)
     p.add_argument("--strategy", default="bayesian")
-    p.add_argument("--prior-mode", choices=("fixed", "calibrated"), default="fixed")
+    p.add_argument("--prior-mode", choices=PRIOR_MODES, default="fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-postprocess", action="store_true")
     p.add_argument("--template", default=None, help="prompt template file")

@@ -82,7 +82,7 @@ class NoCandidates(DurcastError):
 
 # prompting
 class ModeArgumentMismatch(DurcastError):
-    """References/prior presence inconsistent with the prompt mode."""
+    """Unknown inference mode, or a reference count it does not take."""
 
 
 class MissingDuration(DurcastError):

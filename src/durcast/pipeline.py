@@ -60,8 +60,8 @@ from .errors import (
 )
 from .index import FlatIndex, ReferenceSet
 from .llm import LlmBackend, PredictionEnsemble, _is_int, predict_ensemble, stable_seed
-from .priors import DEFAULT_MIN_COHORT, PriorIndex, StatisticalPrior, prior_strength
-from .prompting import MODES, PromptTemplate, build_prompt, load_template
+from .priors import DEFAULT_MIN_COHORT, PRIOR_MODES, PriorIndex, StatisticalPrior, prior_strength
+from .prompting import PromptTemplate, build_prompt, load_template
 from .schema import CaseSet, FeatureSchema, SurgicalCase
 from .strata import GLOBAL_STRATUM, ladder
 from .text_embedding import HashingTextEmbedder, RemoteTextEmbedder, TextEmbedder
@@ -107,6 +107,10 @@ def _is_count(value) -> bool:
     return _is_int(value) and value >= 1
 
 
+# The inference modes; predict_case gives each its prompt parts and strategy.
+MODES = ("zero_shot", "random_few_shot", "rag")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of one prediction protocol. k, rounds and
@@ -148,7 +152,7 @@ class ExperimentConfig:
             raise SpecError(f"w_prior must be a finite number >= 0, got {w!r}")
         if not isinstance(self.postprocess, bool):
             raise SpecError(f"postprocess must be true or false, got {self.postprocess!r}")
-        if self.prior_mode not in ("fixed", "calibrated"):
+        if self.prior_mode not in PRIOR_MODES:
             raise SpecError(f"unknown prior strength mode {self.prior_mode!r}")
 
 
@@ -301,7 +305,7 @@ class Pipeline:
             out[i] = (ref, (case_rows, case_sims))
         return out
 
-    def random_references(self, case: SurgicalCase, k: int, seed: int) -> ReferenceSet:
+    def random_references(self, k: int, seed: int) -> ReferenceSet:
         """k training cases drawn uniformly without replacement; similarity
         is reported as 0 since none was computed."""
         pool = self.index.cases
@@ -332,13 +336,15 @@ class Pipeline:
         given, are the query's retrieve_references result under cfg and
         stand in for retrieving them here.
 
-        zero_shot and random_few_shot aggregate with a simple average: the
-        stratum prior is part of the retrieval-augmented protocol, so those
-        baselines do not see it.
+        rag prompts with references and the stratum prior and aggregates by
+        cfg.strategy; random_few_shot (random references) and zero_shot
+        (neither) take a simple average, as the prior is part of the
+        retrieval-augmented protocol.
         """
         template = template or load_template()
         refs: ReferenceSet | None = None
         prior: StatisticalPrior | None = None
+        strategy = "simple_average"
         if cfg.mode == "rag":
             refs = references
             if refs is None:
@@ -346,15 +352,13 @@ class Pipeline:
                     query, cfg.k, cfg.expansion_factor, cfg.postprocess
                 )[0]
             prior = self.priors.for_query(query)
+            strategy = cfg.strategy
         elif cfg.mode == "random_few_shot":
-            refs = self.random_references(
-                query, cfg.k, stable_seed(cfg.seed, "random-refs", query.id)
-            )
+            refs = self.random_references(cfg.k, stable_seed(cfg.seed, "random-refs", query.id))
 
-        prompt = build_prompt(query, refs, prior, cfg.mode, template, self.schema)
+        prompt = build_prompt(query, refs, prior, template, self.schema)
         seed = stable_seed(cfg.seed, "ensemble", query.id)
         ensemble = predict_ensemble(prompt, cfg.backend, cfg.rounds, seed=seed, strict=strict)
-        strategy = cfg.strategy if cfg.mode == "rag" else "simple_average"
         bayesian = strategy == "bayesian"
         weight = prior_strength(prior, cfg.w_prior, cfg.prior_mode) if bayesian else 0.0
         estimate = aggregate(ensemble, strategy, prior, weight)

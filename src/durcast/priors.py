@@ -21,6 +21,8 @@ from .schema import CaseSet, SurgicalCase
 from .strata import CaseTable, describe_tier, quartiles
 
 DEFAULT_MIN_COHORT = 5
+# How prior_strength turns the base weight into the prior's weight.
+PRIOR_MODES = ("fixed", "calibrated")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Templates are external text files with [section] markers so prompt wording
 is data, not code. The builder fills placeholders, assembles the user text
-from up to three parts (reference demonstrations, stratum statistics, query
-profile) according to the inference mode, and appends a machine-parseable
-output contract to the system text.
+from the parts it is given (reference demonstrations when given references,
+stratum statistics when given a prior, and always the query profile), and
+appends a machine-parseable output contract to the system text. Which parts
+an inference mode gives is the caller's choice (Pipeline.predict_case).
 
 Template sections and their placeholders:
     [system]             no placeholders (contract line is appended)
@@ -24,18 +25,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    IoError,
-    MissingDuration,
-    ModeArgumentMismatch,
-    ParseError,
-    PromptTooLong,
-)
+from .errors import IoError, MissingDuration, ParseError, PromptTooLong
 from .index import ReferenceSet
 from .priors import StatisticalPrior
 from .schema import FeatureSchema, SurgicalCase
-
-MODES = ("zero_shot", "random_few_shot", "rag")
 
 OUTPUT_CONTRACT = (
     "Respond with the final answer as `PREDICTION: <integer> minutes` "
@@ -196,36 +189,27 @@ def build_prompt(
     query: SurgicalCase,
     refs: ReferenceSet | None,
     prior: StatisticalPrior | None,
-    mode: str,
     template: PromptTemplate,
     schema: FeatureSchema,
 ) -> Prompt:
-    """Assemble the full prompt for one query under the given mode, each
-    case's features listed in schema order.
+    """Assemble the full prompt for one query, each case's features listed
+    in schema order: the reference section when given refs, the statistics
+    section when given prior, and the query section.
 
-    zero_shot forbids references and prior; random_few_shot takes references
-    only; rag requires both. Deterministic: identical inputs produce
-    byte-identical prompts. Errors rather than truncating when the rendered
-    text exceeds DEFAULT_MAX_CHARS.
+    Deterministic: identical inputs produce byte-identical prompts. Errors
+    rather than truncating when the rendered text exceeds DEFAULT_MAX_CHARS.
     """
-    if mode not in MODES:
-        raise ModeArgumentMismatch(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode == "zero_shot" and (refs is not None or prior is not None):
-        raise ModeArgumentMismatch("zero_shot takes neither references nor prior")
-    if mode == "random_few_shot" and (refs is None or prior is not None):
-        raise ModeArgumentMismatch("random_few_shot takes references and no prior")
-    if mode == "rag" and (refs is None or prior is None):
-        raise ModeArgumentMismatch("rag requires both references and prior")
-
     names = schema.feature_names
     references_section = ""
     statistics_section = ""
+    durations: tuple[float, ...] = ()
     if refs is not None:
         blocks = [
             render_reference(case, sim, template, names, index=i)
             for i, (case, sim) in enumerate(refs.references, start=1)
         ]
         references_section = template.references_header + "\n" + "\n".join(blocks) + "\n"
+        durations = tuple(float(case.duration_min) for case, _ in refs.references)
     if prior is not None:
         statistics_section = _render_statistics(prior, template) + "\n"
     query_section = template.query.format(features=_render_features(query, names))
@@ -247,11 +231,7 @@ def build_prompt(
         user_text=user_text,
         metadata=PromptMetadata(
             query_id=query.id,
-            reference_durations=tuple(
-                float(case.duration_min) for case, _ in refs.references
-            )
-            if refs is not None
-            else (),
+            reference_durations=durations,
             prior_median=prior.median_min if prior is not None else None,
         ),
     )

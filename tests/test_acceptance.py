@@ -18,7 +18,7 @@ import pytest
 
 from conftest import mk_case, mk_ensemble, mk_prior, tiny_corpus
 from durcast import cli
-from durcast.aggregate import baseline_aggregate, bayesian_average
+from durcast.aggregate import aggregate
 from durcast.evaluate import ExperimentConfig, compute_metrics, run_experiment
 from durcast.index import build, postprocess_rows, retrieve
 from durcast.llm import MockReferenceMean, schedule_temperatures
@@ -212,18 +212,18 @@ def test_criterion_4_bayesian_average(capsys):
         level = float(rng.uniform(5.0, 800.0))
         mu = float(rng.uniform(5.0, 800.0))
         w = 0.0 if trial % 10 == 0 else float(rng.uniform(0.0, 10.0))
-        est = bayesian_average(mk_ensemble([level] * n), mk_prior(median=mu), w)
+        est = aggregate(mk_ensemble([level] * n), "bayesian", mk_prior(median=mu), w)
         y_bar = est.ensemble_mean
         want = y_bar if w == 0.0 else (w * mu + n * y_bar) / (w + n)
         worst = max(worst, abs(est.y_hat_min - want))
     zero_exact = True
     for values in ([0.1, 0.1, 0.1], [1.0 / 3.0] * 7, [128.3, 130.7, 99.9, 57.1]):
         ens = mk_ensemble(values)
-        shrunk = bayesian_average(ens, mk_prior(median=999.0), 0.0).y_hat_min
-        plain = baseline_aggregate(ens, "simple_average").y_hat_min
+        shrunk = aggregate(ens, "bayesian", mk_prior(median=999.0), 0.0).y_hat_min
+        plain = aggregate(ens, "simple_average").y_hat_min
         zero_exact = zero_exact and shrunk == plain
-    worked = bayesian_average(
-        mk_ensemble([120.0, 125.0, 130.0, 135.0, 140.0]), mk_prior(median=120.0), 0.9
+    worked = aggregate(
+        mk_ensemble([120.0, 125.0, 130.0, 135.0, 140.0]), "bayesian", mk_prior(median=120.0), 0.9
     ).y_hat_min
     ok = worst < 1e-12 and zero_exact and abs(worked - 128.47) <= 0.01
     announce(capsys, 4, ok,

@@ -5,12 +5,14 @@ import math
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import mk_case, seeded_faults
 from durcast import evaluate as evaluate_mod, index as index_mod
+from durcast.aggregate import STRATEGIES
 from durcast.errors import (
     BadAxisValue,
     ModeArgumentMismatch,
@@ -39,6 +41,7 @@ from durcast.evaluate import (
 from durcast import llm as llm_mod
 from durcast.llm import HttpChatBackend, LlmBackend, MockReferenceMean, MockScripted
 from durcast.pipeline import FitConfig, Pipeline, load_artifacts, save_artifacts
+from durcast.priors import PRIOR_MODES
 from durcast.prompting import load_template
 from durcast.schema import CaseSet, split
 from durcast.synthetic import SyntheticSpec, generate_synthetic
@@ -713,6 +716,38 @@ class TestAblation:
         assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "fitted.csv").read_bytes()
         refit = Pipeline.fit(loaded.train_cases(), FitConfig(pca_weighting=not pca))
         assert refit.encoder == loaded.encoder
+
+
+GOLDEN_GRID = Path(__file__).parent / "data" / "golden_strategy_grid_{}.csv"
+
+
+@pytest.fixture(scope="module")
+def seed1_split():
+    """The train and test splits `durcast generate --n 300 --seed 1` writes."""
+    corpus = generate_synthetic(SyntheticSpec(n_cases=300), seed=1)
+    train, _, test = split(corpus, (0.8, 0.1, 0.1), seed=1)
+    return train, test
+
+
+class TestStrategyGrid:
+    @pytest.mark.parametrize("prior_mode", PRIOR_MODES)
+    def test_golden_grid(self, seed1_split, tmp_path, prior_mode):
+        # every strategy over the seed-1 corpus, pinned byte for byte
+        base = ExperimentConfig(MockReferenceMean(noise_sd=10.0), prior_mode=prior_mode)
+        run_ablation_grid(base, "strategy", list(STRATEGIES), *seed1_split,
+                          csv_path=tmp_path / "grid.csv")
+        golden = GOLDEN_GRID.with_name(GOLDEN_GRID.name.format(prior_mode))
+        assert (tmp_path / "grid.csv").read_bytes() == golden.read_bytes()
+
+    def test_two_rounds_give_finite_metrics(self, seed1_split):
+        # quantile_average over two distinct rounds keeps neither inside
+        # [P25, P75]; every strategy must still score every case
+        base = ExperimentConfig(MockReferenceMean(noise_sd=10.0), rounds=2)
+        for strategy, report in run_ablation_grid(base, "strategy", list(STRATEGIES),
+                                                  *seed1_split):
+            assert report.failed == 0, strategy
+            values = (report.mae_min, report.rmse_min, report.r2, report.mape_pct)
+            assert all(math.isfinite(v) for v in values), strategy
 
 
 class TestCsvHelpers:

@@ -49,12 +49,12 @@ def rag_prompt(query_id="q-1", durations=(110.0, 120.0, 130.0), median=120.0):
         iqr_bounds=None,
     )
     return build_prompt(
-        mk_case(query_id), refs, mk_prior(median=median), "rag", TPL, small_schema()
+        mk_case(query_id), refs, mk_prior(median=median), TPL, small_schema()
     )
 
 
 def zero_prompt(query_id="q-1"):
-    return build_prompt(mk_case(query_id), None, None, "zero_shot", TPL, small_schema())
+    return build_prompt(mk_case(query_id), None, None, TPL, small_schema())
 
 
 class TestParseDuration:

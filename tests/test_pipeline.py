@@ -260,15 +260,15 @@ class TestRetrieveReferences:
             pipe.retrieve_references(thyroid_query(), k=4, expansion_factor=0)
 
     def test_random_references(self, pipe):
-        a = pipe.random_references(thyroid_query(), k=5, seed=11)
-        b = pipe.random_references(thyroid_query(), k=5, seed=11)
-        c = pipe.random_references(thyroid_query(), k=5, seed=12)
+        a = pipe.random_references(k=5, seed=11)
+        b = pipe.random_references(k=5, seed=11)
+        c = pipe.random_references(k=5, seed=12)
         assert [r.id for r, _ in a.references] == [r.id for r, _ in b.references]
         assert [r.id for r, _ in a.references] != [r.id for r, _ in c.references]
         assert all(sim == 0.0 for _, sim in a.references)
 
     def test_random_references_cap_at_pool(self, pipe):
-        refs = pipe.random_references(thyroid_query(), k=99, seed=0)
+        refs = pipe.random_references(k=99, seed=0)
         assert len(refs.references) == 16
 
 

@@ -5,12 +5,7 @@ from importlib import resources
 import pytest
 
 from conftest import mk_case, mk_prior, small_schema
-from durcast.errors import (
-    MissingDuration,
-    ModeArgumentMismatch,
-    ParseError,
-    PromptTooLong,
-)
+from durcast.errors import MissingDuration, ParseError, PromptTooLong
 from durcast import prompting
 from durcast.index import ReferenceSet
 from durcast.prompting import (
@@ -141,7 +136,7 @@ class TestBuildPrompt:
 
     def test_rag_contains_all_parts(self):
         query = mk_case("q")
-        prompt = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
+        prompt = build_prompt(query, self._refs(), mk_prior(), self.TPL, SCHEMA)
         assert prompt.system_text.endswith(OUTPUT_CONTRACT)
         assert "Similar cases:" in prompt.user_text
         assert "Case 1 (sim 0.900):" in prompt.user_text
@@ -152,14 +147,14 @@ class TestBuildPrompt:
         assert "\n\n\n" not in prompt.user_text
 
     def test_zero_shot_has_only_query(self):
-        prompt = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL, SCHEMA)
+        prompt = build_prompt(mk_case("q"), None, None, self.TPL, SCHEMA)
         assert "Similar cases:" not in prompt.user_text
         assert "Cohort" not in prompt.user_text
         assert "Estimate this case:" in prompt.user_text
 
     def test_random_few_shot_has_references_no_statistics(self):
         prompt = build_prompt(
-            mk_case("q"), self._refs(), None, "random_few_shot", self.TPL, SCHEMA
+            mk_case("q"), self._refs(), None, self.TPL, SCHEMA
         )
         assert "Similar cases:" in prompt.user_text
         assert "Cohort" not in prompt.user_text
@@ -167,7 +162,7 @@ class TestBuildPrompt:
     def test_metadata(self):
         query = mk_case("q-77")
         prompt = build_prompt(
-            query, self._refs(3), mk_prior(median=111.0), "rag", self.TPL, SCHEMA
+            query, self._refs(3), mk_prior(median=111.0), self.TPL, SCHEMA
         )
         md = prompt.metadata
         assert md.query_id == "q-77"
@@ -175,39 +170,36 @@ class TestBuildPrompt:
         assert md.prior_median == 111.0
 
     def test_zero_shot_metadata(self):
-        md = build_prompt(mk_case("q"), None, None, "zero_shot", self.TPL, SCHEMA).metadata
+        md = build_prompt(mk_case("q"), None, None, self.TPL, SCHEMA).metadata
         assert md.reference_durations == ()
         assert md.prior_median is None
 
     def test_deterministic(self):
         query = mk_case("q")
-        a = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
-        b = build_prompt(query, self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
+        a = build_prompt(query, self._refs(), mk_prior(), self.TPL, SCHEMA)
+        b = build_prompt(query, self._refs(), mk_prior(), self.TPL, SCHEMA)
         assert a.system_text == b.system_text
         assert a.user_text == b.user_text
 
-    @pytest.mark.parametrize(
-        "mode,with_refs,with_prior",
-        [
-            ("zero_shot", True, False),
-            ("zero_shot", False, True),
-            ("random_few_shot", False, False),
-            ("random_few_shot", True, True),
-            ("rag", False, True),
-            ("rag", True, False),
-        ],
-    )
-    def test_mode_argument_mismatches(self, mode, with_refs, with_prior):
+    @pytest.mark.parametrize("with_refs", [False, True])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_prompt_holds_exactly_the_given_sections(self, with_refs, with_prior):
         refs = self._refs() if with_refs else None
-        prior = mk_prior() if with_prior else None
-        with pytest.raises(ModeArgumentMismatch):
-            build_prompt(mk_case("q"), refs, prior, mode, self.TPL, SCHEMA)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ModeArgumentMismatch, match="unknown mode"):
-            build_prompt(mk_case("q"), None, None, "few_shot", self.TPL, SCHEMA)
+        prior = mk_prior(median=111.0) if with_prior else None
+        prompt = build_prompt(mk_case("q"), refs, prior, self.TPL, SCHEMA)
+        text = prompt.user_text
+        assert text.count("Similar cases:") == with_refs
+        assert text.count("(sim ") == (2 if with_refs else 0)
+        assert text.count("Cohort ") == with_prior
+        assert text.count("Estimate this case:") == 1
+        assert "\n\n\n" not in text
+        order = [text.find(h) for h in ("Similar cases:", "Cohort ", "Estimate this case:")]
+        present = [i for i in order if i >= 0]
+        assert present == sorted(present)
+        assert prompt.metadata.reference_durations == ((110.0, 120.0) if with_refs else ())
+        assert prompt.metadata.prior_median == (111.0 if with_prior else None)
 
     def test_oversized_prompt_rejected(self, monkeypatch):
         monkeypatch.setattr(prompting, "DEFAULT_MAX_CHARS", 50)
         with pytest.raises(PromptTooLong):
-            build_prompt(mk_case("q"), self._refs(), mk_prior(), "rag", self.TPL, SCHEMA)
+            build_prompt(mk_case("q"), self._refs(), mk_prior(), self.TPL, SCHEMA)
