@@ -25,6 +25,7 @@ from pathlib import Path
 
 import yaml
 
+from .aggregate import STRATEGIES
 from .errors import (
     BackendUnreachable,
     DurcastError,
@@ -177,7 +178,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     p.add_argument("--expansion", type=int, default=DEFAULT_EXPANSION)
     p.add_argument("--w-prior", type=float, default=DEFAULT_W_PRIOR)
-    p.add_argument("--strategy", default="bayesian")
+    p.add_argument("--strategy", choices=STRATEGIES, default="bayesian")
     p.add_argument("--prior-mode", choices=PRIOR_MODES, default="fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-postprocess", action="store_true")

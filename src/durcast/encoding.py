@@ -16,11 +16,11 @@ Encoding rules:
   text         fixed-dim unit-norm embedding; missing embeds "UNKNOWN"
 
 Fitted and loaded encoders share one per-feature plan (offset, the rule
-that converts a present value, the value a missing one takes).
-encode_matrix is the only encoder, and encode(case) is a one-row
+that converts a present value, the value a missing one takes, the block's
+scale). encode_matrix is the only encoder, and encode(case) is a one-row
 encode_matrix. It converts one feature column at a time across the cases
-and writes it into a zeroed N x D matrix with one array operation; each
-block's columns are then scaled by its alpha once. A row with a bad value
+and writes it, already scaled, into a zeroed N x D matrix with one array
+operation; no closing pass rescales a block. A row with a bad value
 is reported with its error in the same pass: its line stays zero and its
 texts are not embedded. The distinct texts of the other rows' text columns
 are embedded in one embed_many call, and no text vector is cached.
@@ -86,33 +86,24 @@ class FittedEncoder:
     ordinal_missing: dict[str, float]
     cat_vocabs: dict[str, tuple[str, ...]]
     bool_missing: dict[str, float]
-    segment_map: dict[str, tuple[int, int]] = field(init=False)
     feature_spans: list[tuple[str, int, int]] = field(init=False)
     dim: int = field(init=False)
-    _alphas: dict[str, float] = field(init=False)
 
     def __post_init__(self):
         spans: list[tuple[str, int, int]] = []
-        segments: dict[str, tuple[int, int]] = {}
         plan = {}
         offset = 0
         for category in CATEGORY_ORDER:
-            start = offset
-            for f in self.schema.features:
-                if _KIND_TO_CATEGORY[f.kind] != category:
-                    continue
-                convert, missing, width = self._rule(f.name, f.kind)
+            block = [(f, *self._rule(f.name, f.kind)) for f in self.schema.features
+                     if _KIND_TO_CATEGORY[f.kind] == category]
+            # each value is written times 1/sqrt(its block's width); an empty block has none
+            alpha = 1.0 / math.sqrt(max(sum(width for *_, width in block), 1))
+            for f, convert, missing, width in block:
                 spans.append((f.name, offset, width))
-                plan[f.name] = (f.name, f.kind, offset, convert, missing)
+                plan[f.name] = (f.name, f.kind, offset, convert, missing, alpha)
                 offset += width
-            segments[category] = (start, offset - start)
-        self.segment_map = segments
         self.feature_spans = spans
         self.dim = offset
-        self._alphas = {
-            c: (1.0 / math.sqrt(length) if length > 0 else 0.0)
-            for c, (_, length) in segments.items()
-        }
         # encode_matrix walks the plan in schema order, the order that ranks
         # a row's errors
         self._plan = [plan[name] for name in self.schema.feature_names]
@@ -142,12 +133,9 @@ class FittedEncoder:
             return (lambda v: _parse_bool(str(v), name)), self.bool_missing[name], 1
         return str, MISSING_TOKEN, self.text_embedder.dim
 
-    def alpha(self, category: str) -> float:
-        return self._alphas[category]
-
     def encode(self, case: SurgicalCase) -> np.ndarray:
-        """Encode one case into a D-vector, its blocks at segment_map: a
-        one-row encode_matrix, raising the row's error."""
+        """Encode one case into a D-vector, its features at feature_spans:
+        a one-row encode_matrix, raising the row's error."""
         matrix, errors = self.encode_matrix(CaseSet(cases=[case], schema=self.schema))
         if errors:
             raise errors[0]
@@ -159,45 +147,44 @@ class FittedEncoder:
         (cases, fitted state).
 
         Each feature's column is gathered, converted value by value and
-        written with one array operation. A row's error is the one encode
-        raises for that case alone: a feature outside the schema first, then
-        the first bad value in schema order. A bad row's line is zero and
-        its texts are not embedded. The distinct texts of the other rows'
-        text columns, numbered column by column in order of first
-        appearance, are embedded in one call and copied into their
-        columns."""
+        written, times its block's alpha, with one array operation. A row's
+        error is the one encode raises for that case alone: a feature outside
+        the schema first, then the first bad value in schema order. A bad
+        row's line is zero and its texts are not embedded. The distinct texts
+        of the other rows' text columns, numbered column by column in order
+        of first appearance, are embedded in one call and copied, scaled,
+        into their columns."""
         cases = cs.cases
         matrix = np.zeros((len(cases), self.dim), dtype=np.float64)
         names = self._names
         errors = {row: _outside_schema(case, names)
                   for row, case in enumerate(cases) if not names.issuperset(case.values)}
         text_columns = []
-        for name, kind, offset, convert, missing in self._plan:
+        for name, kind, offset, convert, missing, alpha in self._plan:
             raw = [case.values.get(name) for case in cases]
             try:
                 column = [missing if value is None else convert(value) for value in raw]
             except SchemaMismatch:
                 column = _convert_each(raw, convert, missing, errors)
             if kind == "text":
-                text_columns.append((offset, column))
+                text_columns.append((offset, alpha, column))
             elif kind == "categorical":
-                matrix[np.arange(len(cases)), offset + np.array(column, dtype=np.intp)] = 1.0
+                matrix[np.arange(len(cases)), offset + np.array(column, dtype=np.intp)] = alpha
             else:
-                matrix[:, offset] = column
+                matrix[:, offset] = np.multiply(column, alpha)
         good = slice(None)
         if errors:
             good = [row for row in range(len(cases)) if row not in errors]
             matrix[list(errors)] = 0.0
-            text_columns = [(offset, [col[row] for row in good]) for offset, col in text_columns]
+            text_columns = [(offset, alpha, [col[row] for row in good])
+                            for offset, alpha, col in text_columns]
         texts: dict[str, int] = {}
-        picks = [(offset, [texts.setdefault(t, len(texts)) for t in column])
-                 for offset, column in text_columns]
+        picks = [(offset, alpha, [texts.setdefault(t, len(texts)) for t in column])
+                 for offset, alpha, column in text_columns]
         if texts:
             vectors = self.text_embedder.embed_many(list(texts))
-            for offset, rows in picks:
-                matrix[good, offset : offset + self.text_embedder.dim] = vectors[rows]
-        for category, (start, length) in self.segment_map.items():
-            matrix[:, start : start + length] *= self._alphas[category]
+            for offset, alpha, rows in picks:
+                matrix[good, offset : offset + self.text_embedder.dim] = vectors[rows] * alpha
         return matrix, errors
 
 

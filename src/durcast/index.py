@@ -74,7 +74,7 @@ from .errors import (
     SpecError,
     ZeroVector,
 )
-from .schema import FeatureSchema, SurgicalCase
+from .schema import MAX_DURATION_MIN, FeatureSchema, SurgicalCase
 from .strata import MISSING, CaseTable, describe_tier, ladder, quartiles
 
 _MAGIC = b"DURCIDX2"
@@ -485,12 +485,13 @@ def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:
         raise ArtifactError(
             f"index file has a key code outside its vocabulary for case {ids[bad[0]]!r}"
         )
-    # 0 < d < inf: every indexed case has a recorded duration
-    bad = np.flatnonzero(~((durations > 0.0) & (durations < np.inf)))
+    # 0 < d <= MAX_DURATION_MIN: every indexed case has a recorded duration
+    bad = np.flatnonzero(~((durations > 0.0) & (durations <= MAX_DURATION_MIN)))
     if bad.size:
         raise ArtifactError(
             f"index file has a corrupt case payload: case {ids[bad[0]]!r} has duration "
-            f"{float(durations[bad[0]])!r}, not positive and finite"
+            f"{float(durations[bad[0]])!r}, not positive and finite, at most "
+            f"{MAX_DURATION_MIN:,.0f} minutes"
         )
     cases = LazyCases(ids, durations, raw, offsets + at[4])
     table = CaseTable(cases, keys, ids, durations, codes, vocab_maps)

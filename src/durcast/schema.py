@@ -39,6 +39,11 @@ FEATURE_KINDS = ("numerical", "ordinal", "categorical", "boolean", "text")
 
 Value = str | float | None
 
+# The longest recorded duration, in minutes (about two years). Its square is
+# 1e12, so a variance, an RMSE or a squared prior median stays finite for any
+# corpus.
+MAX_DURATION_MIN = 1e6
+
 # libyaml's safe loader, when PyYAML was built with it: it parses a schema
 # document about eight times faster than the pure-Python SafeLoader. The two
 # read some hand-written text differently (libyaml reads a bare "!" as '',
@@ -123,8 +128,9 @@ class FeatureSchema:
 class SurgicalCase:
     """One record: feature values plus the observed duration in minutes.
 
-    Query cases may omit the duration; a recorded one is positive and
-    finite. Missing feature values are stored as None under their key.
+    Query cases may omit the duration; a recorded one is positive and at
+    most MAX_DURATION_MIN. Missing feature values are stored as None under
+    their key.
     """
 
     id: str
@@ -132,8 +138,9 @@ class SurgicalCase:
     duration_min: float | None = None
 
     def __post_init__(self):
-        if self.duration_min is not None and not 0 < self.duration_min < math.inf:
-            raise SchemaError(f"case {self.id!r}: duration must be positive and finite")
+        if self.duration_min is not None and not 0 < self.duration_min <= MAX_DURATION_MIN:
+            raise SchemaError(f"case {self.id!r}: duration must be positive and finite, "
+                              f"at most {MAX_DURATION_MIN:,.0f} minutes")
 
 
 @dataclass
@@ -203,14 +210,14 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
 
     Each data row becomes one SurgicalCase. Numerical cells are parsed to
     float; all other kinds stay raw strings. Blank cells become None. A row
-    with more or fewer cells than the header, or a numeric cell or duration
-    that is unparseable, not finite or (duration) not positive, raises
-    RowError with the 1-based data row index, as does a row the csv module
-    cannot read (a cell over its field limit). A repeated header column, or
-    a header the csv module cannot read, is a SchemaError; a file that is
-    not UTF-8 is an IoError. A byte-order mark before the header is
-    skipped. Header positions are resolved once per file, and each row's
-    cells are read by position.
+    with more or fewer cells than the header, a numeric cell or duration
+    that is unparseable or not finite, or a duration outside (0,
+    MAX_DURATION_MIN], raises RowError with the 1-based data row index, as
+    does a row the csv module cannot read (a cell over its field limit). A
+    repeated header column, or a header the csv module cannot read, is a
+    SchemaError; a file that is not UTF-8 is an IoError. A byte-order mark
+    before the header is skipped. Header positions are resolved once per
+    file, and each row's cells are read by position.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

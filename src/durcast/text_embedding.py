@@ -42,21 +42,18 @@ class HashingTextEmbedder(TextEmbedder):
     """Character 3-gram hashing into a signed bucket vector, L2-normalized.
 
     Buckets and signs come from a keyed blake2b digest, so vectors are
-    stable across processes and platforms. Each distinct gram is hashed
-    once and its (bucket, sign) memoised on the instance, one entry per
-    distinct gram ever embedded. Sums of +-1.0 are exact integers and a
-    norm is the square root of an exact integer sum, so np.bincount over a
-    whole batch gives the bits of adding each text's signs one by one.
+    stable across processes and platforms. Each call hashes each distinct
+    gram of its texts once and keeps nothing: the instance holds only dim
+    and ngram. Sums of +-1.0 are exact integers and a norm is the square
+    root of an exact integer sum, so np.bincount over a whole batch gives
+    the bits of adding each text's signs one by one.
     """
 
     dim: int = 256
     ngram: int = 3
 
-    def __post_init__(self):
-        self._grams: dict[str, tuple[int, float]] = {}
-
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Every text's grams in one array: each distinct gram is looked up
+        """Every text's grams in one array: each distinct gram is hashed
         once, and one scatter-add over (row, bucket) sums the signs."""
         n, dim = self.ngram, self.dim
         # lower-case each text alone: a final sigma lowers by its context
@@ -81,14 +78,10 @@ class HashingTextEmbedder(TextEmbedder):
         distinct, inverse = np.unique(keys, return_inverse=True)
         at = np.empty(len(distinct), dtype=np.intp)
         at[inverse] = starts  # any window with a key spells its gram
-        grams = [joined[i : i + n] for i in at.tolist()]
-        memo = self._grams
-        for gram in set(grams).difference(memo):
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest[:4], "little") % dim
-            memo[gram] = bucket, 1.0 if digest[4] & 1 else -1.0
-        buckets = np.array([memo[g][0] for g in grams], dtype=np.intp)
-        signs = np.array([memo[g][1] for g in grams], dtype=np.float64)
+        digests = [hashlib.blake2b(joined[i : i + n].encode("utf-8"), digest_size=8).digest()
+                   for i in at.tolist()]
+        buckets = np.array([int.from_bytes(d[:4], "little") % dim for d in digests], dtype=np.intp)
+        signs = np.array([1.0 if d[4] & 1 else -1.0 for d in digests], dtype=np.float64)
         out = np.bincount(
             owner * dim + buckets[inverse], weights=signs[inverse], minlength=len(texts) * dim
         ).astype(np.float64, copy=False).reshape(len(texts), dim)

@@ -157,6 +157,46 @@ class TestBuild:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, rows",
+        [("1e308", lambda i: i % 3 == 0), ("1e200", lambda i: i % 3 != 0)],
+        ids=["every-third-1e308", "all-but-every-third-1e200"],
+    )
+    def test_duration_over_the_bound_is_a_row_error(self, workspace, tmp_path, capsys,
+                                                   value, rows):
+        """A training duration over MAX_DURATION_MIN (1e6 minutes) would
+        overflow the IQR fence, the prior's mean and variance, or the
+        calibrated weight's squared median: build and evaluate name its row
+        and exit 1, with no traceback and no RuntimeWarning."""
+        with open(workspace / "data" / "train.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.DictReader(fh))
+        for i, row in enumerate(table):
+            if rows(i):
+                row["duration_min"] = value
+        train = tmp_path / "train.csv"
+        with open(train, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(table[0]))
+            writer.writeheader()
+            writer.writerows(table)
+        first = next(i for i in range(len(table)) if rows(i)) + 1
+        data = workspace / "data"
+        out = tmp_path / "art"
+        build = self.build_args(workspace, out)
+        build[build.index("--train") + 1] = str(train)
+        evaluate = ["evaluate", "--train", str(train), "--schema", str(data / "schema.yaml"),
+                    "--test", str(data / "test.csv"), "--prior-mode", "calibrated",
+                    "--jsonl", str(tmp_path / "cases.jsonl")]
+        for argv in (build, evaluate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: row {first}: case ")
+            assert "duration must be positive and finite, at most 1,000,000 minutes" in err
+            assert err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "cases.jsonl").exists()
+
     def test_header_cell_over_csv_field_limit_writes_nothing(self, workspace, tmp_path, capsys):
         """A header cell one character longer than the csv module's field
         limit (131,072) is an unreadable header: exit 1, one error line."""
@@ -549,7 +589,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "line",
         ["rounds: five", "mode: bogus", "no-postprocess: maybe", "k: [1, 2]",
-         'test: "test.csv\\0"', 'template: "a\\0"'],
+         'test: "test.csv\\0"', 'template: "a\\0"', "strategy: geometric"],
     )
     def test_config_file_bad_value_is_usage_error(self, workspace, tmp_path, capsys, line):
         config = tmp_path / "run.yaml"
@@ -560,6 +600,21 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "usage: durcast evaluate" in err
         assert line.split(":")[0] in err
+
+    def test_unknown_strategy_is_usage_error(self, workspace, capsys):
+        """--strategy takes only the aggregation strategies, so another
+        value is a usage error (exit 2) before any artifact is read, and
+        --help lists them."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.evaluate_args(workspace, strategy="geometric"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: durcast evaluate" in err
+        assert "argument --strategy: invalid choice: 'geometric'" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--help"])
+        assert exc.value.code == 0
+        assert "--strategy {" + ",".join(STRATEGIES) + "}" in capsys.readouterr().out
 
     def test_config_file_must_be_mapping(self, workspace, tmp_path):
         config = tmp_path / "run.yaml"
@@ -591,6 +646,13 @@ class TestAblate:
         if out:
             argv += ["--out", out]
         return argv
+
+    def test_unknown_strategy_value_is_bad_axis_value(self, workspace, capsys):
+        """An --axis strategy value is checked by the sweep, not by argparse:
+        exit 1, not a usage error."""
+        assert cli.main(self.ablate_args(workspace, "strategy", "harmonic")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad strategy value 'harmonic': unknown strategy 'harmonic'\n"
 
     def test_sweep(self, workspace, tmp_path, capsys):
         grid = tmp_path / "grid.csv"

@@ -40,15 +40,45 @@ def fit_on(schema, rows):
     return encoding.fit(CaseSet(cases=cases, schema=schema), EMBEDDER)
 
 
+BLOCK_OF_KIND = {"numerical": "num", "ordinal": "ord", "categorical": "cat",
+                 "boolean": "bool", "text": "text"}
+
+
+def block_alphas(enc) -> dict[str, float]:
+    """Each block's scale 1/sqrt(width), the width counted from the schema,
+    the fitted vocabularies and the embedder's dim, not read from the
+    encoder's layout; an empty block's scale is 0."""
+    widths = dict.fromkeys(BLOCK_OF_KIND.values(), 0)
+    for f in enc.schema.features:
+        width = {"categorical": len(enc.cat_vocabs.get(f.name, ())) + 1,
+                 "text": enc.text_embedder.dim}.get(f.kind, 1)
+        widths[BLOCK_OF_KIND[f.kind]] += width
+    return {block: 1.0 / math.sqrt(width) if width else 0.0 for block, width in widths.items()}
+
+
+def block_spans(enc) -> dict[str, tuple[int, int]]:
+    """(start, width) of each block as the encoder lays out its features;
+    an empty block sits at enc.dim with width 0."""
+    kinds = {f.name: BLOCK_OF_KIND[f.kind] for f in enc.schema.features}
+    spans = dict.fromkeys(BLOCK_OF_KIND.values(), (enc.dim, 0))
+    for name, offset, width in enc.feature_spans:
+        start, length = spans[kinds[name]]
+        if length:
+            assert start + length == offset, "a block's features are contiguous"
+        spans[kinds[name]] = (start if length else offset, length + width)
+    return spans
+
+
 class TestBlockLayout:
     def test_category_order_and_alphas(self):
         enc = encoding.fit(tiny_corpus(), EMBEDDER)
         # blocks appear as num, ord, cat, bool, text regardless of schema order
-        num = enc.segment_map["num"]
-        order = enc.segment_map["ord"]
-        cat = enc.segment_map["cat"]
-        boolean = enc.segment_map["bool"]
-        text = enc.segment_map["text"]
+        blocks = block_spans(enc)
+        num = blocks["num"]
+        order = blocks["ord"]
+        cat = blocks["cat"]
+        boolean = blocks["bool"]
+        text = blocks["text"]
         assert num == (0, 1)
         assert order == (1, 2)
         # department has 2 training values, surgery_name has 3; each +1 UNKNOWN
@@ -56,16 +86,29 @@ class TestBlockLayout:
         assert boolean == (10, 1)
         assert text == (11, EMBEDDER.dim)
         assert enc.dim == 11 + EMBEDDER.dim
-        assert enc.alpha("num") == 1.0
-        assert enc.alpha("ord") == pytest.approx(1 / math.sqrt(2))
-        assert enc.alpha("cat") == pytest.approx(1 / math.sqrt(7))
-        assert enc.alpha("text") == pytest.approx(1 / math.sqrt(EMBEDDER.dim))
+        alpha = block_alphas(enc)
+        assert alpha["num"] == 1.0
+        assert alpha["ord"] == pytest.approx(1 / math.sqrt(2))
+        assert alpha["cat"] == pytest.approx(1 / math.sqrt(7))
+        assert alpha["text"] == pytest.approx(1 / math.sqrt(EMBEDDER.dim))
+        # each block's values are written at its scale
+        case = tiny_corpus().cases[0]
+        vec = enc.encode(case)
+        mean, std = enc.numeric_stats["age"]
+        assert vec[0] == (case.values["age"] - mean) / std * alpha["num"]
+        ranks = [enc.schema.ordinal_orders[name].index(case.values[name])
+                 / (len(enc.schema.ordinal_orders[name]) - 1)
+                 for name in ("asa_grade", "surgery_level")]
+        assert_same(vec[1:3], np.array(ranks) * alpha["ord"])
+        assert sorted(vec[3:10]) == [0.0] * 5 + [alpha["cat"]] * 2
+        assert vec[10] == 0.0
+        assert_same(vec[11:], EMBEDDER.embed(case.values["note"]) * alpha["text"])
 
     def test_empty_category_has_zero_alpha(self):
         schema = one_kind_schema("numerical", ("a", "b"))
         enc = fit_on(schema, [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.0}])
-        assert enc.segment_map["text"] == (2, 0)
-        assert enc.alpha("text") == 0.0
+        assert block_spans(enc)["text"] == (2, 0)
+        assert block_alphas(enc)["text"] == 0.0
 
     def test_feature_spans_cover_vector(self):
         enc = encoding.fit(tiny_corpus(), EMBEDDER)
@@ -331,13 +374,12 @@ def oracle_encode(enc, case) -> np.ndarray:
             f"case {case.id!r} has features outside the schema: {sorted(unknown)}"
         )
     spans = {name: (offset, width) for name, offset, width in enc.feature_spans}
+    alpha = block_alphas(enc)
     vector = np.zeros(enc.dim, dtype=np.float64)
     for f in enc.schema.features:
         offset, width = spans[f.name]
         vector[offset : offset + width] = oracle_feature(enc, case, f.name, f.kind)
-    for category, (start, length) in enc.segment_map.items():
-        if length:
-            vector[start : start + length] *= enc.alpha(category)
+        vector[offset : offset + width] *= alpha[BLOCK_OF_KIND[f.kind]]
     return vector
 
 
@@ -511,7 +553,7 @@ class TestMatrixTexts:
             for name, offset, width in enc.feature_spans[1:]:
                 vec = np.array(blocks[values.get(name, "UNKNOWN")])
                 assert_same(row[offset : offset + width],
-                            vec / np.linalg.norm(vec) * enc.alpha("text"))
+                            vec / np.linalg.norm(vec) * block_alphas(enc)["text"])
 
     def test_remote_bad_row_text_is_never_posted(self, stub_server):
         server = stub_server(hashed_embeddings(2))

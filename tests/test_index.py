@@ -943,7 +943,7 @@ class TestSerialization:
         assert back._unit_rows(rows).tobytes() == unit_rows(idx.vectors).tobytes()
         assert idx._unit_rows(rows).tobytes() == unit_rows(back.vectors).tobytes()
 
-    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0"])
+    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN", b"-60.0", b"1000000.1"])
     def test_non_finite_or_negative_duration_rejected(self, bad):
         raw = save_index(simple_index([[1.0, 0.0], [0.0, 1.0]]))
         at = sections(raw, N_KEYS)["durations"] + 8

@@ -92,6 +92,11 @@ class TestFit:
         assert mean == pytest.approx(sum(ages) / len(ages))
         assert mean != pytest.approx(sum(c.values["age"] for c in train.cases) / len(train.cases))
 
+    def test_fitted_embedder_keeps_no_state(self, pipe):
+        """Embedding the training texts leaves nothing on the embedder: a
+        fitted encoder holds no more than a loaded one."""
+        assert vars(pipe.encoder.text_embedder) == {"dim": 256, "ngram": 3}
+
     def test_pca_weights_by_default(self, pipe):
         assert pipe.weights.k_used >= 1
         assert not np.allclose(pipe.weights.weights, 1.0)
@@ -708,6 +713,22 @@ class TestArtifacts:
         digest = hashlib.sha256(blob).hexdigest()
         rewrite_manifest(tmp_path, lambda m: m["files"].update({"index.bin": digest}))
         with pytest.raises(ArtifactError, match="no finite norm"):
+            load_artifacts(tmp_path)
+
+    def test_index_duration_over_the_bound_is_artifact_error(self, pipe, tmp_path):
+        """A re-signed index.bin whose first duration is 2e6 minutes, over
+        MAX_DURATION_MIN, is refused at load."""
+        save_artifacts(pipe, tmp_path)
+        blob = bytearray((tmp_path / "index.bin").read_bytes())
+        dim, n = np.frombuffer(bytes(blob[8:16]), dtype="<u4").tolist()
+        at = 24 + 4 * n * dim
+        blob[at : at + 8] = np.array([2e6], dtype="<f8").tobytes()
+        (tmp_path / "index.bin").write_bytes(bytes(blob))
+        digest = hashlib.sha256(blob).hexdigest()
+        rewrite_manifest(tmp_path, lambda m: m["files"].update({"index.bin": digest}))
+        first = pipe.index.cases[0].id
+        with pytest.raises(ArtifactError, match=f"case {first!r} has duration 2000000.0, "
+                                                "not positive and finite, at most 1,000,000"):
             load_artifacts(tmp_path)
 
     def test_train_cases(self, train, pipe, saved):

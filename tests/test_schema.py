@@ -21,6 +21,7 @@ from durcast.errors import (
 )
 from durcast.schema import (
     FEATURE_KINDS,
+    MAX_DURATION_MIN,
     CaseSet,
     Feature,
     FeatureSchema,
@@ -246,6 +247,16 @@ class TestCases:
             with pytest.raises(SchemaError, match="finite"):
                 SurgicalCase(id="x", values={}, duration_min=bad)
         assert SurgicalCase(id="x", values={}, duration_min=None).duration_min is None
+
+    def test_duration_is_at_most_the_bound(self):
+        """A recorded duration lies in (0, MAX_DURATION_MIN]: 1e6 minutes,
+        whose square is still far from overflowing."""
+        assert MAX_DURATION_MIN == 1e6
+        assert SurgicalCase(id="x", values={}, duration_min=1e6).duration_min == 1e6
+        for bad in (math.nextafter(1e6, math.inf), 2e6, 1e308):
+            with pytest.raises(SchemaError, match="'x': duration must be positive and finite, "
+                                                  "at most 1,000,000 minutes"):
+                SurgicalCase(id="x", values={}, duration_min=bad)
 
     def test_durations_skip_missing(self):
         cs = CaseSet(
@@ -498,7 +509,7 @@ def test_ingest_csv_of_any_bytes_is_a_case_set_or_durcast_error(blob):
         except DurcastError:
             return
     for case in cs.cases:
-        assert case.duration_min is None or 0 < case.duration_min < math.inf
+        assert case.duration_min is None or 0 < case.duration_min <= MAX_DURATION_MIN
         assert case.values["age"] is None or math.isfinite(case.values["age"])
 
 
