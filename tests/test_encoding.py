@@ -1,6 +1,6 @@
 """Heterogeneous encoding: block layout, per-kind rules, missing-value
 imputation, and the per-category scale factors; the in-place encoder and
-the memoised embedder, one text or a batch at a time, against per-feature
+the hashing embedder, one text or a batch at a time, against per-feature
 and per-gram oracles, and golden pins of their output bits."""
 
 import hashlib
@@ -505,6 +505,8 @@ class TestEmbedderEqualsOracle:
             assert_same(got, want)
 
     def test_memo_leaves_equality_repr_and_spec_alone(self):
+        """An embedder that has embedded text equals, and prints as, a fresh
+        one: it keeps no gram memo or other state."""
         used, unused = HashingTextEmbedder(dim=16), HashingTextEmbedder(dim=16)
         used.embed("laparoscopic")
         assert used == unused
