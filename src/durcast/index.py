@@ -384,8 +384,13 @@ def postprocess_rows(
 class LazyCases(Sequence):
     """A loaded index's cases, read-only and indexed by row number: case i
     is decoded from its values span, with its id and duration from their
-    columns, on first access and cached. Threads that race on one row
-    decode equal cases."""
+    columns, on first access and cached. A slice is the list of its decoded
+    cases. Threads that race on one row decode equal cases.
+
+    Each distinct value is held once per index: decoded cases share one str
+    per distinct feature name or string value and one float per distinct
+    float value, with 0.0 and -0.0 kept apart. Integers and booleans keep
+    their types."""
 
     def __init__(self, ids: list[str], durations: np.ndarray, raw: bytes, spans: np.ndarray):
         self._ids = ids
@@ -393,14 +398,15 @@ class LazyCases(Sequence):
         self._raw = raw
         self._spans = spans  # the n + 1 span boundaries, as positions in raw
         self._cache: list[SurgicalCase | None] = [None] * len(ids)
-        # One key object per feature name for every decoded case, as one JSON
-        # document of all cases would share them: less memory, faster lookups.
-        self._keys: dict[str, str] = {}
+        self._strings: dict[str, str] = {}
+        self._floats: dict[float | str, float] = {}  # zeros keyed by their sign text
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def __getitem__(self, i: int) -> SurgicalCase:
+    def __getitem__(self, i: int | slice) -> SurgicalCase | list[SurgicalCase]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         case = self._cache[i]
         if case is None:
             i = range(len(self))[i]  # from the end when negative
@@ -417,7 +423,17 @@ class LazyCases(Sequence):
             raise ArtifactError(
                 f"index file has a corrupt values span for case {self._ids[i]!r}: {exc}"
             ) from exc
-        values = {self._keys.setdefault(key, key): value for key, value in values.items()}
+        strings, floats = self._strings, self._floats
+        values = {
+            strings.setdefault(k, k): (
+                strings.setdefault(v, v)
+                if type(v) is str
+                else floats.setdefault(v if v else repr(v), v)
+                if type(v) is float
+                else v
+            )
+            for k, v in values.items()
+        }
         return SurgicalCase(id=self._ids[i], values=values, duration_min=float(self._durations[i]))
 
 

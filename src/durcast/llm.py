@@ -43,7 +43,7 @@ from .errors import (
     UnparseableOutput,
 )
 from .prompting import Prompt
-from .transport import TransportFailure, post_json
+from .transport import TransportFailure, route
 
 DEFAULT_MAX_MINUTES = 810.0
 DEFAULT_CONCURRENCY = 10
@@ -195,14 +195,16 @@ class HttpChatBackend(LlmBackend):
     """Chat-completions client: POST {model, messages, temperature} and read
     choices[0].message.content. API key, when required, comes from the
     environment variable named by api_key_env. timeout_s (finite, > 0)
-    bounds the connect and each read. Proxies come from the environment and
-    TLS uses the system trust store (see durcast.transport)."""
+    bounds the connect and each read. Proxies come from the environment,
+    read at the first call, and TLS uses the system trust store (see
+    durcast.transport)."""
 
     endpoint: str = "http://localhost:8000/v1/chat/completions"
     model_name: str = "unspecified"
     api_key_env: str = "DURCAST_API_KEY"
     timeout_s: float = 60.0
     kind = "http_chat"
+    _route = None  # not a field: the endpoint's Route, made at the first call
 
     def __post_init__(self):
         super().__post_init__()
@@ -226,7 +228,8 @@ class HttpChatBackend(LlmBackend):
             "temperature": temperature,
         }
         try:
-            payload = post_json(self.endpoint, body, self.timeout_s, headers)
+            self._route = route(self.endpoint, self._route)
+            payload = self._route.post_json(body, self.timeout_s, headers)
         except TransportFailure as exc:
             raise BackendTransportError(f"chat backend {self.endpoint}: {exc}") from exc
         try:

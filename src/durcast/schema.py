@@ -218,6 +218,10 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     SchemaError; a file that is not UTF-8 is an IoError. A byte-order mark
     before the header is skipped. Header positions are resolved once per
     file, and each row's cells are read by position.
+
+    Each distinct value is held once per file: rows whose non-numerical
+    cells hold equal text share one str, and rows whose numerical cells
+    hold equal text share one float, parsed and checked once.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -236,28 +240,33 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
                 raise SchemaError(
                     f"CSV header missing duration column {schema.duration_column!r}"
                 )
-            positions = [(f.name, header.index(f.name)) for f in schema.features]
-            numeric = [f.name for f in schema.features if f.kind == "numerical"]
+            fields = [
+                (f.name, header.index(f.name), f.kind == "numerical") for f in schema.features
+            ]
             at_duration = header.index(schema.duration_column)
             at_id = header.index(schema.id_column) if schema.id_column in header else None
+            # one object per distinct value: a non-numerical cell text maps to
+            # itself, a numerical one to its float, parsed and checked once
+            texts: dict[str, str] = {}
+            numbers: dict[str, float] = {}
             cases, i = [], 0
             try:
                 for i, cells in enumerate((row for row in reader if row), start=1):
                     if len(cells) != len(header):
                         raise RowError(i, f"has {len(cells)} cells, the header has {len(header)}")
-                    values: dict[str, Value] = {name: cells[at] or None for name, at in positions}
-                    # only numerical cells can fail, so the first bad one in
-                    # schema order is the row's error
-                    for name in numeric:
-                        raw = values[name]
-                        if raw is None:
-                            continue
-                        try:
-                            values[name] = number = float(raw)
-                        except ValueError as exc:
-                            raise RowError(i, f"feature {name!r}: not a number: {raw!r}") from exc
-                        if not math.isfinite(number):
-                            raise RowError(i, f"feature {name!r}: not a finite number: {raw!r}")
+                    # only numerical cells can fail, and they are read in
+                    # schema order, so the first bad one is the row's error
+                    values: dict[str, Value] = {}
+                    for name, at, numerical in fields:
+                        raw = cells[at]
+                        if not raw:
+                            values[name] = None
+                        elif not numerical:
+                            values[name] = texts.setdefault(raw, raw)
+                        elif (number := numbers.get(raw)) is not None:
+                            values[name] = number
+                        else:
+                            values[name] = numbers[raw] = _finite(i, name, raw)
                     raw_dur = cells[at_duration].strip()
                     duration: float | None
                     if raw_dur == "":
@@ -277,6 +286,17 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> CaseSet:
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return CaseSet(cases=cases, schema=schema)
+
+
+def _finite(row: int, name: str, raw: str) -> float:
+    """The finite float a numerical cell's text reads as, else row's RowError."""
+    try:
+        number = float(raw)
+    except ValueError as exc:
+        raise RowError(row, f"feature {name!r}: not a number: {raw!r}") from exc
+    if not math.isfinite(number):
+        raise RowError(row, f"feature {name!r}: not a finite number: {raw!r}")
+    return number
 
 
 def write_csv(cs: CaseSet, path: str | Path) -> None:

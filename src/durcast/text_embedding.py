@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingServiceError
-from .transport import TransportFailure, post_json
+from .transport import TransportFailure, route
 
 _BOUNDARY_START = "\x02"
 _BOUNDARY_END = "\x03"
@@ -98,11 +98,14 @@ class RemoteTextEmbedder(TextEmbedder):
     _BATCH_TEXTS texts is one POST of {"input": [texts]}, answered by
     {"data": [{"embedding": [dim numbers]}, ...]}, one vector per text in
     order; the vectors are L2-normalized locally, whatever the service
-    returns. Any other reply is an EmbeddingServiceError naming its batch."""
+    returns. Any other reply is an EmbeddingServiceError naming its batch.
+    Proxies come from the environment, read at the first POST (see
+    durcast.transport)."""
 
     url: str = "http://localhost:8080/v1/embeddings"
     dim: int = 768
     timeout_s: float = 30.0
+    _route = None  # not a field: the url's Route, made at the first POST
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
@@ -118,7 +121,8 @@ class RemoteTextEmbedder(TextEmbedder):
         magnitude before it is normalized; a zero vector stays zero."""
         where = f"embedding service at {self.url}, batch from text {start}"
         try:
-            payload = post_json(self.url, {"input": chunk}, self.timeout_s)
+            self._route = route(self.url, self._route)
+            payload = self._route.post_json({"input": chunk}, self.timeout_s)
             vectors = [item["embedding"] for item in payload["data"]]
             numbers = all({int, float}.issuperset(map(type, v)) for v in vectors)
             rows = np.array(vectors, dtype=np.float64)

@@ -4,6 +4,7 @@ are the reference implementations the table path must equal."""
 
 import hashlib
 import json
+import math
 import struct
 import sys
 import threading
@@ -1024,6 +1025,17 @@ class TestSerialization:
         assert back.cases[1] == back.cases[2] and back.cases[1] is not back.cases[2]
         with pytest.raises(IndexError):
             back.cases[4]
+
+    def test_float_values_keep_sign_and_type(self):
+        """Float values share one object per value, with 0.0 and -0.0 kept
+        apart; integers and booleans keep their types."""
+        cases = [mk_case(f"c{i}", 60.0, age=age) for i, age in enumerate([-0.0, 0.0, -0.0, 0.0])]
+        cases.append(SurgicalCase("c4", {"age": 3, "emergency": True}, 60.0))
+        back = load_index(save_index(build(np.eye(5), cases, small_schema())), small_schema())
+        ages = [c.values["age"] for c in back.cases]
+        assert [math.copysign(1.0, age) for age in ages[:4]] == [-1.0, 1.0, -1.0, 1.0]
+        assert ages[2] is ages[0] and ages[3] is ages[1]
+        assert type(ages[4]) is int and back.cases[4].values["emergency"] is True
 
 
 def test_lazy_cases_under_racing_threads():

@@ -5,7 +5,6 @@ import json
 import math
 import threading
 import time
-import urllib.parse
 
 import pytest
 from hypothesis import given, settings
@@ -447,7 +446,7 @@ class TestHttpChatBackend:
     @pytest.mark.parametrize("url", ["ftp://x/y", "http://[::1/v1", "http:///v1"])
     def test_url_that_is_not_http_is_transport_failure(self, url):
         with pytest.raises(transport.TransportFailure, match="not an http"):
-            transport.post_json(url, {}, 1.0)
+            transport.Route(url)
 
     def test_slow_server_past_timeout_is_transport_error(self, stub_server):
         server = stub_server(latency_s=0.6)
@@ -513,10 +512,27 @@ class TestProxies:
             HttpChatBackend(endpoint="https://[::1]/v1").complete(zero_prompt(), 0.0, 1)
         assert [r["path"].rsplit(":", 1) for r in proxy.requests] == [["::1", "443"]]
 
+    def test_route_is_resolved_at_the_first_call(self, stub_server, no_proxy_env):
+        """A backend keeps the route of its first call; a new backend, or
+        one whose endpoint changed, reads the environment again."""
+        target, proxy = stub_server(), stub_server()
+        endpoint = target.url + "/v1/chat"
+        backend = HttpChatBackend(endpoint=endpoint)
+        backend.complete(zero_prompt(), 0.0, 1)
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        backend.complete(zero_prompt(), 0.0, 1)
+        assert [r["path"] for r in target.requests] == ["/v1/chat", "/v1/chat"]
+        assert proxy.requests == []
+        HttpChatBackend(endpoint=endpoint).complete(zero_prompt(), 0.0, 1)
+        backend.endpoint = target.url + "/v2/chat"
+        backend.complete(zero_prompt(), 0.0, 1)
+        assert [r["path"] for r in proxy.requests] == [endpoint, backend.endpoint]
+        assert len(target.requests) == 2
+
 
 class TestEndpointUrl:
     def test_ipv6_literal_without_port(self, no_proxy_env):
-        conn, target, _ = transport._open(urllib.parse.urlsplit("http://[::1]/v1?x=1"), 1.0)
+        conn, target, _ = transport.Route("http://[::1]/v1?x=1")._open(1.0)
         assert (conn.host, conn.port, target) == ("::1", 80, "/v1?x=1")
 
     def test_url_credentials_become_basic_auth(self, stub_server, no_proxy_env):

@@ -739,6 +739,24 @@ class TestArtifacts:
             ]
             assert cases.schema == train.schema
 
+    def test_slices_of_reloaded_cases_are_the_fitted_cases(self, pipe, saved):
+        loaded = load_artifacts(saved)
+        for part in (slice(0, 3), slice(-2, None), slice(None, None, 2)):
+            expected = list(pipe.index.cases)[part]
+            assert loaded.index.cases[part] == expected, part
+            assert loaded.train_cases().cases[part] == expected, part
+
+    def test_reloaded_cases_share_equal_values(self, saved):
+        """Once every case is read, equal string values are one object, and
+        so are equal float values."""
+        first, count = {}, 0
+        for case in load_artifacts(saved).index.cases:
+            for value in case.values.values():
+                if isinstance(value, (str, float)):
+                    count += 1
+                    assert first.setdefault((type(value), repr(value)), value) is value, value
+        assert len(first) < count  # some values repeat
+
     def test_each_file_written_once(self, pipe, tmp_path, monkeypatch):
         written = []
         real_write = Path.write_bytes

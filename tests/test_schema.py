@@ -327,6 +327,49 @@ class TestIngestCsv:
             ingest_csv(path, self._schema())
         assert err.value.row == 2
 
+    def test_equal_cells_share_one_value(self, tmp_path):
+        """Each distinct cell text is held once per file: equal
+        non-numerical cells are one str, equal numerical texts one float."""
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "case_id,age,surgery_level,department,emergency,note,duration_min\n"
+            "p1,61.5,II,urology,false,stone visible,60\n"
+            "p2,40,III,general_surgery,true,bowel prep done,70\n"
+            "p3,61.5,II,urology,false,stone visible,80\n",
+            encoding="utf-8",
+        )
+        first, _, third = ingest_csv(path, self._schema()).cases
+        for name in ("age", "surgery_level", "department", "emergency", "note"):
+            assert third.values[name] is first.values[name], name
+        assert first.values["age"] == 61.5
+
+    def test_signed_zeros_keep_their_signs(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "case_id,age,surgery_level,department,emergency,note,duration_min\n"
+            + "".join(f"p{i},{age},II,urology,false,ok,60\n"
+                      for i, age in enumerate(["0.0", "-0.0", "0.0", "-0.0"])),
+            encoding="utf-8",
+        )
+        ages = [c.values["age"] for c in ingest_csv(path, self._schema()).cases]
+        assert [math.copysign(1.0, age) for age in ages] == [1.0, -1.0, 1.0, -1.0]
+        assert ages[2] is ages[0] and ages[3] is ages[1]
+
+    def test_bad_number_seen_before_reports_its_own_row(self, tmp_path):
+        """A bad numerical text that earlier rows held in other columns is
+        still the first bad cell of its own row."""
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "case_id,age,surgery_level,department,emergency,note,duration_min\n"
+            "p1,40,II,forty,false,ok,60\n"
+            "p2,40,II,urology,false,forty,60\n"
+            "p3,forty,II,urology,false,forty,60\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RowError, match="feature 'age': not a number: 'forty'") as err:
+            ingest_csv(path, self._schema())
+        assert err.value.row == 3
+
     def test_bad_duration(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(

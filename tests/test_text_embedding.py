@@ -139,6 +139,21 @@ class TestRemoteEmbedder:
             emb.embed_many(["t"] * 300)
         assert len(server.requests) == 2
 
+    def test_route_is_resolved_at_the_first_post(self, stub_server, no_proxy_env):
+        """An embedder keeps the route of its first POST; a new one reads
+        the environment again."""
+        reply = (200, self._payload([[1.0, 0.0]]))
+        target, proxy = stub_server([reply]), stub_server([reply])
+        url = target.url + "/v1/embeddings"
+        emb = RemoteTextEmbedder(url=url, dim=2)
+        emb.embed("a")
+        no_proxy_env.setenv("HTTP_PROXY", proxy.url)
+        emb.embed("b")
+        assert [r["body"] for r in target.requests] == [{"input": ["a"]}, {"input": ["b"]}]
+        assert proxy.requests == []
+        RemoteTextEmbedder(url=url, dim=2).embed("c")
+        assert [(r["path"], r["body"]) for r in proxy.requests] == [(url, {"input": ["c"]})]
+
     def test_http_error_rejected(self, stub_server):
         server = stub_server([(503, {"error": "overloaded"})])
         emb = RemoteTextEmbedder(url=server.url, dim=2)
