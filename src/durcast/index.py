@@ -32,24 +32,23 @@ the interquartile-range trim; only the final references become
 
 On-disk format (little-endian), columnar so that loading reads arrays and
 decodes no case:
-    bytes 0..7    magic "DURCIDX2"
+    bytes 0..7    magic "DURCIDX3"
     bytes 8..11   uint32 vector dimension d
     bytes 12..15  uint32 entry count n
     bytes 16..23  uint64 length of the JSON table head in bytes
     then          n * d float32 vectors, row-major
     then          n float64 durations
-    then          n + 1 uint64 offsets into the values section: 0 first,
-                  non-decreasing, the section's length last
-    then          UTF-8 JSON table head: {"ids": [n case ids],
-                  "keys": [key attributes], "vocabs": [one list of
-                  str(value) per key, in code order]}
-    then          n * len(keys) int32 key codes, row-major, -1 = missing
-    then          values section: case i's values as a UTF-8 JSON object
-                  in bytes offsets[i]..offsets[i + 1]
+    then          UTF-8 JSON table head: {"ids": [n case ids], "vocabs":
+                  [one list of distinct str(value) per non-numerical
+                  feature, in schema order, each in code order]}
+    then          one column per schema feature, in schema order: n float64
+                  values for a numerical feature (NaN = missing), n int32
+                  codes into its vocabulary for any other (-1 = missing)
 The schema is not repeated: load_index takes the one schema.yaml holds.
-Loading checks every column and builds the CaseTable from them; index.cases
-is then a LazyCases sequence, which decodes a case's values span on first
-access. Vectors are stored as STORED_DTYPE, which Pipeline.fit rounds to.
+Loading checks every column; an index, fitted or loaded, holds its cases
+as these columns (LazyCases), its key codes included, and builds a case
+from its row on first access. Vectors are stored as STORED_DTYPE, which
+Pipeline.fit rounds to.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ from .errors import (
     ZeroVector,
 )
 from .schema import MAX_DURATION_MIN, FeatureSchema, SurgicalCase
-from .strata import MISSING, CaseTable, describe_tier, ladder, quartiles
+from .strata import MISSING, CaseTable, describe_tier, dictionary_encode, ladder, quartiles
 
-_MAGIC = b"DURCIDX2"
+_MAGIC = b"DURCIDX3"
 # The precision index.bin stores vectors in.
 STORED_DTYPE = np.dtype("<f4")
 _EPS = float(np.finfo(np.float64).eps)
@@ -171,10 +170,12 @@ class FlatIndex:
 def build(
     vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema
 ) -> FlatIndex:
-    """An index whose row i, kept at its precision, embeds cases[i], with
-    the schema's key attributes as its table's keys. Rejects a matrix
-    without one row per case, and cases without a recorded duration (they
-    cannot serve as references or priors)."""
+    """An index whose row i, kept at its precision, embeds cases[i]. The
+    cases are held as the schema's columns, each value by its feature's
+    kind (a float for a numerical feature, which must be a finite number as
+    encoding.fit requires, else str(value)), and read back from them.
+    Rejects a matrix without one row per case, and cases without a recorded
+    duration (they cannot serve as references or priors)."""
     if not cases:
         raise EmptyInput("cannot build an index from zero entries")
     if vectors.ndim != 2 or len(vectors) != len(cases):
@@ -182,7 +183,18 @@ def build(
     for case in cases:
         if case.duration_min is None:
             raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
-    return FlatIndex(vectors, CaseTable.of(list(cases), schema.key_attributes))
+    columns, vocabs = [], []
+    for feature in schema.features:
+        raw = [case.values.get(feature.name) for case in cases]
+        if feature.kind == "numerical":
+            columns.append(np.array([np.nan if v is None else float(v) for v in raw], "<f8"))
+        else:
+            codes, vocab = dictionary_encode(raw)
+            columns.append(np.array(codes, "<i4"))
+            vocabs.append(list(vocab))
+    durations = np.array([case.duration_min for case in cases], dtype=np.float64)
+    stored = LazyCases(schema, [case.id for case in cases], durations, columns, vocabs)
+    return FlatIndex(vectors, stored.table())
 
 
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
@@ -382,24 +394,22 @@ def postprocess_rows(
 
 
 class LazyCases(Sequence):
-    """A loaded index's cases, read-only and indexed by row number: case i
-    is decoded from its values span, with its id and duration from their
-    columns, on first access and cached. A slice is the list of its decoded
-    cases. Threads that race on one row decode equal cases.
+    """An index's cases, read-only and indexed by row number, as the
+    columns of index.bin, one per schema feature: case i is built from row
+    i on first access and cached, each value a float, or a str from its
+    feature's vocabulary (vocabs, in schema order), or None where missing.
+    A slice is the list of its cases. Threads that race on one row build
+    equal cases."""
 
-    Each distinct value is held once per index: decoded cases share one str
-    per distinct feature name or string value and one float per distinct
-    float value, with 0.0 and -0.0 kept apart. Integers and booleans keep
-    their types."""
-
-    def __init__(self, ids: list[str], durations: np.ndarray, raw: bytes, spans: np.ndarray):
-        self._ids = ids
-        self._durations = durations
-        self._raw = raw
-        self._spans = spans  # the n + 1 span boundaries, as positions in raw
+    def __init__(self, schema: FeatureSchema, ids: list[str], durations: np.ndarray,
+                 columns: list[np.ndarray], vocabs: list[list[str]]):
+        self.schema, self.ids, self.durations, self.vocabs = schema, ids, durations, vocabs
+        self.columns = dict(zip(schema.feature_names, columns))
+        # a coded column's vocabulary with None last, so MISSING (-1) reads None
+        lists = iter(vocabs)
+        self._lookups = {f.name: None if f.kind == "numerical" else [*next(lists), None]
+                         for f in schema.features}
         self._cache: list[SurgicalCase | None] = [None] * len(ids)
-        self._strings: dict[str, str] = {}
-        self._floats: dict[float | str, float] = {}  # zeros keyed by their sign text
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -414,52 +424,41 @@ class LazyCases(Sequence):
         return case
 
     def _decode(self, i: int) -> SurgicalCase:
-        span = self._raw[int(self._spans[i]) : int(self._spans[i + 1])]
-        try:
-            values = json.loads(span.decode("utf-8"))
-            if not isinstance(values, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as exc:
-            raise ArtifactError(
-                f"index file has a corrupt values span for case {self._ids[i]!r}: {exc}"
-            ) from exc
-        strings, floats = self._strings, self._floats
-        values = {
-            strings.setdefault(k, k): (
-                strings.setdefault(v, v)
-                if type(v) is str
-                else floats.setdefault(v if v else repr(v), v)
-                if type(v) is float
-                else v
-            )
-            for k, v in values.items()
-        }
-        return SurgicalCase(id=self._ids[i], values=values, duration_min=float(self._durations[i]))
+        values = {}
+        for name, column in self.columns.items():
+            entry, lookup = column[i], self._lookups[name]
+            values[name] = lookup[entry] if lookup else float(entry) if entry == entry else None
+        return SurgicalCase(id=self.ids[i], values=values, duration_min=float(self.durations[i]))
+
+    def table(self) -> CaseTable:
+        """These cases' CaseTable, from their columns: a coded key's codes
+        are its column, and a numerical key is coded by str(value)."""
+        keys = self.schema.key_attributes
+        codes = np.empty((len(self), len(keys)), dtype=np.int32)
+        vocabs = []
+        for j, name in enumerate(keys):
+            column, lookup = self.columns[name], self._lookups[name]
+            if lookup is None:
+                numbers = column.tolist()  # NaN, a missing number, codes as MISSING
+                codes[:, j], vocab = dictionary_encode(x if x == x else None for x in numbers)
+            else:
+                codes[:, j], vocab = column, {value: code for code, value in enumerate(lookup[:-1])}
+            vocabs.append(vocab)
+        return CaseTable(self, keys, self.ids, self.durations, codes, vocabs)
 
 
 def save_index(idx: FlatIndex) -> bytes:
     """The index file's bytes in the documented columnar layout
     (STORED_DTYPE vectors); load_index decodes them."""
-    table = idx.table
-    head = {
-        "ids": table.ids,
-        "keys": list(table.key_attributes),
-        "vocabs": [list(vocab) for vocab in table.vocabs],
-    }
-    head_bytes = json.dumps(head).encode("utf-8")
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    spans = [encode(c.values).encode("utf-8") for c in idx.cases]
-    offsets = np.zeros(len(spans) + 1, dtype="<u8")
-    offsets[1:] = np.cumsum([len(span) for span in spans])
+    cases = idx.cases
+    head_bytes = json.dumps({"ids": cases.ids, "vocabs": cases.vocabs}).encode("utf-8")
     return b"".join(
         [
             _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(head_bytes)),
             idx.vectors.astype(STORED_DTYPE, copy=False).tobytes(),
-            table.durations.astype("<f8", copy=False).tobytes(),
-            offsets.tobytes(),
+            cases.durations.astype("<f8", copy=False).tobytes(),
             head_bytes,
-            table.codes.astype("<i4", copy=False).tobytes(),
-            *spans,
+            *[column.tobytes() for column in cases.columns.values()],
         ]
     )
 
@@ -467,40 +466,41 @@ def save_index(idx: FlatIndex) -> bytes:
 def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:
     """Decode the bytes of an index file written by save_index, for the
     schema its artifacts hold. Checks every column; decodes no case."""
-    if len(raw) < 24 or raw[:8] != _MAGIC:
-        raise ArtifactError("not an index file (bad magic)")
+    if len(raw) < 24 or raw[:8] != _MAGIC:  # as the retired DURCIDX2 layout
+        raise ArtifactError(
+            f"index file starts {raw[:8]!r}, not the magic {_MAGIC!r}: rebuild the "
+            "artifacts with `durcast build`"
+        )
     dim, n, head_len = struct.unpack("<IIQ", raw[8:24])
-    keys = list(schema.key_attributes)
-    # section starts: durations, offsets, head, codes, values
-    at = list(accumulate([24 + 4 * n * dim, 8 * n, 8 * (n + 1), head_len, 4 * n * len(keys)]))
-    if len(raw) < at[4]:
+    if n == 0:
+        raise ArtifactError("index file holds no cases")
+    dtypes = [np.dtype("<f8" if f.kind == "numerical" else "<i4") for f in schema.features]
+    # section starts: durations, head, each column, then the end
+    at = list(accumulate([24 + 4 * n * dim, 8 * n, head_len, *(d.itemsize * n for d in dtypes)]))
+    if len(raw) != at[-1]:
         raise ArtifactError("index file is truncated or padded")
     vectors = np.frombuffer(raw, STORED_DTYPE, n * dim, 24).reshape(n, dim)
     durations = np.frombuffer(raw, "<f8", n, at[0]).astype(np.float64)
-    offsets = np.frombuffer(raw, "<u8", n + 1, at[1]).astype(np.int64)
-    codes = np.frombuffer(raw, "<i4", n * len(keys), at[3]).astype(np.int32).reshape(n, len(keys))
-    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
-        raise ArtifactError("index file has value offsets out of order")
-    if len(raw) != at[4] + int(offsets[-1]):
-        raise ArtifactError("index file is truncated or padded")
+    columns = [np.frombuffer(raw, dtype, n, start) for dtype, start in zip(dtypes, at[2:])]
     try:
-        head = json.loads(raw[at[2] : at[3]].decode("utf-8"))
+        head = json.loads(raw[at[1] : at[2]].decode("utf-8"))
         ids, vocabs = head["ids"], head["vocabs"]
-        if head["keys"] != keys:
-            raise ValueError(f"keys {head['keys']} differ from the schema's {keys}")
         if not (isinstance(ids, list) and len(ids) == n and all(isinstance(i, str) for i in ids)):
             raise ValueError(f"it must list {n} string case ids")
-        vocab_maps = [{value: code for code, value in enumerate(v)} for v in vocabs]
-        strings = all(isinstance(value, str) for vocab in vocab_maps for value in vocab)
-        if not strings or [list(m) for m in vocab_maps] != vocabs or len(vocabs) != len(keys):
-            raise ValueError("it needs one vocabulary of distinct strings per key")
+        distinct = all(isinstance(v, list) and len(set(v)) == len(v) for v in vocabs)
+        strings = all(type(s) is str for v in vocabs for s in v)
+        if not (distinct and strings and len(vocabs) == sum(d.kind == "i" for d in dtypes)):
+            raise ValueError("it needs one vocabulary of distinct strings per coded feature")
     except (ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"index file has a corrupt table head: {exc}") from exc
-    bad = np.flatnonzero(((codes < MISSING) | (codes >= [len(v) for v in vocabs])).any(axis=1))
-    if bad.size:
-        raise ArtifactError(
-            f"index file has a key code outside its vocabulary for case {ids[bad[0]]!r}"
-        )
+    # a numerical entry is finite or NaN (missing), a code MISSING or in its vocabulary
+    sizes = iter([len(vocab) for vocab in vocabs])
+    for name, col in zip(schema.feature_names, columns):
+        bad = np.isinf(col) if col.dtype.kind == "f" else (col < MISSING) | (col >= next(sizes))
+        if bad.any():
+            raise ArtifactError(
+                f"index file has a corrupt {name} entry for case {ids[bad.argmax()]!r}"
+            )
     # 0 < d <= MAX_DURATION_MIN: every indexed case has a recorded duration
     bad = np.flatnonzero(~((durations > 0.0) & (durations <= MAX_DURATION_MIN)))
     if bad.size:
@@ -509,9 +509,8 @@ def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:
             f"{float(durations[bad[0]])!r}, not positive and finite, at most "
             f"{MAX_DURATION_MIN:,.0f} minutes"
         )
-    cases = LazyCases(ids, durations, raw, offsets + at[4])
-    table = CaseTable(cases, keys, ids, durations, codes, vocab_maps)
+    cases = LazyCases(schema, ids, durations, columns, vocabs)
     try:
-        return FlatIndex(vectors, table)
+        return FlatIndex(vectors, cases.table())
     except (ZeroVector, NonFiniteVector) as exc:
         raise ArtifactError(f"index file holds an unusable vector: {exc}") from exc

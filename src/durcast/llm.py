@@ -195,7 +195,8 @@ class HttpChatBackend(LlmBackend):
     """Chat-completions client: POST {model, messages, temperature} and read
     choices[0].message.content. API key, when required, comes from the
     environment variable named by api_key_env. timeout_s (finite, > 0)
-    bounds the connect and each read. Proxies come from the environment,
+    bounds the whole call, connect to last byte, and a reply is read up to
+    transport.MAX_REPLY_BYTES. Proxies come from the environment,
     read at the first call, and TLS uses the system trust store (see
     durcast.transport)."""
 

@@ -6,8 +6,9 @@ uniform ones) and build the flat index over weighted embeddings rounded to
 index.STORED_DTYPE, as index.bin stores them, so a fitted pipeline is
 bitwise its reload. A pipeline, fitted or reloaded, derives its stratum
 priors from the index's case table on first use of each stratum. Loading
-reads the index's columns and decodes no case: a reloaded index decodes a
-case's values on first access, so a prediction reads only its references.
+reads the index's columns and decodes no case: an index, fitted or
+reloaded, builds a case from its columns on first access, so a prediction
+reads only its references.
 Prediction: embed the query, retrieve and refine references, look up the
 prior, build the prompt, run the multi-round ensemble, aggregate.
 
@@ -19,8 +20,8 @@ what prediction reads:
     schema.yaml      feature schema
     encoder.json     fitted per-feature statistics and the per-dimension
                      weights
-    index.bin        flat index: vectors and the case table's columns, each
-                     case's values decoded only when a query reads it
+    index.bin        flat index: vectors and one column per feature, a
+                     case built from its row only when a query reads it
     importance.csv   per-feature weight mass, descending
     manifest.json    fit config + sha256 of every other file (fingerprint)
 
@@ -376,8 +377,8 @@ class Pipeline:
         return pca_mod.feature_importance_report(self.weights, self.encoder.feature_spans)
 
     def train_cases(self) -> CaseSet:
-        """The indexed cases, as the index holds them: a loaded index decodes
-        a case only when something reads it."""
+        """The indexed cases, as the index holds them: it builds a case from
+        its columns only when something reads it."""
         return CaseSet(cases=self.index.cases, schema=self.schema)
 
 
@@ -501,4 +502,8 @@ def load_artifacts(artifact_dir: str | Path) -> Pipeline:
     except (ValueError, KeyError, TypeError, AttributeError, SpecError) as exc:
         raise ArtifactError(f"artifacts under {root} do not decode: {exc}") from exc
     flat_index = index_mod.load_index(blobs["index.bin"], schema)
+    if flat_index.dim != encoder.dim:
+        raise ArtifactError(
+            f"index.bin rows have {flat_index.dim} dimensions, encoder.json {encoder.dim}"
+        )
     return Pipeline(encoder, weights, flat_index, fit_config)

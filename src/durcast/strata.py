@@ -34,7 +34,7 @@ linear-interpolation rule, bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 import numpy as np
@@ -107,11 +107,7 @@ class CaseTable:
         vocabs: list[dict[str, int]] = []
         values = [c.values for c in cases]
         for j, attr in enumerate(keys):
-            vocab: dict[str, int] = {}
-            codes[:, j] = [
-                MISSING if (x := v.get(attr)) is None else vocab.setdefault(str(x), len(vocab))
-                for v in values
-            ]
+            codes[:, j], vocab = dictionary_encode(v.get(attr) for v in values)
             vocabs.append(vocab)
         durations = np.array([c.duration_min for c in cases], dtype=np.float64)
         return cls(cases, keys, [c.id for c in cases], durations, codes, vocabs)
@@ -148,6 +144,13 @@ class CaseTable:
         present = query_codes != MISSING
         for level, tier, cols in self._tiers:
             yield level, tier, present[:, cols].all(axis=1), equal[:, :, cols].all(axis=2)
+
+
+def dictionary_encode(values: Iterable) -> tuple[list[int], dict[str, int]]:
+    """The code of each value by str(value), MISSING for None, and the
+    vocabulary (str(value) -> code), in order of first appearance."""
+    vocab: dict[str, int] = {}
+    return [MISSING if v is None else vocab.setdefault(str(v), len(vocab)) for v in values], vocab
 
 
 def quartiles(ordered: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -99,8 +99,9 @@ class RemoteTextEmbedder(TextEmbedder):
     {"data": [{"embedding": [dim numbers]}, ...]}, one vector per text in
     order; the vectors are L2-normalized locally, whatever the service
     returns. Any other reply is an EmbeddingServiceError naming its batch.
-    Proxies come from the environment, read at the first POST (see
-    durcast.transport)."""
+    timeout_s bounds the whole call, one POST, connect to last byte, and a
+    reply is read up to transport.MAX_REPLY_BYTES. Proxies come from the
+    environment, read at the first POST (see durcast.transport)."""
 
     url: str = "http://localhost:8080/v1/embeddings"
     dim: int = 768

@@ -14,6 +14,13 @@ Basic Authorization header unless the caller passes one. HTTPS verifies
 the server against the system trust store (ssl.create_default_context),
 not a bundled one. Redirects are not followed: a 3xx reply is a failure
 like any other status outside 2xx.
+
+A call's timeout_s bounds the whole call: one monotonic deadline covers the
+connect, the TLS handshake, a proxy's CONNECT reply, the request, the status
+line, the headers and the body, and each socket read waits only for the
+time that remains, on the calling thread. A reply is read in chunks of at
+most _CHUNK bytes and refused past MAX_REPLY_BYTES. Either breach is a
+TransportFailure, which retries as any transport fault does.
 """
 
 from __future__ import annotations
@@ -21,10 +28,21 @@ from __future__ import annotations
 import base64
 import functools
 import http.client
+import io
 import json
+import socket
 import ssl
+import time
 import urllib.parse
 import urllib.request
+
+# The most bytes read of one reply, headers included: a full embedding
+# batch, text_embedding._BATCH_TEXTS (256) texts of up to 4,096 numbers at
+# up to 24 bytes of JSON each.
+MAX_REPLY_BYTES = 256 * 4096 * 24
+# The most bytes one read of a reply's body asks for.
+_CHUNK = 1 << 16
+_TIMED_OUT = "timed out: the call took its whole timeout_s"
 
 
 class TransportFailure(Exception):
@@ -34,6 +52,52 @@ class TransportFailure(Exception):
 @functools.cache
 def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
+
+
+def _left(deadline: float) -> float:
+    """The seconds left before deadline; TransportFailure once none are."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TransportFailure(_TIMED_OUT)
+    return left
+
+
+def _connect(deadline: float, address, _timeout, source_address=None) -> socket.socket:
+    """socket.create_connection as http.client calls it, bounded by the
+    deadline instead of the connection's timeout; the socket then waits at
+    most the time left for the TLS handshake and the request's send."""
+    sock = socket.create_connection(address, _left(deadline), source_address)
+    sock.settimeout(_left(deadline))
+    return sock
+
+
+class _BoundedReads(io.RawIOBase):
+    """A connection's socket as an HTTPResponse reads it: each read waits
+    only for the time left before the deadline, and reading fails once the
+    reply has passed MAX_REPLY_BYTES."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock, self._deadline, self._read = sock, deadline, 0
+        # the socket's own reader, which keeps it open until this closes
+        self._raw = sock.makefile("rb", buffering=0)
+
+    def makefile(self, mode: str) -> io.BufferedReader:  # how HTTPResponse opens it
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_left(self._deadline))
+        count = self._raw.readinto(buffer)
+        self._read += count
+        if self._read > MAX_REPLY_BYTES:
+            raise TransportFailure(f"reply is longer than {MAX_REPLY_BYTES:,} bytes")
+        return count
 
 
 def _basic(url: urllib.parse.SplitResult) -> str:
@@ -74,8 +138,9 @@ class Route:
         except (OSError, ValueError) as exc:  # as a proxy URL urlsplit refuses
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
 
-    def _open(self, timeout_s: float):
-        """(connection, request target, extra headers) for one POST."""
+    def _open(self, deadline: float):
+        """(connection, request target, extra headers) for one POST, its
+        connect and its reads bounded by the monotonic deadline."""
         url, via = self.url, self.via
         https = url.scheme == "https"
         cls = http.client.HTTPSConnection if https else http.client.HTTPConnection
@@ -83,10 +148,15 @@ class Route:
         # an explicit port, so http.client does not split an IPv6 host at a colon
         port = url.port or (443 if https else 80)
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        host, at = (url.hostname, port) if via is None else (via.hostname, via.port or 80)
+        conn = cls(host, at, **kwargs)
+        conn._create_connection = functools.partial(_connect, deadline)
+        conn.response_class = lambda sock, **kw: http.client.HTTPResponse(
+            _BoundedReads(sock, deadline), **kw
+        )
         if via is None:
-            return cls(url.hostname, port, timeout=timeout_s, **kwargs), target, {}
+            return conn, target, {}
         auth = {"Proxy-Authorization": _basic(via)} if via.username is not None else {}
-        conn = cls(via.hostname, via.port or 80, timeout=timeout_s, **kwargs)
         if https:
             conn.set_tunnel(url.hostname, port, headers=auth)
             return conn, target, {}
@@ -96,22 +166,27 @@ class Route:
     def post_json(self, body, timeout_s: float, headers: dict[str, str] | None = None):
         """POST body as JSON and return the decoded JSON reply.
 
-        timeout_s bounds the connect and each socket read. Raises
-        TransportFailure for a socket, TLS or protocol error, a status
-        outside 2xx, or a reply that is not JSON.
+        timeout_s bounds the whole call (see the module docstring). Raises
+        TransportFailure for a socket, TLS or protocol error, a call past
+        timeout_s, a reply over MAX_REPLY_BYTES, a status outside 2xx, or a
+        reply that is not JSON.
         """
+        deadline = time.monotonic() + timeout_s
         data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json", **(headers or {})}
         if self.url.username is not None:
             headers.setdefault("Authorization", _basic(self.url))
         try:
-            conn, target, extra = self._open(timeout_s)
+            conn, target, extra = self._open(deadline)
             try:
                 conn.request("POST", target, body=data, headers={**extra, **headers})
                 with conn.getresponse() as resp:
-                    status, reason, raw = resp.status, resp.reason, resp.read()
+                    status, reason = resp.status, resp.reason
+                    raw = b"".join(iter(functools.partial(resp.read, _CHUNK), b""))
             finally:
                 conn.close()
+        except TimeoutError as exc:  # a socket wait that outlasted the time left
+            raise TransportFailure(_TIMED_OUT) from exc
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
         if not 200 <= status < 300:

@@ -845,9 +845,82 @@ def test_readme_names_every_long_option():
     assert missing == []
 
 
+def resign_index(art, raw):
+    """Write raw as art's index.bin and re-sign the manifest over it."""
+    (art / "index.bin").write_bytes(raw)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["files"]["index.bin"] = hashlib.sha256(raw).hexdigest()
+    del manifest["fingerprint"]
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
+    (art / "manifest.json").write_text(json.dumps(manifest))
+
+
+def column_at(raw, schema, name):
+    """Where the named feature's column starts in index.bin's bytes."""
+    dim, n, head_len = struct.unpack("<IIQ", raw[8:24])
+    at = 24 + 4 * n * dim + 8 * n + head_len
+    for feature in schema.features[: schema.feature_names.index(name)]:
+        at += (8 if feature.kind == "numerical" else 4) * n
+    return at
+
+
+def narrow(pipe, raw):
+    """An index whose rows are one dimension short of encoder.json's."""
+    idx = pipe.index
+    return index_mod.save_index(index_mod.build(idx.vectors[:, 1:], list(idx.cases), pipe.schema))
+
+
+def empty(pipe, raw):
+    head = json.dumps({"ids": [], "vocabs": [[]] * len(pipe.index.cases.vocabs)}).encode()
+    return index_mod._MAGIC + struct.pack("<IIQ", pipe.index.dim, 0, len(head)) + head
+
+
+def retired(pipe, raw):
+    return b"DURCIDX2" + raw[8:]
+
+
+def unknown_code(pipe, raw):
+    at = column_at(raw, pipe.schema, "department")
+    return raw[:at] + struct.pack("<i", 10**6) + raw[at + 4 :]
+
+
+def infinite_number(pipe, raw):
+    at = column_at(raw, pipe.schema, "age")
+    return raw[:at] + struct.pack("<d", float("inf")) + raw[at + 8 :]
+
+
+class TestBrokenIndexExits1:
+    """A re-signed index.bin of the retired layout, with a corrupt column,
+    with rows that are not encoder.json's width, or with no rows, fails
+    every command that loads it with one error line and exit 1."""
+
+    @pytest.mark.parametrize("change, message", [
+        (narrow, "dimensions, encoder.json"),
+        (empty, "holds no cases"),
+        (retired, "DURCIDX2"),
+        (unknown_code, "corrupt department entry"),
+        (infinite_number, "corrupt age entry"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["predict", "--mode", "zero_shot", "--rounds", "1", *QUERY_FLAGS],
+        ["evaluate", "--test", "TEST", "--rounds", "1"],
+    ])
+    def test_exits_1_at_load(self, workspace, tmp_path, capsys, change, message, command):
+        art = tmp_path / "artifacts"
+        shutil.copytree(workspace / "artifacts", art)
+        resign_index(art, change(load_artifacts(art), (art / "index.bin").read_bytes()))
+        test_csv = str(workspace / "data" / "test.csv")
+        rc = cli.main([*(test_csv if arg == "TEST" else arg for arg in command),
+                       "--artifacts", str(art)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 class TestDecodesOnlyWhatIsRead:
-    """A loaded index decodes a case's values span only when something
-    reads that case; decoded rows are counted by wrapping the decoder."""
+    """A loaded index builds a case from its columns only when something
+    reads that case; built rows are counted by wrapping the decoder."""
 
     @pytest.fixture
     def decoded(self, monkeypatch):
@@ -884,30 +957,6 @@ class TestDecodesOnlyWhatIsRead:
                        "--k", "4", "--rounds", "2", *QUERY_FLAGS])
         assert rc == 0
         assert 0 < len(decoded) <= 4
-
-    def test_corrupt_values_span_exits_1(self, workspace, tmp_path, capsys):
-        """A corrupt span loads (nothing decodes it) and fails the command
-        that reads it with an error line, not a traceback."""
-        art = tmp_path / "artifacts"
-        shutil.copytree(workspace / "artifacts", art)
-        raw = (art / "index.bin").read_bytes()
-        dim, n = struct.unpack("<II", raw[8:16])
-        # the last of the n + 1 span offsets is the values section's length
-        last = 24 + 4 * n * dim + 8 * n + 8 * n
-        start = len(raw) - struct.unpack("<Q", raw[last : last + 8])[0]
-        raw = raw[:start] + b"\xff" * (len(raw) - start)
-        (art / "index.bin").write_bytes(raw)
-        manifest = json.loads((art / "manifest.json").read_text())
-        manifest["files"]["index.bin"] = hashlib.sha256(raw).hexdigest()
-        del manifest["fingerprint"]
-        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        manifest["fingerprint"] = hashlib.sha256(blob).hexdigest()
-        (art / "manifest.json").write_text(json.dumps(manifest))
-        assert len(load_artifacts(art).index) == n
-        rc = cli.main(["predict", "--artifacts", str(art), "--k", "4", "--rounds", "1",
-                       *QUERY_FLAGS])
-        assert rc == 1
-        assert "corrupt values span for case" in capsys.readouterr().err
 
     def test_median_baseline_decodes_nothing(self, workspace, tmp_path, decoded, capsys):
         rc = cli.main([

@@ -593,8 +593,8 @@ GOLDEN_EMBEDDINGS = {
 # index.bin of a 300-case seed-5 synthetic fit with uniform weights: the
 # encoder alone decides its vector bytes (PCA weights would add an
 # eigensolver whose last bits vary between LAPACK builds). Recorded for the
-# columnar DURCIDX2 layout.
-GOLDEN_INDEX_BIN = "6d5e65d800a5c04efb0be125597a6c58d8066b028967aef8e52335511e888ff5"
+# DURCIDX3 layout, one column per feature.
+GOLDEN_INDEX_BIN = "aa173bebd32f3db583017f4ab7d518a9b39f30b296bfa1bb3ddbe59b879379ad"
 # The float32 vector section of that file, bytes 24 .. 24 + 4 * n * d. Recorded
 # from the DURCIDX1 file, which stored the same vectors at the same offset, so
 # the layout change left every vector byte in place.
@@ -603,14 +603,15 @@ GOLDEN_INDEX_VECTORS = "6ed59d00f4b2794d7ac0a05b6d3c87e120d8ffaedc5087a00074ff3f
 # write_csv -> ingest_csv -> a uniform-weight fit: sha256 of index.bin and of
 # encoder.json. Rows without a duration are not training cases, so these are
 # the bits of a fit of the 1,600 labelled rows alone: recorded by fitting
-# those rows alone, back when a fit's encoder still read unlabelled rows.
-GOLDEN_CSV_INDEX_BIN = "882b9992bcf2ef7184fc1693c786d46db9b40eafa8511f567fe312736f6032ab"
+# those rows alone, back when a fit's encoder still read unlabelled rows;
+# index.bin re-recorded for the DURCIDX3 layout.
+GOLDEN_CSV_INDEX_BIN = "901cbffb2fe2e06f432b580b47872dc1f78421a90791781830dcdf0df10ecac6"
 GOLDEN_CSV_ENCODER_JSON = "12a81bbead2651a43ca1a41453c665abb5d797ea8bf6c396294402ece9f7d383"
 # A 300-case seed-5 synthetic corpus through a uniform-weight fit with a
 # dim-8 remote embedder whose stub answers hashed_vector per text: sha256 of
 # index.bin and of encoder.json. Recorded while the remote embedder posted
-# one text per request.
-GOLDEN_REMOTE_INDEX_BIN = "cc27103fa66ea736bde74d9172b345153e9b7a7eab34099ae2ce84f421a0b152"
+# one text per request; index.bin re-recorded for the DURCIDX3 layout.
+GOLDEN_REMOTE_INDEX_BIN = "aabb04ddd08f6f40fb8ccdb3c10f8e5d7f1b7bafcebc74e8692b82c930d5c2d0"
 GOLDEN_REMOTE_ENCODER_JSON = "1e8a605a6de3189325bbac7c4a0a72434881378c320008c2c2b30a8cb51c7f0f"
 
 
