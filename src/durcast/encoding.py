@@ -17,13 +17,18 @@ Encoding rules:
 
 Fitted and loaded encoders share one per-feature plan (offset, the rule
 that converts a present value, the value a missing one takes, the block's
-scale). encode_matrix is the only encoder, and encode(case) is a one-row
-encode_matrix. It converts one feature column at a time across the cases
-and writes it, already scaled, into a zeroed N x D matrix with one array
-operation; no closing pass rescales a block. A row with a bad value
-is reported with its error in the same pass: its line stays zero and its
-texts are not embedded. The distinct texts of the other rows' text columns
-are embedded in one embed_many call, and no text vector is cached.
+scale). fit and encode_matrix read the cases as schema.CaseColumns, one
+dictionary-encoded column per feature: each distinct value of a column is
+converted once, by its kind's rule, and the statistics and the matrix
+columns are gathered over the column's codes. Pipeline.fit reads its
+training cases so once, and the fit, the training matrix and the index
+share that one read. encode_matrix is the only encoder, and encode(case) is
+a one-row encode_matrix. It writes each feature column, already scaled,
+into a zeroed N x D matrix with one take over its codes; no closing pass
+rescales a block. A row with a bad value is reported with its error in the
+same pass: its line stays zero and its texts are not embedded. The distinct
+texts of the other rows' text columns are embedded in one embed_many call,
+and no text vector is cached.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTrainingSet, SchemaMismatch
-from .schema import CaseSet, FeatureSchema, SurgicalCase
+from .schema import MISSING, CaseColumns, CaseSet, FeatureSchema, SurgicalCase
 from .text_embedding import TextEmbedder
 
 CATEGORY_ORDER = ("num", "ord", "cat", "bool", "text")
@@ -72,7 +77,7 @@ def _parse_bool(token: str, feature: str) -> float:
 def _as_float(value, feature: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise SchemaMismatch(f"feature {feature!r}: not numeric: {value!r}") from None
 
 
@@ -141,46 +146,63 @@ class FittedEncoder:
             raise errors[0]
         return matrix[0]
 
-    def encode_matrix(self, cs: CaseSet) -> tuple[np.ndarray, dict[int, SchemaMismatch]]:
+    def encode_matrix(
+        self, cs: CaseSet | CaseColumns
+    ) -> tuple[np.ndarray, dict[int, SchemaMismatch]]:
         """Encode every case into one N x D matrix (rows follow input order),
         with the error of each row that cannot be encoded; pure given
         (cases, fitted state).
 
-        Each feature's column is gathered, converted value by value and
-        written, times its block's alpha, with one array operation. A row's
-        error is the one encode raises for that case alone: a feature outside
-        the schema first, then the first bad value in schema order. A bad
-        row's line is zero and its texts are not embedded. The distinct texts
-        of the other rows' text columns, numbered column by column in order
-        of first appearance, are embedded in one call and copied, scaled,
-        into their columns."""
-        cases = cs.cases
+        The cases are read as CaseColumns, one dictionary-encoded column per
+        feature (a CaseSet is read on entry). Each feature converts each of
+        its distinct values once, then writes its whole column, times its
+        block's alpha, with one take over the column's codes. A row's error
+        is the one encode raises for that case alone: a feature outside the
+        schema first, then the first bad value in schema order. A bad row's
+        line is zero and its texts are not embedded. The distinct texts of
+        the other rows' text columns, numbered column by column in order of
+        first appearance, are embedded in one call and copied, scaled, into
+        their columns."""
+        columns = CaseColumns.of(cs, self.schema)
+        cases = columns.cases
         matrix = np.zeros((len(cases), self.dim), dtype=np.float64)
-        names = self._names
-        errors = {row: _outside_schema(case, names)
-                  for row, case in enumerate(cases) if not names.issuperset(case.values)}
+        errors = {row: _outside_schema(cases[row], self._names) for row in columns.stray}
         text_columns = []
         for name, kind, offset, convert, missing, alpha in self._plan:
-            raw = [case.values.get(name) for case in cases]
-            try:
-                column = [missing if value is None else convert(value) for value in raw]
-            except SchemaMismatch:
-                column = _convert_each(raw, convert, missing, errors)
+            codes = columns.codes[name]
+            # each distinct value converted, missing last, so MISSING (-1) takes it
+            converted, bad = [], {}
+            for code, value in enumerate(columns.values[name]):
+                try:
+                    converted.append(convert(value))
+                except SchemaMismatch as exc:
+                    bad[code] = exc
+                    converted.append(missing)
+            converted.append(missing)
+            if bad:
+                rows = np.flatnonzero(np.isin(codes, list(bad)))
+                for row, code in zip(rows.tolist(), codes[rows].tolist()):
+                    errors.setdefault(row, bad[code])
             if kind == "text":
-                text_columns.append((offset, alpha, column))
+                text_columns.append((offset, alpha, codes, converted))
             elif kind == "categorical":
-                matrix[np.arange(len(cases)), offset + np.array(column, dtype=np.intp)] = alpha
+                slots = np.array(converted, dtype=np.intp)[codes]
+                matrix[np.arange(len(cases)), offset + slots] = alpha
             else:
-                matrix[:, offset] = np.multiply(column, alpha)
+                matrix[:, offset] = np.multiply(converted, alpha)[codes]
         good = slice(None)
         if errors:
             good = [row for row in range(len(cases)) if row not in errors]
             matrix[list(errors)] = 0.0
-            text_columns = [(offset, alpha, [col[row] for row in good])
-                            for offset, alpha, col in text_columns]
         texts: dict[str, int] = {}
-        picks = [(offset, alpha, [texts.setdefault(t, len(texts)) for t in column])
-                 for offset, alpha, column in text_columns]
+        picks = []
+        for offset, alpha, codes, strings in text_columns:
+            codes = codes[good]
+            distinct, first = np.unique(codes, return_index=True)
+            slots = np.empty(len(strings), dtype=np.intp)
+            for code in distinct[np.argsort(first)].tolist():
+                slots[code] = texts.setdefault(strings[code], len(texts))
+            picks.append((offset, alpha, slots[codes]))
         if texts:
             vectors = self.text_embedder.embed_many(list(texts))
             for offset, alpha, rows in picks:
@@ -191,19 +213,6 @@ class FittedEncoder:
 def _outside_schema(case: SurgicalCase, names: frozenset[str]) -> SchemaMismatch:
     return SchemaMismatch(f"case {case.id!r} has features outside the schema: "
                           f"{sorted(case.values.keys() - names)}")
-
-
-def _convert_each(raw: list, convert: Callable, missing, errors: dict) -> list:
-    """raw converted value by value; a value that convert rejects becomes
-    missing, and its error is its row's unless the row already has one."""
-    column = []
-    for row, value in enumerate(raw):
-        try:
-            column.append(missing if value is None else convert(value))
-        except SchemaMismatch as exc:
-            errors.setdefault(row, exc)
-            column.append(missing)
-    return column
 
 
 def _ordinal_ranks(schema: FeatureSchema, name: str) -> dict[str, float]:
@@ -222,28 +231,34 @@ def _ordinal_rank(ranks: dict[str, float], name: str, token: str) -> float:
         ) from None
 
 
-def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
-    """Fit per-feature statistics from the training set.
+def fit(train: CaseSet | CaseColumns, text_embedder: TextEmbedder) -> FittedEncoder:
+    """Fit per-feature statistics from the training set, read as
+    CaseColumns (a CaseSet is read on entry): each feature converts each
+    of its distinct values once and gathers its statistics over the
+    column's codes.
 
     Statistics are order-independent: means, population standard deviations,
     and sorted vocabularies. Raises EmptyTrainingSet on an empty corpus and
-    SchemaMismatch when an ordinal or boolean value violates its declaration,
-    a numerical feature's float64 mean or std is not finite, or, checked last,
-    a case has a feature outside the schema (encode_matrix's error for it).
+    SchemaMismatch when a numerical value is not a float, an ordinal or
+    boolean value violates its declaration, a numerical feature's float64
+    mean or std is not finite, or, checked last, a case has a feature
+    outside the schema (encode_matrix's error for it). A feature's first
+    bad value in row order is the one named.
     """
     if not train.cases:
         raise EmptyTrainingSet("encoder fit requires at least one training case")
     schema = train.schema
+    columns = CaseColumns.of(train, schema)
     numeric_stats: dict[str, tuple[float, float]] = {}
     ordinal_missing: dict[str, float] = {}
     cat_vocabs: dict[str, tuple[str, ...]] = {}
     bool_missing: dict[str, float] = {}
 
     for f in schema.features:
-        observed = [c.values.get(f.name) for c in train.cases]
-        present = [v for v in observed if v is not None]
+        codes, values = columns.codes[f.name], columns.values[f.name]
+        present = codes[codes != MISSING]
         if f.kind == "numerical":
-            floats = np.array([_as_float(v, f.name) for v in present], dtype=np.float64)
+            floats = np.array([_as_float(v, f.name) for v in values], dtype=np.float64)[present]
             if floats.size:
                 with np.errstate(over="ignore", invalid="ignore"):
                     mean = float(floats.mean())
@@ -258,17 +273,15 @@ def fit(train: CaseSet, text_embedder: TextEmbedder) -> FittedEncoder:
             numeric_stats[f.name] = (mean, 1.0 if std < 1e-12 else std)
         elif f.kind == "ordinal":
             ranks = _ordinal_ranks(schema, f.name)
-            encoded = [_ordinal_rank(ranks, f.name, str(v)) for v in present]
-            ordinal_missing[f.name] = float(np.mean(encoded)) if encoded else 0.5
+            encoded = np.array([_ordinal_rank(ranks, f.name, v) for v in values])[present]
+            ordinal_missing[f.name] = float(np.mean(encoded)) if encoded.size else 0.5
         elif f.kind == "categorical":
-            cat_vocabs[f.name] = tuple(sorted({str(v) for v in present}))
+            cat_vocabs[f.name] = tuple(sorted(values))
         elif f.kind == "boolean":
-            encoded = [_parse_bool(str(v), f.name) for v in present]
-            bool_missing[f.name] = float(np.mean(encoded)) if encoded else 0.5
-    names = frozenset(schema.feature_names)
-    stray = next((c for c in train.cases if not names.issuperset(c.values)), None)
-    if stray is not None:
-        raise _outside_schema(stray, names)
+            encoded = np.array([_parse_bool(v, f.name) for v in values])[present]
+            bool_missing[f.name] = float(np.mean(encoded)) if encoded.size else 0.5
+    if columns.stray:
+        raise _outside_schema(columns.cases[columns.stray[0]], frozenset(schema.feature_names))
     return FittedEncoder(
         schema=schema,
         text_embedder=text_embedder,

@@ -47,8 +47,13 @@ decodes no case:
 The schema is not repeated: load_index takes the one schema.yaml holds.
 Loading checks every column; an index, fitted or loaded, holds its cases
 as these columns (LazyCases), its key codes included, and builds a case
-from its row on first access. Vectors are stored as STORED_DTYPE, which
-Pipeline.fit rounds to.
+from its row on first access. build takes them from the cases'
+schema.CaseColumns, the one read a fit shares with its encoder: a coded
+column is CaseColumns' codes and distinct str(value) as they are, a
+numerical one each distinct value's float taken over the codes.
+save_artifacts hashes and writes the file from save_index_parts, its
+sections as they are held, with no joined copy. Vectors are stored as
+STORED_DTYPE, which Pipeline.fit rounds to.
 """
 
 from __future__ import annotations
@@ -73,8 +78,15 @@ from .errors import (
     SpecError,
     ZeroVector,
 )
-from .schema import MAX_DURATION_MIN, FeatureSchema, SurgicalCase
-from .strata import MISSING, CaseTable, describe_tier, dictionary_encode, ladder, quartiles
+from .schema import (
+    MAX_DURATION_MIN,
+    MISSING,
+    CaseColumns,
+    FeatureSchema,
+    SurgicalCase,
+    dictionary_encode,
+)
+from .strata import CaseTable, describe_tier, ladder, quartiles
 
 _MAGIC = b"DURCIDX3"
 # The precision index.bin stores vectors in.
@@ -168,14 +180,19 @@ class FlatIndex:
 
 
 def build(
-    vectors: np.ndarray, cases: list[SurgicalCase], schema: FeatureSchema
+    vectors: np.ndarray, cases: Sequence[SurgicalCase] | CaseColumns, schema: FeatureSchema
 ) -> FlatIndex:
-    """An index whose row i, kept at its precision, embeds cases[i]. The
-    cases are held as the schema's columns, each value by its feature's
-    kind (a float for a numerical feature, which must be a finite number as
-    encoding.fit requires, else str(value)), and read back from them.
-    Rejects a matrix without one row per case, and cases without a recorded
-    duration (they cannot serve as references or priors)."""
+    """An index whose row i, kept at its precision, embeds case i. The
+    cases are read as CaseColumns (a list is read on entry) and held as
+    the schema's columns, each value by its feature's kind: a float for a
+    numerical feature, each distinct value converted once (it must be a
+    finite number, as encoding.fit requires), else a code into the column's
+    vocabulary of distinct str(value), as CaseColumns codes it; cases are
+    read back from them. Rejects a matrix without one row per case, and
+    cases without a recorded duration (they cannot serve as references or
+    priors)."""
+    columns = CaseColumns.of(cases, schema)
+    cases = columns.cases
     if not cases:
         raise EmptyInput("cannot build an index from zero entries")
     if vectors.ndim != 2 or len(vectors) != len(cases):
@@ -183,18 +200,18 @@ def build(
     for case in cases:
         if case.duration_min is None:
             raise MissingDuration(f"entry for case {case.id!r} has no recorded duration")
-    columns, vocabs = [], []
+    stored, vocabs = [], []
     for feature in schema.features:
-        raw = [case.values.get(feature.name) for case in cases]
+        codes, values = columns.codes[feature.name], columns.values[feature.name]
         if feature.kind == "numerical":
-            columns.append(np.array([np.nan if v is None else float(v) for v in raw], "<f8"))
+            # NaN last, so a MISSING (-1) code reads NaN
+            stored.append(np.array([*map(float, values), np.nan], "<f8")[codes])
         else:
-            codes, vocab = dictionary_encode(raw)
-            columns.append(np.array(codes, "<i4"))
-            vocabs.append(list(vocab))
+            stored.append(codes.astype("<i4", copy=False))
+            vocabs.append(values)
     durations = np.array([case.duration_min for case in cases], dtype=np.float64)
-    stored = LazyCases(schema, [case.id for case in cases], durations, columns, vocabs)
-    return FlatIndex(vectors, stored.table())
+    table = LazyCases(schema, [case.id for case in cases], durations, stored, vocabs).table()
+    return FlatIndex(vectors, table)
 
 
 def retrieve(idx: FlatIndex, query: np.ndarray, m: int) -> list[RetrievalCandidate]:
@@ -440,7 +457,8 @@ class LazyCases(Sequence):
             column, lookup = self.columns[name], self._lookups[name]
             if lookup is None:
                 numbers = column.tolist()  # NaN, a missing number, codes as MISSING
-                codes[:, j], vocab = dictionary_encode(x if x == x else None for x in numbers)
+                codes[:, j], distinct = dictionary_encode([x if x == x else None for x in numbers])
+                vocab = dict(zip(distinct, range(len(distinct))))
             else:
                 codes[:, j], vocab = column, {value: code for code, value in enumerate(lookup[:-1])}
             vocabs.append(vocab)
@@ -449,18 +467,25 @@ class LazyCases(Sequence):
 
 def save_index(idx: FlatIndex) -> bytes:
     """The index file's bytes in the documented columnar layout
-    (STORED_DTYPE vectors); load_index decodes them."""
+    (STORED_DTYPE vectors): save_index_parts joined. load_index decodes
+    them."""
+    return b"".join(save_index_parts(idx))
+
+
+def save_index_parts(idx: FlatIndex) -> list:
+    """The index file as its sections in file order: the header, then
+    C-contiguous little-endian arrays (vectors, durations), the table head
+    and the columns, each a buffer to hash or write as it is, with no copy
+    of an array already stored at its file dtype."""
     cases = idx.cases
     head_bytes = json.dumps({"ids": cases.ids, "vocabs": cases.vocabs}).encode("utf-8")
-    return b"".join(
-        [
-            _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(head_bytes)),
-            idx.vectors.astype(STORED_DTYPE, copy=False).tobytes(),
-            cases.durations.astype("<f8", copy=False).tobytes(),
-            head_bytes,
-            *[column.tobytes() for column in cases.columns.values()],
-        ]
-    )
+    return [
+        _MAGIC + struct.pack("<IIQ", idx.dim, len(idx), len(head_bytes)),
+        np.ascontiguousarray(idx.vectors, dtype=STORED_DTYPE),
+        np.ascontiguousarray(cases.durations, dtype="<f8"),
+        head_bytes,
+        *[np.ascontiguousarray(column) for column in cases.columns.values()],
+    ]
 
 
 def load_index(raw: bytes, schema: FeatureSchema) -> FlatIndex:

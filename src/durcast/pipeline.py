@@ -1,14 +1,14 @@
 """End-to-end wiring: fit retrieval state from a training set, predict one
 case under any inference mode, persist and reload the fitted artifacts.
 
-Fitting: encode the training cases, derive PCA importance weights (or
-uniform ones) and build the flat index over weighted embeddings rounded to
-index.STORED_DTYPE, as index.bin stores them, so a fitted pipeline is
-bitwise its reload. A pipeline, fitted or reloaded, derives its stratum
-priors from the index's case table on first use of each stratum. Loading
-reads the index's columns and decodes no case: an index, fitted or
-reloaded, builds a case from its columns on first access, so a prediction
-reads only its references.
+Fitting: read the training cases' columns once, encode them, derive PCA
+importance weights (or uniform ones) and build the flat index over weighted
+embeddings rounded to index.STORED_DTYPE, as index.bin stores them, so a
+fitted pipeline is bitwise its reload. A pipeline, fitted or reloaded,
+derives its stratum priors from the index's case table on first use of
+each stratum. Loading reads the index's columns and decodes no case: an
+index, fitted or reloaded, builds a case from its columns on first access,
+so a prediction reads only its references.
 Prediction: embed the query, retrieve and refine references, look up the
 prior, build the prompt, run the multi-round ensemble, aggregate.
 
@@ -214,18 +214,21 @@ class Pipeline:
     def fit(cls, train: CaseSet, config: FitConfig | None = None) -> "Pipeline":
         """Fit every stage from the training cases, the rows with a recorded
         duration: the encoder, PCA, the index and so the priors read no other
-        row. PCA weights that zero out every coordinate of an indexed case
-        have their zero weights raised to the smallest positive weight
+        row. Those rows are read once, as CaseColumns: the encoder's
+        statistics, the training matrix and the index's stored columns all
+        come from that one dictionary-encoded read of each feature. PCA
+        weights that zero out every coordinate of an indexed case have their
+        zero weights raised to the smallest positive weight
         (lift_zero_weights); other fits keep the PCA weights as derived.
         """
         config = config or FitConfig()
         cases = [case for case in train.cases if case.duration_min is not None]
         if not cases:
             raise EmptyTrainingSet("pipeline fit requires training cases with a recorded duration")
-        labelled = CaseSet(cases, train.schema)
-        encoder = encoding.fit(labelled, make_embedder(config.embedder))
+        columns = CaseSet(cases, train.schema).columns()
+        encoder = encoding.fit(columns, make_embedder(config.embedder))
         # encoding.fit refuses every case that encode_matrix could not encode
-        matrix, _ = encoder.encode_matrix(labelled)
+        matrix, _ = encoder.encode_matrix(columns)
 
         if config.pca_weighting:
             pca_model = pca_mod.fit_pca(matrix)
@@ -243,7 +246,7 @@ class Pipeline:
             # cosine direction: let every dimension count a little.
             weights = pca_mod.lift_zero_weights(weights)
             vectors = _index_rows(matrix, weights)
-        return cls(encoder, weights, index_mod.build(vectors, cases, train.schema), config)
+        return cls(encoder, weights, index_mod.build(vectors, columns, train.schema), config)
 
     def embed_query(self, case: SurgicalCase) -> np.ndarray:
         return self.encoder.encode(case) * self.weights.weights
@@ -382,8 +385,12 @@ class Pipeline:
         return CaseSet(cases=self.index.cases, schema=self.schema)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(*parts) -> str:
+    """The sha256 of the parts' bytes, concatenated."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def _index_rows(rows: np.ndarray, weights: pca_mod.WeightVector) -> np.ndarray:
@@ -396,7 +403,9 @@ def _index_rows(rows: np.ndarray, weights: pca_mod.WeightVector) -> np.ndarray:
 def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     """Persist every fitted stage plus a manifest fingerprinting the files.
     fit_config.embedder is the one record of the text embedder, so an
-    encoder that embeds otherwise is a SpecError before anything is written."""
+    encoder that embeds otherwise is a SpecError before anything is written.
+    index.bin is hashed and written from its sections (save_index_parts),
+    never joined into one copy."""
     if make_embedder(pipeline.fit_config.embedder) != pipeline.encoder.text_embedder:
         raise SpecError("cannot save an encoder that embeds otherwise than fit_config.embedder")
     out = Path(out_dir)
@@ -405,10 +414,11 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     except OSError as exc:
         raise IoError(f"cannot create artifact directory {out}: {exc}") from exc
 
-    files: dict[str, bytes] = {}
-    files["schema.yaml"] = pipeline.schema.to_yaml().encode("utf-8")
+    # each file as the buffers it is written from, index.bin as its sections
+    files: dict[str, list] = {}
+    files["schema.yaml"] = [pipeline.schema.to_yaml().encode("utf-8")]
 
-    files["encoder.json"] = json.dumps(
+    files["encoder.json"] = [json.dumps(
         {
             "numeric_stats": pipeline.encoder.numeric_stats,
             "ordinal_missing": pipeline.encoder.ordinal_missing,
@@ -419,9 +429,9 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
         },
         sort_keys=True,
         indent=2,
-    ).encode("utf-8")
+    ).encode("utf-8")]
 
-    files["index.bin"] = index_mod.save_index(pipeline.index)
+    files["index.bin"] = index_mod.save_index_parts(pipeline.index)
 
     report = pipeline.importance_report()
     report_buf = io.StringIO()
@@ -429,17 +439,19 @@ def save_artifacts(pipeline: Pipeline, out_dir: str | Path) -> None:
     writer.writerow(["feature", "score"])
     for name, score in report:
         writer.writerow([name, repr(score)])
-    files["importance.csv"] = report_buf.getvalue().encode("utf-8")
+    files["importance.csv"] = [report_buf.getvalue().encode("utf-8")]
 
-    digests = {name: _sha256(blob) for name, blob in files.items()}
+    digests = {name: _sha256(*parts) for name, parts in files.items()}
     config_doc = {"fit_config": asdict(pipeline.fit_config), "files": digests}
     fingerprint = _sha256(json.dumps(config_doc, sort_keys=True).encode("utf-8"))
     manifest = dict(config_doc, fingerprint=fingerprint)
-    files["manifest.json"] = json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
+    files["manifest.json"] = [json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")]
 
     try:
-        for name, blob in files.items():
-            (out / name).write_bytes(blob)
+        for name, parts in files.items():
+            with (out / name).open("wb") as fh:
+                for part in parts:
+                    fh.write(part)
     except OSError as exc:
         raise IoError(f"cannot write artifacts under {out}: {exc}") from exc
 

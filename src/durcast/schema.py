@@ -26,11 +26,14 @@ explicit missing values (None), never dropped.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import IoError, ParseError, RowError, SchemaError, SpecError
@@ -38,6 +41,9 @@ from .errors import IoError, ParseError, RowError, SchemaError, SpecError
 FEATURE_KINDS = ("numerical", "ordinal", "categorical", "boolean", "text")
 
 Value = str | float | None
+
+# The code of a missing value in a dictionary-encoded column.
+MISSING = -1
 
 # The longest recorded duration, in minutes (about two years). Its square is
 # 1e12, so a variance, an RMSE or a squared prior median stays finite for any
@@ -153,6 +159,117 @@ class CaseSet:
 
     def durations(self) -> list[float]:
         return [c.duration_min for c in self.cases if c.duration_min is not None]
+
+    def columns(self) -> CaseColumns:
+        """These cases as their schema's columns, computed on each call."""
+        return CaseColumns.of(self.cases, self.schema)
+
+
+@dataclass(frozen=True, eq=False)
+class CaseColumns:
+    """A sequence of cases read once, one dictionary-encoded column per
+    schema feature.
+
+    codes[name] holds each row's int32 code into values[name], MISSING
+    where the case has no value (None or no key); values[name] lists the
+    feature's distinct values in order of first appearance, so the first
+    row holding a value holds the first occurrence of its code. Distinct
+    means what the feature's kind reads: a numerical value is its own key
+    (equal numbers convert to one float; a zero is keyed by its sign, and
+    an unhashable value is an entry of its own), any other value is keyed,
+    and stored, as str(value), so a categorical 1 and "1" share an entry
+    while True does not. stray lists, ascending, the rows whose case has a
+    feature outside the schema.
+    """
+
+    schema: FeatureSchema
+    cases: Sequence[SurgicalCase]
+    codes: dict[str, np.ndarray]
+    values: dict[str, list]
+    stray: list[int]
+
+    @classmethod
+    def of(
+        cls, cases: CaseSet | CaseColumns | Sequence[SurgicalCase], schema: FeatureSchema
+    ) -> CaseColumns:
+        """The columns of the cases under schema, each feature's column
+        read once; columns already read under schema are returned as they
+        are."""
+        if isinstance(cases, CaseColumns) and cases.schema == schema:
+            return cases
+        if isinstance(cases, (CaseSet, CaseColumns)):
+            cases = cases.cases
+        rows = [case.values for case in cases]
+        names = frozenset(schema.feature_names)
+        stray = [] if names.issuperset(set().union(*rows)) else [
+            i for i, row in enumerate(rows) if not names.issuperset(row)]
+        codes, values = {}, {}
+        for f in schema.features:
+            raw = [row.get(f.name) for row in rows]
+            encode = _encode_numbers if f.kind == "numerical" else dictionary_encode
+            codes[f.name], values[f.name] = encode(raw)
+        return cls(schema, cases, codes, values, stray)
+
+
+def _dictionary(raw: list) -> tuple[np.ndarray, list, dict]:
+    """Codes of hashable values by equality, with their distinct values in
+    order of first appearance and the map from each to the row of its first
+    appearance: one dict lookup per value."""
+    first: dict = {}
+    at = np.fromiter(map(first.setdefault, raw, itertools.count()), np.intp, len(raw))
+    first.pop(None, None)
+    codes = np.full(len(raw), MISSING, dtype=np.int32)  # by a value's first row
+    codes[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    return codes[at], list(first), first
+
+
+def dictionary_encode(raw: list) -> tuple[np.ndarray, list[str]]:
+    """The int32 code of each value by str(value), MISSING for None, and the
+    distinct str(value) in order of first appearance (code order).
+    Equality is str equality when every distinct value is a str, else each
+    value is converted first."""
+    try:
+        codes, distinct, _ = _dictionary(raw)
+        if set(map(type, distinct)) <= {str}:
+            return codes, distinct
+    except TypeError:  # an unhashable value
+        pass
+    codes, distinct, _ = _dictionary([None if v is None else str(v) for v in raw])
+    return codes, distinct
+
+
+# The key of a negative zero in a numerical column, apart from 0.0's.
+_NEGATIVE_ZERO = object()
+
+
+def _encode_numbers(raw: list) -> tuple[np.ndarray, list]:
+    """A numerical column keyed by value. Equal numbers share one float,
+    except 0.0 and -0.0: a column whose zeros differ in sign, or that holds
+    an unhashable value, is keyed value by value instead."""
+    try:
+        codes, distinct, first = _dictionary(raw)
+        zero = first.get(0)
+        if zero is None:
+            return codes, distinct
+        zeros = map(raw.__getitem__, np.flatnonzero(codes == codes[zero]).tolist())
+        if len(set(map(math.copysign, itertools.repeat(1.0), zeros))) == 1:
+            return codes, distinct
+    except TypeError:  # an unhashable value, or a zero that is no float
+        pass
+    index, distinct, codes = {}, [], []
+    for v in raw:
+        if v is None:
+            codes.append(MISSING)
+            continue
+        try:
+            key = _NEGATIVE_ZERO if v == 0 and math.copysign(1.0, v) < 0 else v
+            code = index.setdefault(key, len(distinct))
+        except (TypeError, ValueError):  # unhashable, or no truth value or float
+            code = len(distinct)
+        if code == len(distinct):
+            distinct.append(v)
+        codes.append(code)
+    return np.array(codes, dtype=np.int32), distinct
 
 
 def load_schema(config_text: str) -> FeatureSchema:

@@ -34,16 +34,14 @@ linear-interpolation rule, bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import combinations
 
 import numpy as np
 
-from .schema import SurgicalCase
+from .schema import MISSING, SurgicalCase, dictionary_encode
 
 GLOBAL_STRATUM = "GLOBAL"
-# Code of a missing key value, in the table and in a query.
-MISSING = -1
 # Code of a query value that no case has: it matches no table code.
 _UNSEEN = -2
 
@@ -107,8 +105,8 @@ class CaseTable:
         vocabs: list[dict[str, int]] = []
         values = [c.values for c in cases]
         for j, attr in enumerate(keys):
-            codes[:, j], vocab = dictionary_encode(v.get(attr) for v in values)
-            vocabs.append(vocab)
+            codes[:, j], distinct = dictionary_encode([v.get(attr) for v in values])
+            vocabs.append(dict(zip(distinct, range(len(distinct)))))
         durations = np.array([c.duration_min for c in cases], dtype=np.float64)
         return cls(cases, keys, [c.id for c in cases], durations, codes, vocabs)
 
@@ -144,13 +142,6 @@ class CaseTable:
         present = query_codes != MISSING
         for level, tier, cols in self._tiers:
             yield level, tier, present[:, cols].all(axis=1), equal[:, :, cols].all(axis=2)
-
-
-def dictionary_encode(values: Iterable) -> tuple[list[int], dict[str, int]]:
-    """The code of each value by str(value), MISSING for None, and the
-    vocabulary (str(value) -> code), in order of first appearance."""
-    vocab: dict[str, int] = {}
-    return [MISSING if v is None else vocab.setdefault(str(v), len(vocab)) for v in values], vocab
 
 
 def quartiles(ordered: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -333,7 +333,7 @@ def oracle_feature(enc, case, name: str, kind: str) -> np.ndarray:
         else:
             try:
                 x = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SchemaMismatch(f"feature {name!r}: not numeric: {value!r}") from None
         return np.array([(x - mean) / std])
     if kind == "ordinal":
@@ -431,14 +431,16 @@ def values_of(valid: bool):
         common = [st.just(None), st.just(ABSENT)]
         if kind == "numerical":
             good = [st.floats(-1e6, 1e6, allow_nan=False), st.integers(-50, 50),
-                    st.sampled_from(["2.5", " 7 "])]
-            bad = [st.sampled_from(["tall", "", [1]])]
+                    st.sampled_from(["2.5", " 7 ", 0.0, -0.0, True])]
+            # 10**400 is an int past float range
+            bad = [st.sampled_from(["tall", "", [1], 10**400])]
         elif kind == "ordinal":
             levels = MIXED_SCHEMA.ordinal_orders[name]
             good, bad = [st.sampled_from(levels)], [st.sampled_from(["V", "i", 2])]
         elif kind == "categorical":
-            # ints and their strings share a slot; unseen values are always valid
-            good, bad = [st.sampled_from(["uro", "gyn", "ent", "1", 1, 2, "Uro"])], []
+            # ints and their strings share a slot, True has its own; unseen
+            # values are always valid
+            good, bad = [st.sampled_from(["uro", "gyn", "ent", "1", 1, 2, "Uro", True])], []
         elif kind == "boolean":
             good, bad = [st.sampled_from(BOOL_TOKENS)], [st.sampled_from(["maybe", "2", ""])]
         else:
@@ -490,6 +492,88 @@ class TestEncoderEqualsOracle:
         matrix, errors = enc.encode_matrix(corpus)
         assert errors == {}
         assert_same(matrix, want)
+
+
+def oracle_fit(schema, cases):
+    """encoding.fit's statistics as (numeric_stats, ordinal_missing,
+    cat_vocabs, bool_missing), value by value in row order, or the message
+    of the first SchemaMismatch it raises."""
+    numeric, ordinal, vocabs, booleans = {}, {}, {}, {}
+    for f in schema.features:
+        present = [c.values[f.name] for c in cases if c.values.get(f.name) is not None]
+        if f.kind == "numerical":
+            floats = []
+            for value in present:
+                try:
+                    floats.append(float(value))
+                except (TypeError, ValueError, OverflowError):
+                    return f"feature {f.name!r}: not numeric: {value!r}"
+            mean, std = 0.0, 1.0
+            if floats:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean, std = float(np.mean(floats)), float(np.std(floats))
+                if not (math.isfinite(mean) and math.isfinite(std)):
+                    return (f"feature {f.name!r}: training values too large for a finite "
+                            f"mean and std (mean {mean!r}, std {std!r})")
+            numeric[f.name] = (mean, 1.0 if std < 1e-12 else std)
+        elif f.kind == "ordinal":
+            order = schema.ordinal_orders[f.name]
+            ranks = []
+            for value in present:
+                if str(value) not in order:
+                    return (f"feature {f.name!r}: level {str(value)!r} not in declared "
+                            f"order {list(order)}")
+                ranks.append(order.index(str(value)) / max(len(order) - 1, 1))
+            ordinal[f.name] = float(np.mean(ranks)) if ranks else 0.5
+        elif f.kind == "categorical":
+            vocabs[f.name] = tuple(sorted({str(value) for value in present}))
+        elif f.kind == "boolean":
+            flags = []
+            for value in present:
+                token = str(value).strip().lower()
+                if token not in ORACLE_BOOL:
+                    return f"feature {f.name!r}: not a boolean token: {str(value)!r}"
+                flags.append(ORACLE_BOOL[token])
+            booleans[f.name] = float(np.mean(flags)) if flags else 0.5
+    for case in cases:
+        unknown = set(case.values) - set(schema.feature_names)
+        if unknown:
+            return f"case {case.id!r} has features outside the schema: {sorted(unknown)}"
+    return numeric, ordinal, vocabs, booleans
+
+
+# Numerical values that one float can stand for (both zeros, ints, bools,
+# numeric strings), a float whose sum overflows, and values float() refuses.
+NUMBERS = st.sampled_from([0.0, -0.0, 0, False, True, 1, 1.0, "1", " 2.5 ", "-0.0", 1e308,
+                           "tall", [1], 10**400])
+
+
+@st.composite
+def training_rows(draw):
+    """1-4 distinct rows, all of valid values or of any, each holding one of
+    NUMBERS as y half the time; up to 12 rows drawn from them, so values
+    repeat."""
+    pool = draw(st.lists(values_of(draw(st.booleans())), min_size=1, max_size=4))
+    pool = [row | {"y": draw(NUMBERS)} if draw(st.booleans()) else row for row in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return [pool[i] for i in picks]
+
+
+class TestFitEqualsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=training_rows())
+    def test_statistics_and_first_error_equal_oracle(self, rows):
+        cases = as_cases(rows, "t")
+        want = oracle_fit(MIXED_SCHEMA, cases)
+        try:
+            enc = encoding.fit(CaseSet(cases=cases, schema=MIXED_SCHEMA), EMBEDDER)
+        except SchemaMismatch as exc:
+            assert str(exc) == want
+            return
+        got = (enc.numeric_stats, enc.ordinal_missing, enc.cat_vocabs, enc.bool_missing)
+        assert not isinstance(want, str), want
+        # a float's repr fixes its bits, so -0.0 and 0.0 differ
+        assert repr(got) == repr(want)
 
 
 class TestEmbedderEqualsOracle:

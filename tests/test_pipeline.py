@@ -33,6 +33,7 @@ from durcast.errors import (
     EmbeddingServiceError,
     EmptyTrainingSet,
     IoError,
+    NonFiniteVector,
     SchemaMismatch,
     SpecError,
 )
@@ -328,6 +329,28 @@ def test_dimension_mismatch_fails_every_case_but_its_own_errors(pipe, monkeypatc
     for answer in (answers[0], answers[2]):
         assert isinstance(answer, DimensionMismatch)
         assert "does not match index" in str(answer)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "inf", "-inf"])
+def test_non_finite_query_value_stays_a_value(pipe, value):
+    """A NaN or infinite age, as a float or as text, is the value it reads
+    as, never a missing one: encode_matrix writes that NaN or infinity, not
+    the missing value's z-score 0, and retrieve_references_batch answers
+    that case alone with NonFiniteVector and the others as without it."""
+    good = thyroid_query()
+    odd = replace(good, id="q-odd", values={**good.values, "age": value})
+    queries = [good, odd, thyroid_query("q-2")]
+    matrix, errors = pipe.encoder.encode_matrix(CaseSet(queries, pipe.schema))
+    assert errors == {}
+    (offset,) = [offset for name, offset, _ in pipe.encoder.feature_spans if name == "age"]
+    entry = matrix[1, offset]
+    assert math.isnan(entry) if math.isnan(float(value)) else entry == float(value)
+    answers = pipe.retrieve_references_batch(queries)
+    assert isinstance(answers[1], NonFiniteVector)
+    for got, want in zip(answers[::2], pipe.retrieve_references_batch(queries[::2])):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1][0], want[1][0])
+        assert np.array_equal(got[1][1], want[1][1])
 
 
 class AlwaysDown(LlmBackend):
@@ -759,13 +782,14 @@ class TestArtifacts:
 
     def test_each_file_written_once(self, pipe, tmp_path, monkeypatch):
         written = []
-        real_write = Path.write_bytes
+        real_open = Path.open
 
-        def spy(path, data):
-            written.append(path.name)
-            return real_write(path, data)
+        def spy(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(path.name)
+            return real_open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_bytes", spy)
+        monkeypatch.setattr(Path, "open", spy)
         save_artifacts(pipe, tmp_path)
         assert sorted(written) == sorted(ARTIFACT_FILES)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACT_FILES)

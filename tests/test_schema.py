@@ -266,6 +266,27 @@ class TestCases:
         assert len(cs) == 2
 
 
+def test_case_columns_key_each_value_by_its_kind():
+    """A numerical column keys a value by equality, equal numbers sharing an
+    entry but the two zeros apart and each unhashable value on its own; any
+    other column keys by str(value), so 1 and "1" share an entry and True
+    does not. Codes follow first appearance, MISSING (-1) where a value is
+    None or absent, and stray lists the rows with a feature outside the
+    schema. Columns are computed afresh on each call."""
+    schema = FeatureSchema((Feature("x", "numerical"), Feature("c", "categorical")))
+    rows = [{"x": 1, "c": 1}, {"x": 1.0, "c": "1"}, {"x": True, "c": True},
+            {"x": -0.0, "c": None}, {"x": 0.0}, {"x": [2], "c": [2]},
+            {"x": [2], "c": "z", "z": 1}]
+    cases = CaseSet([SurgicalCase(f"r{i}", row) for i, row in enumerate(rows)], schema)
+    columns = cases.columns()
+    assert columns.codes["x"].tolist() == [0, 0, 0, 1, 2, 3, 4]
+    assert [repr(v) for v in columns.values["x"]] == ["1", "-0.0", "0.0", "[2]", "[2]"]
+    assert columns.codes["c"].tolist() == [0, 0, 1, -1, -1, 2, 3]
+    assert columns.values["c"] == ["1", "True", "[2]", "z"]
+    assert columns.stray == [6]
+    assert cases.columns() is not columns
+
+
 CSV_TEXT = """case_id,age,surgery_level,department,emergency,note,duration_min
 p1,61.5,III,general_surgery,true,bowel prep done,184
 p2,,II,thyroid_breast,false,,95
